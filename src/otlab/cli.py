@@ -51,6 +51,7 @@ from .geometry import (
     random_smooth_density,
     read_field_csv,
     write_field_csv,
+    write_rows,
 )
 from .jko import (
     JKOConfig,
@@ -187,17 +188,13 @@ def _grids_compatible(got: Grid, want: Grid) -> bool:
     return True
 
 
-def _write_manifest(out: Path, subcommand: str, config: dict, seed,
-                    threads: int) -> None:
-    lines = [
-        f"subcommand={subcommand}",
-        f"config_hash={_config_hash(config)}",
-        f"seed={'' if seed is None else seed}",
-        f"threads={threads}",
-        f"tool=otlab {__version__}",
-    ]
-    with open(out / "manifest", "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _write_manifest(out: Path, subcommand: str, config: dict, seed) -> None:
+    write_rows(out / "manifest", [
+        [f"subcommand={subcommand}"],
+        [f"config_hash={_config_hash(config)}"],
+        [f"seed={'' if seed is None else seed}"],
+        [f"tool=otlab {__version__}"],
+    ])
 
 
 def _prepare_out(out_dir: str) -> Path:
@@ -205,7 +202,7 @@ def _prepare_out(out_dir: str) -> Path:
     try:
         out.mkdir(parents=True, exist_ok=True)
         probe = out / ".write_probe"
-        probe.write_text("")
+        write_rows(probe, [])
         probe.unlink()
     except OSError as exc:
         raise ConfigError(f"output directory {out} is not writable: {exc}") from exc
@@ -318,15 +315,13 @@ def cmd_jko(config: dict, out: Path, base_dir: Path, seed) -> int:
         refine = bool(compare.get("refine", False))
         dt = compare.get("dt")
         dt = aligned_dt(rho0, jko_config) if dt is None else float(dt)
-        report = jko_vs_pde_report(rho0, jko_config, dt, refine=refine)
-        lines = ["time,distance" + (",refined_distance" if refine else "")]
-        for k, t in enumerate(report.times):
-            row = f"{t!r},{report.distances[k]!r}"
-            if refine:
-                row += f",{report.refined_distances[k]!r}"
-            lines.append(row)
-        with open(out / "pde_compare.csv", "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
+        report = jko_vs_pde_report(trajectory, jko_config, dt, refine=refine)
+        columns = [report.times, report.distances]
+        header = ["time", "distance"]
+        if refine:
+            columns.append(report.refined_distances)
+            header.append("refined_distance")
+        write_rows(out / "pde_compare.csv", [header, *zip(*columns)])
         print(f"jko: steps={jko_config.steps} final_tv={trajectory.tv[-1]:.6f} "
               f"pde_distance={report.final_distance:.6f}")
     else:
@@ -355,12 +350,10 @@ def cmd_mollify_study(config: dict, out: Path, base_dir: Path, seed) -> int:
 
     report = mollification_convergence_experiment(rho, g, cost, widths,
                                                   solver=solver)
-    lines = ["epsilon,deviation_measure,lp_distance"]
-    for k, eps in enumerate(report.epsilons):
-        lines.append(f"{eps!r},{report.deviation_measures[k]!r},"
-                     f"{report.lp_distances[k]!r}")
-    with open(out / "mollify.csv", "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_rows(out / "mollify.csv", [
+        ("epsilon", "deviation_measure", "lp_distance"),
+        *zip(report.epsilons, report.deviation_measures, report.lp_distances),
+    ])
     print(f"mollify-study: widths={len(report.epsilons)} "
           f"monotone={'yes' if report.monotone_ok else 'no'} "
           f"final={'yes' if report.final_ok else 'no'} "
@@ -413,16 +406,12 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", required=True, help="output directory")
         cmd.add_argument("--seed", type=int, default=None,
                          help="override the config's top-level seed")
-        cmd.add_argument("--threads", type=int, default=1,
-                         help="worker pool size for batch subcommands")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.threads < 1:
-            raise ConfigError("--threads must be at least 1")
         config = _load_config(args.config)
         seed = args.seed if args.seed is not None else config.get("seed")
         if seed is not None and (not isinstance(seed, int) or seed < 0):
@@ -430,7 +419,7 @@ def main(argv=None) -> int:
         out = _prepare_out(args.out)
         base_dir = Path(args.config).resolve().parent
         code = _COMMANDS[args.subcommand](config, out, base_dir, seed)
-        _write_manifest(out, args.subcommand, config, seed, args.threads)
+        _write_manifest(out, args.subcommand, config, seed)
         return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -49,6 +49,7 @@ from .geometry import (
     gradient,
     interp_multilinear,
     random_smooth_density,
+    write_rows,
 )
 from .ot_core import (
     TransportResult,
@@ -344,13 +345,7 @@ def second_order_check(phi, psi, transport, rho: DensityField,
     d2_psi = _second_difference_fields(psi, grid)
 
     margin = _EDGE_EXCLUSION
-    interior = np.ones(grid.shape, dtype=bool)
-    for axis in range(grid.d):
-        idx = np.arange(grid.n[axis])
-        sel = (idx >= margin) & (idx < grid.n[axis] - margin)
-        shape = [1] * grid.d
-        shape[axis] = grid.n[axis]
-        interior &= sel.reshape(shape)
+    interior = grid.interior_mask(margin)
 
     points = transport.points
     target_ok = np.ones(grid.num_cells, dtype=bool)
@@ -590,25 +585,13 @@ def refinement_study(spec: BatchSpec, instances, n_values) -> dict:
     return out
 
 
-_CSV_HEADER = "seed,p,q,n,solver,lhs,flux,tv_rho,tv_g,tolerance,pass"
+_CSV_HEADER = "seed,p,q,n,solver,lhs,flux,tv_rho,tv_g,tolerance,pass".split(",")
 
 
 def write_reports_csv(path, reports) -> None:
-    """Write reports as CSV (LF endings, repr floats, pass as 0/1)."""
-    lines = [_CSV_HEADER]
-    for r in reports:
-        lines.append(",".join([
-            str(r.seed),
-            repr(float(r.p)),
-            repr(float(r.q)),
-            str(r.n),
-            r.solver,
-            repr(float(r.lhs)),
-            repr(float(r.flux)),
-            repr(float(r.tv_rho)),
-            repr(float(r.tv_g)),
-            repr(float(r.tolerance)),
-            "1" if r.passed else "0",
-        ]))
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Write one CSV row per report in the :func:`geometry.write_rows` format."""
+    write_rows(path, [_CSV_HEADER] + [
+        (r.seed, float(r.p), float(r.q), r.n, r.solver, r.lhs, r.flux, r.tv_rho, r.tv_g,
+         r.tolerance, r.passed)
+        for r in reports
+    ])

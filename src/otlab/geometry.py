@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -28,6 +27,8 @@ __all__ = [
     "random_smooth_density",
     "boundary_cells_and_normals",
     "interp_multilinear",
+    "format_cell",
+    "write_rows",
     "write_field_csv",
     "read_field_csv",
     "density_to_csv",
@@ -349,23 +350,39 @@ def interp_multilinear(grid: Grid, values: np.ndarray, points: np.ndarray) -> np
     )
 
 
-# --- CSV layout: header "x[,y],value", row-major cell order, LF endings ---
+# --- Output files: the one place the format lives. Comma-separated cells,
+# LF after every line including the last. Layout of field CSVs: header
+# "x[,y],value", row-major cell order.
+
+
+def format_cell(value) -> str:
+    """Text of one output cell: strings verbatim, bools 1/0, ints via str, floats via repr.
+
+    Floats (numpy scalars included) go through ``float`` first, so the text
+    is the shortest round-trip decimal and never numpy's ``np.float64(...)``.
+    """
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(value)
+    return repr(float(value))
+
+
+def write_rows(path, rows) -> None:
+    """Write each row as its formatted cells joined by commas, one LF-terminated line per row."""
+    with open(path, "w", newline="\n") as fh:
+        fh.writelines(",".join(map(format_cell, row)) + "\n" for row in rows)
 
 
 def write_field_csv(path, grid: Grid, values: np.ndarray, value_header: str = "value") -> None:
     vals = np.asarray(values, dtype=float)
     if vals.shape != grid.shape:
         raise ShapeError(f"values shape {vals.shape} != grid shape {grid.shape}")
-    centers = grid.cell_centers()
-    flat = vals.reshape(-1)
-    headers = ["x", "y"][: grid.d] + [value_header]
-    with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(headers)
-        for row_idx in range(len(flat)):
-            writer.writerow(
-                [repr(float(c)) for c in centers[row_idx]] + [repr(float(flat[row_idx]))]
-            )
+    header = ["x", "y"][: grid.d] + [value_header]
+    cells = zip(grid.cell_centers().tolist(), vals.reshape(-1).tolist())
+    write_rows(path, [header, *([*center, v] for center, v in cells)])
 
 
 def _grid_from_axis(centers: np.ndarray) -> tuple[float, float, int]:
@@ -412,24 +429,3 @@ def density_from_csv(path) -> DensityField:
 def as_density(grid: Grid, values) -> DensityField:
     """Convenience constructor used by generators and tests."""
     return DensityField(grid, np.asarray(values, dtype=float))
-
-
-def fields_on_same_grid(*fields: Sequence) -> Grid:
-    """Check that all fields share one grid and return it."""
-    grids = [f.grid for f in fields]
-    first = grids[0]
-    for g in grids[1:]:
-        if g != first:
-            raise ShapeError("fields live on different grids")
-    return first
-
-
-def iter_cells(grid: Grid) -> Iterator[tuple]:
-    """Row-major iteration over cell indices."""
-    if grid.d == 1:
-        for i in range(grid.n[0]):
-            yield (i,)
-    else:
-        for i in range(grid.n[0]):
-            for j in range(grid.n[1]):
-                yield (i, j)

@@ -71,7 +71,7 @@ from .errors import (
     ProjectionError,
     StepError,
 )
-from .geometry import DensityField, Grid, write_field_csv
+from .geometry import DensityField, Grid, write_field_csv, write_rows
 from .ot_core import _cost_matrix, solve_exact_1d
 
 # s log s at s = 0 is the limit 0; the floor keeps the evaluation finite
@@ -735,15 +735,18 @@ def _l1_distance(a: DensityField, b: DensityField) -> float:
     return float(np.abs(a.values - b.values).sum() * a.grid.cell_volume)
 
 
-def jko_vs_pde_report(rho_0: DensityField, config: JKOConfig, dt: float,
+def jko_vs_pde_report(trajectory: Trajectory, config: JKOConfig, dt: float,
                       refine: bool = True) -> JKOPDEReport:
-    """Compare the scheme against the PDE reference at 5 shared checkpoints.
+    """Compare a completed scheme run against the PDE reference at 5 shared checkpoints.
 
-    ``dt`` must divide tau (and tau/2 when ``refine`` is set) so checkpoint
-    times exist in both discretizations; ``aligned_dt`` constructs such a
-    step. The refined pass reruns the scheme at tau/2 over the same horizon
-    and must not increase the final-checkpoint distance.
+    ``trajectory`` is the ``run_jko`` result for ``config``; the reference
+    starts from its first state. ``dt`` must divide tau (and tau/2 when
+    ``refine`` is set) so checkpoint times exist in both discretizations;
+    ``aligned_dt`` constructs such a step. The refined pass reruns the
+    scheme at tau/2 over the same horizon and must not increase the
+    final-checkpoint distance.
     """
+    rho_0 = trajectory.densities[0]
     if rho_0.grid.d != 1:
         raise DomainError("the comparison runs on 1-d grids")
     if config.steps < 1:
@@ -754,16 +757,19 @@ def jko_vs_pde_report(rho_0: DensityField, config: JKOConfig, dt: float,
         raise ParameterError(f"dt = {dt:.3e} must divide tau = {config.tau:.3e}")
     if refine and substeps % 2 != 0:
         raise ParameterError("refinement needs tau/dt even so tau/2 stays aligned")
+    if trajectory.error:
+        raise StepError(f"scheme run failed: {trajectory.error}", residual=float("nan"))
+    if len(trajectory) != config.steps + 1:
+        raise ParameterError(
+            f"trajectory has {len(trajectory)} states, the config asks for {config.steps + 1}"
+        )
 
     k_checks = sorted({round(j * config.steps / 4.0) for j in range(5)})
-    traj = run_jko(rho_0, config)
-    if traj.error:
-        raise StepError(f"scheme run failed: {traj.error}", residual=float("nan"))
     reference = reference_pde_solve(rho_0, config.p, config.energy, dt,
                                     steps=config.steps * substeps)
     times = tuple(k * config.tau for k in k_checks)
     distances = tuple(
-        _l1_distance(traj.densities[k], reference.densities[k * substeps])
+        _l1_distance(trajectory.densities[k], reference.densities[k * substeps])
         for k in k_checks
     )
     refined_distances = ()
@@ -791,20 +797,13 @@ def jko_vs_pde_report(rho_0: DensityField, config: JKOConfig, dt: float,
 def write_trajectory_dir(path, trajectory: Trajectory, densities: bool = True) -> None:
     """Write trace.csv (step, time, tv, energy, cost, residual) and state CSVs."""
     os.makedirs(path, exist_ok=True)
-    lines = ["step,time,tv,energy,cost,residual"]
-    for k in range(len(trajectory)):
-        lines.append(",".join([
-            str(k),
-            repr(float(trajectory.times[k])),
-            repr(float(trajectory.tv[k])),
-            repr(float(trajectory.energy[k])),
-            repr(float(trajectory.cost[k])),
-            repr(float(trajectory.residual[k])),
-        ]))
+    columns = (trajectory.times, trajectory.tv, trajectory.energy, trajectory.cost,
+               trajectory.residual)
+    rows = [("step", "time", "tv", "energy", "cost", "residual")]
+    rows += [(k, *values) for k, values in enumerate(np.column_stack(columns).tolist())]
     if trajectory.error:
-        lines.append(f"# error: {trajectory.error}")
-    with open(os.path.join(path, "trace.csv"), "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        rows.append((f"# error: {trajectory.error}",))
+    write_rows(os.path.join(path, "trace.csv"), rows)
     if densities:
         for k, state in enumerate(trajectory.densities):
             write_field_csv(

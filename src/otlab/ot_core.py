@@ -27,7 +27,7 @@ from .errors import (
     ParameterError,
     RangeError,
 )
-from .geometry import DensityField, Grid
+from .geometry import DensityField, Grid, format_cell, write_rows
 
 __all__ = [
     "TransportResult",
@@ -183,14 +183,21 @@ def _marginals(rho: DensityField, g: DensityField) -> tuple[np.ndarray, np.ndarr
     return a, b * (a.sum() / b.sum())
 
 
-def _monotone_plan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Northwest-corner filling of sorted 1-d marginals: the monotone plan."""
+def _monotone_plan(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Northwest-corner filling of sorted 1-d marginals: the monotone plan.
+
+    Also returns the m + n - 1 staircase cells the fill visits, in order;
+    some may carry zero mass. They span the bipartite row/column graph, so
+    they form a starting basis for the transportation simplex.
+    """
     m, n = len(a), len(b)
     plan = np.zeros((m, n))
+    path = []
     ar = a.copy()
     br = b.copy()
     i = j = 0
     while True:
+        path.append((i, j))
         move = min(ar[i], br[j])
         plan[i, j] = move
         ar[i] -= move
@@ -203,7 +210,7 @@ def _monotone_plan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             j += 1
         else:
             i += 1
-    return plan
+    return plan, path
 
 
 def solve_exact_1d(rho: DensityField, g: DensityField, cost: RadialCost,
@@ -229,7 +236,7 @@ def solve_exact_1d(rho: DensityField, g: DensityField, cost: RadialCost,
     gb_monotone = gb + np.arange(len(b)) * (1e-15 * max(total, 1.0))
     t_vals = np.interp(fa, gb_monotone, ys)
 
-    plan = _monotone_plan(a, b)
+    plan, _ = _monotone_plan(a, b)
     ii, jj = np.nonzero(plan)
     primal = float((plan[ii, jj] * cost.profile(np.abs(xs[ii] - ys[jj]))).sum())
 
@@ -274,39 +281,18 @@ class _TransportationSimplex:
     def __init__(self, cmat: np.ndarray, a: np.ndarray, b: np.ndarray):
         self.cmat = cmat
         self.m, self.n = cmat.shape
-        self.x = _monotone_plan(a, b)
-        self.basis: set[tuple[int, int]] = set()
+        self.x, path = _monotone_plan(a, b)
         self.rows_adj: list[set[int]] = [set() for _ in range(self.m)]
         self.cols_adj: list[set[int]] = [set() for _ in range(self.n)]
-        self._init_basis_from_nw_path(a, b)
+        for i, j in path:
+            self._add(i, j)
         self.tol = 1e-11 * (1.0 + float(np.abs(cmat).max()))
 
-    def _init_basis_from_nw_path(self, a, b):
-        # replay the NW fill to collect the m+n-1 path cells (some may be 0)
-        ar = a.copy()
-        br = b.copy()
-        i = j = 0
-        while True:
-            self._add(i, j)
-            move = min(ar[i], br[j])
-            ar[i] -= move
-            br[j] -= move
-            if i == self.m - 1 and j == self.n - 1:
-                break
-            if ar[i] == 0.0 and i < self.m - 1:
-                i += 1
-            elif j < self.n - 1:
-                j += 1
-            else:
-                i += 1
-
     def _add(self, i, j):
-        self.basis.add((i, j))
         self.rows_adj[i].add(j)
         self.cols_adj[j].add(i)
 
     def _remove(self, i, j):
-        self.basis.discard((i, j))
         self.rows_adj[i].discard(j)
         self.cols_adj[j].discard(i)
 
@@ -368,14 +354,15 @@ class _TransportationSimplex:
         # back to the entering row; signs alternate starting with +
         return [(ei, ej)] + path_cells
 
-    def pivot_until_optimal(self, max_pivots: int) -> int:
+    def pivot_until_optimal(self, max_pivots: int) -> tuple[int, np.ndarray, np.ndarray]:
+        """Pivot to optimality; returns the pivot count and the final duals u, v."""
         pivots = 0
         while True:
             u, v = self.duals()
             reduced = self.cmat - u[:, None] - v[None, :]
             candidates = np.argwhere(reduced < -self.tol)
             if candidates.size == 0:
-                return pivots
+                return pivots, u, v
             if pivots >= max_pivots:
                 raise ConvergenceError(
                     "transportation simplex exceeded its pivot budget",
@@ -412,8 +399,7 @@ def solve_lp(rho: DensityField, g: DensityField, cost: RadialCost,
     a, b = _marginals(rho, g)
     cmat = _cost_matrix(cost, rho.grid.cell_centers(), g.grid.cell_centers())
     simplex = _TransportationSimplex(cmat, a, b)
-    pivots = simplex.pivot_until_optimal(max_pivots=50 * (len(a) + len(b)))
-    u, v = simplex.duals()
+    pivots, u, _ = simplex.pivot_until_optimal(max_pivots=50 * (len(a) + len(b)))
     primal = float((simplex.x * cmat).sum())
 
     phi, psi = canonical_pair(cost, u.reshape(rho.grid.shape), rho.grid, g.grid)
@@ -677,62 +663,45 @@ def map_consistency_check(phi, psi, map_field: MapField, cost: RadialCost,
     )
 
 
-def _format_float(x: float) -> str:
-    return repr(float(x))
-
-
 def write_result_dir(path, result: TransportResult, map_field: MapField | None = None) -> None:
     """Serialize a result to a directory of CSV files plus a key-value meta file."""
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
 
     ii, jj = np.nonzero(result.coupling)
-    with open(out / "coupling.csv", "w", newline="\n") as fh:
-        fh.write("i,j,mass\n")
-        for i, j in zip(ii, jj):
-            fh.write(f"{i},{j},{_format_float(result.coupling[i, j])}\n")
+    masses = result.coupling[ii, jj].tolist()
+    write_rows(out / "coupling.csv", [("i", "j", "mass"), *zip(ii.tolist(), jj.tolist(), masses)])
 
     geometry.write_field_csv(out / "phi.csv", result.source.grid, result.phi, "phi")
     geometry.write_field_csv(out / "psi.csv", result.target.grid, result.psi, "psi")
 
     if map_field is not None:
         grid = map_field.grid
-        centers = grid.cell_centers()
         coord_names = ["x", "y"][: grid.d]
-        map_names = [f"t_{c}" for c in coord_names]
-        with open(out / "map.csv", "w", newline="\n") as fh:
-            fh.write(",".join(coord_names + map_names + ["defined"]) + "\n")
-            for k in range(grid.num_cells):
-                cols = [_format_float(c) for c in centers[k]]
-                cols += [_format_float(c) for c in map_field.points[k]]
-                cols.append("1" if map_field.mask[k] else "0")
-                fh.write(",".join(cols) + "\n")
+        header = coord_names + [f"t_{c}" for c in coord_names] + ["defined"]
+        cells = zip(grid.cell_centers().tolist(), map_field.points.tolist(), map_field.mask.tolist())
+        write_rows(out / "map.csv", [header, *([*x, *t, m] for x, t, m in cells)])
 
     meta = {
         "solver": result.solver,
-        "primal": _format_float(result.primal),
-        "dual": _format_float(result.dual),
-        "gap": _format_float(result.gap),
-        "source_cells": str(result.source.grid.num_cells),
-        "target_cells": str(result.target.grid.num_cells),
+        "primal": result.primal,
+        "dual": result.dual,
+        "gap": result.gap,
+        "source_cells": result.source.grid.num_cells,
+        "target_cells": result.target.grid.num_cells,
         "cost_family": result.cost.family,
     }
     if result.cost.exponent is not None:
-        meta["cost_exponent"] = _format_float(result.cost.exponent)
+        meta["cost_exponent"] = result.cost.exponent
     if map_field is not None:
-        meta["max_clip_distance"] = _format_float(map_field.max_clip_distance)
-    for key, value in sorted(result.meta.items()):
+        meta["max_clip_distance"] = map_field.max_clip_distance
+    for key, value in result.meta.items():
         if key == "raw_potentials":
             continue
-        if isinstance(value, float):
-            meta[key] = _format_float(value)
-        elif isinstance(value, (list, tuple)):
-            meta[key] = ";".join(_format_float(v) for v in value)
-        else:
-            meta[key] = str(value)
-    with open(Path(path) / "meta", "w", newline="\n") as fh:
-        for key in sorted(meta):
-            fh.write(f"{key}={meta[key]}\n")
+        if isinstance(value, (list, tuple)):
+            value = ";".join(format_cell(float(v)) for v in value)
+        meta[key] = value
+    write_rows(out / "meta", ([f"{key}={format_cell(meta[key])}"] for key in sorted(meta)))
 
 
 def read_meta(path) -> dict:

@@ -92,7 +92,7 @@ def heat_benchmark(tmp_path_factory):
     dt = aligned_dt(rho0, config)
     start = time.monotonic()
     trajectory = run_jko(rho0, config)
-    report = jko_vs_pde_report(rho0, config, dt, refine=True)
+    report = jko_vs_pde_report(trajectory, config, dt, refine=True)
     elapsed = time.monotonic() - start
     out = tmp_path_factory.mktemp("heat") / "run"
     write_trajectory_dir(out, trajectory)

@@ -160,11 +160,6 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, solve_config(seed=-1))
         assert run_cli("solve-ot", "--config", cfg, "--out", tmp_path / "out") == 2
 
-    def test_threads_below_one_exits_2(self, tmp_path):
-        cfg = write_config(tmp_path, solve_config())
-        assert run_cli("solve-ot", "--config", cfg, "--out", tmp_path / "out",
-                       "--threads", 0) == 2
-
     def test_unknown_solver_method_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, solve_config(solver={"method": "simplex"}))
         assert run_cli("solve-ot", "--config", cfg, "--out", tmp_path / "out") == 2
@@ -185,7 +180,6 @@ class TestManifest:
         assert len(entries["config_hash"]) == 64
         assert int(entries["config_hash"], 16) >= 0
         assert entries["seed"] == "7"
-        assert entries["threads"] == "1"
         assert entries["tool"].startswith("otlab ")
 
     def test_seed_flag_overrides_config(self, tmp_path):

@@ -16,6 +16,7 @@ from otlab.geometry import (
     read_field_csv,
     tv_norm,
     write_field_csv,
+    write_rows,
 )
 
 
@@ -238,6 +239,24 @@ class TestCSV:
         write_field_csv(path, g, np.zeros((4, 4)))
         first = path.read_text().splitlines()[0]
         assert first == "x,y,value"
+
+
+class TestWriteRows:
+    @pytest.mark.parametrize("row, line", [
+        ((np.float64(0.1), 2.5), b"0.1,2.5"),
+        ((np.int64(3), 7), b"3,7"),
+        ((np.bool_(True), False), b"1,0"),
+        ((-0.0,), b"-0.0"),
+        ((1e-300, np.float32(0.5)), b"1e-300,0.5"),
+        ((float("nan"),), b"nan"),
+        (("# error: step 1: a, b",), b"# error: step 1: a, b"),
+    ])
+    def test_exact_text(self, tmp_path, row, line):
+        path = tmp_path / "rows.csv"
+        write_rows(path, [("a", "b"), row])
+        data = path.read_bytes()
+        assert data == b"a,b\n" + line + b"\n"
+        assert b"\r" not in data
 
 
 class TestInterp:

@@ -359,33 +359,55 @@ class TestReferencePDE:
                                     dt=1e-6, steps=1)
 
 
+@pytest.fixture(scope="module")
+def short_run():
+    """An 8-step flow from the sharp bump, shared by the comparison tests."""
+    config = heat_config(8)
+    rho0 = bump_density()
+    return rho0, config, jko.run_jko(rho0, config)
+
+
 class TestJKOvsPDEReport:
-    def test_initial_checkpoint_distance_is_zero(self):
-        rho0 = bump_density()
-        config = heat_config(8)
+    def test_initial_checkpoint_distance_is_zero(self, short_run):
+        rho0, config, traj = short_run
         dt = jko.aligned_dt(rho0, config)
-        report = jko.jko_vs_pde_report(rho0, config, dt, refine=False)
+        report = jko.jko_vs_pde_report(traj, config, dt, refine=False)
         assert report.times[0] == 0.0
         assert report.distances[0] == 0.0
         assert len(report.times) == 5
         assert report.final_distance < 0.05
 
-    def test_misaligned_dt_rejected(self):
-        rho0 = bump_density()
-        config = heat_config(8)
+    def test_misaligned_dt_rejected(self, short_run):
+        _, config, traj = short_run
         with pytest.raises(ParameterError):
-            jko.jko_vs_pde_report(rho0, config, dt=config.tau / 2.5, refine=False)
+            jko.jko_vs_pde_report(traj, config, dt=config.tau / 2.5, refine=False)
 
     def test_refinement_needs_even_substepping(self):
         rho0 = bump_density(n=16)
         config = heat_config(4)
+        traj = jko.run_jko(rho0, config)
         with pytest.raises(ParameterError):
-            jko.jko_vs_pde_report(rho0, config, dt=config.tau / 81.0, refine=True)
+            jko.jko_vs_pde_report(traj, config, dt=config.tau / 81.0, refine=True)
 
     def test_zero_steps_rejected(self):
         rho0 = bump_density(n=16)
+        config = heat_config(0)
         with pytest.raises(ParameterError):
-            jko.jko_vs_pde_report(rho0, heat_config(0), dt=1e-5)
+            jko.jko_vs_pde_report(jko.run_jko(rho0, config), config, dt=1e-5)
+
+    def test_trajectory_of_another_config_rejected(self, short_run):
+        rho0, _, traj = short_run
+        config = heat_config(4)
+        with pytest.raises(ParameterError):
+            jko.jko_vs_pde_report(traj, config, jko.aligned_dt(rho0, config), refine=False)
+
+    def test_aborted_trajectory_rejected(self):
+        rho0 = bump_density()
+        config = heat_config(5, max_inner=2)
+        traj = jko.run_jko(rho0, config)
+        assert traj.error
+        with pytest.raises(StepError):
+            jko.jko_vs_pde_report(traj, config, jko.aligned_dt(rho0, config), refine=False)
 
 
 class TestTrajectoryWriter:
