@@ -60,8 +60,6 @@ from typing import Callable
 
 import numpy as np
 
-from scipy.special import logsumexp
-
 from .cost import RadialCost, power_cost
 from .errors import (
     ConfigError,
@@ -72,13 +70,16 @@ from .errors import (
     StepError,
 )
 from .geometry import DensityField, Grid, write_field_csv, write_rows
-from .ot_core import _cost_matrix, solve_exact_1d
+from .ot_core import _cost_matrix, log_plan, softmin, solve_exact_1d
 
 # s log s at s = 0 is the limit 0; the floor keeps the evaluation finite
 # without moving the value at any density above it.
 _ENTROPY_FLOOR = 1e-12
 
 _DESCENT_SLACK = 1e-10
+
+# floor of the step problem's reference prior r = max(b, _PRIOR_FLOOR)
+_PRIOR_FLOOR = 1e-30
 
 
 @dataclass(frozen=True)
@@ -298,20 +299,20 @@ def _power_log_mass(M: np.ndarray, eps: float, T: float, m: float, vol: float) -
     return 0.5 * (lo + hi)
 
 
-def _scaling_solve(b_log: np.ndarray, cmat: np.ndarray, eps: float, T: float,
-                   energy: Energy, vol: float, tilt: np.ndarray, f: np.ndarray,
+def _scaling_solve(b_log: np.ndarray, r_log: np.ndarray, cmat: np.ndarray, eps: float,
+                   T: float, energy: Energy, vol: float, tilt: np.ndarray, f: np.ndarray,
                    g: np.ndarray, tol: float, cap: int):
     """Block dual ascent on min <C,P> + eps KL(P | r x b) + T sum f(row mass / vol) vol - tilt . a.
 
     The column marginal is pinned to b = exp(b_log); rows are free and
     priced by the energy plus a linear pull tilt per unit mass. The
     reference plan is the product of b with the floored prior
-    r = max(b, 1e-30), so the KL term penalizes deviation of the row
-    marginal from the anchor instead of its absolute entropy; an
-    absolute-entropy reference would add eps/T times the entropy to the
-    effective energy and visibly speed up the limit flow. The floor keeps
-    rows outside the anchor's support reachable (their prior handicap is
-    eps log(1e-30), which vanishes with eps), so supports can spread.
+    r = exp(r_log) = max(b, _PRIOR_FLOOR), so the KL term penalizes
+    deviation of the row marginal from the anchor instead of its absolute
+    entropy; an absolute-entropy reference would add eps/T times the
+    entropy to the effective energy and visibly speed up the limit flow.
+    The floor keeps rows outside the anchor's support reachable (their
+    prior handicap eps log(_PRIOR_FLOOR) vanishes with eps).
 
     Each sweep fits the column potential g exactly, then updates the row
     potential f from the pointwise first-order condition
@@ -320,15 +321,14 @@ def _scaling_solve(b_log: np.ndarray, cmat: np.ndarray, eps: float, T: float,
     the residual is the L1 change of the row-mass vector across the last
     sweep.
     """
-    r_log = np.maximum(b_log, math.log(1e-30))
     a_prev = None
     residual = float("inf")
     sweeps = 0
     log_vol = math.log(vol)
     with np.errstate(over="ignore", under="ignore"):
         for sweeps in range(1, cap + 1):
-            g = -eps * logsumexp((f[:, None] - cmat) / eps + r_log[:, None], axis=0)
-            M = eps * logsumexp((g[None, :] - cmat) / eps + b_log[None, :], axis=1)
+            g = softmin(cmat, f, r_log, eps, 0)
+            M = -softmin(cmat, g, b_log, eps, 1)
             if energy.kind == "entropy":
                 u = (M + tilt + eps * r_log + T * (log_vol - 1.0)) / (eps + T)
             else:
@@ -356,18 +356,18 @@ def _candidate_field(a: np.ndarray, grid: Grid) -> np.ndarray:
     return (a / (total * grid.cell_volume)).reshape(grid.shape)
 
 
-def _pinned_value(a_log: np.ndarray, b_log: np.ndarray, cmat: np.ndarray,
-                  eps: float, f: np.ndarray, g: np.ndarray, tol: float, cap: int):
+def _pinned_value(a_log: np.ndarray, b_log: np.ndarray, r_log: np.ndarray,
+                  cmat: np.ndarray, eps: float, f: np.ndarray, g: np.ndarray,
+                  tol: float, cap: int):
     """Entropic transport between pinned marginals, against the r x b reference.
 
     Two-marginal scaling iterations for min <C,P> + eps KL(P | r x b) with
     row masses exp(a_log) and column masses b = exp(b_log); the reference
-    prior r matches the step solver's. Returns (dual value, plan cost
+    prior exp(r_log) is the step solver's. Returns (dual value, plan cost
     <C,P>, f, g, residual, sweeps). The dual value is
     f.a + g.b + eps (sum r - mass(P)) and is what descent comparisons use;
     using one evaluator for both sides of a comparison cancels its bias.
     """
-    r_log = np.maximum(b_log, math.log(1e-30))
     a = np.exp(a_log)
     b = np.exp(b_log)
     residual = float("inf")
@@ -375,18 +375,15 @@ def _pinned_value(a_log: np.ndarray, b_log: np.ndarray, cmat: np.ndarray,
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         for sweeps in range(1, cap + 1):
             f_old = f
-            f = eps * (a_log - r_log
-                       - logsumexp((g[None, :] - cmat) / eps + b_log[None, :], axis=1))
-            g = -eps * logsumexp((f[:, None] - cmat) / eps + r_log[:, None], axis=0)
+            f = eps * (a_log - r_log) + softmin(cmat, g, b_log, eps, 1)
+            g = softmin(cmat, f, r_log, eps, 0)
             # rows with zero mass carry f = -inf on both sides; they cannot
             # contribute to the marginal error
             live = a > 0
             residual = float((np.abs(f - f_old)[live] * a[live]).sum() / eps)
             if residual <= tol:
                 break
-        log_plan = ((f[:, None] + g[None, :] - cmat) / eps
-                    + r_log[:, None] + b_log[None, :])
-        plan = np.exp(log_plan)
+        plan = np.exp(log_plan(cmat, f, g, r_log, b_log, eps))
         value = (float((f[live] * a[live]).sum()) + float((g[b > 0] * b[b > 0]).sum())
                  + eps * (float(np.exp(r_log).sum()) - float(plan.sum())))
         plan_cost = float((plan * cmat).sum())
@@ -419,15 +416,12 @@ def _sym_solve(a_log: np.ndarray, r_log: np.ndarray, cmat: np.ndarray,
     sweeps = 0
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         for sweeps in range(1, cap + 1):
-            fu = eps * (a_log - r_log
-                        - logsumexp((u[None, :] - cmat) / eps + r_log[None, :], axis=1))
+            fu = eps * (a_log - r_log) + softmin(cmat, u, r_log, eps, 1)
             residual = float((np.abs(fu - u)[live] * a[live]).sum() / eps)
             u = np.where(live, 0.5 * (u + fu), -np.inf)
             if residual <= tol:
                 break
-        log_plan = ((u[:, None] + u[None, :] - cmat) / eps
-                    + r_log[:, None] + r_log[None, :])
-        plan = np.exp(log_plan)
+        plan = np.exp(log_plan(cmat, u, u, r_log, r_log, eps))
         r_mass = float(np.exp(r_log).sum())
         value = (2.0 * float((u[live] * a[live]).sum())
                  + eps * (r_mass * r_mass - float(plan.sum())))
@@ -451,7 +445,7 @@ def _jko_step_full(rho_k: DensityField, config: JKOConfig,
     b = rho_k.values.reshape(-1) * vol
     with np.errstate(divide="ignore"):
         b_log = np.log(b)
-    r_log = np.maximum(b_log, math.log(1e-30))
+    r_log = np.maximum(b_log, math.log(_PRIOR_FLOOR))
     r_mass = float(np.exp(r_log).sum())
 
     if warm is not None:
@@ -488,7 +482,7 @@ def _jko_step_full(rho_k: DensityField, config: JKOConfig,
         last = index == len(levels) - 1
         cap = config.max_inner if last else min(250, config.max_inner)
         a, f, g, residual, sweeps = _scaling_solve(
-            b_log, cmat, eps, tau_pow, config.energy, vol, tilt, f, g,
+            b_log, r_log, cmat, eps, tau_pow, config.energy, vol, tilt, f, g,
             config.inner_tol, cap)
         iterations += sweeps
         if last and residual > config.inner_tol:
@@ -517,8 +511,7 @@ def _jko_step_full(rho_k: DensityField, config: JKOConfig,
     g_anchor = 0.5 * sym_anchor + offset + tau_pow * energy_value(rho_k, config.energy)
 
     with np.errstate(over="ignore", under="ignore"):
-        plan = np.exp((f[:, None] + g[None, :] - cmat) / eval_eps
-                      + r_log[:, None] + b_log[None, :])
+        plan = np.exp(log_plan(cmat, f, g, r_log, b_log, eval_eps))
     plan_cost_joint = float((plan * cmat).sum())
     a_mass = candidate.reshape(-1) * vol
     rows_live = a_mass > 0
@@ -543,7 +536,7 @@ def _jko_step_full(rho_k: DensityField, config: JKOConfig,
             g_trial, plan_cost = value_joint, plan_cost_joint
         else:
             g_trial, plan_cost, f_a, g_a, _, sw = _pinned_value(
-                a_log_trial, b_log, cmat, eval_eps, f_a, g_a,
+                a_log_trial, b_log, r_log, cmat, eval_eps, f_a, g_a,
                 config.inner_tol, eval_cap)
             iterations += sw
         sym_trial, u_trial, _, sw = _sym_solve(

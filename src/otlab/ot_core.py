@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import geometry
 from .cost import RadialCost, grad_h, grad_h_star
@@ -33,6 +32,8 @@ __all__ = [
     "TransportResult",
     "MapField",
     "MapConsistencyReport",
+    "softmin",
+    "log_plan",
     "c_transform",
     "canonical_pair",
     "solve_exact_1d",
@@ -49,6 +50,9 @@ _FEASIBILITY_SLACK = 1e-9
 _MARGINAL_TOL = 1e-8
 _GAP_FLOOR = -1e-10
 _LP_CAPACITY = 4096 * 4096
+# entropic solver: dual-update overrelaxation, L1 residual that ends a level
+_OVERRELAXATION = 1.95
+_RAW_MARGINAL_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -136,6 +140,29 @@ def _cost_matrix(cost: RadialCost, xs: np.ndarray, ys: np.ndarray) -> np.ndarray
             f"grid pair distance {r.max():.6g} exceeds the cost radius {cost.radius:.6g}"
         )
     return np.asarray(cost.profile(r), dtype=float)
+
+
+def softmin(cmat: np.ndarray, pot: np.ndarray, logw: np.ndarray, eps: float,
+            axis: int) -> np.ndarray:
+    """Softmin -eps log sum_k exp((pot_k - C)/eps + logw_k) along ``axis`` of C.
+
+    The update of every Sinkhorn-type loop here. Slices are shifted by their
+    maximum unless it is infinite, so zero weights (``logw = -inf``) add
+    nothing and an all ``-inf`` slice gives +inf.
+    """
+    shape = (-1, 1) if axis == 0 else (1, -1)
+    z = (pot.reshape(shape) - cmat) / eps + logw.reshape(shape)
+    zmax = z.max(axis=axis, keepdims=True)
+    zmax[~np.isfinite(zmax)] = 0.0
+    z -= zmax
+    with np.errstate(divide="ignore"):
+        return -eps * (np.log(np.exp(z, out=z).sum(axis=axis)) + zmax.reshape(-1))
+
+
+def log_plan(cmat: np.ndarray, f: np.ndarray, g: np.ndarray, x_log: np.ndarray,
+             y_log: np.ndarray, eps: float) -> np.ndarray:
+    """Log of the plan exp((f_i + g_j - C_ij)/eps) x_i y_j for log weights x, y."""
+    return (f[:, None] + g[None, :] - cmat) / eps + x_log[:, None] + y_log[None, :]
 
 
 def c_transform(cost: RadialCost, values, value_grid: Grid, eval_grid: Grid | None = None) -> np.ndarray:
@@ -456,48 +483,31 @@ def _round_to_polytope(plan: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.nda
 
 
 def solve_entropic(rho: DensityField, g: DensityField, cost: RadialCost,
-                   eps_final: float, schedule: list[float] | None = None,
-                   max_iterations: int = 20000, raw_marginal_tol: float = 1e-7,
-                   overrelaxation: float = 1.95,
-                   warm_start: tuple[np.ndarray, np.ndarray] | None = None) -> TransportResult:
+                   eps_final: float, max_iterations: int = 20000) -> TransportResult:
     """Entropically regularized transport by log-domain dual ascent.
 
     Alternates softmin c-transform updates of the scaled potentials with an
     epsilon-scaling schedule (warm starts across levels) and overrelaxed
-    updates, which remove the small-epsilon stall of the plain iteration.
-    Once the column marginal violation falls below ``raw_marginal_tol`` in L1
-    (rows are exact after a plain f-update), the plan is rounded onto the
-    transport polytope, so the returned coupling satisfies both marginals to
-    float accuracy. The returned potentials are canonicalized by one exact
-    double c-transform, so they satisfy the same feasibility contract as the
-    exact solvers while the coupling keeps its entropic blur.
+    updates, which remove the small-epsilon stall of the plain iteration;
+    ``max_iterations`` caps the final level. Once the column marginal
+    violation falls below 1e-7 in L1 (rows are exact after a plain
+    f-update), the plan is rounded onto the transport polytope, so the
+    returned coupling satisfies both marginals to float accuracy. The
+    returned potentials are canonicalized by one exact double c-transform,
+    so they satisfy the same feasibility contract as the exact solvers
+    while the coupling keeps its entropic blur.
     """
     if not eps_final > 0:
         raise ParameterError("eps_final must be positive")
-    if not 1.0 <= overrelaxation < 2.0:
-        raise ParameterError("overrelaxation must lie in [1, 2)")
     a, b = _marginals(rho, g)
     cmat = _cost_matrix(cost, rho.grid.cell_centers(), g.grid.cell_centers())
-    if schedule is None:
-        schedule = _default_schedule(eps_final, float(cmat.max()))
-    else:
-        schedule = [float(e) for e in schedule]
-        if not schedule or any(e <= 0 for e in schedule):
-            raise ParameterError("schedule entries must be positive")
-        if any(e2 >= e1 for e1, e2 in zip(schedule, schedule[1:])):
-            raise ParameterError("schedule must decrease strictly")
-        if schedule[-1] != eps_final:
-            raise ParameterError("schedule must end at eps_final")
+    schedule = _default_schedule(eps_final, float(cmat.max()))
 
     with np.errstate(divide="ignore"):
         loga = np.log(a)
         logb = np.log(b)
-    if warm_start is not None:
-        f = np.asarray(warm_start[0], dtype=float).reshape(-1).copy()
-        gv = np.asarray(warm_start[1], dtype=float).reshape(-1).copy()
-    else:
-        f = np.zeros_like(a)
-        gv = np.zeros_like(b)
+    f = np.zeros_like(a)
+    gv = np.zeros_like(b)
 
     check_every = 5
     iterations = 0
@@ -505,18 +515,18 @@ def solve_entropic(rho: DensityField, g: DensityField, cost: RadialCost,
     for level, eps in enumerate(schedule):
         final_level = level == len(schedule) - 1
         cap = max_iterations if final_level else 200
-        omega = overrelaxation
+        omega = _OVERRELAXATION
         converged = False
         for it in range(cap):
-            gnew = -eps * logsumexp((f[:, None] - cmat) / eps + loga[:, None], axis=0)
+            gnew = softmin(cmat, f, loga, eps, 0)
             gv = (1.0 - omega) * gv + omega * gnew
-            fnew = -eps * logsumexp((gv[None, :] - cmat) / eps + logb[None, :], axis=1)
+            fnew = softmin(cmat, gv, logb, eps, 1)
             iterations += 1
             if it % check_every == 0 or it == cap - 1:
-                # with the plain update fnew the row marginal is exact
-                log_plan = loga[:, None] + logb[None, :] + (fnew[:, None] + gv[None, :] - cmat) / eps
-                col_err = np.abs(np.exp(logsumexp(log_plan, axis=0)) - b)
-                residual = float(col_err.sum())
+                # rows are exact after the plain update fnew; column sums are
+                # b exp((gv - softmin(fnew)) / eps), zero where b is
+                cols = np.exp(logb + (gv - softmin(cmat, fnew, loga, eps, 0)) / eps)
+                residual = float(np.abs(cols - b).sum())
                 if not np.isfinite(residual):
                     # overrelaxation overshot; restart this level plainly
                     omega = 1.0
@@ -524,7 +534,7 @@ def solve_entropic(rho: DensityField, g: DensityField, cost: RadialCost,
                     gv = np.zeros_like(b)
                     residual = np.inf
                     continue
-                if residual <= raw_marginal_tol:
+                if residual <= _RAW_MARGINAL_TOL:
                     f = fnew
                     converged = True
                     break
@@ -535,8 +545,7 @@ def solve_entropic(rho: DensityField, g: DensityField, cost: RadialCost,
                 residual=residual,
             )
 
-    log_plan = loga[:, None] + logb[None, :] + (f[:, None] + gv[None, :] - cmat) / eps
-    plan = _round_to_polytope(np.exp(log_plan), a, b)
+    plan = _round_to_polytope(np.exp(log_plan(cmat, f, gv, loga, logb, eps)), a, b)
     primal = float((plan * cmat).sum())
     phi, psi = canonical_pair(cost, f.reshape(rho.grid.shape), rho.grid, g.grid)
     dual = float(phi.reshape(-1) @ a + psi.reshape(-1) @ b)
@@ -555,7 +564,6 @@ def solve_entropic(rho: DensityField, g: DensityField, cost: RadialCost,
             "schedule": list(schedule),
             "iterations": iterations,
             "raw_marginal_residual": residual,
-            "raw_potentials": (f, gv),
         },
     )
     result.validate()
@@ -696,8 +704,6 @@ def write_result_dir(path, result: TransportResult, map_field: MapField | None =
     if map_field is not None:
         meta["max_clip_distance"] = map_field.max_clip_distance
     for key, value in result.meta.items():
-        if key == "raw_potentials":
-            continue
         if isinstance(value, (list, tuple)):
             value = ";".join(format_cell(float(v)) for v in value)
         meta[key] = value

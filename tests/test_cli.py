@@ -9,6 +9,9 @@ the CLI shows up as a value change here.
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -447,3 +450,16 @@ class TestShippedConfigs:
     def test_examples_parse_and_run(self, tmp_path, name, command):
         assert run_cli(command, "--config", CONFIGS / name,
                        "--out", tmp_path / "out") == 0
+
+
+class TestImportGraph:
+    def test_cli_import_leaves_scipy_special_out(self):
+        # the solvers run on numpy alone; scipy.special would add setup
+        # time and resident memory to every CLI run
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
+        probe = "import sys, otlab.cli; print('scipy.special' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.strip() == "False"
