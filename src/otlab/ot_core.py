@@ -78,8 +78,12 @@ class TransportResult:
     def gap(self) -> float:
         return self.primal - self.dual
 
-    def validate(self, check_pairs: bool = True) -> None:
-        """Assert the coupling/potential contracts; raises on violation."""
+    def validate(self, cmat: np.ndarray | None = None) -> None:
+        """Assert the coupling/potential contracts; raises on violation.
+
+        ``cmat`` is the solve's source-by-target cost matrix, built here when
+        not given; the solvers pass the one they solved with.
+        """
         a = self.source.values.reshape(-1) * self.source.grid.cell_volume
         b = self.target.values.reshape(-1) * self.target.grid.cell_volume
         rows = self.coupling.sum(axis=1)
@@ -94,15 +98,11 @@ class TransportResult:
             )
         if self.gap < _GAP_FLOOR:
             raise OTLabError(f"duality gap {self.gap:.3e} is below {_GAP_FLOOR}")
-        if check_pairs:
+        if cmat is None:
             cmat = _cost_matrix(self.cost, self.source.grid.cell_centers(), self.target.grid.cell_centers())
-            worst = (
-                self.phi.reshape(-1)[:, None] + self.psi.reshape(-1)[None, :] - cmat
-            ).max()
-            if worst > _FEASIBILITY_SLACK:
-                raise OTLabError(
-                    f"potentials violate phi + psi <= h by {worst:.3e}"
-                )
+        worst = (self.phi.reshape(-1)[:, None] + self.psi.reshape(-1)[None, :] - cmat).max()
+        if worst > _FEASIBILITY_SLACK:
+            raise OTLabError(f"potentials violate phi + psi <= h by {worst:.3e}")
 
 
 @dataclass(frozen=True)
@@ -165,12 +165,27 @@ def log_plan(cmat: np.ndarray, f: np.ndarray, g: np.ndarray, x_log: np.ndarray,
     return (f[:, None] + g[None, :] - cmat) / eps + x_log[:, None] + y_log[None, :]
 
 
+def _min_plus(cost_rows, vals: np.ndarray, n_out: int) -> np.ndarray:
+    """out[k] = min_l [C[k, l] - vals[l]] for the n_out rows of a cost matrix C.
+
+    ``cost_rows(start, stop)`` returns rows start..stop of C; they are taken
+    in blocks of at most 2**22 pairs, which caps the temporaries.
+    """
+    out = np.empty(n_out)
+    block = max(1, int(2**22 // max(vals.size, 1)))
+    for start in range(0, n_out, block):
+        stop = min(start + block, n_out)
+        out[start:stop] = (cost_rows(start, stop) - vals[None, :]).min(axis=1)
+    return out
+
+
 def c_transform(cost: RadialCost, values, value_grid: Grid, eval_grid: Grid | None = None) -> np.ndarray:
     """Exact discrete c-transform: out(x) = min_y [h(x - y) - values(y)].
 
     ``values`` lives on ``value_grid``; the minimum is taken over its cells
     and evaluated at every cell of ``eval_grid`` (default: the same grid).
     Because h is radial the same function serves both transform directions.
+    The cost is built block by block, so large grids need no full matrix.
     """
     eval_grid = eval_grid or value_grid
     vals = np.asarray(values, dtype=float).reshape(-1)
@@ -178,12 +193,19 @@ def c_transform(cost: RadialCost, values, value_grid: Grid, eval_grid: Grid | No
         raise OTLabError("values do not match the value grid")
     ys = value_grid.cell_centers()
     xs = eval_grid.cell_centers()
-    out = np.empty(eval_grid.num_cells)
-    block = max(1, int(2**22 // max(vals.size, 1)))  # cap the pairwise block size
-    for start in range(0, xs.shape[0], block):
-        cmat = _cost_matrix(cost, xs[start : start + block], ys)
-        out[start : start + block] = (cmat - vals[None, :]).min(axis=1)
+    out = _min_plus(lambda start, stop: _cost_matrix(cost, xs[start:stop], ys), vals, xs.shape[0])
     return out.reshape(eval_grid.shape)
+
+
+def _canonical_pair_from_matrix(cmat: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Double c-transform on a source-by-target cost matrix; flat phi in, flat pair out.
+
+    psi = min over rows of (C - phi), then phi = min over columns of (C - psi).
+    For a radial h, h(y - x) = h(x - y) bit for bit, so this equals two
+    ``c_transform`` calls exactly.
+    """
+    psi = _min_plus(lambda start, stop: cmat[:, start:stop].T, phi, cmat.shape[1])
+    return _min_plus(lambda start, stop: cmat[start:stop], psi, cmat.shape[0]), psi
 
 
 def canonical_pair(cost: RadialCost, phi, source_grid: Grid, target_grid: Grid):
@@ -191,11 +213,15 @@ def canonical_pair(cost: RadialCost, phi, source_grid: Grid, target_grid: Grid):
 
     The result is a feasible c-concave pair and a fixed point of the
     transform; applied to feasible dual variables it never lowers the dual
-    objective.
+    objective. Both transforms share one source-by-target cost matrix; the
+    solvers hand theirs to ``_canonical_pair_from_matrix`` directly.
     """
-    psi = c_transform(cost, phi, source_grid, target_grid)
-    phi_c = c_transform(cost, psi, target_grid, source_grid)
-    return phi_c, psi
+    vals = np.asarray(phi, dtype=float).reshape(-1)
+    if vals.size != source_grid.num_cells:
+        raise OTLabError("values do not match the value grid")
+    cmat = _cost_matrix(cost, source_grid.cell_centers(), target_grid.cell_centers())
+    phi_c, psi = _canonical_pair_from_matrix(cmat, vals)
+    return phi_c.reshape(source_grid.shape), psi.reshape(target_grid.shape)
 
 
 def _marginals(rho: DensityField, g: DensityField) -> tuple[np.ndarray, np.ndarray]:
@@ -220,8 +246,8 @@ def _monotone_plan(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list[tuple
     m, n = len(a), len(b)
     plan = np.zeros((m, n))
     path = []
-    ar = a.copy()
-    br = b.copy()
+    ar = a.tolist()  # plain floats: the same IEEE arithmetic, no numpy scalars
+    br = b.tolist()
     i = j = 0
     while True:
         path.append((i, j))
@@ -271,7 +297,8 @@ def solve_exact_1d(rho: DensityField, g: DensityField, cost: RadialCost,
     dphi = np.sign(diff) * np.asarray(cost.dprofile(np.abs(diff)), dtype=float)
     dx = rho.grid.spacing[0]
     phi = np.concatenate([[0.0], np.cumsum(0.5 * (dphi[1:] + dphi[:-1]) * dx)])
-    psi = c_transform(cost, phi, rho.grid, g.grid).reshape(-1)
+    cmat = _cost_matrix(cost, rho.grid.cell_centers(), g.grid.cell_centers())
+    psi = _min_plus(lambda start, stop: cmat[:, start:stop].T, phi, cmat.shape[1])
     dual = float(phi @ a + psi @ b)
 
     result = TransportResult(
@@ -286,7 +313,7 @@ def solve_exact_1d(rho: DensityField, g: DensityField, cost: RadialCost,
         solver="exact1d",
         meta={"plan_nonzeros": int(len(ii))},
     )
-    result.validate()
+    result.validate(cmat)
 
     threshold = default_mass_threshold(rho.grid) if mass_threshold is None else mass_threshold
     mask = rho.values.reshape(-1) > threshold
@@ -303,17 +330,30 @@ class _TransportationSimplex:
     The basis is maintained as a spanning tree of the bipartite row/column
     graph; entering variables are picked by smallest reduced cost index and
     leaving ties broken by smallest index (Bland's rule, no cycling).
+
+    The start basis is the north-west staircase of ``_monotone_plan``, and
+    its duals come from walking that staircase in order: each step adds one
+    row or one column, whose dual follows from the cell that reached it.
+    This gives every node the parent and the arithmetic of a tree search
+    from u_0 = 0, so the duals equal ``duals()`` bit for bit. The adjacency
+    sets that pivoting needs are built only when the first pivot comes; in
+    1-d the staircase is optimal (Hoffman 1963) and none does.
     """
 
     def __init__(self, cmat: np.ndarray, a: np.ndarray, b: np.ndarray):
         self.cmat = cmat
         self.m, self.n = cmat.shape
-        self.x, path = _monotone_plan(a, b)
-        self.rows_adj: list[set[int]] = [set() for _ in range(self.m)]
-        self.cols_adj: list[set[int]] = [set() for _ in range(self.n)]
-        for i, j in path:
-            self._add(i, j)
+        self.x, self.path = _monotone_plan(a, b)
+        self.rows_adj: list[set[int]] | None = None
+        self.cols_adj: list[set[int]] | None = None
         self.tol = 1e-11 * (1.0 + float(np.abs(cmat).max()))
+
+    def _build_tree(self) -> None:
+        """Adjacency sets of the basis tree, seeded with the staircase."""
+        self.rows_adj = [set() for _ in range(self.m)]
+        self.cols_adj = [set() for _ in range(self.n)]
+        for i, j in self.path:
+            self._add(i, j)
 
     def _add(self, i, j):
         self.rows_adj[i].add(j)
@@ -323,8 +363,25 @@ class _TransportationSimplex:
         self.rows_adj[i].discard(j)
         self.cols_adj[j].discard(i)
 
+    def staircase_duals(self) -> tuple[np.ndarray, np.ndarray]:
+        """u_i + v_j = c_ij on the start staircase, anchored at u_0 = 0."""
+        ii, jj = np.array(self.path).T
+        costs = self.cmat[ii, jj].tolist()
+        u = [0.0] * self.m
+        v = [0.0] * self.n
+        prev_i = 0
+        for i, j, c in zip(ii.tolist(), jj.tolist(), costs):
+            if i != prev_i:  # a row step reaches row i through column j
+                u[i] = c - v[j]
+                prev_i = i
+            else:  # the first cell or a column step reaches column j
+                v[j] = c - u[i]
+        return np.array(u), np.array(v)
+
     def duals(self) -> tuple[np.ndarray, np.ndarray]:
         """u_i + v_j = c_ij on the basis tree, anchored at u_0 = 0."""
+        if self.rows_adj is None:
+            self._build_tree()
         u = np.full(self.m, np.nan)
         v = np.full(self.n, np.nan)
         u[0] = 0.0
@@ -347,6 +404,8 @@ class _TransportationSimplex:
 
     def _cycle(self, ei: int, ej: int) -> list[tuple[int, int]]:
         """Unique alternating cycle closed by the entering cell (ei, ej)."""
+        if self.rows_adj is None:
+            self._build_tree()
         parent: dict[tuple[str, int], tuple[str, int, int, int]] = {}
         start, goal = ("r", ei), ("c", ej)
         stack = [start]
@@ -384,8 +443,8 @@ class _TransportationSimplex:
     def pivot_until_optimal(self, max_pivots: int) -> tuple[int, np.ndarray, np.ndarray]:
         """Pivot to optimality; returns the pivot count and the final duals u, v."""
         pivots = 0
+        u, v = self.staircase_duals()
         while True:
-            u, v = self.duals()
             reduced = self.cmat - u[:, None] - v[None, :]
             candidates = np.argwhere(reduced < -self.tol)
             if candidates.size == 0:
@@ -409,6 +468,7 @@ class _TransportationSimplex:
             self._remove(*leaving)
             self._add(ei, ej)
             pivots += 1
+            u, v = self.duals()
 
 
 def solve_lp(rho: DensityField, g: DensityField, cost: RadialCost,
@@ -429,21 +489,21 @@ def solve_lp(rho: DensityField, g: DensityField, cost: RadialCost,
     pivots, u, _ = simplex.pivot_until_optimal(max_pivots=50 * (len(a) + len(b)))
     primal = float((simplex.x * cmat).sum())
 
-    phi, psi = canonical_pair(cost, u.reshape(rho.grid.shape), rho.grid, g.grid)
-    dual = float(phi.reshape(-1) @ a + psi.reshape(-1) @ b)
+    phi, psi = _canonical_pair_from_matrix(cmat, u)
+    dual = float(phi @ a + psi @ b)
     result = TransportResult(
         source=rho,
         target=g,
         cost=cost,
         coupling=simplex.x,
-        phi=phi,
-        psi=psi,
+        phi=phi.reshape(rho.grid.shape),
+        psi=psi.reshape(g.grid.shape),
         primal=primal,
         dual=dual,
         solver="lp",
         meta={"pivots": pivots},
     )
-    result.validate()
+    result.validate(cmat)
     if result.gap > 1e-8 * (1.0 + abs(primal)):
         raise OTLabError(f"LP duality gap {result.gap:.3e} out of tolerance")
     return result
@@ -547,15 +607,15 @@ def solve_entropic(rho: DensityField, g: DensityField, cost: RadialCost,
 
     plan = _round_to_polytope(np.exp(log_plan(cmat, f, gv, loga, logb, eps)), a, b)
     primal = float((plan * cmat).sum())
-    phi, psi = canonical_pair(cost, f.reshape(rho.grid.shape), rho.grid, g.grid)
-    dual = float(phi.reshape(-1) @ a + psi.reshape(-1) @ b)
+    phi, psi = _canonical_pair_from_matrix(cmat, f)
+    dual = float(phi @ a + psi @ b)
     result = TransportResult(
         source=rho,
         target=g,
         cost=cost,
         coupling=plan,
-        phi=phi,
-        psi=psi,
+        phi=phi.reshape(rho.grid.shape),
+        psi=psi.reshape(g.grid.shape),
         primal=primal,
         dual=dual,
         solver="entropic",
@@ -566,7 +626,7 @@ def solve_entropic(rho: DensityField, g: DensityField, cost: RadialCost,
             "raw_marginal_residual": residual,
         },
     )
-    result.validate()
+    result.validate(cmat)
     return result
 
 

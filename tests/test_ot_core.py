@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from otlab import ot_core as oc
@@ -64,6 +66,61 @@ class TestCTransform:
         phi1 = oc.c_transform(cost, psi1, grid)
         phi2 = oc.c_transform(cost, psi2, grid)
         assert np.all(phi1 >= phi2 - 1e-14)
+
+
+class TestCanonicalPairMatrixForm:
+    """The one-matrix double c-transform equals two ``c_transform`` calls bit for bit."""
+
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    @pytest.mark.parametrize("grids", [
+        (Grid(1, 0.0, 1.0, 64), Grid(1, 0.0, 1.0, 64)),
+        (Grid(2, 0.0, 1.0, (7, 9)), Grid(2, 0.0, 1.0, (7, 9))),
+        (Grid(1, 0.0, 1.0, 48), Grid(1, 0.1, 1.3, 31)),
+    ], ids=["square-1d", "grid-2d", "rectangular-1d"])
+    def test_equals_two_c_transforms(self, grids, p):
+        source, target = grids
+        cost = power_cost(p, max(source.cost_radius, target.cost_radius) + 0.3)
+        raw = np.random.default_rng(source.num_cells).normal(size=source.shape)
+        phi, psi = oc.canonical_pair(cost, raw, source, target)
+        want_psi = oc.c_transform(cost, raw, source, target)
+        want_phi = oc.c_transform(cost, want_psi, target, source)
+        assert phi.shape == source.shape and psi.shape == target.shape
+        assert np.array_equal(psi, want_psi)
+        assert np.array_equal(phi, want_phi)
+
+
+class TestCostMatrixCount:
+    """Each solve and each canonical pair builds its cost matrix exactly once."""
+
+    @pytest.fixture
+    def count(self, monkeypatch):
+        calls = []
+        build = oc._cost_matrix
+
+        def counted(*args):
+            calls.append(1)
+            return build(*args)
+
+        monkeypatch.setattr(oc, "_cost_matrix", counted)
+        return calls
+
+    @pytest.mark.parametrize("solve", [
+        lambda rho, g, cost: oc.solve_lp(rho, g, cost),
+        lambda rho, g, cost: oc.solve_entropic(rho, g, cost, eps_final=1e-2),
+        lambda rho, g, cost: oc.solve_exact_1d(rho, g, cost),
+        lambda rho, g, cost: oc.canonical_pair(cost, np.zeros(rho.grid.shape), rho.grid, g.grid),
+    ], ids=["solve_lp", "solve_entropic", "solve_exact_1d", "canonical_pair"])
+    def test_one_matrix_1d(self, count, solve):
+        grid, rho, g = random_pair(n=32)
+        solve(rho, g, power_cost(1.5, grid.cost_radius))
+        assert len(count) == 1
+
+    def test_one_matrix_lp_2d(self, count):
+        grid = Grid(2, 0.0, 1.0, 5)
+        rho, g = random_smooth_density(grid, 1), random_smooth_density(grid, 2)
+        result = oc.solve_lp(rho, g, power_cost(2.0, grid.cost_radius))
+        assert result.meta["pivots"] > 0
+        assert len(count) == 1
 
 
 class TestExact1D:
@@ -178,6 +235,81 @@ class TestSolveLP:
         heavier = as_density(grid, g.values * 1.5)
         with pytest.raises(InputError):
             oc.solve_lp(rho, heavier, cost)
+
+
+class TestStaircaseDuals:
+    """The start duals walked off the staircase equal the tree search bit for bit."""
+
+    @staticmethod
+    def simplex(cost, source, target, a, b):
+        cmat = oc._cost_matrix(cost, source.cell_centers(), target.cell_centers())
+        return oc._TransportationSimplex(cmat, np.asarray(a, float), np.asarray(b, float))
+
+    @pytest.mark.parametrize("a, b", [
+        # equal partial sums: the fill empties a row and a column at once
+        ([0.25, 0.25, 0.25, 0.25], [0.5, 0.125, 0.125, 0.25]),
+        ([0.125, 0.375, 0.25, 0.25, 0.0], [0.5, 0.0, 0.25, 0.25]),
+        ([0.0, 0.5, 0.0, 0.5], [0.25, 0.25, 0.25, 0.25, 0.0, 0.0]),
+    ])
+    def test_degenerate_staircase(self, a, b):
+        source, target = Grid(1, 0.0, 1.0, len(a)), Grid(1, 0.0, 1.0, len(b))
+        simplex = self.simplex(power_cost(1.5, 1.0), source, target, a, b)
+        assert len(simplex.path) == len(a) + len(b) - 1
+        assert any(simplex.x[cell] == 0.0 for cell in simplex.path)
+        u, v = simplex.staircase_duals()
+        want_u, want_v = simplex.duals()
+        assert np.array_equal(u, want_u) and np.array_equal(v, want_v)
+
+    @pytest.mark.parametrize("d, n", [(1, 96), (2, 8)])
+    def test_random_marginals(self, d, n):
+        grid = Grid(d, 0.0, 1.0, n)
+        a = random_smooth_density(grid, 3).values.reshape(-1) * grid.cell_volume
+        b = random_smooth_density(grid, 4).values.reshape(-1) * grid.cell_volume
+        simplex = self.simplex(power_cost(3.0, grid.cost_radius), grid, grid, a, b * (a.sum() / b.sum()))
+        u, v = simplex.staircase_duals()
+        want_u, want_v = simplex.duals()
+        assert np.array_equal(u, want_u) and np.array_equal(v, want_v)
+
+
+def _weights(size):
+    # small integer weights give zero-mass cells and tied partial sums
+    return st.lists(st.integers(0, 6), min_size=size, max_size=size).filter(any)
+
+
+@st.composite
+def lp_instances(draw, d):
+    n = draw(st.integers(4, 24)) if d == 1 else (draw(st.integers(4, 5)), draw(st.integers(4, 5)))
+    grid = Grid(d, 0.0, 1.0, n)
+    rho = as_density(grid, np.reshape(draw(_weights(grid.num_cells)), grid.shape)).normalized()
+    g = as_density(grid, np.reshape(draw(_weights(grid.num_cells)), grid.shape)).normalized()
+    cost = power_cost(draw(st.sampled_from([1.5, 2.0, 3.0])), grid.cost_radius)
+    return rho, g, cost
+
+
+def _check_lp(result):
+    a = result.source.values.reshape(-1) * result.source.grid.cell_volume
+    b = result.target.values.reshape(-1) * result.target.grid.cell_volume
+    assert np.abs(result.coupling.sum(axis=1) - a).max() <= 1e-12
+    assert np.abs(result.coupling.sum(axis=0) - b).max() <= 1e-12
+    assert abs(result.gap) <= 1e-8 * (1.0 + abs(result.primal))
+    result.validate()
+
+
+class TestSolveLPProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(instance=lp_instances(d=1))
+    def test_1d_start_is_optimal_and_exact(self, instance):
+        rho, g, cost = instance
+        result = oc.solve_lp(rho, g, cost)
+        _check_lp(result)
+        assert result.meta["pivots"] == 0
+        exact, _ = oc.solve_exact_1d(rho, g, cost)
+        assert abs(result.primal - exact.primal) <= 1e-12 * abs(exact.primal) + 1e-18
+
+    @settings(max_examples=25, deadline=None)
+    @given(instance=lp_instances(d=2))
+    def test_2d(self, instance):
+        _check_lp(oc.solve_lp(*instance))
 
 
 class TestSoftmin:
