@@ -25,8 +25,7 @@ the mollification width shrinks.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +52,7 @@ from .geometry import (
 )
 from .ot_core import (
     TransportResult,
-    default_mass_threshold,
+    _clamped_gradient,
     solve_entropic,
     solve_exact_1d,
     solve_lp,
@@ -97,10 +96,7 @@ class InequalityReport:
     tv_g: float
     tolerance: float
     passed: bool
-    cost_label: str = ""
-    h_label: str = ""
     error: str = ""
-    integrand: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.error:
@@ -163,9 +159,10 @@ class MollificationReport:
 class BatchSpec:
     """Instance lattice for the batch verifier.
 
-    One instance per (seed, p, q, n); the two densities of an instance are
-    drawn from ``seed`` and ``seed + 100003``. Solver ``auto`` picks the LP
-    solver in 1-d (exact at these sizes) and the entropic solver in 2-d.
+    One solve per (seed, p, n), shared by one report per H exponent q; the
+    two densities are drawn from ``seed`` and ``seed + 100003``. Solver
+    ``auto`` picks the LP solver in 1-d (exact at these sizes) and the
+    entropic solver in 2-d.
     """
 
     seeds: tuple[int, ...]
@@ -188,17 +185,23 @@ class BatchSpec:
             raise ParameterError(f"unknown solver {self.solver!r}")
         if self.solver == "exact1d" and self.d != 1:
             raise DomainError("the exact1d solver only runs in 1-d")
-        for p in self.p_values:
-            if not p > 1:
-                raise ParameterError("cost exponents must satisfy p > 1")
-        for q in self.q_values:
-            if not q > 1:
-                raise ParameterError("H exponents must satisfy q > 1")
-        for n in self.n_values:
-            if n < 4:
-                raise ParameterError("resolutions must be at least 4")
-        if self.bounds is not None and len(self.bounds) != self.d:
+        if not all(p > 1 for p in self.p_values):
+            raise ParameterError("cost exponents must satisfy p > 1")
+        if not all(q > 1 for q in self.q_values):
+            raise ParameterError("H exponents must satisfy q > 1")
+        if not all(n >= 4 for n in self.n_values):
+            raise ParameterError("resolutions must be at least 4")
+        if self.bounds is not None and (len(self.bounds) != self.d
+                                        or any(len(pair) != 2 for pair in self.bounds)):
             raise ShapeError("bounds must give one (lo, hi) pair per axis")
+        if self.bounds is not None and not all(lo < hi for lo, hi in self.bounds):
+            raise ParameterError("each bounds pair must satisfy lo < hi")
+        if not self.floor > 0:
+            raise ParameterError("the density floor must be positive")
+        if self.mode_count < 1:
+            raise ParameterError("mode_count must be at least 1")
+        if not self.entropic_eps > 0:
+            raise ParameterError("entropic_eps must be positive")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         object.__setattr__(self, "p_values", tuple(float(p) for p in self.p_values))
         object.__setattr__(self, "q_values", tuple(float(q) for q in self.q_values))
@@ -234,20 +237,37 @@ def _checked_fields(rho: DensityField, g: DensityField, phi, psi):
     return grid, phi, psi
 
 
-def _grad_H_field(hfun: HFunction, values: np.ndarray, grid: Grid) -> np.ndarray:
-    comp = gradient(values, grid).components
-    return grad_H(hfun, comp.reshape(-1, grid.d)).reshape(comp.shape)
+def _five_gradients(rho: DensityField, g: DensityField, phi, psi,
+                    hfuns) -> list[tuple[np.ndarray, float, float]]:
+    """Integrand, its midpoint-rule integral and the boundary flux for each H.
+
+    The gradients of rho, g, phi and psi do not depend on H and are taken
+    once; per H, the integrand and the flux share one grad_H pass.
+    """
+    grid, phi, psi = _checked_fields(rho, g, phi, psi)
+    d_rho, d_g = rho.gradient().components, g.gradient().components
+    d_phi, d_psi = gradient(phi, grid).components, gradient(psi, grid).components
+    out = []
+    for hfun in hfuns:
+        h_phi, h_psi = (grad_H(hfun, d.reshape(-1, grid.d)).reshape(d.shape)
+                        for d in (d_phi, d_psi))
+        integrand = (d_rho * h_phi).sum(axis=-1)
+        integrand += (d_g * h_psi).sum(axis=-1)
+        flux = 0.0
+        for facet in boundary_cells_and_normals(grid):
+            i = facet.index
+            flux += facet.area * (
+                rho.values[i] * float(h_phi[i] @ facet.normal)
+                + g.values[i] * float(h_psi[i] @ facet.normal)
+            )
+        out.append((integrand, float(integrand.sum() * grid.cell_volume), float(flux)))
+    return out
 
 
 def five_gradients_integrand(rho: DensityField, g: DensityField, phi, psi,
                              hfun: HFunction) -> np.ndarray:
     """Cellwise integrand grad rho . grad_H(grad phi) + grad g . grad_H(grad psi)."""
-    grid, phi, psi = _checked_fields(rho, g, phi, psi)
-    h_phi = _grad_H_field(hfun, phi, grid)
-    h_psi = _grad_H_field(hfun, psi, grid)
-    term = (rho.gradient().components * h_phi).sum(axis=-1)
-    term += (g.gradient().components * h_psi).sum(axis=-1)
-    return term
+    return _five_gradients(rho, g, phi, psi, [hfun])[0][0]
 
 
 def five_gradients_lhs(rho: DensityField, g: DensityField, phi, psi,
@@ -258,8 +278,7 @@ def five_gradients_lhs(rho: DensityField, g: DensityField, phi, psi,
     where |grad phi| falls at or below the H function's zero threshold
     contribute nothing, matching the grad_H(0) = 0 convention.
     """
-    integrand = five_gradients_integrand(rho, g, phi, psi, hfun)
-    return float(integrand.sum() * rho.grid.cell_volume)
+    return _five_gradients(rho, g, phi, psi, [hfun])[0][1]
 
 
 def boundary_flux(rho: DensityField, g: DensityField, phi, psi,
@@ -270,17 +289,7 @@ def boundary_flux(rho: DensityField, g: DensityField, phi, psi,
     five-gradients inequality; it is nonnegative in the continuum because
     optimal maps do not push mass outward across the boundary.
     """
-    grid, phi, psi = _checked_fields(rho, g, phi, psi)
-    h_phi = _grad_H_field(hfun, phi, grid)
-    h_psi = _grad_H_field(hfun, psi, grid)
-    total = 0.0
-    for facet in boundary_cells_and_normals(grid):
-        i = facet.index
-        total += facet.area * (
-            rho.values[i] * float(h_phi[i] @ facet.normal)
-            + g.values[i] * float(h_psi[i] @ facet.normal)
-        )
-    return float(total)
+    return _five_gradients(rho, g, phi, psi, [hfun])[0][2]
 
 
 def semiconcavity_check(phi, bound: SemiconcavityBound, grid: Grid) -> SemiconcavityReport:
@@ -388,13 +397,7 @@ def boundary_conjugate_check(rho: DensityField, phi, cost: RadialCost,
     phi = np.asarray(phi, dtype=float)
     if phi.shape != grid.shape:
         raise ShapeError(f"potential shape {phi.shape} does not match the grid {grid.shape}")
-    comp = gradient(phi, grid).components.reshape(-1, grid.d)
-    norms = np.sqrt((comp**2).sum(axis=1))
-    wmax = cost.grad_range()
-    scale = np.ones_like(norms)
-    over = norms > wmax
-    scale[over] = wmax / norms[over]
-    comp = comp * scale[:, None]
+    comp, _, _ = _clamped_gradient(phi, cost, grid)
 
     worst = np.inf
     count = 0
@@ -481,78 +484,73 @@ def mollification_convergence_experiment(rho: DensityField, g: DensityField,
     )
 
 
-def _batch_grid(spec: BatchSpec, n: int) -> Grid:
-    if spec.bounds is None:
-        bounds = ((0.0, 1.0),) * spec.d
-    else:
-        bounds = spec.bounds
-    lower = tuple(b[0] for b in bounds)
-    upper = tuple(b[1] for b in bounds)
-    return Grid(spec.d, lower, upper, (n,) * spec.d)
-
-
 def _solve_for_batch(rho: DensityField, g: DensityField, cost: RadialCost,
-                     solver: str, entropic_eps: float) -> tuple[TransportResult, str]:
-    if solver == "auto":
-        solver = "lp" if rho.grid.d == 1 else "entropic"
+                     solver: str, entropic_eps: float) -> TransportResult:
     if solver == "lp":
-        return solve_lp(rho, g, cost), "lp"
+        return solve_lp(rho, g, cost)
     if solver == "exact1d":
-        result, _ = solve_exact_1d(rho, g, cost)
-        return result, "exact1d"
-    return solve_entropic(rho, g, cost, eps_final=entropic_eps), "entropic"
+        return solve_exact_1d(rho, g, cost)[0]
+    return solve_entropic(rho, g, cost, eps_final=entropic_eps)
 
 
 def instance_densities(spec: BatchSpec, seed: int, n: int) -> tuple[DensityField, DensityField]:
     """The deterministic density pair of one batch instance."""
-    grid = _batch_grid(spec, n)
+    lower, upper = zip(*(spec.bounds or ((0.0, 1.0),) * spec.d))
+    grid = Grid(spec.d, lower, upper, (n,) * spec.d)
     rho = random_smooth_density(grid, seed, spec.mode_count, spec.floor)
     g = random_smooth_density(grid, seed + _PAIR_SEED_OFFSET, spec.mode_count, spec.floor)
     return rho, g
 
 
-def run_instance(spec: BatchSpec, seed: int, p: float, q: float, n: int,
-                 keep_integrand: bool = False) -> InequalityReport:
-    """Solve one instance and evaluate the inequality against its tolerance."""
+def _evaluate(spec: BatchSpec, seed: int, p: float, n: int, q_values) -> list[InequalityReport]:
+    """Solve the (seed, p, n) problem once and report the inequality for each q.
+
+    The potentials do not depend on H, so one solve serves every q; a failed
+    solve gives one error report per q, naming the solver that failed.
+    """
     rho, g = instance_densities(spec, seed, n)
     grid = rho.grid
     cost = power_cost(p, grid.cost_radius)
-    hfun = power_h_function(q, delta0=_H_DELTA0_FRACTION * 2.0 * grid.enclosing_radius)
-    tv_rho = rho.tv()
-    tv_g = g.tv()
+    tv_rho, tv_g = rho.tv(), g.tv()
     tol = tolerance_for(n, tv_rho, tv_g)
+    delta0 = _H_DELTA0_FRACTION * 2.0 * grid.enclosing_radius
+    hfuns = [power_h_function(q, delta0=delta0) for q in q_values]
+    solver = spec.solver
+    if solver == "auto":
+        solver = "lp" if spec.d == 1 else "entropic"
+    error = ""
     try:
-        result, solver = _solve_for_batch(rho, g, cost, spec.solver, spec.entropic_eps)
-        integrand = five_gradients_integrand(rho, g, result.phi, result.psi, hfun)
-        lhs = float(integrand.sum() * grid.cell_volume)
-        flux = boundary_flux(rho, g, result.phi, result.psi, hfun)
+        result = _solve_for_batch(rho, g, cost, solver, spec.entropic_eps)
+        terms = _five_gradients(rho, g, result.phi, result.psi, hfuns)
     except OTLabError as exc:
-        return InequalityReport(
-            seed=seed, p=p, q=q, n=n, d=spec.d, solver=spec.solver,
-            lhs=float("nan"), flux=float("nan"), tv_rho=tv_rho, tv_g=tv_g,
-            tolerance=tol, passed=False, cost_label=cost.family,
-            h_label=hfun.label, error=f"{type(exc).__name__}: {exc}",
-        )
-    return InequalityReport(
-        seed=seed, p=p, q=q, n=n, d=spec.d, solver=solver,
-        lhs=lhs, flux=flux, tv_rho=tv_rho, tv_g=tv_g, tolerance=tol,
-        passed=bool(lhs >= -tol), cost_label=cost.family, h_label=hfun.label,
-        integrand=integrand if keep_integrand else None,
-    )
+        error = f"{type(exc).__name__}: {exc}"
+        terms = [(None, float("nan"), float("nan"))] * len(hfuns)
+    return [
+        InequalityReport(seed=seed, p=p, q=q, n=n, d=spec.d, solver=solver, lhs=lhs,
+                         flux=flux, tv_rho=tv_rho, tv_g=tv_g, tolerance=tol,
+                         passed=bool(lhs >= -tol), error=error)
+        for q, (_, lhs, flux) in zip(q_values, terms)
+    ]
+
+
+def run_instance(spec: BatchSpec, seed: int, p: float, q: float, n: int) -> InequalityReport:
+    """Solve one instance and evaluate the inequality against its tolerance."""
+    return _evaluate(spec, seed, p, n, (q,))[0]
 
 
 def verify_batch(spec: BatchSpec) -> list[InequalityReport]:
     """Run every (seed, p, q, n) instance of the spec, in lattice order.
 
-    Solver failures are captured per instance (as reports with an ``error``
-    field) so one bad instance cannot abort the batch. Instances are
-    independent; the sequential order here is fixed so reruns reproduce the
-    report list exactly.
+    Each (seed, p, n) problem is solved once for all q. Solver failures are
+    captured per instance (as reports with an ``error`` field) so one bad
+    instance cannot abort the batch; the fixed order makes reruns
+    reproduce the report list exactly.
     """
     reports = []
-    for seed, p, q, n in itertools.product(spec.seeds, spec.p_values,
-                                           spec.q_values, spec.n_values):
-        reports.append(run_instance(spec, seed, p, q, n))
+    for seed in spec.seeds:
+        for p in spec.p_values:
+            per_n = [_evaluate(spec, seed, p, n, spec.q_values) for n in spec.n_values]
+            reports += [report for same_q in zip(*per_n) for report in same_q]
     return reports
 
 
@@ -579,10 +577,8 @@ def refinement_study(spec: BatchSpec, instances, n_values) -> dict:
     Returns {(seed, p, q): [lhs at each n]}; used to confirm that negative
     excursions shrink as the grid is refined.
     """
-    out = {}
-    for seed, p, q in instances:
-        out[(seed, p, q)] = [run_instance(spec, seed, p, q, int(n)).lhs for n in n_values]
-    return out
+    return {(seed, p, q): [run_instance(spec, seed, p, q, int(n)).lhs for n in n_values]
+            for seed, p, q in instances}
 
 
 _CSV_HEADER = "seed,p,q,n,solver,lhs,flux,tv_rho,tv_g,tolerance,pass".split(",")

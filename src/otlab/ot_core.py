@@ -630,6 +630,14 @@ def solve_entropic(rho: DensityField, g: DensityField, cost: RadialCost,
     return result
 
 
+def _clamped_gradient(phi, cost: RadialCost, grid: Grid):
+    """Per-cell grad phi scaled into the cost's gradient range, with the raw norms and the range."""
+    grad_phi = geometry.gradient(np.asarray(phi, dtype=float), grid).components.reshape(-1, grid.d)
+    norms = np.sqrt((grad_phi**2).sum(axis=1))
+    wmax = cost.grad_range()
+    return grad_phi * (wmax / np.maximum(norms, wmax))[:, None], norms, wmax
+
+
 def transport_map_from_potential(phi, cost: RadialCost, rho: DensityField,
                                  mass_threshold: float | None = None) -> MapField:
     """Assemble T(x) = x - grad_h_star(grad phi(x)) on cells carrying mass.
@@ -641,9 +649,7 @@ def transport_map_from_potential(phi, cost: RadialCost, rho: DensityField,
     worst clip distance is recorded.
     """
     grid = rho.grid
-    grad_phi = geometry.gradient(np.asarray(phi, dtype=float), grid).components.reshape(-1, grid.d)
-    norms = np.sqrt((grad_phi**2).sum(axis=1))
-    wmax = cost.grad_range()
+    grad_phi, norms, wmax = _clamped_gradient(phi, cost, grid)
     threshold = default_mass_threshold(grid) if mass_threshold is None else mass_threshold
     mask = rho.values.reshape(-1) > threshold
     if norms[mask].size and norms[mask].max() > wmax * (1.0 + 1e-3):
@@ -651,10 +657,7 @@ def transport_map_from_potential(phi, cost: RadialCost, rho: DensityField,
             f"|grad phi| = {norms[mask].max():.6g} exceeds the gradient range "
             f"{wmax:.6g}; the potential is not c-concave on this grid"
         )
-    scale = np.ones_like(norms)
-    over = norms > wmax
-    scale[over] = wmax / norms[over]
-    displacement = grad_h_star(cost, grad_phi * scale[:, None])
+    displacement = grad_h_star(cost, grad_phi)
     points = grid.cell_centers() - displacement
     points[~mask] = grid.cell_centers()[~mask]
     clipped = grid.clip(points)

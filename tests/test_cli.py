@@ -269,6 +269,31 @@ class TestVerify5G:
         assert run_cli("verify-5g", "--config", cfg, "--out", tmp_path / "out") == 2
         assert "kappa" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("bounds", [[1.0, 0.0]]),
+        ("bounds", [[0.5, 0.5]]),
+        ("bounds", [[0.0, 1.0, 2.0]]),
+        ("floor", 0),
+        ("floor", -0.1),
+        ("mode_count", 0),
+        ("entropic_eps", 0),
+    ])
+    def test_bad_batch_value_exits_2(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, {"batch": {"seeds": [0], "n_values": [16], key: value}})
+        assert run_cli("verify-5g", "--config", cfg, "--out", tmp_path / "out") == 2
+        assert "invalid batch spec" in capsys.readouterr().err
+
+    def test_auto_error_row_names_resolved_solver(self, tmp_path):
+        cfg = write_config(tmp_path, {"batch": {"seeds": [0], "n_values": [5000],
+                                                "solver": "auto"}})
+        out = tmp_path / "out"
+        assert run_cli("verify-5g", "--config", cfg, "--out", out) == 4
+        header, row = (out / "reports.csv").read_text().splitlines()
+        cells = dict(zip(header.split(","), row.split(",")))
+        assert cells["solver"] == "lp"
+        assert cells["lhs"] == "nan"
+        assert cells["pass"] == "0"
+
 
 class TestJKO:
     def jko_config(self, **scheme_overrides) -> dict:

@@ -1,5 +1,6 @@
 """Tests for the five-gradients verifier and its companion diagnostics."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -12,8 +13,10 @@ from otlab.cost import (
     scale_h_function,
     semiconcavity_constant,
 )
+from otlab import fivegrad
 from otlab.errors import DomainError, ParameterError, ShapeError
 from otlab.fivegrad import (
+    _H_DELTA0_FRACTION,
     KAPPA,
     BatchSpec,
     boundary_conjugate_check,
@@ -306,6 +309,18 @@ class TestBatch:
             BatchSpec(seeds=(1,), d=3)
         with pytest.raises(DomainError):
             BatchSpec(seeds=(1,), solver="exact1d", d=2)
+        with pytest.raises(ParameterError):
+            BatchSpec(seeds=(1,), bounds=((1.0, 0.0),))
+        with pytest.raises(ShapeError):
+            BatchSpec(seeds=(1,), bounds=((0.0, 1.0, 2.0),))
+        with pytest.raises(ParameterError):
+            BatchSpec(seeds=(1,), d=2, bounds=((0.0, 1.0), (0.5, 0.5)))
+        with pytest.raises(ParameterError):
+            BatchSpec(seeds=(1,), floor=0.0)
+        with pytest.raises(ParameterError):
+            BatchSpec(seeds=(1,), mode_count=0)
+        with pytest.raises(ParameterError):
+            BatchSpec(seeds=(1,), entropic_eps=0.0)
 
     def test_exact1d_solver_agrees_with_lp(self):
         spec_lp = BatchSpec(seeds=(2,), p_values=(2.0,), q_values=(2.0,), solver="lp")
@@ -325,6 +340,75 @@ class TestBatch:
         grid = Grid(1, 0.0, 1.0, 256)
         rho, g = instance_densities(spec, 0, 256)
         assert vals[1] >= -tolerance_for(256, rho.tv(), g.tv())
+
+
+def report_fields(report):
+    """A report's fields as a tuple in which NaN compares equal to NaN."""
+    return tuple("nan" if isinstance(v, float) and np.isnan(v) else v
+                 for v in dataclasses.astuple(report))
+
+
+def lattice(spec):
+    return itertools.product(spec.seeds, spec.p_values, spec.q_values, spec.n_values)
+
+
+class TestOneSolvePerProblem:
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """Every batch solve as [rho, g, cost, result], in call order; None for a failed solve."""
+        calls = []
+        real = fivegrad._solve_for_batch
+
+        def recording(rho, g, cost, solver, entropic_eps):
+            calls.append([rho, g, cost, None])
+            calls[-1][3] = real(rho, g, cost, solver, entropic_eps)
+            return calls[-1][3]
+
+        monkeypatch.setattr(fivegrad, "_solve_for_batch", recording)
+        return calls
+
+    def test_one_solve_per_seed_p_n(self, solves):
+        spec = BatchSpec(seeds=(0, 1), p_values=(1.5, 3.0), q_values=(1.5, 2.0, 4.0),
+                         n_values=(16, 32), solver="lp")
+        reports = verify_batch(spec)
+        assert len(reports) == 24
+        assert len(solves) == 8
+
+    @pytest.mark.parametrize("n_values, solver", [((16, 32), "lp"), ((16, 5000), "auto")])
+    def test_rows_equal_single_instances(self, n_values, solver):
+        spec = BatchSpec(seeds=(0, 1), p_values=(2.0, 3.0), q_values=(1.5, 2.0, 4.0),
+                         n_values=n_values, solver=solver)
+        batch = [report_fields(r) for r in verify_batch(spec)]
+        single = [report_fields(run_instance(spec, *point)) for point in lattice(spec)]
+        assert batch == single
+        assert [row[:4] for row in batch] == list(lattice(spec))
+
+    def test_failed_solve_gives_one_error_row_per_q(self, solves):
+        spec = BatchSpec(seeds=(0,), q_values=(1.5, 2.0, 4.0), n_values=(5000,),
+                         solver="auto")
+        reports = verify_batch(spec)
+        assert len(solves) == 1
+        assert solves[0][3] is None
+        assert [r.q for r in reports] == [1.5, 2.0, 4.0]
+        assert len({r.error for r in reports}) == 1
+        assert reports[0].error.startswith("CapacityError")
+        # auto resolves before the solve, so the error row names the LP
+        assert all(r.solver == "lp" for r in reports)
+
+    def test_lhs_and_flux_match_public_functions_exactly(self, solves):
+        spec = BatchSpec(seeds=(3,), p_values=(1.5, 2.0), q_values=(1.5, 2.0, 4.0),
+                         n_values=(64,), solver="lp")
+        reports = verify_batch(spec)
+        assert len(solves) == 2
+        for report in reports:
+            rho, g, cost, result = solves[spec.p_values.index(report.p)]
+            assert cost.exponent == report.p
+            hf = power_h_function(report.q,
+                                  delta0=_H_DELTA0_FRACTION * 2.0 * rho.grid.enclosing_radius)
+            assert report.lhs == five_gradients_lhs(rho, g, result.phi, result.psi, hf)
+            assert report.flux == boundary_flux(rho, g, result.phi, result.psi, hf)
+            integrand = five_gradients_integrand(rho, g, result.phi, result.psi, hf)
+            assert report.lhs == float(integrand.sum() * rho.grid.cell_volume)
 
 
 class TestReportsCSV:

@@ -16,7 +16,7 @@ from otlab.errors import (
     ParameterError,
     RangeError,
 )
-from otlab.geometry import Grid, as_density, random_smooth_density
+from otlab.geometry import Grid, as_density, gradient, random_smooth_density
 
 
 def four_point_grid():
@@ -424,6 +424,21 @@ class TestTransportMap:
         steep = 10.0 * grid.cell_centers()[:, 0]
         with pytest.raises(RangeError):
             oc.transport_map_from_potential(steep.reshape(grid.shape), cost, rho)
+
+
+    def test_gradient_clamp_scales_only_overshooting_cells(self):
+        grid = Grid(1, 0.0, 1.0, 64)
+        cost = power_cost(2.0, 1.0)  # gradient range [0, 1]
+        x = grid.cell_centers()[:, 0]
+        phi = np.where(x < 0.5, -0.25 * x, -0.125 - 4.0 * (x - 0.5))
+        clamped, norms, wmax = oc._clamped_gradient(phi.reshape(grid.shape), cost, grid)
+        raw = gradient(phi.reshape(grid.shape), grid).components.reshape(-1, 1)
+        assert wmax == cost.grad_range()
+        np.testing.assert_array_equal(norms, np.abs(raw[:, 0]))
+        inside = norms <= wmax
+        assert inside.any() and not inside.all()
+        np.testing.assert_array_equal(clamped[inside], raw[inside])
+        np.testing.assert_allclose(clamped[~inside, 0], -wmax, rtol=1e-15)
 
 
 class TestMapConsistency:
