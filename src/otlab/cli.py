@@ -95,6 +95,18 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _check_numbers(mapping: dict, where: str, integer: bool, scalars=(), lists=()) -> None:
+    """``scalars`` keys hold one JSON number, ``lists`` keys a list of them; bools never pass."""
+    numeric, one, several = (((int,), "an integer", "integers") if integer
+                             else ((int, float), "a real number", "real numbers"))
+    for key in (k for k in (*scalars, *lists) if k in mapping):
+        many = key in lists
+        values = mapping[key] if many else [mapping[key]]
+        if type(values) is not list or any(type(v) not in numeric for v in values):
+            raise ConfigError(f"{where} key '{key}' must be "
+                              f"{'a list of ' + several if many else one}, got {mapping[key]!r}")
+
+
 def _load_config(path: str) -> dict:
     try:
         text = Path(path).read_text()
@@ -258,6 +270,8 @@ def cmd_verify_5g(config: dict, out: Path, base_dir: Path, seed) -> int:
     _check_keys(batch, allowed, "batch spec")
     if "seeds" not in batch:
         raise ConfigError("batch spec is missing required key 'seeds'")
+    _check_numbers(batch, "batch spec", True, ("d", "mode_count"), ("seeds", "n_values"))
+    _check_numbers(batch, "batch spec", False, ("floor", "entropic_eps"), ("p_values", "q_values"))
     kwargs = dict(batch)
     kwargs["seeds"] = tuple(kwargs["seeds"])
     for key in ("p_values", "q_values", "n_values"):
@@ -289,11 +303,12 @@ def cmd_jko(config: dict, out: Path, base_dir: Path, seed) -> int:
                               seed, "rho0")
 
     scheme = _require(config, "scheme", "config")
-    allowed = {"p", "tau", "steps", "energy", "eps", "polish_eps", "inner_tol",
-               "max_inner", "theta", "max_backtracks"}
+    allowed = {"p", "tau", "steps", "energy", "eps", "inner_tol", "max_inner"}
     _check_keys(scheme, allowed, "scheme spec")
     for key in ("p", "tau", "steps", "energy"):
         _require(scheme, key, "scheme spec")
+    _check_numbers(scheme, "scheme spec", True, ("steps", "max_inner"))
+    _check_numbers(scheme, "scheme spec", False, ("p", "tau", "eps", "inner_tol"))
     kwargs = dict(scheme)
     kwargs["energy"] = energy_from_config(kwargs["energy"])
     try:

@@ -18,6 +18,10 @@ f_i = tilt_i - tau^(p-1) f'(rho_i), closed-form for the entropy energy and
 a safeguarded bisection for power energies. The row marginal of the
 converged plan is the next iterate.
 
+Every inner solve (step, self-transport, pinned evaluation) iterates one
+map of a potential through ``ot_core._fixed_point``, the Anderson iteration
+of the entropic solver too; cold starts walk ``ot_core._eps_ladder`` to eps.
+
 The tilt is the blur correction: smoothing at width eps inflates every
 transport value by a self-transport cost that depends on the density, so
 the step actually minimized is the corrected objective
@@ -60,7 +64,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cost import RadialCost, power_cost
+from .cost import power_cost
 from .errors import (
     ConfigError,
     DomainError,
@@ -70,13 +74,16 @@ from .errors import (
     StepError,
 )
 from .geometry import DensityField, Grid, write_field_csv, write_rows
-from .ot_core import _cost_matrix, log_plan, softmin, solve_exact_1d
+from .ot_core import _cost_matrix, _eps_ladder, _fixed_point, _row_gap, log_plan, softmin
 
 # s log s at s = 0 is the limit 0; the floor keeps the evaluation finite
 # without moving the value at any density above it.
 _ENTROPY_FLOOR = 1e-12
 
 _DESCENT_SLACK = 1e-10
+
+# descent-check trials; each rejected damped trial halves the move
+_DESCENT_TRIALS = 40
 
 # floor of the step problem's reference prior r = max(b, _PRIOR_FLOOR)
 _PRIOR_FLOOR = 1e-30
@@ -169,14 +176,13 @@ def energy_value(rho: DensityField, energy: Energy) -> float:
 class JKOConfig:
     """Scheme parameters: cost exponent, step size, horizon, energy, inner solver.
 
-    ``eps`` is the entropic width of the inner step problem; ``polish_eps``
-    optionally adds one sharper scaling pass at that width (None skips it).
-    ``max_inner`` caps the alternation sweeps per width; the stopping rule
-    is an L1 change of successive density iterates at or below
-    ``inner_tol``. ``theta`` is the initial damping of the fallback line
-    search used when the descent comparison fails at full step; each
-    rejected trial halves it, and a step that cannot avoid increasing the
-    step objective returns the previous iterate unchanged.
+    ``eps`` is the entropic width of the inner step problem, whose solve
+    takes at most ``max_inner`` sweeps at that width and stops once the L1
+    gap between its plan's row masses and the candidate masses is at most
+    ``inner_tol`` (the self-transport and pinned evaluations stop on their
+    mass-weighted potential change per eps). A failed descent comparison
+    halves the move toward the candidate on each rejected trial; a step
+    that cannot help returns the previous iterate unchanged.
     """
 
     p: float
@@ -184,11 +190,8 @@ class JKOConfig:
     steps: int
     energy: Energy
     eps: float = 1e-4
-    polish_eps: float | None = None
     inner_tol: float = 1e-8
     max_inner: int = 4000
-    theta: float = 1.0
-    max_backtracks: int = 40
 
     def __post_init__(self):
         if not self.p > 1:
@@ -201,12 +204,8 @@ class JKOConfig:
             raise ParameterError("energy must be an Energy descriptor")
         if not self.eps > 0:
             raise ParameterError("entropic width must be positive")
-        if self.polish_eps is not None and not self.polish_eps > 0:
-            raise ParameterError("polish width must be positive when given")
-        if not 0 < self.theta <= 1:
-            raise ParameterError("damping must lie in (0, 1]")
-        if self.max_inner < 1 or self.max_backtracks < 1:
-            raise ParameterError("iteration caps must be at least 1")
+        if self.max_inner < 1:
+            raise ParameterError("iteration cap must be at least 1")
         if not self.inner_tol > 0:
             raise ParameterError("inner tolerance must be positive")
 
@@ -252,22 +251,6 @@ def _check_probability(rho: DensityField) -> None:
         raise InputError(f"density mass {rho.mass:.3e} is not 1")
 
 
-def _objective(candidate: DensityField, anchor: DensityField, cost: RadialCost,
-               tau_pow: float, energy: Energy) -> tuple[float, float]:
-    """Exact step objective and its transport part, via the monotone solver."""
-    result, _ = solve_exact_1d(candidate, anchor, cost)
-    transport = result.primal / tau_pow
-    return transport + energy_value(candidate, energy), transport
-
-
-def _eps_levels(eps_final: float, cmax: float) -> list[float]:
-    """Decreasing entropic widths ending at eps_final, for cold starts."""
-    levels = [float(eps_final)]
-    while levels[-1] * 4.0 < cmax / 8.0:
-        levels.append(levels[-1] * 4.0)
-    return levels[::-1]
-
-
 def _power_log_mass(M: np.ndarray, eps: float, T: float, m: float, vol: float) -> np.ndarray:
     """Per-cell root u of eps u + A exp((m-1) u) = M, A = T m / ((m-1) vol^(m-1)).
 
@@ -301,7 +284,7 @@ def _power_log_mass(M: np.ndarray, eps: float, T: float, m: float, vol: float) -
 
 def _scaling_solve(b_log: np.ndarray, r_log: np.ndarray, cmat: np.ndarray, eps: float,
                    T: float, energy: Energy, vol: float, tilt: np.ndarray, f: np.ndarray,
-                   g: np.ndarray, tol: float, cap: int):
+                   tol: float, cap: int):
     """Block dual ascent on min <C,P> + eps KL(P | r x b) + T sum f(row mass / vol) vol - tilt . a.
 
     The column marginal is pinned to b = exp(b_log); rows are free and
@@ -317,35 +300,27 @@ def _scaling_solve(b_log: np.ndarray, r_log: np.ndarray, cmat: np.ndarray, eps: 
     Each sweep fits the column potential g exactly, then updates the row
     potential f from the pointwise first-order condition
     f_i = tilt_i - T f'(a_i / vol), closed-form for entropy and bisected
-    for power energies. Returns (row masses, f, g, L1 residual, sweeps);
-    the residual is the L1 change of the row-mass vector across the last
-    sweep.
+    for power energies; ``_fixed_point`` iterates that map of f. Returns
+    (row masses a, f, g, residual, sweeps), the residual being the L1 gap
+    between the row masses of the plan (f, g) and a.
     """
-    a_prev = None
-    residual = float("inf")
-    sweeps = 0
     log_vol = math.log(vol)
-    with np.errstate(over="ignore", under="ignore"):
-        for sweeps in range(1, cap + 1):
-            g = softmin(cmat, f, r_log, eps, 0)
-            M = -softmin(cmat, g, b_log, eps, 1)
-            if energy.kind == "entropy":
-                u = (M + tilt + eps * r_log + T * (log_vol - 1.0)) / (eps + T)
-            else:
-                u = _power_log_mass(M + tilt + eps * r_log, eps, T, energy.m, vol)
-            f = eps * (u - r_log) - M
-            a = np.exp(u)
-            if not np.isfinite(a).all():
-                raise StepError("inner solver produced non-finite masses",
-                                residual=residual)
-            if a_prev is not None:
-                residual = float(np.abs(a - a_prev).sum())
-                a_prev = a
-                if residual <= tol:
-                    break
-            else:
-                a_prev = a
-    return a_prev, f, g, residual, sweeps
+
+    def sweep(f):
+        g = softmin(cmat, f, r_log, eps, 0)
+        M = -softmin(cmat, g, b_log, eps, 1)
+        if energy.kind == "entropy":
+            u = (M + tilt + eps * r_log + T * (log_vol - 1.0)) / (eps + T)
+        else:
+            u = _power_log_mass(M + tilt + eps * r_log, eps, T, energy.m, vol)
+        f_next = eps * (u - r_log) - M
+        a = np.exp(u)
+        return f_next, _row_gap(a, f, f_next, eps), (a, g)
+
+    f, residual, sweeps, (a, g) = _fixed_point(sweep, f, tol, cap)
+    if not np.isfinite(a).all():
+        raise StepError("inner solver produced non-finite masses", residual=residual)
+    return a, f, g, residual, sweeps
 
 
 def _candidate_field(a: np.ndarray, grid: Grid) -> np.ndarray:
@@ -356,37 +331,40 @@ def _candidate_field(a: np.ndarray, grid: Grid) -> np.ndarray:
     return (a / (total * grid.cell_volume)).reshape(grid.shape)
 
 
+def _dual_value(cmat: np.ndarray, f: np.ndarray, g: np.ndarray, x: np.ndarray, y: np.ndarray,
+                x_log: np.ndarray, y_log: np.ndarray, eps: float, ref_mass: float):
+    """Dual value f.x + g.y + eps (ref_mass - mass(P)) over cells with mass, and <C,P>.
+
+    P is the plan of (f, g) against the reference exp(x_log) x exp(y_log).
+    """
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        plan = np.exp(log_plan(cmat, f, g, x_log, y_log, eps))
+    value = (float((f[x > 0] * x[x > 0]).sum()) + float((g[y > 0] * y[y > 0]).sum())
+             + eps * (ref_mass - float(plan.sum())))
+    return value, float((plan * cmat).sum())
+
+
 def _pinned_value(a_log: np.ndarray, b_log: np.ndarray, r_log: np.ndarray,
-                  cmat: np.ndarray, eps: float, f: np.ndarray, g: np.ndarray,
-                  tol: float, cap: int):
+                  cmat: np.ndarray, eps: float, f: np.ndarray, tol: float, cap: int):
     """Entropic transport between pinned marginals, against the r x b reference.
 
-    Two-marginal scaling iterations for min <C,P> + eps KL(P | r x b) with
-    row masses exp(a_log) and column masses b = exp(b_log); the reference
-    prior exp(r_log) is the step solver's. Returns (dual value, plan cost
-    <C,P>, f, g, residual, sweeps). The dual value is
-    f.a + g.b + eps (sum r - mass(P)) and is what descent comparisons use;
-    using one evaluator for both sides of a comparison cancels its bias.
+    ``_fixed_point`` scales the row potential f for min <C,P> + eps KL(P | r x b)
+    with marginals exp(a_log), b = exp(b_log) to a mass-weighted |df| / eps
+    of tol. Returns (dual value, plan cost <C,P>, f, g, residual, sweeps).
+    The dual value f.a + g.b + eps (sum r - mass(P)) is what descent
+    comparisons use; one evaluator on both sides cancels its bias.
     """
     a = np.exp(a_log)
     b = np.exp(b_log)
-    residual = float("inf")
-    sweeps = 0
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        for sweeps in range(1, cap + 1):
-            f_old = f
-            f = eps * (a_log - r_log) + softmin(cmat, g, b_log, eps, 1)
-            g = softmin(cmat, f, r_log, eps, 0)
-            # rows with zero mass carry f = -inf on both sides; they cannot
-            # contribute to the marginal error
-            live = a > 0
-            residual = float((np.abs(f - f_old)[live] * a[live]).sum() / eps)
-            if residual <= tol:
-                break
-        plan = np.exp(log_plan(cmat, f, g, r_log, b_log, eps))
-        value = (float((f[live] * a[live]).sum()) + float((g[b > 0] * b[b > 0]).sum())
-                 + eps * (float(np.exp(r_log).sum()) - float(plan.sum())))
-        plan_cost = float((plan * cmat).sum())
+    live = a > 0  # rows without mass carry f = -inf and no marginal error
+
+    def sweep(f):
+        g = softmin(cmat, f, r_log, eps, 0)
+        f_next = eps * (a_log - r_log) + softmin(cmat, g, b_log, eps, 1)
+        return f_next, float((np.abs(f_next - f)[live] * a[live]).sum() / eps), g
+
+    f, residual, sweeps, g = _fixed_point(sweep, np.where(live, f, -np.inf), tol, cap)
+    value, plan_cost = _dual_value(cmat, f, g, a, b, r_log, b_log, eps, float(np.exp(r_log).sum()))
     if not math.isfinite(value):
         raise StepError("transport evaluation produced a non-finite value",
                         residual=residual)
@@ -397,34 +375,24 @@ def _sym_solve(a_log: np.ndarray, r_log: np.ndarray, cmat: np.ndarray,
                eps: float, u: np.ndarray, tol: float, cap: int):
     """Self-transport potential and value for marginal a against the r x r reference.
 
-    Damped fixed-point iteration u <- (u + F(u)) / 2 on the symmetric
-    marginal condition for min <C,Q> + eps KL(Q | r x r) over plans with
-    both marginals a = exp(a_log); the minimizer's potential is the
-    gradient of a |-> OT_eps(a, a) / 2, which is what the blur correction
-    and the debiased descent comparison need. Returns
-    (dual value, u, residual, sweeps); the dual value is
-    2 u.a + eps (mass(r x r) - mass(Q)).
+    ``_fixed_point`` iterates the map u <- F(u) of the symmetric marginal
+    condition for min <C,Q> + eps KL(Q | r x r) over plans with both
+    marginals a = exp(a_log), to a mass-weighted |F(u) - u| / eps of tol;
+    the mixing damps the plain map's oscillation. The minimizer's potential
+    is the gradient of a |-> OT_eps(a, a) / 2, which the blur correction and
+    the debiased descent comparison need. Returns (dual value, u, residual,
+    sweeps); the dual value is 2 u.a + eps (mass(r x r) - mass(Q)).
     """
     a = np.exp(a_log)
     live = a > 0
-    # the damped average cannot pull a potential back from -inf, so a warm
-    # start from a solve with a smaller support needs those rows reset
-    stuck = live & ~np.isfinite(u)
-    if stuck.any():
-        u = np.where(stuck, 0.0, u)
-    residual = float("inf")
-    sweeps = 0
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        for sweeps in range(1, cap + 1):
-            fu = eps * (a_log - r_log) + softmin(cmat, u, r_log, eps, 1)
-            residual = float((np.abs(fu - u)[live] * a[live]).sum() / eps)
-            u = np.where(live, 0.5 * (u + fu), -np.inf)
-            if residual <= tol:
-                break
-        plan = np.exp(log_plan(cmat, u, u, r_log, r_log, eps))
-        r_mass = float(np.exp(r_log).sum())
-        value = (2.0 * float((u[live] * a[live]).sum())
-                 + eps * (r_mass * r_mass - float(plan.sum())))
+
+    def sweep(u):
+        fu = eps * (a_log - r_log) + softmin(cmat, u, r_log, eps, 1)
+        return fu, float((np.abs(fu - u)[live] * a[live]).sum() / eps), None
+
+    u, residual, sweeps, _ = _fixed_point(sweep, np.where(live, u, -np.inf), tol, cap)
+    r_mass = float(np.exp(r_log).sum())
+    value, _ = _dual_value(cmat, u, u, a, a, r_log, r_log, eps, r_mass * r_mass)
     if not math.isfinite(value):
         raise StepError("self-transport evaluation produced a non-finite value",
                         residual=residual)
@@ -449,16 +417,11 @@ def _jko_step_full(rho_k: DensityField, config: JKOConfig,
     r_mass = float(np.exp(r_log).sum())
 
     if warm is not None:
-        f, g, u = warm
+        f, u = warm
         levels = [config.eps]
     else:
-        f = np.zeros(grid.num_cells)
-        g = np.zeros(grid.num_cells)
-        u = np.zeros(grid.num_cells)
-        levels = _eps_levels(config.eps, float(cmat.max()))
-    if config.polish_eps is not None:
-        levels.append(config.polish_eps)
-    eval_eps = levels[-1]
+        f = u = np.zeros(grid.num_cells)
+        levels = _eps_ladder(config.eps, float(cmat.max()))
     eval_cap = max(config.max_inner, 2000)
 
     # anchor self-potential at the working width; its negative gradient is
@@ -469,9 +432,9 @@ def _jko_step_full(rho_k: DensityField, config: JKOConfig,
         sym_anchor, u, sym_res, sweeps = _sym_solve(
             b_log, r_log, cmat, eps, u, config.inner_tol, cap)
         iterations += sweeps
-    if sym_res > config.inner_tol:
+    if not sym_res <= config.inner_tol:
         raise StepError(
-            f"self-potential iteration did not converge at width {eval_eps:g}",
+            f"self-potential iteration did not converge at width {config.eps:g}",
             residual=sym_res,
         )
     tilt = np.where(b > 0, u, u[b > 0].min())
@@ -479,17 +442,16 @@ def _jko_step_full(rho_k: DensityField, config: JKOConfig,
     for index, eps in enumerate(levels):
         # coarse warm-up widths only seed the potentials; the last width is
         # the one whose minimizer becomes the candidate
-        last = index == len(levels) - 1
-        cap = config.max_inner if last else min(250, config.max_inner)
+        cap = config.max_inner if index == len(levels) - 1 else min(250, config.max_inner)
         a, f, g, residual, sweeps = _scaling_solve(
-            b_log, r_log, cmat, eps, tau_pow, config.energy, vol, tilt, f, g,
+            b_log, r_log, cmat, eps, tau_pow, config.energy, vol, tilt, f,
             config.inner_tol, cap)
         iterations += sweeps
-        if last and residual > config.inner_tol:
-            raise StepError(
-                f"inner solver did not converge within {cap} sweeps at width {eps:g}",
-                residual=residual,
-            )
+    if not residual <= config.inner_tol:
+        raise StepError(
+            f"inner solver did not converge within {cap} sweeps at width {eps:g}",
+            residual=residual,
+        )
     candidate = _candidate_field(a, grid)
 
     # descent check for the blur-corrected step objective
@@ -506,41 +468,34 @@ def _jko_step_full(rho_k: DensityField, config: JKOConfig,
     # shortcut trial is re-checked once with the full evaluator before any
     # damping, and a step that cannot help returns the anchor itself.
     live = b > 0
-    offset = eval_eps * (r_mass - r_mass * r_mass
-                         + float((b[live] * (r_log[live] - b_log[live])).sum()))
+    offset = config.eps * (r_mass - r_mass * r_mass
+                           + float((b[live] * (r_log[live] - b_log[live])).sum()))
     g_anchor = 0.5 * sym_anchor + offset + tau_pow * energy_value(rho_k, config.energy)
 
-    with np.errstate(over="ignore", under="ignore"):
-        plan = np.exp(log_plan(cmat, f, g, r_log, b_log, eval_eps))
-    plan_cost_joint = float((plan * cmat).sum())
-    a_mass = candidate.reshape(-1) * vol
-    rows_live = a_mass > 0
-    value_joint = (float((f[rows_live] * a_mass[rows_live]).sum())
-                   + float((g[live] * b[live]).sum())
-                   + eval_eps * (r_mass - float(plan.sum())))
+    value_joint, plan_cost_joint = _dual_value(
+        cmat, f, g, candidate.reshape(-1) * vol, b, r_log, b_log, config.eps, r_mass)
 
     current = rho_k
     transport_current = 0.0
     objective_current = g_anchor
     u_next = u
-    f_a = f.copy()
-    g_a = g.copy()
-    theta = config.theta
+    f_a = f
+    theta = 1.0
     trial_vals = candidate
     shortcut = True
-    for _ in range(config.max_backtracks):
+    for _ in range(_DESCENT_TRIALS):
         trial_field = DensityField(grid, trial_vals)
         with np.errstate(divide="ignore"):
             a_log_trial = np.log(trial_vals.reshape(-1) * vol)
         if shortcut:
             g_trial, plan_cost = value_joint, plan_cost_joint
         else:
-            g_trial, plan_cost, f_a, g_a, _, sw = _pinned_value(
-                a_log_trial, b_log, r_log, cmat, eval_eps, f_a, g_a,
+            g_trial, plan_cost, f_a, _, _, sw = _pinned_value(
+                a_log_trial, b_log, r_log, cmat, config.eps, f_a,
                 config.inner_tol, eval_cap)
             iterations += sw
         sym_trial, u_trial, _, sw = _sym_solve(
-            a_log_trial, r_log, cmat, eval_eps, u.copy(),
+            a_log_trial, r_log, cmat, config.eps, u,
             config.inner_tol, eval_cap)
         iterations += sw
         g_trial += tau_pow * energy_value(trial_field, config.energy) - 0.5 * sym_trial
@@ -558,7 +513,7 @@ def _jko_step_full(rho_k: DensityField, config: JKOConfig,
 
     return current, _StepInfo(transport_current, residual,
                               objective_current / tau_pow, g_anchor / tau_pow,
-                              iterations), (f, g, u_next)
+                              iterations), (f, u_next)
 
 
 def jko_step(rho_k: DensityField, config: JKOConfig) -> DensityField:

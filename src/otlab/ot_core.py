@@ -50,9 +50,10 @@ _FEASIBILITY_SLACK = 1e-9
 _MARGINAL_TOL = 1e-8
 _GAP_FLOOR = -1e-10
 _LP_CAPACITY = 4096 * 4096
-# entropic solver: dual-update overrelaxation, L1 residual that ends a level
-_OVERRELAXATION = 1.95
+# entropic solver: L1 marginal residual that ends a level
 _RAW_MARGINAL_TOL = 1e-7
+# number of past differences _fixed_point mixes
+_ANDERSON_DEPTH = 5
 
 
 @dataclass(frozen=True)
@@ -163,6 +164,52 @@ def log_plan(cmat: np.ndarray, f: np.ndarray, g: np.ndarray, x_log: np.ndarray,
              y_log: np.ndarray, eps: float) -> np.ndarray:
     """Log of the plan exp((f_i + g_j - C_ij)/eps) x_i y_j for log weights x, y."""
     return (f[:, None] + g[None, :] - cmat) / eps + x_log[:, None] + y_log[None, :]
+
+
+def _row_gap(mass: np.ndarray, f: np.ndarray, f_next: np.ndarray, eps: float) -> float:
+    """Row-marginal L1 error sum |mass expm1((f - f_next)/eps)| over rows with mass."""
+    live = mass > 0
+    return float(np.abs(mass[live] * np.expm1((f[live] - f_next[live]) / eps)).sum())
+
+
+def _fixed_point(step, x0: np.ndarray, tol: float, cap: int):
+    """Iterate x <- step(x) with type-II Anderson mixing until the residual is at most tol.
+
+    ``step(x)`` returns (plain update, residual of x, extra output). The
+    update is mixed with the last ``_ANDERSON_DEPTH`` differences of updates
+    and residuals by least squares (Walker and Ni 2011), on the entries
+    finite in x and its update only: -inf entries pass through, and the
+    history restarts when that set changes. A non-finite mix takes the
+    plain update; a non-finite residual restarts from the plain update x
+    was mixed from, or its own (Zhang, O'Donoghue and Boyd 2020). Returns
+    (x, residual, sweeps, extra) of the last point evaluated, so the
+    residual is x's own; above tol it means the cap was hit.
+    """
+    x, plain, live = x0, None, None  # plain: the plain update x was mixed from
+    updates, residuals = [], []
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for sweeps in range(1, cap + 1):
+            fx, residual, extra = step(x)
+            if residual <= tol or sweeps == cap:
+                break
+            if not np.isfinite(residual):
+                x, plain, live = fx if plain is None else plain, None, None
+                continue
+            now_live = np.isfinite(x) & np.isfinite(fx)
+            if live is None or not np.array_equal(now_live, live):
+                live, updates, residuals = now_live, [], []
+            updates.append(fx[live])
+            residuals.append(fx[live] - x[live])
+            del updates[:-_ANDERSON_DEPTH - 1], residuals[:-_ANDERSON_DEPTH - 1]
+            x, plain = fx, None
+            d_res = np.diff(residuals, axis=0).T
+            if d_res.size and np.isfinite(d_res).all():
+                gamma = np.linalg.lstsq(d_res, residuals[-1], rcond=None)[0]
+                mixed = updates[-1] - np.diff(updates, axis=0).T @ gamma
+                if np.isfinite(mixed).all():
+                    x, plain = fx.copy(), fx
+                    x[live] = mixed
+    return x, residual, sweeps, extra
 
 
 def _min_plus(cost_rows, vals: np.ndarray, n_out: int) -> np.ndarray:
@@ -509,14 +556,15 @@ def solve_lp(rho: DensityField, g: DensityField, cost: RadialCost,
     return result
 
 
-def _default_schedule(eps_final: float, cost_scale: float) -> list[float]:
-    eps = max(eps_final, cost_scale / 8.0)
-    schedule = []
-    while eps > eps_final * (1.0 + 1e-12):
-        schedule.append(eps)
-        eps /= 4.0
-    schedule.append(eps_final)
-    return schedule
+def _eps_ladder(eps_final: float, cmax: float) -> list[float]:
+    """Cold-start widths eps_final 4^k, ..., 4 eps_final, eps_final of an epsilon-scaled solve.
+
+    4^k eps_final is the largest such width below cmax/8; each width seeds the next.
+    """
+    levels = [float(eps_final)]
+    while levels[-1] * 4.0 < cmax / 8.0:
+        levels.append(levels[-1] * 4.0)
+    return levels[::-1]
 
 
 def _round_to_polytope(plan: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -546,64 +594,42 @@ def solve_entropic(rho: DensityField, g: DensityField, cost: RadialCost,
                    eps_final: float, max_iterations: int = 20000) -> TransportResult:
     """Entropically regularized transport by log-domain dual ascent.
 
-    Alternates softmin c-transform updates of the scaled potentials with an
-    epsilon-scaling schedule (warm starts across levels) and overrelaxed
-    updates, which remove the small-epsilon stall of the plain iteration;
-    ``max_iterations`` caps the final level. Once the column marginal
-    violation falls below 1e-7 in L1 (rows are exact after a plain
-    f-update), the plan is rounded onto the transport polytope, so the
-    returned coupling satisfies both marginals to float accuracy. The
-    returned potentials are canonicalized by one exact double c-transform,
-    so they satisfy the same feasibility contract as the exact solvers
-    while the coupling keeps its entropic blur.
+    Iterates the Sinkhorn map of the row potential f (a softmin column fit
+    g = softmin(f), then the row update softmin(g)) through the Anderson
+    iteration ``_fixed_point``, over the epsilon-scaling ladder of
+    ``_eps_ladder`` with warm starts across widths; ``max_iterations`` caps
+    the final width. The plan (f, g) fits its columns exactly, and a width
+    ends once its row-marginal violation falls below 1e-7 in L1. The plan
+    is then rounded onto the transport polytope, so the returned coupling
+    satisfies both marginals to float accuracy. The returned potentials are
+    canonicalized by one exact double c-transform, so they satisfy the same
+    feasibility contract as the exact solvers while the coupling keeps its
+    entropic blur.
     """
     if not eps_final > 0:
         raise ParameterError("eps_final must be positive")
     a, b = _marginals(rho, g)
     cmat = _cost_matrix(cost, rho.grid.cell_centers(), g.grid.cell_centers())
-    schedule = _default_schedule(eps_final, float(cmat.max()))
+    schedule = _eps_ladder(eps_final, float(cmat.max()))
 
     with np.errstate(divide="ignore"):
         loga = np.log(a)
         logb = np.log(b)
     f = np.zeros_like(a)
-    gv = np.zeros_like(b)
 
-    check_every = 5
     iterations = 0
-    residual = np.inf
     for level, eps in enumerate(schedule):
-        final_level = level == len(schedule) - 1
-        cap = max_iterations if final_level else 200
-        omega = _OVERRELAXATION
-        converged = False
-        for it in range(cap):
-            gnew = softmin(cmat, f, loga, eps, 0)
-            gv = (1.0 - omega) * gv + omega * gnew
-            fnew = softmin(cmat, gv, logb, eps, 1)
-            iterations += 1
-            if it % check_every == 0 or it == cap - 1:
-                # rows are exact after the plain update fnew; column sums are
-                # b exp((gv - softmin(fnew)) / eps), zero where b is
-                cols = np.exp(logb + (gv - softmin(cmat, fnew, loga, eps, 0)) / eps)
-                residual = float(np.abs(cols - b).sum())
-                if not np.isfinite(residual):
-                    # overrelaxation overshot; restart this level plainly
-                    omega = 1.0
-                    f = np.zeros_like(a)
-                    gv = np.zeros_like(b)
-                    residual = np.inf
-                    continue
-                if residual <= _RAW_MARGINAL_TOL:
-                    f = fnew
-                    converged = True
-                    break
-            f = (1.0 - omega) * f + omega * fnew
-        if final_level and not converged:
-            raise ConvergenceError(
-                f"entropic solver residual {residual:.3e} after {iterations} iterations",
-                residual=residual,
-            )
+        def sweep(f):
+            gv = softmin(cmat, f, loga, eps, 0)
+            f_next = softmin(cmat, gv, logb, eps, 1)
+            return f_next, _row_gap(a, f, f_next, eps), gv
+
+        cap = max_iterations if level == len(schedule) - 1 else 200
+        f, residual, sweeps, gv = _fixed_point(sweep, f, _RAW_MARGINAL_TOL, cap)
+        iterations += sweeps
+    if not residual <= _RAW_MARGINAL_TOL:
+        raise ConvergenceError(f"entropic solver residual {residual:.3e} after {iterations} "
+                               "iterations", residual=residual)
 
     plan = _round_to_polytope(np.exp(log_plan(cmat, f, gv, loga, logb, eps)), a, b)
     primal = float((plan * cmat).sum())

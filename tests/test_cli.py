@@ -283,6 +283,16 @@ class TestVerify5G:
         assert run_cli("verify-5g", "--config", cfg, "--out", tmp_path / "out") == 2
         assert "invalid batch spec" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("batch", [
+        {"seeds": 5},
+        {"seeds": [0], "mode_count": "3"},
+        {"seeds": [0], "n_values": [16.5]},
+    ])
+    def test_mistyped_batch_value_exits_2(self, tmp_path, capsys, batch):
+        cfg = write_config(tmp_path, {"batch": {"n_values": [16], **batch}})
+        assert run_cli("verify-5g", "--config", cfg, "--out", tmp_path / "out") == 2
+        assert "must be" in capsys.readouterr().err
+
     def test_auto_error_row_names_resolved_solver(self, tmp_path):
         cfg = write_config(tmp_path, {"batch": {"seeds": [0], "n_values": [5000],
                                                 "solver": "auto"}})
@@ -363,6 +373,17 @@ class TestJKO:
     def test_invalid_scheme_value_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, self.jko_config(tau=-0.1))
         assert run_cli("jko", "--config", cfg, "--out", tmp_path / "out") == 2
+
+    @pytest.mark.parametrize("key, value", [
+        ("steps", "3"),
+        ("steps", 2.5),
+        ("max_inner", 2.5),
+        ("tau", "0.002"),
+    ])
+    def test_mistyped_scheme_value_exits_2(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, self.jko_config(**{key: value}))
+        assert run_cli("jko", "--config", cfg, "--out", tmp_path / "out") == 2
+        assert "must be" in capsys.readouterr().err
 
     def test_unknown_energy_kind_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, self.jko_config(energy={"kind": "quartic"}))

@@ -16,6 +16,7 @@ from otlab.errors import (
     StepError,
 )
 from otlab.geometry import DensityField, Grid, normalize, random_smooth_density
+from otlab.ot_core import log_plan, solve_exact_1d
 
 
 def bump_density(n=128, floor=0.05, sharpness=80.0):
@@ -97,8 +98,8 @@ class TestEnergy:
 
 class TestConfigValidation:
     def test_accepts_reasonable_settings(self):
-        cfg = heat_config(3, eps=1e-5, polish_eps=1e-6, theta=0.5)
-        assert cfg.steps == 3 and cfg.polish_eps == 1e-6
+        cfg = heat_config(3, eps=1e-5, max_inner=50)
+        assert cfg.steps == 3 and cfg.eps == 1e-5 and cfg.max_inner == 50
 
     @pytest.mark.parametrize(
         "overrides",
@@ -109,12 +110,8 @@ class TestConfigValidation:
             {"tau": -1e-3},
             {"steps": -1},
             {"eps": 0.0},
-            {"polish_eps": 0.0},
             {"inner_tol": 0.0},
             {"max_inner": 0},
-            {"max_backtracks": 0},
-            {"theta": 0.0},
-            {"theta": 1.5},
         ],
     )
     def test_rejects_out_of_range(self, overrides):
@@ -145,7 +142,8 @@ class TestJKOStep:
         config = heat_config(1)
         cost = power_cost(2.0, rho0.grid.cost_radius)
         after = jko.jko_step(rho0, config)
-        f_after, _ = jko._objective(after, rho0, cost, config.tau, config.energy)
+        exact, _ = solve_exact_1d(after, rho0, cost)
+        f_after = exact.primal / config.tau + jko.energy_value(after, config.energy)
         f_before = jko.energy_value(rho0, config.energy)
         assert f_after <= f_before
         # and the move is genuinely of the flow's scale, not a freeze
@@ -184,6 +182,42 @@ class TestJKOStep:
         with pytest.raises(StepError) as excinfo:
             jko.jko_step(bump_density(), config)
         assert excinfo.value.residual is not None
+
+
+class TestDescentCheck:
+    def test_full_evaluator_matches_shortcut_then_backtracks(self, monkeypatch):
+        # a slack no trial can meet rejects the shortcut, re-checks the
+        # candidate with the full pinned evaluator, then halves the move on
+        # every further trial and returns the anchor
+        monkeypatch.setattr(jko, "_DESCENT_SLACK", -1.0)
+        solves, evaluations = [], []
+
+        def spy(real, calls):
+            def wrapped(*args):
+                calls.append((args, real(*args)))
+                return calls[-1][1]
+            return wrapped
+
+        monkeypatch.setattr(jko, "_scaling_solve", spy(jko._scaling_solve, solves))
+        monkeypatch.setattr(jko, "_pinned_value", spy(jko._pinned_value, evaluations))
+        rho0 = bump_density(n=32)
+        state, info, _ = jko._jko_step_full(rho0, heat_config(1))
+        assert state is rho0
+        assert info.transport_cost == 0.0
+        assert len(evaluations) == jko._DESCENT_TRIALS - 1
+
+        # the shortcut is the dual value read off the converged step potentials
+        (b_log, r_log, cmat, eps), (a, f, g, _, _) = solves[-1][0][:4], solves[-1][1]
+        a_mass = a / a.sum()
+        plan = np.exp(log_plan(cmat, f, g, r_log, b_log, eps))
+        shortcut = float(f @ a_mass + g @ np.exp(b_log)
+                         + eps * (np.exp(r_log).sum() - plan.sum()))
+        (a_log, *_), (value, *_) = evaluations[0]
+        np.testing.assert_allclose(np.exp(a_log), a_mass, rtol=1e-12)
+        assert value == pytest.approx(shortcut, rel=1e-12)
+        # each later trial halves the move away from the anchor
+        moves = [np.abs(np.exp(args[0]) - np.exp(b_log)).sum() for args, _ in evaluations]
+        np.testing.assert_allclose(moves[1:6], moves[0] / 2.0 ** np.arange(1, 6), rtol=1e-9)
 
 
 class TestRunJKO:

@@ -1,11 +1,14 @@
 """Tests for the transport solvers, c-transforms, and map assembly."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+from otlab import fivegrad
 from otlab import ot_core as oc
 from otlab.cost import power_cost
 from otlab.errors import (
@@ -386,6 +389,139 @@ class TestSolveEntropic:
         cost = power_cost(2.0, grid.cost_radius)
         with pytest.raises(ParameterError):
             oc.solve_entropic(rho, g, cost, eps_final=0.0)
+
+    def test_schedule_is_the_shared_ladder(self):
+        grid, rho, g = random_pair()
+        cost = power_cost(2.0, grid.cost_radius)
+        result = oc.solve_entropic(rho, g, cost, eps_final=1e-4)
+        cmax = float(oc._cost_matrix(cost, grid.cell_centers(), grid.cell_centers()).max())
+        assert result.meta["schedule"] == oc._eps_ladder(1e-4, cmax)
+        assert result.meta["schedule"] == [1e-4 * 4.0**k for k in range(4, -1, -1)]
+
+
+def _check_entropic(result):
+    assert result.meta["raw_marginal_residual"] <= 1e-7
+    assert result.gap >= oc._GAP_FLOOR
+    result.validate()
+
+
+_BATCH_2D = fivegrad.BatchSpec(seeds=(0,), d=2)
+
+
+class TestSolveEntropicRegressions:
+    """2-d batch pairs at the default width and ten times it; 11 of the 24 stalled overrelaxed."""
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-3])
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_8x8_batch_instances_converge(self, seed, p, eps):
+        rho, g = fivegrad.instance_densities(_BATCH_2D, seed, 8)
+        _check_entropic(oc.solve_entropic(rho, g, power_cost(p, rho.grid.cost_radius), eps))
+
+    def test_16x16_p15_seed1_converges(self):
+        rho, g = fivegrad.instance_densities(_BATCH_2D, 1, 16)
+        _check_entropic(oc.solve_entropic(rho, g, power_cost(1.5, rho.grid.cost_radius), 1e-4))
+
+
+@st.composite
+def smooth_instances(draw):
+    grid = Grid(2, 0.0, 1.0, (draw(st.integers(4, 5)), draw(st.integers(4, 5))))
+    rho = random_smooth_density(grid, draw(st.integers(0, 2**31 - 1)))
+    g = random_smooth_density(grid, draw(st.integers(0, 2**31 - 1)))
+    cost = power_cost(draw(st.sampled_from([1.5, 2.0, 3.0])), grid.cost_radius)
+    return rho, g, cost
+
+
+class TestSolveEntropicProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(instance=smooth_instances(), eps=st.sampled_from([1e-2, 1e-3]))
+    def test_2d(self, instance, eps):
+        rho, g, cost = instance
+        result = oc.solve_entropic(rho, g, cost, eps)
+        _check_entropic(result)
+        phi, _ = oc.canonical_pair(cost, result.phi, rho.grid, g.grid)
+        np.testing.assert_allclose(phi, result.phi, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.xfail(raises=ConvergenceError, strict=True,
+                       reason="zero-mass cells and tied costs: the mixed iterates drift "
+                              "along the (f + c, g - c) gauge until f loses its precision")
+    def test_degenerate_integer_weights(self):
+        grid = Grid(2, 0.0, 1.0, (5, 5))
+        rho = as_density(grid, np.array([[0, 5, 4, 5, 6], [5, 0, 1, 4, 4], [6, 2, 3, 1, 1],
+                                         [2, 6, 3, 3, 0], [1, 5, 3, 0, 3]], float)).normalized()
+        g = as_density(grid, np.array([[0, 5, 4, 5, 6], [5, 0, 1, 1, 2], [3, 4, 4, 6, 1],
+                                       [2, 6, 1, 3, 3], [0, 5, 3, 0, 2]], float)).normalized()
+        oc.solve_entropic(rho, g, power_cost(1.5, grid.cost_radius), 1e-3)
+
+
+class TestFixedPoint:
+    @staticmethod
+    def affine(A, c):
+        def step(x):
+            fx = A @ x + c
+            return fx, float(np.abs(fx - x).sum()), None
+        return step
+
+    def test_linear_map_near_unit_spectral_radius(self):
+        # the plain iteration contracts by 0.999 per sweep; the mixing solves
+        # the 3-d affine problem from a handful of differences
+        q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((3, 3)))
+        A = q @ np.diag([0.999, -0.6, 0.3]) @ q.T
+        c = np.array([1.0, -2.0, 0.5])
+        x, residual, sweeps, _ = oc._fixed_point(self.affine(A, c), np.zeros(3), 1e-10, 1000)
+        assert residual <= 1e-10
+        assert sweeps <= 20
+        np.testing.assert_allclose(x, np.linalg.solve(np.eye(3) - A, c), rtol=0.0, atol=1e-6)
+
+    def test_minus_inf_entries_pass_through(self):
+        # entry 0 is -inf in every update; entry 1 starts at -inf, which the
+        # map pulls back to a finite value
+        A = np.array([[0.9, 0.05, 0.0], [0.05, 0.8, 0.1], [0.0, 0.1, 0.7]])
+        c = np.array([1.0, 2.0, -1.0])
+
+        def step(x):
+            fx = np.full(4, -np.inf)
+            fx[1:] = A @ np.where(np.isfinite(x[1:]), x[1:], 0.0) + c
+            return fx, float(np.abs(fx[1:] - x[1:]).sum()), None
+
+        x0 = np.array([-np.inf, -np.inf, 0.0, 0.0])
+        x, residual, sweeps, _ = oc._fixed_point(step, x0, 1e-12, 200)
+        assert residual <= 1e-12
+        assert x[0] == -np.inf
+        np.testing.assert_allclose(x[1:], np.linalg.solve(np.eye(3) - A, c), rtol=1e-10)
+
+    def test_non_finite_mix_takes_the_plain_step(self, monkeypatch):
+        A = np.array([[0.5, 0.2], [0.1, 0.6]])
+        c = np.array([1.0, 1.0])
+        plain = [np.zeros(2)]
+        while np.abs(A @ plain[-1] + c - plain[-1]).sum() > 1e-10:
+            plain.append(A @ plain[-1] + c)
+        monkeypatch.setattr(np.linalg, "lstsq",
+                            lambda a, b, rcond=None: (np.full(a.shape[1], np.nan),))
+        x, residual, sweeps, _ = oc._fixed_point(self.affine(A, c), plain[0], 1e-10, 1000)
+        assert sweeps == len(plain)
+        np.testing.assert_array_equal(x, plain[-1])
+
+    def test_non_finite_residual_falls_back_to_plain_update(self):
+        # every mixed point reports a non-finite residual; _fixed_point must go
+        # back to the plain update it mixed from and still converge
+        A = np.array([[0.5, 0.2], [0.1, 0.6]])
+        c = np.array([1.0, 1.0])
+        calls, updates = [], []
+
+        def step(x):
+            mixed = bool(calls) and not any(np.array_equal(x, u) for u in updates)
+            calls.append(x)
+            updates.append(A @ x + c)
+            return updates[-1], math.inf if mixed else float(np.abs(updates[-1] - x).sum()), None
+
+        x, residual, _, _ = oc._fixed_point(step, np.zeros(2), 1e-10, 1000)
+        assert residual <= 1e-10
+        rejected = [k for k in range(1, len(calls))
+                    if not any(np.array_equal(calls[k], u) for u in updates[:k])]
+        assert rejected
+        for k in rejected:
+            np.testing.assert_array_equal(calls[k + 1], updates[k - 1])
 
 
 class TestTransportMap:
