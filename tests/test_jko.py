@@ -112,6 +112,7 @@ class TestConfigValidation:
             {"eps": 0.0},
             {"inner_tol": 0.0},
             {"max_inner": 0},
+            {"energy": "entropy"},
         ],
     )
     def test_rejects_out_of_range(self, overrides):
