@@ -272,13 +272,19 @@ def cmd_verify_5g(config: dict, out: Path, base_dir: Path, seed) -> int:
         raise ConfigError("batch spec is missing required key 'seeds'")
     _check_numbers(batch, "batch spec", True, ("d", "mode_count"), ("seeds", "n_values"))
     _check_numbers(batch, "batch spec", False, ("floor", "entropic_eps"), ("p_values", "q_values"))
+    bounds = batch.get("bounds")
+    if bounds is not None and (type(bounds) is not list or any(
+            type(pair) is not list or any(type(v) not in (int, float) for v in pair)
+            for pair in bounds)):
+        raise ConfigError("batch spec key 'bounds' must be null or a list of "
+                          f"[lo, hi] lists of real numbers, got {bounds!r}")
     kwargs = dict(batch)
     kwargs["seeds"] = tuple(kwargs["seeds"])
     for key in ("p_values", "q_values", "n_values"):
         if key in kwargs:
             kwargs[key] = tuple(kwargs[key])
-    if "bounds" in kwargs and kwargs["bounds"] is not None:
-        kwargs["bounds"] = tuple(tuple(pair) for pair in kwargs["bounds"])
+    if bounds is not None:
+        kwargs["bounds"] = tuple(tuple(pair) for pair in bounds)
     try:
         spec = BatchSpec(**kwargs)
     except OTLabError as exc:

@@ -11,6 +11,7 @@ T(x) = x - grad_h_star(grad phi(x)).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -135,12 +136,26 @@ def default_mass_threshold(grid: Grid) -> float:
 def _cost_matrix(cost: RadialCost, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Dense matrix h(x_i - y_j); raises if any pair leaves the cost ball."""
     diff = xs[:, None, :] - ys[None, :, :]
-    r = np.sqrt((diff**2).sum(axis=-1))
+    r = np.square(diff, out=diff).sum(axis=-1)  # in place: one (N, M, d) temporary
+    np.sqrt(r, out=r)
     if r.max() > cost.radius * (1.0 + 1e-9):
         raise DomainError(
             f"grid pair distance {r.max():.6g} exceeds the cost radius {cost.radius:.6g}"
         )
     return np.asarray(cost.profile(r), dtype=float)
+
+
+def _log_sum_exp(z: np.ndarray, axis: int) -> np.ndarray:
+    """log sum exp(z) along ``axis``, overwriting z.
+
+    Slices are shifted by their maximum unless it is infinite, so -inf
+    entries add nothing and an all -inf slice gives -inf.
+    """
+    zmax = z.max(axis=axis, keepdims=True)
+    zmax[~np.isfinite(zmax)] = 0.0
+    z -= zmax
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(z, out=z).sum(axis=axis)) + np.squeeze(zmax, axis)
 
 
 def softmin(cmat: np.ndarray, pot: np.ndarray, logw: np.ndarray, eps: float,
@@ -152,12 +167,30 @@ def softmin(cmat: np.ndarray, pot: np.ndarray, logw: np.ndarray, eps: float,
     nothing and an all ``-inf`` slice gives +inf.
     """
     shape = (-1, 1) if axis == 0 else (1, -1)
-    z = (pot.reshape(shape) - cmat) / eps + logw.reshape(shape)
-    zmax = z.max(axis=axis, keepdims=True)
-    zmax[~np.isfinite(zmax)] = 0.0
-    z -= zmax
-    with np.errstate(divide="ignore"):
-        return -eps * (np.log(np.exp(z, out=z).sum(axis=axis)) + zmax.reshape(-1))
+    return -eps * _log_sum_exp((pot.reshape(shape) - cmat) / eps + logw.reshape(shape), axis)
+
+
+def _axis_factors(source: Grid, target: Grid) -> list[np.ndarray]:
+    """Per-axis matrices (x_a,i - y_a,j)^2 / 2; on the product grids they sum to |x - y|^2 / 2."""
+    return [(source.axis_centers(a)[:, None] - target.axis_centers(a)[None, :]) ** 2 / 2.0
+            for a in range(source.d)]
+
+
+def _separable_softmin(factors: list[np.ndarray], pot: np.ndarray, logw: np.ndarray,
+                       eps: float, axis: int) -> np.ndarray:
+    """``softmin`` for the 2-d cost C = F_0 (+) F_1 given by its ``_axis_factors``.
+
+    The sum over the 2-d index runs as two batched 1-d sums, the last grid
+    axis first: p1 q2 (p2 + q1) terms in place of p1 p2 q1 q2. Each stage
+    keeps ``softmin``'s shift, so zero weights add nothing and an all
+    ``-inf`` slice gives +inf. ``axis`` is the axis of C summed over, as in
+    ``softmin``; for axis 1 the factors are transposed.
+    """
+    f0, f1 = factors if axis == 0 else (factors[0].T, factors[1].T)
+    p1, p2 = f0.shape[0], f1.shape[0]
+    z = (pot.reshape(p1, p2, 1) - f1) / eps + logw.reshape(p1, p2, 1)
+    w = _log_sum_exp(z, 1)  # (p1, q2)
+    return -eps * _log_sum_exp(w[:, None, :] - f0[:, :, None] / eps, 0).reshape(-1)
 
 
 def log_plan(cmat: np.ndarray, f: np.ndarray, g: np.ndarray, x_log: np.ndarray,
@@ -426,66 +459,77 @@ class _TransportationSimplex:
         return np.array(u), np.array(v)
 
     def duals(self) -> tuple[np.ndarray, np.ndarray]:
-        """u_i + v_j = c_ij on the basis tree, anchored at u_0 = 0."""
+        """u_i + v_j = c_ij on the basis tree, anchored at u_0 = 0.
+
+        The walk runs on plain floats from ``cmat.item``, the same IEEE
+        arithmetic as numpy scalars at a fraction of the cost; the stack
+        holds row k as k and column j as ~j.
+        """
         if self.rows_adj is None:
             self._build_tree()
-        u = np.full(self.m, np.nan)
-        v = np.full(self.n, np.nan)
+        cost = self.cmat.item
+        u: list[float | None] = [None] * self.m
+        v: list[float | None] = [None] * self.n
         u[0] = 0.0
-        stack = [("r", 0)]
+        stack = [0]
         while stack:
-            kind, k = stack.pop()
-            if kind == "r":
+            k = stack.pop()
+            if k >= 0:
+                uk = u[k]
                 for j in self.rows_adj[k]:
-                    if np.isnan(v[j]):
-                        v[j] = self.cmat[k, j] - u[k]
-                        stack.append(("c", j))
+                    if v[j] is None:
+                        v[j] = cost(k, j) - uk
+                        stack.append(~j)
             else:
-                for i in self.cols_adj[k]:
-                    if np.isnan(u[i]):
-                        u[i] = self.cmat[i, k] - v[k]
-                        stack.append(("r", i))
-        if np.isnan(u).any() or np.isnan(v).any():
+                j = ~k
+                vj = v[j]
+                for i in self.cols_adj[j]:
+                    if u[i] is None:
+                        u[i] = cost(i, j) - vj
+                        stack.append(i)
+        if None in u or None in v:
             raise OTLabError("basis tree is not spanning (internal bug)")
-        return u, v
+        return np.array(u), np.array(v)
 
     def _cycle(self, ei: int, ej: int) -> list[tuple[int, int]]:
-        """Unique alternating cycle closed by the entering cell (ei, ej)."""
+        """Unique alternating cycle closed by the entering cell (ei, ej).
+
+        A tree search from row ei records the tree neighbour each row and
+        column was reached from (``None``: not reached) and stops at
+        column ej; the stack holds row k as k and column j as ~j.
+        """
         if self.rows_adj is None:
             self._build_tree()
-        parent: dict[tuple[str, int], tuple[str, int, int, int]] = {}
-        start, goal = ("r", ei), ("c", ej)
-        stack = [start]
-        seen = {start}
-        while stack:
-            kind, k = stack.pop()
-            if (kind, k) == goal:
-                break
-            if kind == "r":
+        row_from: list[int | None] = [None] * self.m
+        col_from: list[int | None] = [None] * self.n
+        row_from[ei] = -1
+        stack = [ei]
+        while stack and col_from[ej] is None:
+            k = stack.pop()
+            if k >= 0:
                 for j in self.rows_adj[k]:
-                    node = ("c", j)
-                    if node not in seen:
-                        seen.add(node)
-                        parent[node] = ("r", k, k, j)
-                        stack.append(node)
+                    if col_from[j] is None:
+                        col_from[j] = k
+                        stack.append(~j)
             else:
-                for i in self.cols_adj[k]:
-                    node = ("r", i)
-                    if node not in seen:
-                        seen.add(node)
-                        parent[node] = ("c", k, i, k)
-                        stack.append(node)
-        if goal not in seen:
+                j = ~k
+                for i in self.cols_adj[j]:
+                    if row_from[i] is None:
+                        row_from[i] = j
+                        stack.append(i)
+        if col_from[ej] is None:
             raise OTLabError("entering cell closes no cycle (internal bug)")
-        path_cells = []
-        node = goal
-        while node != start:
-            kind, k, ci, cj = parent[node]
-            path_cells.append((ci, cj))
-            node = (kind, k)
         # walk order: entering cell, then tree path from the goal column
         # back to the entering row; signs alternate starting with +
-        return [(ei, ej)] + path_cells
+        cycle = [(ei, ej)]
+        j = ej
+        while True:
+            i = col_from[j]
+            cycle.append((i, j))
+            if i == ei:
+                return cycle
+            j = row_from[i]
+            cycle.append((i, j))
 
     def pivot_until_optimal(self, max_pivots: int) -> tuple[int, np.ndarray, np.ndarray]:
         """Pivot to optimality; returns the pivot count and the final duals u, v."""
@@ -605,6 +649,12 @@ def solve_entropic(rho: DensityField, g: DensityField, cost: RadialCost,
     canonicalized by one exact double c-transform, so they satisfy the same
     feasibility contract as the exact solvers while the coupling keeps its
     entropic blur.
+
+    On 2-d grids with the power cost p = 2 the sweeps run axis by axis
+    (``_separable_softmin`` on the per-axis factors of |x - y|^2 / 2);
+    every other solve uses the dense ``softmin``. The plan, the
+    c-transforms and ``validate`` use the dense cost matrix either way, and
+    ``meta["kernel"]`` records the path taken ("separable" or "dense").
     """
     if not eps_final > 0:
         raise ParameterError("eps_final must be positive")
@@ -617,11 +667,17 @@ def solve_entropic(rho: DensityField, g: DensityField, cost: RadialCost,
         logb = np.log(b)
     f = np.zeros_like(a)
 
+    if rho.grid.d == g.grid.d == 2 and cost.family == "power" and cost.exponent == 2.0:
+        factors = _axis_factors(rho.grid, g.grid)
+        kernel, sweep_softmin = "separable", partial(_separable_softmin, factors)
+    else:
+        kernel, sweep_softmin = "dense", partial(softmin, cmat)
+
     iterations = 0
     for level, eps in enumerate(schedule):
         def sweep(f):
-            gv = softmin(cmat, f, loga, eps, 0)
-            f_next = softmin(cmat, gv, logb, eps, 1)
+            gv = sweep_softmin(f, loga, eps, 0)
+            f_next = sweep_softmin(gv, logb, eps, 1)
             return f_next, _row_gap(a, f, f_next, eps), gv
 
         cap = max_iterations if level == len(schedule) - 1 else 200
@@ -649,6 +705,7 @@ def solve_entropic(rho: DensityField, g: DensityField, cost: RadialCost,
             "eps_final": eps_final,
             "schedule": list(schedule),
             "iterations": iterations,
+            "kernel": kernel,
             "raw_marginal_residual": residual,
         },
     )

@@ -81,6 +81,15 @@ class TestSolveOT:
         assert run_cli("solve-ot", "--config", cfg, "--out", out) == 0
         meta = read_meta(out / "meta")
         assert meta["solver"] == "entropic"
+        assert meta["kernel"] == "dense"
+
+    def test_entropic_2d_quadratic_meta_names_separable_kernel(self, tmp_path):
+        cfg = write_config(tmp_path, solve_config(
+            grid={"d": 2, "lower": [0.0, 0.0], "upper": [1.0, 1.0], "n": [6, 6]},
+            solver={"method": "entropic", "eps_final": 1e-2}))
+        out = tmp_path / "out"
+        assert run_cli("solve-ot", "--config", cfg, "--out", out) == 0
+        assert read_meta(out / "meta")["kernel"] == "separable"
 
     def test_rho_from_density_file(self, tmp_path):
         grid = Grid(1, 0.0, 1.0, 48)
@@ -287,6 +296,8 @@ class TestVerify5G:
         {"seeds": 5},
         {"seeds": [0], "mode_count": "3"},
         {"seeds": [0], "n_values": [16.5]},
+        {"seeds": [0], "bounds": 5},
+        {"seeds": [0], "bounds": [[0, "a"]]},
     ])
     def test_mistyped_batch_value_exits_2(self, tmp_path, capsys, batch):
         cfg = write_config(tmp_path, {"batch": {"n_values": [16], **batch}})
@@ -489,6 +500,7 @@ class TestCTransform:
 class TestShippedConfigs:
     @pytest.mark.parametrize("name,command", [
         ("solve_ot_example.json", "solve-ot"),
+        ("solve_ot_2d_entropic_example.json", "solve-ot"),
         ("verify_5g_example.json", "verify-5g"),
         ("jko_heat_example.json", "jko"),
         ("mollify_example.json", "mollify-study"),

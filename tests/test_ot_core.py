@@ -274,6 +274,52 @@ class TestStaircaseDuals:
         assert np.array_equal(u, want_u) and np.array_equal(v, want_v)
 
 
+def _numpy_tree_duals(simplex):
+    """Reference tree walk on numpy scalars and ``np.isnan``; ``duals()`` must match it bit for bit."""
+    u = np.full(simplex.m, np.nan)
+    v = np.full(simplex.n, np.nan)
+    u[0] = 0.0
+    stack = [("r", 0)]
+    while stack:
+        kind, k = stack.pop()
+        if kind == "r":
+            for j in simplex.rows_adj[k]:
+                if np.isnan(v[j]):
+                    v[j] = simplex.cmat[k, j] - u[k]
+                    stack.append(("c", j))
+        else:
+            for i in simplex.cols_adj[k]:
+                if np.isnan(u[i]):
+                    u[i] = simplex.cmat[i, k] - v[k]
+                    stack.append(("r", i))
+    return u, v
+
+
+class TestLPRegression:
+    """The 2-d 8x8 LP of the transport benchmark: seed 0, p = 2, a random pair."""
+
+    def test_pivots_and_duals_pinned(self, monkeypatch):
+        grid = Grid(2, [0.0, 0.0], [1.0, 1.0], [8, 8])
+        rho, g = random_smooth_density(grid, 0), random_smooth_density(grid, 1)
+        cost = power_cost(2.0, grid.cost_radius)
+        checked = []
+        scalar_duals = oc._TransportationSimplex.duals
+
+        def checked_duals(simplex):
+            u, v = scalar_duals(simplex)
+            want_u, want_v = _numpy_tree_duals(simplex)
+            assert np.array_equal(u, want_u) and np.array_equal(v, want_v)
+            checked.append(1)
+            return u, v
+
+        monkeypatch.setattr(oc._TransportationSimplex, "duals", checked_duals)
+        result = oc.solve_lp(rho, g, cost)
+        assert result.meta["pivots"] == 1783
+        assert len(checked) == 1783
+        assert result.primal == 0.00916843888957359
+        assert result.dual == 0.009168438889573596
+
+
 def _weights(size):
     # small integer weights give zero-mass cells and tied partial sums
     return st.lists(st.integers(0, 6), min_size=size, max_size=size).filter(any)
@@ -341,6 +387,83 @@ class TestSoftmin:
         assert got.shape == (n,)
         assert got[dead] == np.inf
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+class TestSeparableSoftmin:
+    """The axis-by-axis sweep of the 2-d quadratic cost against the dense ``softmin``."""
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("source, target", [
+        (Grid(2, 0.0, 1.0, 16), Grid(2, 0.0, 1.0, 16)),
+        (Grid(2, [0.0, -0.5], [1.0, 1.0], [8, 12]), Grid(2, [0.25, 0.0], [1.5, 0.75], [10, 6])),
+    ], ids=["16x16", "8x12-10x6"])
+    def test_matches_dense_kernel(self, source, target, axis):
+        cost = power_cost(2.0, 4.0)
+        cmat = oc._cost_matrix(cost, source.cell_centers(), target.cell_centers())
+        factors = oc._axis_factors(source, target)
+        summed = source if axis == 0 else target
+        rng = np.random.default_rng(summed.num_cells + axis)
+        eps = 1e-4  # (pot - C) / eps overflows exp without the shift
+        pot = rng.normal(scale=0.1, size=summed.num_cells)
+        logw = np.log(rng.uniform(0.5, 1.0, size=summed.shape))
+        logw[1, :] = -np.inf  # a zero-weight slice of the first stage
+        logw[3, 2] = -np.inf
+        # an infinite cost slice on the last axis: every output it reaches is +inf
+        if axis == 0:
+            factors[1][:, 4] = np.inf
+            cmat.reshape(*source.shape, *target.shape)[:, :, :, 4] = np.inf
+        else:
+            factors[1][4, :] = np.inf
+            cmat.reshape(*source.shape, *target.shape)[:, 4, :, :] = np.inf
+        want = oc.softmin(cmat, pot, logw.reshape(-1), eps, axis)
+        got = oc._separable_softmin(factors, pot, logw.reshape(-1), eps, axis)
+        dead = want == np.inf
+        assert got.shape == want.shape
+        assert dead.any() and np.array_equal(got == np.inf, dead)
+        assert np.isfinite(want[~dead]).all()
+        np.testing.assert_allclose(got[~dead], want[~dead], rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_all_zero_weights_give_inf(self, axis):
+        grid = Grid(2, 0.0, 1.0, (6, 5))
+        factors = oc._axis_factors(grid, grid)
+        logw = np.full(grid.num_cells, -np.inf)
+        got = oc._separable_softmin(factors, np.zeros(grid.num_cells), logw, 1e-3, axis)
+        assert np.array_equal(got, np.full(grid.num_cells, np.inf))
+
+
+class TestEntropicKernelDispatch:
+    """2-d p = 2 solves sweep axis by axis; every other solve uses the dense kernel."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"dense": 0, "separable": 0}
+        dense, separable = oc.softmin, oc._separable_softmin
+
+        def counted_dense(*args):
+            calls["dense"] += 1
+            return dense(*args)
+
+        def counted_separable(*args):
+            calls["separable"] += 1
+            return separable(*args)
+
+        monkeypatch.setattr(oc, "softmin", counted_dense)
+        monkeypatch.setattr(oc, "_separable_softmin", counted_separable)
+        return calls
+
+    @pytest.mark.parametrize("d, p, kernel", [
+        (2, 2.0, "separable"),
+        (2, 1.5, "dense"),
+        (1, 2.0, "dense"),
+    ])
+    def test_kernel_calls(self, calls, d, p, kernel):
+        grid = Grid(d, 0.0, 1.0, 6 if d == 2 else 32)
+        rho, g = random_smooth_density(grid, 1), random_smooth_density(grid, 2)
+        result = oc.solve_entropic(rho, g, power_cost(p, grid.cost_radius), 1e-2)
+        assert result.meta["kernel"] == kernel
+        other = "dense" if kernel == "separable" else "separable"
+        assert calls == {kernel: 2 * result.meta["iterations"], other: 0}
 
 
 class TestSolveEntropic:
