@@ -95,16 +95,19 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
-def _check_numbers(mapping: dict, where: str, integer: bool, scalars=(), lists=()) -> None:
-    """``scalars`` keys hold one JSON number, ``lists`` keys a list of them; bools never pass."""
+def _check_numbers(mapping: dict, where: str, integer: bool, scalars=(), lists=(),
+                   either=()) -> None:
+    """``scalars`` keys hold one JSON number, ``lists`` keys a list of them and
+    ``either`` keys one of the two forms; bools never pass."""
     numeric, one, several = (((int,), "an integer", "integers") if integer
                              else ((int, float), "a real number", "real numbers"))
-    for key in (k for k in (*scalars, *lists) if k in mapping):
-        many = key in lists
+    for key in (k for k in (*scalars, *lists, *either) if k in mapping):
+        many = key in lists or (key in either and type(mapping[key]) is list)
         values = mapping[key] if many else [mapping[key]]
         if type(values) is not list or any(type(v) not in numeric for v in values):
-            raise ConfigError(f"{where} key '{key}' must be "
-                              f"{'a list of ' + several if many else one}, got {mapping[key]!r}")
+            want = (f"{one} or a list of {several}" if key in either
+                    else "a list of " + several if many else one)
+            raise ConfigError(f"{where} key '{key}' must be {want}, got {mapping[key]!r}")
 
 
 def _load_config(path: str) -> dict:
@@ -132,8 +135,10 @@ def _grid_from_spec(spec: dict) -> Grid:
     lower = _require(spec, "lower", "grid spec")
     upper = _require(spec, "upper", "grid spec")
     n = _require(spec, "n", "grid spec")
+    _check_numbers(spec, "grid spec", True, ("d",), either=("n",))
+    _check_numbers(spec, "grid spec", False, either=("lower", "upper"))
     try:
-        return Grid(int(d), lower, upper, n)
+        return Grid(d, lower, upper, n)
     except OTLabError as exc:
         raise ConfigError(f"invalid grid spec: {exc}") from exc
 
@@ -242,9 +247,13 @@ def cmd_solve_ot(config: dict, out: Path, base_dir: Path, seed) -> int:
         raise ConfigError(f"unknown solver method {method!r}")
     if method != "entropic" and "eps_final" in solver_spec:
         raise ConfigError("eps_final only applies to the entropic solver")
+    _check_numbers(solver_spec, "solver spec", False, ("eps_final", "mass_threshold"))
+    write_map = config.get("write_map", True)
+    if type(write_map) is not bool:
+        raise ConfigError(
+            f"solve-ot config key 'write_map' must be true or false, got {write_map!r}")
 
-    threshold = solver_spec.get("mass_threshold")
-    threshold = default_mass_threshold(grid) if threshold is None else float(threshold)
+    threshold = float(solver_spec.get("mass_threshold", default_mass_threshold(grid)))
     map_field = None
     if method == "exact1d":
         result, map_field = solve_exact_1d(rho, g, cost, mass_threshold=threshold)
@@ -253,10 +262,10 @@ def cmd_solve_ot(config: dict, out: Path, base_dir: Path, seed) -> int:
     else:
         result = solve_entropic(rho, g, cost,
                                 eps_final=float(solver_spec.get("eps_final", 1e-4)))
-    if map_field is None and config.get("write_map", True):
+    if map_field is None and write_map:
         map_field = transport_map_from_potential(result.phi, cost, rho,
                                                  mass_threshold=threshold)
-    write_result_dir(out, result, map_field if config.get("write_map", True) else None)
+    write_result_dir(out, result, map_field if write_map else None)
     print(f"solve-ot: solver={result.solver} primal={result.primal:.12e} "
           f"gap={result.gap:.3e}")
     return _EXIT_OK

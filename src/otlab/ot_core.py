@@ -407,159 +407,141 @@ def solve_exact_1d(rho: DensityField, g: DensityField, cost: RadialCost,
 class _TransportationSimplex:
     """Dense transportation-problem solver: NW-corner start, MODI pivoting.
 
-    The basis is maintained as a spanning tree of the bipartite row/column
-    graph; entering variables are picked by smallest reduced cost index and
-    leaving ties broken by smallest index (Bland's rule, no cycling).
+    The basis is a spanning tree of the bipartite row/column graph, kept
+    rooted: nodes are rows ``0..m-1`` and columns ``m..m+n-1``, the root is
+    row 0 with u_0 = 0, and each node stores its parent, depth and dual
+    (``duals[:m]`` is u, ``duals[m:]`` is v). Entering cells are picked by
+    smallest reduced cost index and leaving ties broken by smallest index
+    (Bland's rule, no cycling).
 
-    The start basis is the north-west staircase of ``_monotone_plan``, and
-    its duals come from walking that staircase in order: each step adds one
-    row or one column, whose dual follows from the cell that reached it.
-    This gives every node the parent and the arithmetic of a tree search
-    from u_0 = 0, so the duals equal ``duals()`` bit for bit. The adjacency
-    sets that pivoting needs are built only when the first pivot comes; in
-    1-d the staircase is optimal (Hoffman 1963) and none does.
+    The start basis is the north-west staircase of ``_monotone_plan``;
+    walking it in order reaches each row or column from the cell that adds
+    it, which gives every node its parent. In 1-d the staircase is optimal
+    (Hoffman 1963) and no pivot comes. A pivot climbs parent pointers from
+    the entering cell's row and column to find the cycle, cuts the leaving
+    cell, hangs the cut-off subtree from the entering cell and re-walks only
+    that subtree. A dual is computed along its unique path from row 0,
+    parent first, as ``c_ij - dual[parent]``, so every node gets the bits a
+    full walk of the tree from row 0 would give it: re-walked nodes redo
+    that arithmetic and the others keep their path.
     """
 
     def __init__(self, cmat: np.ndarray, a: np.ndarray, b: np.ndarray):
         self.cmat = cmat
         self.m, self.n = cmat.shape
         self.x, self.path = _monotone_plan(a, b)
-        self.rows_adj: list[set[int]] | None = None
-        self.cols_adj: list[set[int]] | None = None
         self.tol = 1e-11 * (1.0 + float(np.abs(cmat).max()))
-
-    def _build_tree(self) -> None:
-        """Adjacency sets of the basis tree, seeded with the staircase."""
-        self.rows_adj = [set() for _ in range(self.m)]
-        self.cols_adj = [set() for _ in range(self.n)]
-        for i, j in self.path:
-            self._add(i, j)
-
-    def _add(self, i, j):
-        self.rows_adj[i].add(j)
-        self.cols_adj[j].add(i)
-
-    def _remove(self, i, j):
-        self.rows_adj[i].discard(j)
-        self.cols_adj[j].discard(i)
+        self.children: list[list[int]] | None = None  # built at the first pivot
 
     def staircase_duals(self) -> tuple[np.ndarray, np.ndarray]:
-        """u_i + v_j = c_ij on the start staircase, anchored at u_0 = 0."""
+        """u_i + v_j = c_ij on the start staircase, anchored at u_0 = 0.
+
+        Also roots the basis tree: sets ``parent`` (-1 at the root),
+        ``depth`` and ``duals``.
+        """
+        m = self.m
         ii, jj = np.array(self.path).T
         costs = self.cmat[ii, jj].tolist()
-        u = [0.0] * self.m
-        v = [0.0] * self.n
+        dual = [0.0] * (m + self.n)
+        parent = [-1] * (m + self.n)
+        depth = [0] * (m + self.n)
         prev_i = 0
         for i, j, c in zip(ii.tolist(), jj.tolist(), costs):
             if i != prev_i:  # a row step reaches row i through column j
-                u[i] = c - v[j]
+                node, up = i, m + j
                 prev_i = i
             else:  # the first cell or a column step reaches column j
-                v[j] = c - u[i]
-        return np.array(u), np.array(v)
+                node, up = m + j, i
+            dual[node] = c - dual[up]
+            parent[node] = up
+            depth[node] = depth[up] + 1
+        self.parent, self.depth = parent, depth
+        self.duals = np.array(dual)
+        return self.duals[:m], self.duals[m:]
 
-    def duals(self) -> tuple[np.ndarray, np.ndarray]:
-        """u_i + v_j = c_ij on the basis tree, anchored at u_0 = 0.
+    def _pivot(self, ei: int, ej: int) -> None:
+        """Bring cell (ei, ej) into the basis and drop the leaving cell."""
+        m, n, x = self.m, self.n, self.x
+        parent, depth = self.parent, self.depth
+        # the cycle: column ej and row ei climb to the node where they meet
+        up_col, up_row = [m + ej], [ei]
+        while depth[up_col[-1]] > depth[up_row[-1]]:
+            up_col.append(parent[up_col[-1]])
+        while depth[up_row[-1]] > depth[up_col[-1]]:
+            up_row.append(parent[up_row[-1]])
+        while up_col[-1] != up_row[-1]:
+            up_col.append(parent[up_col[-1]])
+            up_row.append(parent[up_row[-1]])
+        nodes = up_col + up_row[-2::-1]  # the tree path from column ej to row ei
+        cells = [(k, l - m) if k < m else (l, k - m) for k, l in zip(nodes, nodes[1:])]
+        # walk order: entering cell, then the path; signs alternate from +,
+        # so the path's even-indexed cells give up mass
+        theta = min(x[c] for c in cells[::2])
+        out = min(
+            (t for t in range(0, len(cells), 2) if x[cells[t]] == theta),
+            key=lambda t: cells[t][0] * n + cells[t][1],
+        )
+        x[ei, ej] += theta
+        for t, c in enumerate(cells):
+            x[c] += -theta if t % 2 == 0 else theta
+        x[cells[out]] = 0.0
+        # cut the leaving cell below its upper node; the cut-off subtree
+        # holds column ej if the cell is on its climb, else row ei
+        if out < len(up_col) - 1:
+            cut, inside, outside = nodes[out], m + ej, ei
+        else:
+            cut, inside, outside = nodes[out + 1], ei, m + ej
+        if self.children is None:
+            self.children = [[] for _ in parent]
+            for k, up in enumerate(parent[1:], 1):
+                self.children[up].append(k)
+        children = self.children
+        children[parent[cut]].remove(cut)
+        # re-root the subtree at `inside` (reverse its path up to `cut`)
+        # and hang it from `outside` through the entering cell
+        k, up = inside, outside
+        while True:
+            old_up = parent[k]
+            parent[k] = up
+            children[up].append(k)
+            if k == cut:
+                break
+            children[old_up].remove(k)
+            k, up = old_up, k
+        self._rewalk(inside)
 
-        The walk runs on plain floats from ``cmat.item``, the same IEEE
-        arithmetic as numpy scalars at a fraction of the cost; the stack
-        holds row k as k and column j as ~j.
-        """
-        if self.rows_adj is None:
-            self._build_tree()
-        cost = self.cmat.item
-        u: list[float | None] = [None] * self.m
-        v: list[float | None] = [None] * self.n
-        u[0] = 0.0
-        stack = [0]
+    def _rewalk(self, top: int) -> None:
+        """Depths and duals of the subtree under ``top``, parents first."""
+        m, parent, depth, children = self.m, self.parent, self.depth, self.children
+        duals, dual, cost = self.duals, self.duals.item, self.cmat.item
+        stack = [top]
         while stack:
             k = stack.pop()
-            if k >= 0:
-                uk = u[k]
-                for j in self.rows_adj[k]:
-                    if v[j] is None:
-                        v[j] = cost(k, j) - uk
-                        stack.append(~j)
-            else:
-                j = ~k
-                vj = v[j]
-                for i in self.cols_adj[j]:
-                    if u[i] is None:
-                        u[i] = cost(i, j) - vj
-                        stack.append(i)
-        if None in u or None in v:
-            raise OTLabError("basis tree is not spanning (internal bug)")
-        return np.array(u), np.array(v)
-
-    def _cycle(self, ei: int, ej: int) -> list[tuple[int, int]]:
-        """Unique alternating cycle closed by the entering cell (ei, ej).
-
-        A tree search from row ei records the tree neighbour each row and
-        column was reached from (``None``: not reached) and stops at
-        column ej; the stack holds row k as k and column j as ~j.
-        """
-        if self.rows_adj is None:
-            self._build_tree()
-        row_from: list[int | None] = [None] * self.m
-        col_from: list[int | None] = [None] * self.n
-        row_from[ei] = -1
-        stack = [ei]
-        while stack and col_from[ej] is None:
-            k = stack.pop()
-            if k >= 0:
-                for j in self.rows_adj[k]:
-                    if col_from[j] is None:
-                        col_from[j] = k
-                        stack.append(~j)
-            else:
-                j = ~k
-                for i in self.cols_adj[j]:
-                    if row_from[i] is None:
-                        row_from[i] = j
-                        stack.append(i)
-        if col_from[ej] is None:
-            raise OTLabError("entering cell closes no cycle (internal bug)")
-        # walk order: entering cell, then tree path from the goal column
-        # back to the entering row; signs alternate starting with +
-        cycle = [(ei, ej)]
-        j = ej
-        while True:
-            i = col_from[j]
-            cycle.append((i, j))
-            if i == ei:
-                return cycle
-            j = row_from[i]
-            cycle.append((i, j))
+            up = parent[k]
+            duals[k] = (cost(k, up - m) if k < m else cost(up, k - m)) - dual(up)
+            depth[k] = depth[up] + 1
+            stack.extend(children[k])
 
     def pivot_until_optimal(self, max_pivots: int) -> tuple[int, np.ndarray, np.ndarray]:
         """Pivot to optimality; returns the pivot count and the final duals u, v."""
         pivots = 0
-        u, v = self.staircase_duals()
+        u, v = self.staircase_duals()  # views of ``duals``, which each pivot updates in place
+        reduced = self.cmat - u[:, None] - v[None, :]
+        negative = reduced < -self.tol
         while True:
-            reduced = self.cmat - u[:, None] - v[None, :]
-            candidates = np.argwhere(reduced < -self.tol)
-            if candidates.size == 0:
+            k = int(negative.argmax())  # the first True in row-major order
+            if not negative.flat[k]:
                 return pivots, u, v
             if pivots >= max_pivots:
                 raise ConvergenceError(
                     "transportation simplex exceeded its pivot budget",
                     residual=float(-reduced.min()),
                 )
-            ei, ej = map(int, candidates[0])  # argwhere is row-major sorted
-            cycle = self._cycle(ei, ej)
-            minus = cycle[1::2]
-            theta = min(self.x[c] for c in minus)
-            leaving = min(
-                (c for c in minus if self.x[c] == theta),
-                key=lambda c: c[0] * self.n + c[1],
-            )
-            for idx, c in enumerate(cycle):
-                self.x[c] += theta if idx % 2 == 0 else -theta
-            self.x[leaving] = 0.0
-            self._remove(*leaving)
-            self._add(ei, ej)
+            self._pivot(*divmod(k, self.n))
             pivots += 1
-            u, v = self.duals()
+            np.subtract(self.cmat, u[:, None], out=reduced)
+            np.subtract(reduced, v[None, :], out=reduced)
+            np.less(reduced, -self.tol, out=negative)
 
 
 def solve_lp(rho: DensityField, g: DensityField, cost: RadialCost,

@@ -74,6 +74,38 @@ class TestSolveOT:
         assert run_cli("solve-ot", "--config", cfg, "--out", out) == 0
         assert not (out / "map.csv").exists()
 
+    @pytest.mark.parametrize("grid", [
+        {"n": 16.5},
+        {"n": "16"},
+        {"d": 1.0},
+        {"lower": "0"},
+        {"d": 2, "lower": [0.0, 0.0], "upper": [1.0, True], "n": [8, 8]},
+        {"d": 2, "lower": [0.0, 0.0], "upper": [1.0, 1.0], "n": [8, 8.5]},
+    ])
+    def test_mistyped_grid_value_exits_2(self, tmp_path, capsys, grid):
+        cfg = write_config(tmp_path, solve_config(
+            grid={"d": 1, "lower": 0.0, "upper": 1.0, "n": 48, **grid}))
+        assert run_cli("solve-ot", "--config", cfg, "--out", tmp_path / "out") == 2
+        assert "grid spec key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("solver", [
+        {"method": "exact1d", "mass_threshold": "abc"},
+        {"method": "entropic", "eps_final": "x"},
+        {"method": "entropic", "eps_final": True},
+    ])
+    def test_mistyped_solver_value_exits_2(self, tmp_path, capsys, solver):
+        cfg = write_config(tmp_path, solve_config(solver=solver))
+        assert run_cli("solve-ot", "--config", cfg, "--out", tmp_path / "out") == 2
+        assert "solver spec key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("write_map", ["no", 0, None])
+    def test_mistyped_write_map_exits_2(self, tmp_path, capsys, write_map):
+        cfg = write_config(tmp_path, solve_config(write_map=write_map))
+        out = tmp_path / "out"
+        assert run_cli("solve-ot", "--config", cfg, "--out", out) == 2
+        assert "write_map" in capsys.readouterr().err
+        assert not (out / "map.csv").exists()
+
     def test_entropic_solver_dispatch(self, tmp_path):
         cfg = write_config(tmp_path, solve_config(
             solver={"method": "entropic", "eps_final": 1e-4}))
@@ -474,6 +506,16 @@ class TestCTransform:
         want = c_transform(cost, values, grid, grid)
         assert np.allclose(got, want, atol=0.0)
 
+    def test_mistyped_eval_grid_exits_2(self, tmp_path, capsys):
+        write_field_csv(tmp_path / "pot.csv", Grid(1, 0.0, 1.0, 32), np.zeros(32))
+        cfg = write_config(tmp_path, {
+            "cost": {"family": "power", "p": 2.0},
+            "potential_csv": "pot.csv",
+            "eval_grid": {"d": 1, "lower": 0.0, "upper": 1.0, "n": 16.5},
+        })
+        assert run_cli("ctransform", "--config", cfg, "--out", tmp_path / "out") == 2
+        assert "grid spec key 'n'" in capsys.readouterr().err
+
     def test_separate_eval_grid(self, tmp_path):
         grid = Grid(1, 0.0, 1.0, 32)
         write_field_csv(tmp_path / "pot.csv", grid,
@@ -501,6 +543,7 @@ class TestShippedConfigs:
     @pytest.mark.parametrize("name,command", [
         ("solve_ot_example.json", "solve-ot"),
         ("solve_ot_2d_entropic_example.json", "solve-ot"),
+        ("solve_ot_2d_lp_example.json", "solve-ot"),
         ("verify_5g_example.json", "verify-5g"),
         ("jko_heat_example.json", "jko"),
         ("mollify_example.json", "mollify-study"),

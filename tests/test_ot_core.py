@@ -240,13 +240,57 @@ class TestSolveLP:
             oc.solve_lp(rho, heavier, cost)
 
 
+def _numpy_tree_duals(cmat, cells):
+    """Reference walk of the basis tree spanned by ``cells`` from u_0 = 0, on numpy scalars.
+
+    Unreached rows and columns stay NaN.
+    """
+    m, n = cmat.shape
+    rows = [[] for _ in range(m)]
+    cols = [[] for _ in range(n)]
+    for i, j in cells:
+        rows[i].append(j)
+        cols[j].append(i)
+    u = np.full(m, np.nan)
+    v = np.full(n, np.nan)
+    u[0] = 0.0
+    stack = [("r", 0)]
+    while stack:
+        kind, k = stack.pop()
+        if kind == "r":
+            for j in rows[k]:
+                if np.isnan(v[j]):
+                    v[j] = cmat[k, j] - u[k]
+                    stack.append(("c", j))
+        else:
+            for i in cols[k]:
+                if np.isnan(u[i]):
+                    u[i] = cmat[i, k] - v[k]
+                    stack.append(("r", i))
+    return u, v
+
+
+def _basis_cells(simplex):
+    """The cells of the rooted basis tree: one per node below the root."""
+    m = simplex.m
+    return [(k, up - m) if k < m else (up, k - m)
+            for k, up in enumerate(simplex.parent) if up >= 0]
+
+
 class TestStaircaseDuals:
-    """The start duals walked off the staircase equal the tree search bit for bit."""
+    """The start duals walked off the staircase equal a tree search bit for bit."""
 
     @staticmethod
     def simplex(cost, source, target, a, b):
         cmat = oc._cost_matrix(cost, source.cell_centers(), target.cell_centers())
         return oc._TransportationSimplex(cmat, np.asarray(a, float), np.asarray(b, float))
+
+    @staticmethod
+    def check(simplex):
+        u, v = simplex.staircase_duals()
+        assert sorted(_basis_cells(simplex)) == sorted(simplex.path)
+        want_u, want_v = _numpy_tree_duals(simplex.cmat, simplex.path)
+        assert np.array_equal(u, want_u) and np.array_equal(v, want_v)
 
     @pytest.mark.parametrize("a, b", [
         # equal partial sums: the fill empties a row and a column at once
@@ -259,65 +303,60 @@ class TestStaircaseDuals:
         simplex = self.simplex(power_cost(1.5, 1.0), source, target, a, b)
         assert len(simplex.path) == len(a) + len(b) - 1
         assert any(simplex.x[cell] == 0.0 for cell in simplex.path)
-        u, v = simplex.staircase_duals()
-        want_u, want_v = simplex.duals()
-        assert np.array_equal(u, want_u) and np.array_equal(v, want_v)
+        self.check(simplex)
 
     @pytest.mark.parametrize("d, n", [(1, 96), (2, 8)])
     def test_random_marginals(self, d, n):
         grid = Grid(d, 0.0, 1.0, n)
         a = random_smooth_density(grid, 3).values.reshape(-1) * grid.cell_volume
         b = random_smooth_density(grid, 4).values.reshape(-1) * grid.cell_volume
-        simplex = self.simplex(power_cost(3.0, grid.cost_radius), grid, grid, a, b * (a.sum() / b.sum()))
-        u, v = simplex.staircase_duals()
-        want_u, want_v = simplex.duals()
-        assert np.array_equal(u, want_u) and np.array_equal(v, want_v)
-
-
-def _numpy_tree_duals(simplex):
-    """Reference tree walk on numpy scalars and ``np.isnan``; ``duals()`` must match it bit for bit."""
-    u = np.full(simplex.m, np.nan)
-    v = np.full(simplex.n, np.nan)
-    u[0] = 0.0
-    stack = [("r", 0)]
-    while stack:
-        kind, k = stack.pop()
-        if kind == "r":
-            for j in simplex.rows_adj[k]:
-                if np.isnan(v[j]):
-                    v[j] = simplex.cmat[k, j] - u[k]
-                    stack.append(("c", j))
-        else:
-            for i in simplex.cols_adj[k]:
-                if np.isnan(u[i]):
-                    u[i] = simplex.cmat[i, k] - v[k]
-                    stack.append(("r", i))
-    return u, v
+        cost = power_cost(3.0, grid.cost_radius)
+        self.check(self.simplex(cost, grid, grid, a, b * (a.sum() / b.sum())))
 
 
 class TestLPRegression:
     """The 2-d 8x8 LP of the transport benchmark: seed 0, p = 2, a random pair."""
 
-    def test_pivots_and_duals_pinned(self, monkeypatch):
+    @staticmethod
+    def instance():
         grid = Grid(2, [0.0, 0.0], [1.0, 1.0], [8, 8])
-        rho, g = random_smooth_density(grid, 0), random_smooth_density(grid, 1)
         cost = power_cost(2.0, grid.cost_radius)
+        return random_smooth_density(grid, 0), random_smooth_density(grid, 1), cost
+
+    def test_pivots_and_duals_pinned(self, monkeypatch):
         checked = []
-        scalar_duals = oc._TransportationSimplex.duals
+        rewalk = oc._TransportationSimplex._rewalk
 
-        def checked_duals(simplex):
-            u, v = scalar_duals(simplex)
-            want_u, want_v = _numpy_tree_duals(simplex)
-            assert np.array_equal(u, want_u) and np.array_equal(v, want_v)
+        def checked_rewalk(simplex, top):
+            rewalk(simplex, top)
+            m, n = simplex.m, simplex.n
+            cells = _basis_cells(simplex)
+            assert len(set(cells)) == m + n - 1
+            assert all(simplex.depth[k] == simplex.depth[up] + 1
+                       for k, up in enumerate(simplex.parent) if up >= 0)
+            u, v = _numpy_tree_duals(simplex.cmat, cells)
+            assert not (np.isnan(u).any() or np.isnan(v).any())  # the basis spans
+            assert np.array_equal(simplex.duals[:m], u) and np.array_equal(simplex.duals[m:], v)
+            basis = np.zeros((m, n), dtype=bool)
+            basis[tuple(np.array(cells).T)] = True
+            assert not (simplex.x > 0)[~basis].any()
             checked.append(1)
-            return u, v
 
-        monkeypatch.setattr(oc._TransportationSimplex, "duals", checked_duals)
-        result = oc.solve_lp(rho, g, cost)
+        monkeypatch.setattr(oc._TransportationSimplex, "_rewalk", checked_rewalk)
+        result = oc.solve_lp(*self.instance())
         assert result.meta["pivots"] == 1783
         assert len(checked) == 1783
         assert result.primal == 0.00916843888957359
         assert result.dual == 0.009168438889573596
+
+    def test_pivot_budget_raises_with_residual(self):
+        rho, g, cost = self.instance()
+        a, b = oc._marginals(rho, g)
+        cmat = oc._cost_matrix(cost, rho.grid.cell_centers(), g.grid.cell_centers())
+        simplex = oc._TransportationSimplex(cmat, a, b)
+        with pytest.raises(ConvergenceError) as info:
+            simplex.pivot_until_optimal(max_pivots=5)
+        assert math.isfinite(info.value.residual) and info.value.residual > 0.0
 
 
 def _weights(size):
@@ -359,6 +398,33 @@ class TestSolveLPProperties:
     @given(instance=lp_instances(d=2))
     def test_2d(self, instance):
         _check_lp(oc.solve_lp(*instance))
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_2d_rectangular_matches_highs(self, data):
+        # source and target grids of different cell counts: m != n rows and columns
+        shapes = st.tuples(st.integers(4, 5), st.integers(4, 5))
+        source = Grid(2, 0.0, 1.0, data.draw(shapes))
+        target = Grid(2, 0.0, 1.0,
+                      data.draw(shapes.filter(lambda s: s[0] * s[1] != source.num_cells)))
+        rho, g = (as_density(grid, np.reshape(data.draw(_weights(grid.num_cells)), grid.shape)).normalized()
+                  for grid in (source, target))
+        cost = power_cost(data.draw(st.sampled_from([1.5, 2.0, 3.0])),
+                          max(source.cost_radius, target.cost_radius))
+        result = oc.solve_lp(rho, g, cost)
+        _check_lp(result)
+
+        from scipy.optimize import linprog
+
+        a, b = oc._marginals(rho, g)
+        m, n = len(a), len(b)
+        cmat = oc._cost_matrix(cost, source.cell_centers(), target.cell_centers())
+        rows = np.kron(np.eye(m), np.ones(n))
+        cols = np.kron(np.ones(m), np.eye(n))
+        highs = linprog(cmat.reshape(-1), A_eq=np.vstack([rows, cols]),
+                        b_eq=np.concatenate([a, b]), bounds=(0, None), method="highs")
+        assert highs.status == 0
+        assert abs(result.primal - highs.fun) <= 1e-9 * abs(highs.fun)
 
 
 class TestSoftmin:
