@@ -8,9 +8,11 @@ Subcommands (``otlab <name> --config file.json --out dir``):
 - ``mollify-study``  cost-mollification map convergence, CSV
 - ``ctransform``     c-transform of a potential stored in a field CSV
 
-Configs are JSON objects with a strict schema: unknown keys anywhere are
-rejected (exit 2), so a typo cannot silently fall back to a default.
-Relative paths inside a config resolve against the config file's directory.
+Configs are JSON objects checked once against the strict schema below:
+an unknown key, a missing key or a value of the wrong JSON type anywhere
+exits 2 with its key path named, so a typo is never read as a default or
+cast into another value. Relative paths inside a config resolve against
+the config file's directory.
 A top-level ``"seed"`` (overridable with ``--seed``) feeds any density spec
 of kind "random" that does not carry its own seed. Outputs are pure
 functions of (config, seed): reruns produce byte-identical files, and every
@@ -27,14 +29,15 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
-from .cost import cost_from_config
+from .cost import RadialCost, power_cost, tabulated_cost
 from .errors import ConfigError, OTLabError
 from .fivegrad import (
     BatchSpec,
@@ -54,10 +57,12 @@ from .geometry import (
     write_rows,
 )
 from .jko import (
+    Energy,
     JKOConfig,
     aligned_dt,
-    energy_from_config,
+    entropy_energy,
     jko_vs_pde_report,
+    power_energy,
     run_jko,
     write_trajectory_dir,
 )
@@ -78,50 +83,161 @@ _EXIT_FAILED = 4
 
 
 # ---------------------------------------------------------------------------
-# config plumbing
+# config schema: every key of every config and its JSON type, in one place
 
 
-def _check_keys(mapping: dict, allowed: set, where: str) -> None:
-    if not isinstance(mapping, dict):
-        raise ConfigError(f"{where} must be a mapping")
-    unknown = set(mapping) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+def _where(name: str, path: tuple) -> str:
+    """Names a section or key in an error message, with its key path if nested."""
+    return f"{name} at '{'.'.join(path)}'" if path else name
 
 
-def _require(mapping: dict, key: str, where: str):
-    if key not in mapping:
-        raise ConfigError(f"{where} is missing required key '{key}'")
-    return mapping[key]
+@dataclass(frozen=True)
+class _Type:
+    """A JSON value type: ``accepts`` tests a value, ``want``/``plural`` name the type."""
+
+    accepts: Callable[[object], bool]
+    want: str
+    plural: str
 
 
-def _check_numbers(mapping: dict, where: str, integer: bool, scalars=(), lists=(),
-                   either=()) -> None:
-    """``scalars`` keys hold one JSON number, ``lists`` keys a list of them and
-    ``either`` keys one of the two forms; bools never pass."""
-    numeric, one, several = (((int,), "an integer", "integers") if integer
-                             else ((int, float), "a real number", "real numbers"))
-    for key in (k for k in (*scalars, *lists, *either) if k in mapping):
-        many = key in lists or (key in either and type(mapping[key]) is list)
-        values = mapping[key] if many else [mapping[key]]
-        if type(values) is not list or any(type(v) not in numeric for v in values):
-            want = (f"{one} or a list of {several}" if key in either
-                    else "a list of " + several if many else one)
-            raise ConfigError(f"{where} key '{key}' must be {want}, got {mapping[key]!r}")
+@dataclass(frozen=True)
+class _Nullable:
+    item: object  # JSON null or a value of this spec
+
+
+@dataclass(frozen=True)
+class _Section:
+    """A JSON object with some of ``keys`` and all of ``required``; a tagged section maps
+    each value of its string key ``tag`` (absent: ``default``) to a variant section."""
+
+    name: str
+    keys: dict
+    required: tuple = ()
+    tag: str | None = None
+    default: str | None = None
+
+
+def _check(spec, value, path: tuple, where: str) -> None:
+    """Raise ConfigError if ``value``, found at key ``path``, does not fit ``spec``."""
+    if isinstance(spec, _Nullable):
+        if value is not None:
+            _check(spec.item, value, path, where)
+    elif isinstance(spec, _Type):
+        if not spec.accepts(value):
+            raise ConfigError(f"{where} must be {spec.want}, got {value!r}")
+    elif type(value) is not dict:
+        raise ConfigError(f"{where} must be a mapping, got {value!r}")
+    elif spec.tag is not None:
+        if spec.tag not in value and spec.default is None:
+            raise ConfigError(f"{_where(spec.name, path)} is missing required key '{spec.tag}'")
+        choice = value.get(spec.tag, spec.default)
+        if type(choice) is not str or choice not in spec.keys:
+            at = _where(f"{spec.name} key '{spec.tag}'", (*path, spec.tag))
+            raise ConfigError(f"{at} must be one of {sorted(spec.keys)}, got {choice!r}")
+        rest = {key: item for key, item in value.items() if key != spec.tag}
+        _check(spec.keys[choice], rest, path, where)
+    else:
+        here = _where(spec.name, path)
+        unknown = sorted(set(value) - set(spec.keys))
+        if unknown:
+            raise ConfigError(f"unknown keys in {here}: {unknown}")
+        missing = [key for key in spec.required if key not in value]
+        if missing:
+            raise ConfigError(f"{here} is missing required key '{missing[0]}'")
+        for key, item in value.items():
+            sub = (*path, key)
+            _check(spec.keys[key], item, sub,
+                   _where(f"{spec.name} key '{key}'", sub if path else ()))
+
+
+# exact type matches: a JSON bool is a Python int but never passes as a number
+_INT = _Type(lambda v: type(v) is int, "an integer", "integers")
+_REAL = _Type(lambda v: type(v) in (int, float), "a real number", "real numbers")
+_BOOL = _Type(lambda v: type(v) is bool, "true or false", "booleans")
+_STR = _Type(lambda v: type(v) is str, "a string", "strings")
+
+
+def _list_of(item: _Type) -> _Type:
+    return _Type(lambda v: type(v) is list and all(map(item.accepts, v)),
+                 f"a list of {item.plural}", f"lists of {item.plural}")
+
+
+def _one_or_list(item: _Type) -> _Type:
+    many = _list_of(item)
+    return _Type(lambda v: item.accepts(v) or many.accepts(v),
+                 f"{item.want} or {many.want}", f"{item.plural} or {many.plural}")
+
+
+def _tagged(name: str, tag: str, variants: dict, default: str | None = None) -> _Section:
+    """Tagged section whose variants are ``{value: (keys, required)}``."""
+    return _Section(name, {value: _Section(f"{value} {name}", keys, required)
+                           for value, (keys, required) in variants.items()},
+                    tag=tag, default=default)
+
+
+def _density(label: str) -> _Section:
+    return _tagged(f"{label} spec", "kind", {
+        "uniform": ({}, ()),
+        "random": ({"seed": _INT, "mode_count": _INT, "floor": _REAL}, ()),
+        "bump": ({"floor": _REAL, "sharpness": _REAL, "center": _one_or_list(_REAL)}, ()),
+        "file": ({"path": _STR}, ("path",)),
+    })
+
+
+_GRID = _Section("grid spec", {
+    "d": _INT, "lower": _one_or_list(_REAL), "upper": _one_or_list(_REAL),
+    "n": _one_or_list(_INT)}, ("d", "lower", "upper", "n"))
+_COST = _tagged("cost spec", "family", {
+    "power": ({"p": _REAL}, ("p",)),
+    "tabulated": ({"radii": _list_of(_REAL), "values": _list_of(_REAL)}, ("radii", "values")),
+})
+_SOLVER = _tagged("solver spec", "method", {
+    "exact1d": ({"mass_threshold": _REAL}, ()),
+    "lp": ({"mass_threshold": _REAL}, ()),
+    "entropic": ({"eps_final": _REAL, "mass_threshold": _REAL}, ()),
+}, default="exact1d")
+
+_SOLVE_OT_CONFIG = _Section("solve-ot config", {
+    "seed": _INT, "grid": _GRID, "cost": _COST, "rho": _density("rho"),
+    "g": _density("g"), "solver": _SOLVER, "write_map": _BOOL,
+}, ("grid", "cost", "rho", "g"))
+_BATCH = _Section("batch spec", {
+    "seeds": _list_of(_INT), "p_values": _list_of(_REAL), "q_values": _list_of(_REAL),
+    "n_values": _list_of(_INT), "d": _INT, "solver": _STR,
+    "bounds": _Nullable(_list_of(_list_of(_REAL))), "floor": _REAL, "mode_count": _INT,
+    "entropic_eps": _REAL}, ("seeds",))
+_VERIFY_5G_CONFIG = _Section("verify-5g config", {"seed": _INT, "batch": _BATCH}, ("batch",))
+_JKO_CONFIG = _Section("jko config", {
+    "seed": _INT, "grid": _GRID, "rho0": _density("rho0"),
+    "scheme": _Section("scheme spec", {
+        "p": _REAL, "tau": _REAL, "steps": _INT, "eps": _REAL, "inner_tol": _REAL,
+        "max_inner": _INT, "energy": _tagged("energy spec", "kind", {
+            "entropy": ({}, ()), "power": ({"m": _REAL}, ("m",))}),
+    }, ("p", "tau", "steps", "energy")),
+    "write_densities": _BOOL,
+    "compare_pde": _Nullable(_Section("compare_pde spec", {
+        "dt": _Nullable(_REAL), "refine": _BOOL})),
+}, ("grid", "rho0", "scheme"))
+_MOLLIFY_STUDY_CONFIG = _Section("mollify-study config", {
+    "seed": _INT, "grid": _GRID, "cost": _COST, "rho": _density("rho"),
+    "g": _density("g"), "eps_sequence": _list_of(_REAL), "solver": _STR,
+}, ("grid", "cost", "rho", "g", "eps_sequence"))
+_CTRANSFORM_CONFIG = _Section("ctransform config", {
+    "seed": _INT, "cost": _COST, "potential_csv": _STR, "eval_grid": _GRID,
+}, ("cost", "potential_csv"))
+
+
+# ---------------------------------------------------------------------------
+# config loading and builders from checked config values
 
 
 def _load_config(path: str) -> dict:
     try:
-        text = Path(path).read_text()
+        return json.loads(Path(path).read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        config = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8 or not JSON
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(config, dict):
-        raise ConfigError("config root must be a JSON object")
-    return config
 
 
 def _config_hash(config: dict) -> str:
@@ -130,79 +246,70 @@ def _config_hash(config: dict) -> str:
 
 
 def _grid_from_spec(spec: dict) -> Grid:
-    _check_keys(spec, {"d", "lower", "upper", "n"}, "grid spec")
-    d = _require(spec, "d", "grid spec")
-    lower = _require(spec, "lower", "grid spec")
-    upper = _require(spec, "upper", "grid spec")
-    n = _require(spec, "n", "grid spec")
-    _check_numbers(spec, "grid spec", True, ("d",), either=("n",))
-    _check_numbers(spec, "grid spec", False, either=("lower", "upper"))
     try:
-        return Grid(d, lower, upper, n)
+        return Grid(spec["d"], spec["lower"], spec["upper"], spec["n"])
     except OTLabError as exc:
         raise ConfigError(f"invalid grid spec: {exc}") from exc
 
 
+def _cost_from_spec(spec: dict, radius: float) -> RadialCost:
+    family = spec["family"]
+    try:
+        if family == "power":
+            return power_cost(spec["p"], radius)
+        return tabulated_cost(spec["radii"], spec["values"], radius)
+    except OTLabError as exc:
+        raise ConfigError(f"invalid {family} cost spec: {exc}") from exc
+
+
+def _energy_from_spec(spec: dict) -> Energy:
+    return power_energy(spec["m"]) if spec["kind"] == "power" else entropy_energy()
+
+
 def _density_from_spec(spec: dict, grid: Grid, base_dir: Path,
                        default_seed, label: str) -> DensityField:
-    _check_keys(spec, {"kind", "seed", "mode_count", "floor", "sharpness",
-                       "center", "path"}, f"{label} spec")
-    kind = _require(spec, "kind", f"{label} spec")
+    kind = spec["kind"]
     if kind == "uniform":
-        _check_keys(spec, {"kind"}, f"uniform {label} spec")
         volume = float(np.prod([hi - lo for lo, hi in zip(grid.lower, grid.upper)]))
         return DensityField(grid, np.full(grid.shape, 1.0 / volume))
     if kind == "random":
-        _check_keys(spec, {"kind", "seed", "mode_count", "floor"}, f"random {label} spec")
         seed = spec.get("seed", default_seed)
         if seed is None:
-            raise ConfigError(
-                f"random {label} spec needs a 'seed' (or a top-level config seed)")
+            raise ConfigError(f"random {label} spec needs a 'seed' (or a top-level config seed)")
         try:
-            return random_smooth_density(grid, int(seed),
-                                         mode_count=int(spec.get("mode_count", 3)),
-                                         floor=float(spec.get("floor", 0.1)))
+            return random_smooth_density(grid, seed, mode_count=spec.get("mode_count", 3),
+                                         floor=spec.get("floor", 0.1))
         except OTLabError as exc:
             raise ConfigError(f"invalid random {label} spec: {exc}") from exc
     if kind == "bump":
-        _check_keys(spec, {"kind", "floor", "sharpness", "center"}, f"bump {label} spec")
-        floor = float(spec.get("floor", 0.05))
-        sharpness = float(spec.get("sharpness", 80.0))
+        floor = spec.get("floor", 0.05)
+        sharpness = spec.get("sharpness", 80.0)
         if floor < 0 or sharpness <= 0:
             raise ConfigError(f"bump {label} spec needs floor >= 0 and sharpness > 0")
-        center = spec.get("center", [0.5 * (lo + hi) for lo, hi in
-                                     zip(grid.lower, grid.upper)])
-        center = np.atleast_1d(np.asarray(center, dtype=float))
+        center = np.atleast_1d(np.asarray(
+            spec.get("center", np.add(grid.lower, grid.upper) / 2), dtype=float))
         if center.shape != (grid.d,):
             raise ConfigError(f"bump {label} center must have {grid.d} coordinates")
         sq = ((grid.cell_centers() - center[None, :]) ** 2).sum(axis=1)
         vals = floor + np.exp(-sharpness * sq)
         return normalize(DensityField(grid, vals.reshape(grid.shape)))
-    if kind == "file":
-        _check_keys(spec, {"kind", "path"}, f"file {label} spec")
-        path = base_dir / _require(spec, "path", f"file {label} spec")
-        try:
-            density = density_from_csv(path)
-        except (OSError, OTLabError) as exc:
-            raise ConfigError(f"cannot read {label} file {path}: {exc}") from exc
-        if not _grids_compatible(density.grid, grid):
-            raise ConfigError(
-                f"{label} file grid does not match the configured grid")
-        return DensityField(grid, density.values)
-    raise ConfigError(f"unknown {label} kind {kind!r}")
+    path = base_dir / spec["path"]
+    try:
+        density = density_from_csv(path)
+    except (OSError, OTLabError) as exc:
+        raise ConfigError(f"cannot read {label} file {path}: {exc}") from exc
+    if not _grids_compatible(density.grid, grid):
+        raise ConfigError(f"{label} file grid does not match the configured grid")
+    return DensityField(grid, density.values)
 
 
 def _grids_compatible(got: Grid, want: Grid) -> bool:
     """Same layout up to the float noise of a CSV center round-trip."""
-    if got.d != want.d or got.n != want.n:
+    if (got.d, got.n) != (want.d, want.n):
         return False
-    for a in range(want.d):
-        scale = want.upper[a] - want.lower[a]
-        if abs(got.lower[a] - want.lower[a]) > 1e-9 * scale:
-            return False
-        if abs(got.upper[a] - want.upper[a]) > 1e-9 * scale:
-            return False
-    return True
+    slack = 1e-9 * np.subtract(want.upper, want.lower)
+    return bool(np.all(np.abs(np.subtract(got.lower, want.lower)) <= slack)
+                and np.all(np.abs(np.subtract(got.upper, want.upper)) <= slack))
 
 
 def _write_manifest(out: Path, subcommand: str, config: dict, seed) -> None:
@@ -227,41 +334,27 @@ def _prepare_out(out_dir: str) -> Path:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands; each receives a config its schema has already checked
 
 
 def cmd_solve_ot(config: dict, out: Path, base_dir: Path, seed) -> int:
-    _check_keys(config, {"seed", "grid", "cost", "rho", "g", "solver",
-                         "write_map"}, "solve-ot config")
-    grid = _grid_from_spec(_require(config, "grid", "config"))
-    cost = cost_from_config(_require(config, "cost", "config"), grid.cost_radius)
-    rho = _density_from_spec(_require(config, "rho", "config"), grid, base_dir,
-                             seed, "rho")
-    g = _density_from_spec(_require(config, "g", "config"), grid, base_dir,
+    grid = _grid_from_spec(config["grid"])
+    cost = _cost_from_spec(config["cost"], grid.cost_radius)
+    rho = _density_from_spec(config["rho"], grid, base_dir, seed, "rho")
+    g = _density_from_spec(config["g"], grid, base_dir,
                            None if seed is None else seed + 1, "g")
-
-    solver_spec = config.get("solver", {"method": "exact1d"})
-    _check_keys(solver_spec, {"method", "eps_final", "mass_threshold"}, "solver spec")
-    method = solver_spec.get("method", "exact1d")
-    if method not in ("exact1d", "lp", "entropic"):
-        raise ConfigError(f"unknown solver method {method!r}")
-    if method != "entropic" and "eps_final" in solver_spec:
-        raise ConfigError("eps_final only applies to the entropic solver")
-    _check_numbers(solver_spec, "solver spec", False, ("eps_final", "mass_threshold"))
+    solver_spec = config.get("solver", {})
+    method = solver_spec.get("method", _SOLVER.default)
     write_map = config.get("write_map", True)
-    if type(write_map) is not bool:
-        raise ConfigError(
-            f"solve-ot config key 'write_map' must be true or false, got {write_map!r}")
 
-    threshold = float(solver_spec.get("mass_threshold", default_mass_threshold(grid)))
+    threshold = solver_spec.get("mass_threshold", default_mass_threshold(grid))
     map_field = None
     if method == "exact1d":
         result, map_field = solve_exact_1d(rho, g, cost, mass_threshold=threshold)
     elif method == "lp":
         result = solve_lp(rho, g, cost)
     else:
-        result = solve_entropic(rho, g, cost,
-                                eps_final=float(solver_spec.get("eps_final", 1e-4)))
+        result = solve_entropic(rho, g, cost, eps_final=solver_spec.get("eps_final", 1e-4))
     if map_field is None and write_map:
         map_field = transport_map_from_potential(result.phi, cost, rho,
                                                  mass_threshold=threshold)
@@ -272,28 +365,11 @@ def cmd_solve_ot(config: dict, out: Path, base_dir: Path, seed) -> int:
 
 
 def cmd_verify_5g(config: dict, out: Path, base_dir: Path, seed) -> int:
-    _check_keys(config, {"seed", "batch"}, "verify-5g config")
-    batch = _require(config, "batch", "config")
-    allowed = {"seeds", "p_values", "q_values", "n_values", "d", "solver",
-               "bounds", "floor", "mode_count", "entropic_eps"}
-    _check_keys(batch, allowed, "batch spec")
-    if "seeds" not in batch:
-        raise ConfigError("batch spec is missing required key 'seeds'")
-    _check_numbers(batch, "batch spec", True, ("d", "mode_count"), ("seeds", "n_values"))
-    _check_numbers(batch, "batch spec", False, ("floor", "entropic_eps"), ("p_values", "q_values"))
-    bounds = batch.get("bounds")
-    if bounds is not None and (type(bounds) is not list or any(
-            type(pair) is not list or any(type(v) not in (int, float) for v in pair)
-            for pair in bounds)):
-        raise ConfigError("batch spec key 'bounds' must be null or a list of "
-                          f"[lo, hi] lists of real numbers, got {bounds!r}")
-    kwargs = dict(batch)
-    kwargs["seeds"] = tuple(kwargs["seeds"])
-    for key in ("p_values", "q_values", "n_values"):
-        if key in kwargs:
-            kwargs[key] = tuple(kwargs[key])
-    if bounds is not None:
-        kwargs["bounds"] = tuple(tuple(pair) for pair in bounds)
+    batch = config["batch"]
+    kwargs = {key: tuple(value) if type(value) is list else value
+              for key, value in batch.items()}
+    if batch.get("bounds") is not None:
+        kwargs["bounds"] = tuple(map(tuple, batch["bounds"]))
     try:
         spec = BatchSpec(**kwargs)
     except OTLabError as exc:
@@ -311,29 +387,16 @@ def cmd_verify_5g(config: dict, out: Path, base_dir: Path, seed) -> int:
 
 
 def cmd_jko(config: dict, out: Path, base_dir: Path, seed) -> int:
-    _check_keys(config, {"seed", "grid", "rho0", "scheme", "write_densities",
-                         "compare_pde"}, "jko config")
-    grid = _grid_from_spec(_require(config, "grid", "config"))
-    rho0 = _density_from_spec(_require(config, "rho0", "config"), grid, base_dir,
-                              seed, "rho0")
-
-    scheme = _require(config, "scheme", "config")
-    allowed = {"p", "tau", "steps", "energy", "eps", "inner_tol", "max_inner"}
-    _check_keys(scheme, allowed, "scheme spec")
-    for key in ("p", "tau", "steps", "energy"):
-        _require(scheme, key, "scheme spec")
-    _check_numbers(scheme, "scheme spec", True, ("steps", "max_inner"))
-    _check_numbers(scheme, "scheme spec", False, ("p", "tau", "eps", "inner_tol"))
-    kwargs = dict(scheme)
-    kwargs["energy"] = energy_from_config(kwargs["energy"])
+    grid = _grid_from_spec(config["grid"])
+    rho0 = _density_from_spec(config["rho0"], grid, base_dir, seed, "rho0")
+    scheme = config["scheme"]
     try:
-        jko_config = JKOConfig(**kwargs)
+        jko_config = JKOConfig(**{**scheme, "energy": _energy_from_spec(scheme["energy"])})
     except OTLabError as exc:
         raise ConfigError(f"invalid scheme spec: {exc}") from exc
 
     trajectory = run_jko(rho0, jko_config)
-    write_trajectory_dir(out, trajectory,
-                         densities=bool(config.get("write_densities", True)))
+    write_trajectory_dir(out, trajectory, densities=config.get("write_densities", True))
     if trajectory.error:
         print(f"jko: aborted after {len(trajectory) - 1} steps: {trajectory.error}",
               file=sys.stderr)
@@ -341,10 +404,8 @@ def cmd_jko(config: dict, out: Path, base_dir: Path, seed) -> int:
 
     compare = config.get("compare_pde")
     if compare is not None:
-        _check_keys(compare, {"dt", "refine"}, "compare_pde spec")
-        refine = bool(compare.get("refine", False))
-        dt = compare.get("dt")
-        dt = aligned_dt(rho0, jko_config) if dt is None else float(dt)
+        refine = compare.get("refine", False)
+        dt = aligned_dt(rho0, jko_config) if compare.get("dt") is None else compare["dt"]
         report = jko_vs_pde_report(trajectory, jko_config, dt, refine=refine)
         columns = [report.times, report.distances]
         header = ["time", "distance"]
@@ -360,18 +421,14 @@ def cmd_jko(config: dict, out: Path, base_dir: Path, seed) -> int:
 
 
 def cmd_mollify_study(config: dict, out: Path, base_dir: Path, seed) -> int:
-    _check_keys(config, {"seed", "grid", "cost", "rho", "g", "eps_sequence",
-                         "solver"}, "mollify-study config")
-    grid = _grid_from_spec(_require(config, "grid", "config"))
-    cost = cost_from_config(_require(config, "cost", "config"), grid.cost_radius)
-    rho = _density_from_spec(_require(config, "rho", "config"), grid, base_dir,
-                             seed, "rho")
-    g = _density_from_spec(_require(config, "g", "config"), grid, base_dir,
+    grid = _grid_from_spec(config["grid"])
+    cost = _cost_from_spec(config["cost"], grid.cost_radius)
+    rho = _density_from_spec(config["rho"], grid, base_dir, seed, "rho")
+    g = _density_from_spec(config["g"], grid, base_dir,
                            None if seed is None else seed + 1, "g")
-    eps_sequence = _require(config, "eps_sequence", "config")
-    if not isinstance(eps_sequence, list) or not eps_sequence:
+    widths = config["eps_sequence"]
+    if not widths:
         raise ConfigError("eps_sequence must be a non-empty list of widths")
-    widths = [float(e) for e in eps_sequence]
     if any(e2 >= e1 for e1, e2 in zip(widths, widths[1:])):
         raise ConfigError("eps_sequence must decrease strictly")
     solver = config.get("solver", "exact1d")
@@ -392,9 +449,7 @@ def cmd_mollify_study(config: dict, out: Path, base_dir: Path, seed) -> int:
 
 
 def cmd_ctransform(config: dict, out: Path, base_dir: Path, seed) -> int:
-    _check_keys(config, {"seed", "cost", "potential_csv", "eval_grid"},
-                "ctransform config")
-    path = base_dir / _require(config, "potential_csv", "config")
+    path = base_dir / config["potential_csv"]
     try:
         value_grid, values = read_field_csv(path)
     except (OSError, OTLabError) as exc:
@@ -403,7 +458,7 @@ def cmd_ctransform(config: dict, out: Path, base_dir: Path, seed) -> int:
     if "eval_grid" in config:
         eval_grid = _grid_from_spec(config["eval_grid"])
     radius = max(value_grid.cost_radius, eval_grid.cost_radius)
-    cost = cost_from_config(_require(config, "cost", "config"), radius)
+    cost = _cost_from_spec(config["cost"], radius)
     transform = c_transform(cost, values, value_grid, eval_grid)
     write_field_csv(out / "transform.csv", eval_grid, transform,
                     value_header="value")
@@ -415,12 +470,13 @@ def cmd_ctransform(config: dict, out: Path, base_dir: Path, seed) -> int:
 # ---------------------------------------------------------------------------
 # driver
 
+# subcommand -> (command, root section of its config)
 _COMMANDS = {
-    "solve-ot": cmd_solve_ot,
-    "verify-5g": cmd_verify_5g,
-    "jko": cmd_jko,
-    "mollify-study": cmd_mollify_study,
-    "ctransform": cmd_ctransform,
+    "solve-ot": (cmd_solve_ot, _SOLVE_OT_CONFIG),
+    "verify-5g": (cmd_verify_5g, _VERIFY_5G_CONFIG),
+    "jko": (cmd_jko, _JKO_CONFIG),
+    "mollify-study": (cmd_mollify_study, _MOLLIFY_STUDY_CONFIG),
+    "ctransform": (cmd_ctransform, _CTRANSFORM_CONFIG),
 }
 
 
@@ -441,14 +497,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    command, schema = _COMMANDS[args.subcommand]
     try:
         config = _load_config(args.config)
+        _check(schema, config, (), "config root")
         seed = args.seed if args.seed is not None else config.get("seed")
-        if seed is not None and (not isinstance(seed, int) or seed < 0):
+        if seed is not None and seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
         out = _prepare_out(args.out)
         base_dir = Path(args.config).resolve().parent
-        code = _COMMANDS[args.subcommand](config, out, base_dir, seed)
+        code = command(config, out, base_dir, seed)
         _write_manifest(out, args.subcommand, config, seed)
         return code
     except ConfigError as exc:

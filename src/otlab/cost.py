@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, OTLabError, ParameterError, RangeError
+from .errors import DomainError, OTLabError, ParameterError, RangeError
 
 __all__ = [
     "RadialCost",
@@ -25,7 +25,6 @@ __all__ = [
     "SemiconcavityBound",
     "power_cost",
     "tabulated_cost",
-    "cost_from_config",
     "power_h_function",
     "scale_h_function",
     "grad_h",
@@ -144,32 +143,6 @@ def tabulated_cost(radii, values, radius: float | None = None) -> RadialCost:
     )
     _validate_monotone_derivative(cost)
     return cost
-
-
-def cost_from_config(config: dict, radius: float) -> RadialCost:
-    """Build a cost from ``{"family": "power", "p": ...}`` or a tabulated spec."""
-    if not isinstance(config, dict):
-        raise ConfigError("cost spec must be a mapping")
-    family = config.get("family")
-    if family == "power":
-        extra = set(config) - {"family", "p"}
-        if extra:
-            raise ConfigError(f"unknown cost keys: {sorted(extra)}")
-        if "p" not in config:
-            raise ConfigError("power cost spec needs key 'p'")
-        try:
-            return power_cost(float(config["p"]), radius)
-        except ParameterError as exc:
-            raise ConfigError(f"invalid cost field 'p': {exc}") from exc
-    if family == "tabulated":
-        extra = set(config) - {"family", "radii", "values"}
-        if extra:
-            raise ConfigError(f"unknown cost keys: {sorted(extra)}")
-        try:
-            return tabulated_cost(config["radii"], config["values"], radius)
-        except (KeyError, ParameterError) as exc:
-            raise ConfigError(f"invalid tabulated cost spec: {exc}") from exc
-    raise ConfigError(f"unknown cost family: {family!r}")
 
 
 def power_h_function(q: float, delta0: float = 0.0) -> HFunction:

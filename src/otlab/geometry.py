@@ -267,6 +267,8 @@ def random_smooth_density(
         raise ParameterError("mode_count must be >= 1")
     if not floor > 0:
         raise ParameterError("floor must be positive")
+    if seed < 0:
+        raise ParameterError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     hatted = [
         (grid.axis_centers(a) - grid.lower[a]) / (grid.upper[a] - grid.lower[a])
@@ -394,27 +396,33 @@ def _grid_from_axis(centers: np.ndarray) -> tuple[float, float, int]:
 
 
 def read_field_csv(path) -> tuple[Grid, np.ndarray]:
-    """Inverse of :func:`write_field_csv`; reconstructs the grid from centers."""
+    """Inverse of :func:`write_field_csv`; reconstructs the grid from centers.
+
+    Raises ShapeError on a row of the wrong length and ParameterError on any
+    other malformed file, centers off a uniform row-major grid included."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(entry) for entry in row] for row in reader if row]
+        rows = [row for row in csv.reader(fh) if row]
+    if not rows:
+        raise ParameterError("CSV file is empty")
+    header, *body = rows
     d = len(header) - 1
     if d not in (1, 2):
         raise ParameterError(f"CSV must have 1 or 2 coordinate columns, found {d}")
-    data = np.asarray(rows, dtype=float)
-    if d == 1:
-        lo, hi, n = _grid_from_axis(data[:, 0])
-        grid = Grid(1, lo, hi, n)
-        return grid, data[:, 1].copy()
-    xs = np.unique(data[:, 0])
-    ys = np.unique(data[:, 1])
-    lox, hix, nx = _grid_from_axis(xs)
-    loy, hiy, ny = _grid_from_axis(ys)
-    grid = Grid(2, (lox, loy), (hix, hiy), (nx, ny))
-    if len(data) != nx * ny:
-        raise ParameterError("CSV rows do not form a full row-major grid")
-    return grid, data[:, 2].reshape(nx, ny).copy()
+    if any(len(row) != d + 1 for row in body):
+        raise ShapeError(f"every CSV row must have {d + 1} cells")
+    try:
+        data = np.asarray([[float(entry) for entry in row] for row in body],
+                          dtype=float).reshape(-1, d + 1)
+    except ValueError as exc:
+        raise ParameterError(f"non-numeric CSV cell: {exc}") from exc
+    centers = data[:, :d]
+    lower, upper, n = zip(*(_grid_from_axis(np.unique(centers[:, a])) for a in range(d)))
+    grid = Grid(d, lower, upper, n)
+    box = np.subtract(grid.upper, grid.lower)
+    if len(data) != grid.num_cells or np.any(
+            np.abs(grid.cell_centers() - centers) > 1e-9 * box):
+        raise ParameterError("CSV centers do not form a uniform row-major grid")
+    return grid, data[:, d].reshape(grid.shape).copy()
 
 
 def density_to_csv(path, density: DensityField) -> None:

@@ -66,7 +66,6 @@ import numpy as np
 
 from .cost import power_cost
 from .errors import (
-    ConfigError,
     DomainError,
     InputError,
     ParameterError,
@@ -145,26 +144,6 @@ def power_energy(m: float) -> Energy:
         return m * np.asarray(s, dtype=float) ** (p + m - 3.0)
 
     return Energy("power", f, f_prime, g, g_prime, m=m)
-
-
-def energy_from_config(cfg: dict) -> Energy:
-    """Energy from a config mapping: {"kind": "entropy"} or {"kind": "power", "m": 2.0}."""
-    if not isinstance(cfg, dict):
-        raise ConfigError("energy config must be a mapping")
-    kind = cfg.get("kind")
-    if kind == "entropy":
-        extra = set(cfg) - {"kind"}
-        if extra:
-            raise ConfigError(f"unknown energy keys: {sorted(extra)}")
-        return entropy_energy()
-    if kind == "power":
-        extra = set(cfg) - {"kind", "m"}
-        if extra:
-            raise ConfigError(f"unknown energy keys: {sorted(extra)}")
-        if "m" not in cfg:
-            raise ConfigError("power energy needs an exponent m")
-        return power_energy(float(cfg["m"]))
-    raise ConfigError(f"unknown energy kind {kind!r}")
 
 
 def energy_value(rho: DensityField, energy: Energy) -> float:

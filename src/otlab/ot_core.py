@@ -684,7 +684,7 @@ def solve_entropic(rho: DensityField, g: DensityField, cost: RadialCost,
         dual=dual,
         solver="entropic",
         meta={
-            "eps_final": eps_final,
+            "eps_final": float(eps_final),
             "schedule": list(schedule),
             "iterations": iterations,
             "kernel": kernel,

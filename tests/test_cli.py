@@ -18,8 +18,15 @@ import numpy as np
 import pytest
 
 from otlab import cli
-from otlab.cost import cost_from_config
-from otlab.geometry import Grid, density_to_csv, random_smooth_density, write_field_csv
+from otlab.cost import power_cost
+from otlab.geometry import (
+    Grid,
+    density_from_csv,
+    density_to_csv,
+    random_smooth_density,
+    write_field_csv,
+)
+from otlab.jko import energy_value, entropy_energy, power_energy
 from otlab.ot_core import c_transform, read_meta
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -48,6 +55,30 @@ def solve_config(**overrides) -> dict:
     }
     payload.update(overrides)
     return payload
+
+
+def base_config(command: str) -> dict:
+    return {"solve-ot": solve_config, "jko": TestJKO().jko_config,
+            "mollify-study": TestMollifyStudy().moll_config}[command]()
+
+
+def with_value(payload: dict, path: str, value) -> dict:
+    """``payload`` with ``value`` at the dotted key path, creating missing sections."""
+    *sections, key = path.split(".")
+    node = payload
+    for name in sections:
+        node = node.setdefault(name, {})
+    node[key] = value
+    return payload
+
+
+# CSV files that ``geometry.read_field_csv`` must reject
+MALFORMED_CSV = {
+    "non_numeric_cell": "x,value\n0.125,1.0\n0.375,abc\n0.625,1.0\n0.875,1.0\n",
+    "empty": "",
+    "ragged_row": "x,value\n0.125,1.0\n0.375,1.0,2.0\n0.625,1.0\n0.875,1.0\n",
+    "off_grid_centers": "x,value\n0.1,1.0\n0.2,1.0\n0.7,1.0\n0.9,1.0\n",
+}
 
 
 class TestSolveOT:
@@ -138,6 +169,14 @@ class TestSolveOT:
         assert run_cli("solve-ot", "--config", cfg, "--out", tmp_path / "out") == 2
         assert "grid" in capsys.readouterr().err
 
+    def test_malformed_density_file_exits_2(self, tmp_path, capsys):
+        (tmp_path / "rho.csv").write_text(MALFORMED_CSV["off_grid_centers"])
+        cfg = write_config(tmp_path, solve_config(
+            grid={"d": 1, "lower": 0.0, "upper": 1.0, "n": 4},
+            rho={"kind": "file", "path": "rho.csv"}))
+        assert run_cli("solve-ot", "--config", cfg, "--out", tmp_path / "out") == 2
+        assert "uniform row-major grid" in capsys.readouterr().err
+
     def test_shipped_example_matches_golden_meta(self, tmp_path):
         out = tmp_path / "out"
         assert run_cli("solve-ot", "--config", CONFIGS / "solve_ot_example.json",
@@ -178,6 +217,12 @@ class TestConfigErrors:
         cfg.write_text("{not json")
         assert run_cli("solve-ot", "--config", cfg, "--out", tmp_path / "out") == 2
 
+    def test_undecodable_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "binary.json"
+        cfg.write_bytes(b"\xff\xfe{}")
+        assert run_cli("solve-ot", "--config", cfg, "--out", tmp_path / "out") == 2
+        assert "not valid JSON" in capsys.readouterr().err
+
     def test_non_object_root_exits_2(self, tmp_path):
         cfg = tmp_path / "list.json"
         cfg.write_text("[1, 2, 3]")
@@ -211,6 +256,63 @@ class TestConfigErrors:
     def test_unknown_density_kind_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, solve_config(rho={"kind": "gaussian"}))
         assert run_cli("solve-ot", "--config", cfg, "--out", tmp_path / "out") == 2
+
+
+    @pytest.mark.parametrize("command, path, value, key", [
+        ("jko", "write_densities", "no", "write_densities"),
+        ("jko", "compare_pde.refine", "no", "refine"),
+        ("jko", "compare_pde.dt", "x", "dt"),
+        ("jko", "scheme.energy", {"kind": "power", "m": "x"}, "m"),
+        ("jko", "scheme.energy", {"kind": "power", "m": True}, "m"),
+        ("jko", "scheme.energy", {"kind": "power", "m": "2"}, "m"),
+        ("jko", "seed", True, "seed"),
+        ("solve-ot", "cost.p", "2", "p"),
+        ("solve-ot", "cost", {"family": "tabulated", "radii": "abc",
+                              "values": [0.0, 0.5, 2.0, 4.5]}, "radii"),
+        ("solve-ot", "g", {"kind": "bump", "center": "x"}, "center"),
+        ("solve-ot", "g", {"kind": "bump", "sharpness": True}, "sharpness"),
+        ("solve-ot", "rho", {"kind": "file", "path": 5}, "path"),
+        ("solve-ot", "rho.mode_count", 2.5, "mode_count"),
+        ("solve-ot", "rho.seed", 1.7, "seed"),
+        ("solve-ot", "rho.floor", "x", "floor"),
+        ("solve-ot", "seed", True, "seed"),
+        ("mollify-study", "eps_sequence", ["a"], "eps_sequence"),
+        ("mollify-study", "eps_sequence", [0.2, "0.1"], "eps_sequence"),
+    ])
+    def test_mistyped_value_exits_2(self, tmp_path, capsys, command, path, value, key):
+        cfg = write_config(tmp_path, with_value(base_config(command), path, value))
+        assert run_cli(command, "--config", cfg, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert f"'{key}'" in err and "must be" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, path, spec, word", [
+        ("solve-ot", "cost", {"family": "power", "p": 2.0, "extra": 1}, "extra"),
+        ("solve-ot", "cost", {"family": "gaussian"}, "gaussian"),
+        ("solve-ot", "cost", {"family": "power"}, "'p'"),
+        ("jko", "scheme.energy", {"kind": "entropy", "m": 2.0}, "'m'"),
+        ("jko", "scheme.energy", {"kind": "power", "m": 2.0, "q": 1.0}, "'q'"),
+        ("jko", "scheme.energy", {"kind": "porous"}, "porous"),
+        ("jko", "scheme.energy", {"kind": "power"}, "'m'"),
+        ("jko", "scheme.energy", {"kind": "power", "m": 1.0}, "m > 1"),
+    ])
+    def test_bad_cost_or_energy_spec_exits_2(self, tmp_path, capsys, command, path,
+                                             spec, word):
+        cfg = write_config(tmp_path, with_value(base_config(command), path, spec))
+        assert run_cli(command, "--config", cfg, "--out", tmp_path / "out") == 2
+        assert word in capsys.readouterr().err
+
+    def test_error_names_nested_key_path(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, solve_config(rho={"kind": "random", "floor": "x"}))
+        assert run_cli("solve-ot", "--config", cfg, "--out", tmp_path / "out") == 2
+        assert "random rho spec key 'floor' at 'rho.floor' must be a real number" \
+            in capsys.readouterr().err
+
+    def test_negative_density_seed_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, solve_config(rho={"kind": "random", "seed": -1}))
+        assert run_cli("solve-ot", "--config", cfg, "--out", tmp_path / "out") == 2
+        assert "seed must be nonnegative" in capsys.readouterr().err
 
 
 class TestManifest:
@@ -432,6 +534,17 @@ class TestJKO:
         cfg = write_config(tmp_path, self.jko_config(energy={"kind": "quartic"}))
         assert run_cli("jko", "--config", cfg, "--out", tmp_path / "out") == 2
 
+    @pytest.mark.parametrize("spec, energy", [
+        ({"kind": "entropy"}, entropy_energy()),
+        ({"kind": "power", "m": 2.5}, power_energy(2.5)),
+    ])
+    def test_energy_spec_sets_traced_energy(self, tmp_path, spec, energy):
+        cfg = write_config(tmp_path, self.jko_config(steps=0, energy=spec))
+        out = tmp_path / "out"
+        assert run_cli("jko", "--config", cfg, "--out", out) == 0
+        traced = float((out / "trace.csv").read_text().splitlines()[1].split(",")[3])
+        assert traced == energy_value(density_from_csv(out / "density_0000.csv"), energy)
+
     def test_trace_rerun_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, self.jko_config())
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -502,9 +615,34 @@ class TestCTransform:
 
         rows = (out / "transform.csv").read_text().splitlines()[1:]
         got = np.array([float(r.split(",")[1]) for r in rows])
-        cost = cost_from_config({"family": "power", "p": 2.0}, grid.cost_radius)
+        cost = power_cost(2.0, grid.cost_radius)
         want = c_transform(cost, values, grid, grid)
         assert np.allclose(got, want, atol=0.0)
+
+    def test_non_quadratic_power_cost_matches_direct_call(self, tmp_path):
+        grid = Grid(1, 0.0, 1.0, 32)
+        values = 0.05 * np.cos(2 * np.pi * grid.axis_centers(0))
+        write_field_csv(tmp_path / "pot.csv", grid, values)
+        cfg = write_config(tmp_path, {
+            "cost": {"family": "power", "p": 1.5},
+            "potential_csv": "pot.csv",
+        })
+        out = tmp_path / "out"
+        assert run_cli("ctransform", "--config", cfg, "--out", out) == 0
+        rows = (out / "transform.csv").read_text().splitlines()[1:]
+        got = np.array([float(r.split(",")[1]) for r in rows])
+        want = c_transform(power_cost(1.5, grid.cost_radius), values, grid, grid)
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_CSV))
+    def test_malformed_potential_file_exits_2(self, tmp_path, capsys, name):
+        (tmp_path / "pot.csv").write_text(MALFORMED_CSV[name])
+        cfg = write_config(tmp_path, {
+            "cost": {"family": "power", "p": 2.0},
+            "potential_csv": "pot.csv",
+        })
+        assert run_cli("ctransform", "--config", cfg, "--out", tmp_path / "out") == 2
+        assert "cannot read potential file" in capsys.readouterr().err
 
     def test_mistyped_eval_grid_exits_2(self, tmp_path, capsys):
         write_field_csv(tmp_path / "pot.csv", Grid(1, 0.0, 1.0, 32), np.zeros(32))

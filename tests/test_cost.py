@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otlab.cost import (
-    cost_from_config,
     grad_h,
     grad_h_star,
     grad_H,
@@ -17,7 +16,7 @@ from otlab.cost import (
     semiconcavity_constant,
     tabulated_cost,
 )
-from otlab.errors import ConfigError, DomainError, ParameterError, RangeError
+from otlab.errors import DomainError, ParameterError, RangeError
 
 
 class TestPowerCost:
@@ -231,18 +230,6 @@ class TestTabulatedAndConfig:
         r = np.linspace(0.0, 2.0, 32)
         with pytest.raises(ParameterError):
             tabulated_cost(r, np.minimum(r, 1.0), radius=2.0)  # flat beyond r=1
-
-    def test_config_power(self):
-        cost = cost_from_config({"family": "power", "p": 1.5}, radius=2.0)
-        assert cost.family == "power" and cost.exponent == 1.5
-
-    def test_config_rejects_unknown_keys_and_family(self):
-        with pytest.raises(ConfigError):
-            cost_from_config({"family": "power", "p": 2.0, "extra": 1}, radius=1.0)
-        with pytest.raises(ConfigError):
-            cost_from_config({"family": "gaussian"}, radius=1.0)
-        with pytest.raises(ConfigError):
-            cost_from_config({"family": "power"}, radius=1.0)
 
 
 @settings(max_examples=25, deadline=None)

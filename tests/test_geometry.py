@@ -189,6 +189,10 @@ class TestRandomSmoothDensity:
         assert abs(f.mass - 1.0) <= 1e-12
         assert f.values.min() > 0.0
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ParameterError, match="seed"):
+            random_smooth_density(unit_grid(8), seed=-1)
+
 
 class TestBoundary:
     def test_1d_two_endpoints(self):
@@ -239,6 +243,30 @@ class TestCSV:
         write_field_csv(path, g, np.zeros((4, 4)))
         first = path.read_text().splitlines()[0]
         assert first == "x,y,value"
+
+    @pytest.mark.parametrize("rows, error", [
+        ([("x", "value"), (0.125, 1.0), (0.375, "abc"), (0.625, 1.0), (0.875, 1.0)],
+         ParameterError),
+        ([], ParameterError),
+        ([("x", "value"), (0.125, 1.0), (0.375, 1.0, 2.0), (0.625, 1.0), (0.875, 1.0)],
+         ShapeError),
+        ([("x", "value"), (0.125, 1.0), (0.375,), (0.625, 1.0), (0.875, 1.0)], ShapeError),
+        # uniform spacing from first to last center would reach outside [0, 1]
+        ([("x", "value"), *((x, 1.0) for x in (0.1, 0.2, 0.7, 0.9))], ParameterError),
+        ([("x", "value"), *((x, 1.0) for x in (0.375, 0.125, 0.625, 0.875))], ParameterError),
+        ([("x", "value")], ParameterError),
+        ([("x", "y", "value"), *((x, y, 1.0) for x in (0.1, 0.2, 0.7, 0.9)
+                                 for y in (0.125, 0.375, 0.625, 0.875))], ParameterError),
+        # y outer, x inner: column-major
+        ([("x", "y", "value"), *((x, y, 1.0) for y in (0.125, 0.375, 0.625, 0.875)
+                                 for x in (0.125, 0.375, 0.625, 0.875))], ParameterError),
+    ], ids=["non_numeric", "empty", "long_row", "short_row", "off_grid_1d",
+            "unsorted_1d", "header_only", "off_grid_2d", "column_major_2d"])
+    def test_malformed_file_rejected(self, tmp_path, rows, error):
+        path = tmp_path / "field.csv"
+        write_rows(path, rows)
+        with pytest.raises(error):
+            read_field_csv(path)
 
 
 class TestWriteRows:

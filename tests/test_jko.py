@@ -9,7 +9,6 @@ import pytest
 from otlab import jko
 from otlab.cost import power_cost
 from otlab.errors import (
-    ConfigError,
     DomainError,
     InputError,
     ParameterError,
@@ -79,21 +78,6 @@ class TestEnergy:
         energy = jko.power_energy(m)
         s = np.linspace(0.0, 2.0, 9)
         np.testing.assert_allclose(energy.g(s, p), m * s ** (p + m - 2.0) / (p + m - 2.0))
-
-    def test_config_parser_round_trip(self):
-        assert jko.energy_from_config({"kind": "entropy"}).kind == "entropy"
-        power = jko.energy_from_config({"kind": "power", "m": 2.5})
-        assert power.kind == "power" and power.m == 2.5
-
-    def test_config_parser_rejects_unknown_keys(self):
-        with pytest.raises(ConfigError):
-            jko.energy_from_config({"kind": "entropy", "m": 2.0})
-        with pytest.raises(ConfigError):
-            jko.energy_from_config({"kind": "power", "m": 2.0, "q": 1.0})
-        with pytest.raises(ConfigError):
-            jko.energy_from_config({"kind": "porous"})
-        with pytest.raises(ConfigError):
-            jko.energy_from_config({"kind": "power"})
 
 
 class TestConfigValidation:
