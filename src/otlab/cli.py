@@ -37,8 +37,8 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .cost import RadialCost, power_cost, tabulated_cost
-from .errors import ConfigError, OTLabError
+from .cost import RadialCost, check_mollify_width, power_cost, tabulated_cost
+from .errors import ConfigError, OTLabError, ParameterError
 from .fivegrad import (
     BatchSpec,
     mollification_convergence_experiment,
@@ -431,6 +431,11 @@ def cmd_mollify_study(config: dict, out: Path, base_dir: Path, seed) -> int:
         raise ConfigError("eps_sequence must be a non-empty list of widths")
     if any(e2 >= e1 for e1, e2 in zip(widths, widths[1:])):
         raise ConfigError("eps_sequence must decrease strictly")
+    try:
+        for width in widths:
+            check_mollify_width(cost, width)
+    except ParameterError as exc:
+        raise ConfigError(f"invalid eps_sequence width: {exc}") from exc
     solver = config.get("solver", "exact1d")
     if solver not in ("lp", "exact1d"):
         raise ConfigError(f"unknown mollify-study solver {solver!r}")
@@ -454,6 +459,8 @@ def cmd_ctransform(config: dict, out: Path, base_dir: Path, seed) -> int:
         value_grid, values = read_field_csv(path)
     except (OSError, OTLabError) as exc:
         raise ConfigError(f"cannot read potential file {path}: {exc}") from exc
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"cannot read potential file {path}: potential values must be finite")
     eval_grid = value_grid
     if "eval_grid" in config:
         eval_grid = _grid_from_spec(config["eval_grid"])

@@ -30,6 +30,7 @@ __all__ = [
     "grad_h",
     "grad_h_star",
     "mollify",
+    "check_mollify_width",
     "semiconcavity_constant",
     "grad_H",
 ]
@@ -266,6 +267,14 @@ def _bump(u: np.ndarray, eps: float) -> np.ndarray:
     return out
 
 
+def check_mollify_width(cost: RadialCost, epsilon: float) -> None:
+    """Raise ParameterError unless 0 < epsilon < R/4, the widths ``mollify`` accepts."""
+    if not (0 < epsilon < cost.radius / 4):
+        raise ParameterError(
+            f"epsilon must lie in (0, R/4) = (0, {cost.radius / 4:.6g}), got {epsilon}"
+        )
+
+
 def mollify(cost: RadialCost, epsilon: float, quadrature_order: int = 32, dim: int = 1) -> RadialCost:
     """Smooth the cost by convolution with a radial bump of support radius epsilon.
 
@@ -275,10 +284,7 @@ def mollify(cost: RadialCost, epsilon: float, quadrature_order: int = 32, dim: i
     the result radial to quadrature accuracy). The base profile is evaluated
     beyond R by its own formula, so the result is valid on all of [0, R].
     """
-    if not (0 < epsilon < cost.radius / 4):
-        raise ParameterError(
-            f"epsilon must lie in (0, R/4) = (0, {cost.radius / 4:.6g}), got {epsilon}"
-        )
+    check_mollify_width(cost, epsilon)
     if quadrature_order < 4:
         raise ParameterError("quadrature_order must be at least 4")
     if dim not in (1, 2):

@@ -55,6 +55,9 @@ _LP_CAPACITY = 4096 * 4096
 _RAW_MARGINAL_TOL = 1e-7
 # number of past differences _fixed_point mixes
 _ANDERSON_DEPTH = 5
+# log-sum-exp: shifted exponents are raised to this; numpy's vectorized exp
+# leaves its fast path for inputs whose result is subnormal (below about -708)
+_EXP_FLOOR = -700.0
 
 
 @dataclass(frozen=True)
@@ -149,13 +152,20 @@ def _log_sum_exp(z: np.ndarray, axis: int) -> np.ndarray:
     """log sum exp(z) along ``axis``, overwriting z.
 
     Slices are shifted by their maximum unless it is infinite, so -inf
-    entries add nothing and an all -inf slice gives -inf.
+    entries add nothing and an all -inf slice gives -inf. Shifted entries
+    are raised to ``_EXP_FLOOR`` before ``exp``: a slice with a finite
+    maximum holds an exact exp(0) = 1 term, next to which every term below
+    exp(_EXP_FLOOR) < 1e-304 is lost in rounding either way, so the sums
+    keep their bits while ``exp`` stays off its slow subnormal path.
     """
     zmax = z.max(axis=axis, keepdims=True)
+    empty = np.squeeze(zmax == -np.inf, axis)
     zmax[~np.isfinite(zmax)] = 0.0
     z -= zmax
-    with np.errstate(divide="ignore"):
-        return np.log(np.exp(z, out=z).sum(axis=axis)) + np.squeeze(zmax, axis)
+    np.maximum(z, _EXP_FLOOR, out=z)
+    out = np.log(np.exp(z, out=z).sum(axis=axis)) + np.squeeze(zmax, axis)
+    out[empty] = -np.inf
+    return out
 
 
 def softmin(cmat: np.ndarray, pot: np.ndarray, logw: np.ndarray, eps: float,

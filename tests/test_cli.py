@@ -586,6 +586,13 @@ class TestMollifyStudy:
         assert run_cli("mollify-study", "--config", cfg, "--out",
                        tmp_path / "out") == 2
 
+    @pytest.mark.parametrize("widths", [[1, 0.5], [0.1, 0.0]])
+    def test_width_outside_quarter_radius_exits_2(self, tmp_path, capsys, widths):
+        cfg = write_config(tmp_path, self.moll_config(eps_sequence=widths))
+        assert run_cli("mollify-study", "--config", cfg, "--out",
+                       tmp_path / "out") == 2
+        assert "config error: invalid eps_sequence width" in capsys.readouterr().err
+
     def test_failed_report_exits_4(self, tmp_path, monkeypatch, capsys):
         real = cli.mollification_convergence_experiment
 
@@ -644,6 +651,17 @@ class TestCTransform:
         assert run_cli("ctransform", "--config", cfg, "--out", tmp_path / "out") == 2
         assert "cannot read potential file" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_potential_exits_2(self, tmp_path, capsys, cell):
+        (tmp_path / "pot.csv").write_text(f"x,value\n0.125,0.0\n0.375,{cell}\n"
+                                          "0.625,0.0\n0.875,0.0\n")
+        cfg = write_config(tmp_path, {
+            "cost": {"family": "power", "p": 2.0},
+            "potential_csv": "pot.csv",
+        })
+        assert run_cli("ctransform", "--config", cfg, "--out", tmp_path / "out") == 2
+        assert "potential values must be finite" in capsys.readouterr().err
+
     def test_mistyped_eval_grid_exits_2(self, tmp_path, capsys):
         write_field_csv(tmp_path / "pot.csv", Grid(1, 0.0, 1.0, 32), np.zeros(32))
         cfg = write_config(tmp_path, {
@@ -685,6 +703,7 @@ class TestShippedConfigs:
         ("verify_5g_example.json", "verify-5g"),
         ("jko_heat_example.json", "jko"),
         ("mollify_example.json", "mollify-study"),
+        ("ctransform_example.json", "ctransform"),
     ])
     def test_examples_parse_and_run(self, tmp_path, name, command):
         assert run_cli(command, "--config", CONFIGS / name,

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -377,6 +378,12 @@ class TestReferencePDE:
             jko.reference_pde_solve(uniform, 2.0, jko.entropy_energy(),
                                     dt=1e-6, steps=1)
 
+    @pytest.mark.parametrize("record_every", [0, 3])
+    def test_record_every_must_divide_steps(self, record_every):
+        with pytest.raises(ParameterError, match="record_every"):
+            jko.reference_pde_solve(bump_density(n=16), 2.0, jko.entropy_energy(),
+                                    dt=1e-6, steps=10, record_every=record_every)
+
 
 @pytest.fixture(scope="module")
 def short_run():
@@ -395,6 +402,38 @@ class TestJKOvsPDEReport:
         assert report.distances[0] == 0.0
         assert len(report.times) == 5
         assert report.final_distance < 0.05
+
+    def test_compared_states_are_the_full_reference_states(self, short_run):
+        rho0, config, traj = short_run
+        dt = jko.aligned_dt(rho0, config)
+        substeps = round(config.tau / dt)
+        args = (rho0, config.p, config.energy, dt, config.steps * substeps)
+        full = jko.reference_pde_solve(*args)
+        strided = jko.reference_pde_solve(*args, record_every=substeps)
+        assert len(strided) == config.steps + 1
+        for k in range(config.steps + 1):
+            assert np.array_equal(strided.densities[k].values,
+                                  full.densities[k * substeps].values)
+            for name in ("times", "tv", "energy"):
+                assert getattr(strided, name)[k] == getattr(full, name)[k * substeps]
+        report = jko.jko_vs_pde_report(traj, config, dt, refine=False)
+        assert report.distances == tuple(
+            jko._l1_distance(traj.densities[k], full.densities[k * substeps])
+            for k in (0, 2, 4, 6, 8))
+
+    def test_unstable_dt_raises(self, short_run):
+        _, config, traj = short_run
+        with pytest.raises(ParameterError, match="stability bound"):
+            jko.jko_vs_pde_report(traj, config, dt=config.tau / 10, refine=False)
+
+    def test_negative_density_between_recorded_states_raises(self, short_run, monkeypatch):
+        # past the stability bound the explicit scheme oscillates; the state
+        # that turns negative is not one the report records
+        _, config, traj = short_run
+        monkeypatch.setattr(jko, "stable_dt", lambda *args: np.inf)
+        with pytest.raises(ParameterError, match="negative density") as failure:
+            jko.jko_vs_pde_report(traj, config, dt=config.tau / 10, refine=False)
+        assert int(re.search(r"at step (\d+)", str(failure.value)).group(1)) % 10 != 0
 
     def test_misaligned_dt_rejected(self, short_run):
         _, config, traj = short_run

@@ -498,6 +498,81 @@ class TestSeparableSoftmin:
         assert np.array_equal(got, np.full(grid.num_cells, np.inf))
 
 
+def unfloored_log_sum_exp(z, axis):
+    """``oc._log_sum_exp`` without its exp floor: the reference the floor must not move."""
+    zmax = z.max(axis=axis, keepdims=True)
+    zmax[~np.isfinite(zmax)] = 0.0
+    z -= zmax
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(z, out=z).sum(axis=axis)) + np.squeeze(zmax, axis)
+
+
+class TestExpFloor:
+    """The floored log-sum-exp kernel and both softmins against the unfloored form, bit for bit.
+
+    Every input sits at eps = 1e-4, where most shifted exponents fall far
+    below the floor, and carries -inf weights, an all -inf slice and a NaN.
+    """
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_log_sum_exp(self, axis):
+        rng = np.random.default_rng(5 + axis)
+        z = rng.normal(scale=0.2, size=(70, 90)) / 1e-4
+        z -= z.max(axis=axis, keepdims=True)  # each slice's maximum is 0
+        assert np.mean(z < -709.0) > 0.3
+        near = rng.random(z.shape) < 0.3  # around the floor and exp's subnormal range
+        z[near] = rng.choice([-699.9, -700.0, -705.0, -708.3, -720.0, -745.0], size=near.sum())
+        z[rng.random(z.shape) < 0.1] = -np.inf
+        if axis == 0:
+            z[:, 3] = -np.inf
+        else:
+            z[3, :] = -np.inf
+        z[11, 17] = np.nan
+        got = oc._log_sum_exp(z.copy(), axis)
+        want = unfloored_log_sum_exp(z.copy(), axis)
+        assert got[3] == -np.inf
+        assert np.isnan(got[17 if axis == 0 else 11])
+        assert np.array_equal(got, want, equal_nan=True)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_softmin(self, axis, monkeypatch):
+        grid, rho, _ = random_pair(n=96)
+        cmat = oc._cost_matrix(power_cost(1.5, grid.cost_radius), grid.cell_centers(),
+                               grid.cell_centers())
+        pot = np.random.default_rng(axis).normal(scale=0.05, size=96)
+        logw = np.log(rho.values.reshape(-1) * grid.cell_volume)
+        logw[[0, 40, 95]] = -np.inf
+        if axis == 0:
+            cmat[:, 50] = np.inf  # all -inf slice for output 50
+            cmat[20, 60] = np.nan
+        else:
+            cmat[50, :] = np.inf
+            cmat[60, 20] = np.nan
+        with np.errstate(over="ignore"):  # a NaN slice is not shifted
+            got = oc.softmin(cmat, pot, logw, 1e-4, axis)
+            monkeypatch.setattr(oc, "_log_sum_exp", unfloored_log_sum_exp)
+            want = oc.softmin(cmat, pot, logw, 1e-4, axis)
+        assert got[50] == np.inf and np.isnan(got[60])
+        assert np.array_equal(got, want, equal_nan=True)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_separable_softmin(self, axis, monkeypatch):
+        grid = Grid(2, 0.0, 1.0, 16)
+        factors = oc._axis_factors(grid, grid)
+        rng = np.random.default_rng(10 + axis)
+        pot = rng.normal(scale=0.1, size=grid.num_cells)
+        logw = np.log(rng.uniform(0.5, 1.0, size=grid.shape))
+        logw[1, :] = -np.inf  # an all -inf slice of the first stage
+        logw[3, 2] = -np.inf
+        factors[1][2, 5] = np.nan
+        with np.errstate(over="ignore"):  # a NaN slice is not shifted
+            got = oc._separable_softmin(factors, pot, logw.reshape(-1), 1e-4, axis)
+            monkeypatch.setattr(oc, "_log_sum_exp", unfloored_log_sum_exp)
+            want = oc._separable_softmin(factors, pot, logw.reshape(-1), 1e-4, axis)
+        assert np.isnan(got).any() and np.isfinite(got).any()
+        assert np.array_equal(got, want, equal_nan=True)
+
+
 class TestEntropicKernelDispatch:
     """2-d p = 2 solves sweep axis by axis; every other solve uses the dense kernel."""
 
