@@ -210,8 +210,8 @@ _VERIFY_5G_CONFIG = _Section("verify-5g config", {"seed": _INT, "batch": _BATCH}
 _JKO_CONFIG = _Section("jko config", {
     "seed": _INT, "grid": _GRID, "rho0": _density("rho0"),
     "scheme": _Section("scheme spec", {
-        "p": _REAL, "tau": _REAL, "steps": _INT, "eps": _REAL, "inner_tol": _REAL,
-        "max_inner": _INT, "energy": _tagged("energy spec", "kind", {
+        "p": _REAL, "tau": _REAL, "steps": _INT, "eps": _REAL,
+        "energy": _tagged("energy spec", "kind", {
             "entropy": ({}, ()), "power": ({"m": _REAL}, ("m",))}),
     }, ("p", "tau", "steps", "energy")),
     "write_densities": _BOOL,

@@ -18,9 +18,11 @@ f_i = tilt_i - tau^(p-1) f'(rho_i), closed-form for the entropy energy and
 a safeguarded bisection for power energies. The row marginal of the
 converged plan is the next iterate.
 
-Every inner solve (step, self-transport, pinned evaluation) iterates one
-map of a potential through ``ot_core._fixed_point``, the Anderson iteration
-of the entropic solver too; cold starts walk ``ot_core._eps_ladder`` to eps.
+The step and the pinned evaluation run ``ot_core._scaling``, the entropic
+solver's loop, with their own row updates; the self-transport iterates its
+symmetric map through ``ot_core._fixed_point``. Cold starts walk
+``ot_core._eps_ladder`` with ``ot_core._WARM_CAP`` sweeps per wider width;
+every solve stops at ``_INNER_TOL`` within ``_MAX_INNER`` sweeps at eps.
 
 The tilt is the blur correction: smoothing at width eps inflates every
 transport value by a self-transport cost that depends on the density, so
@@ -60,6 +62,7 @@ import dataclasses
 import math
 import os
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -73,7 +76,8 @@ from .errors import (
     StepError,
 )
 from .geometry import DensityField, Grid, write_field_csv, write_rows
-from .ot_core import _cost_matrix, _eps_ladder, _fixed_point, _row_gap, log_plan, softmin
+from .ot_core import (_WARM_CAP, _cost_matrix, _eps_ladder, _fixed_point, _scaling, log_plan,
+                      softmin)
 
 # s log s at s = 0 is the limit 0; the floor keeps the evaluation finite
 # without moving the value at any density above it.
@@ -86,6 +90,10 @@ _DESCENT_TRIALS = 40
 
 # floor of the step problem's reference prior r = max(b, _PRIOR_FLOOR)
 _PRIOR_FLOOR = 1e-30
+
+# inner solves: the residual that ends them, their sweep cap at the working width
+_INNER_TOL = 1e-8
+_MAX_INNER = 4000
 
 
 @dataclass(frozen=True)
@@ -153,13 +161,12 @@ def energy_value(rho: DensityField, energy: Energy) -> float:
 
 @dataclass(frozen=True)
 class JKOConfig:
-    """Scheme parameters: cost exponent, step size, horizon, energy, inner solver.
+    """Scheme parameters: cost exponent, step size, horizon, energy, entropic width.
 
-    ``eps`` is the entropic width of the inner step problem, whose solve
-    takes at most ``max_inner`` sweeps at that width and stops once the L1
-    gap between its plan's row masses and the candidate masses is at most
-    ``inner_tol`` (the self-transport and pinned evaluations stop on their
-    mass-weighted potential change per eps). A failed descent comparison
+    ``eps`` is the entropic width of the inner step problem, whose
+    ``ot_core._scaling`` solve takes at most ``_MAX_INNER`` sweeps at that
+    width and stops once the L1 gap between its plan's row masses and the
+    candidate masses is at most ``_INNER_TOL``. A failed descent comparison
     halves the move toward the candidate on each rejected trial; a step
     that cannot help returns the previous iterate unchanged.
     """
@@ -169,8 +176,6 @@ class JKOConfig:
     steps: int
     energy: Energy
     eps: float = 1e-4
-    inner_tol: float = 1e-8
-    max_inner: int = 4000
 
     def __post_init__(self):
         if not self.p > 1:
@@ -183,10 +188,6 @@ class JKOConfig:
             raise ParameterError("energy must be an Energy descriptor")
         if not self.eps > 0:
             raise ParameterError("entropic width must be positive")
-        if self.max_inner < 1:
-            raise ParameterError("iteration cap must be at least 1")
-        if not self.inner_tol > 0:
-            raise ParameterError("inner tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -261,9 +262,8 @@ def _power_log_mass(M: np.ndarray, eps: float, T: float, m: float, vol: float) -
     return 0.5 * (lo + hi)
 
 
-def _scaling_solve(b_log: np.ndarray, r_log: np.ndarray, cmat: np.ndarray, eps: float,
-                   T: float, energy: Energy, vol: float, tilt: np.ndarray, f: np.ndarray,
-                   tol: float, cap: int):
+def _scaling_solve(b_log: np.ndarray, r_log: np.ndarray, cmat: np.ndarray, levels: list,
+                   T: float, energy: Energy, vol: float, tilt: np.ndarray, f: np.ndarray):
     """Block dual ascent on min <C,P> + eps KL(P | r x b) + T sum f(row mass / vol) vol - tilt . a.
 
     The column marginal is pinned to b = exp(b_log); rows are free and
@@ -276,27 +276,23 @@ def _scaling_solve(b_log: np.ndarray, r_log: np.ndarray, cmat: np.ndarray, eps: 
     The floor keeps rows outside the anchor's support reachable (their
     prior handicap eps log(_PRIOR_FLOOR) vanishes with eps).
 
-    Each sweep fits the column potential g exactly, then updates the row
-    potential f from the pointwise first-order condition
-    f_i = tilt_i - T f'(a_i / vol), closed-form for entropy and bisected
-    for power energies; ``_fixed_point`` iterates that map of f. Returns
-    (row masses a, f, g, residual, sweeps), the residual being the L1 gap
-    between the row masses of the plan (f, g) and a.
+    ``_scaling`` runs over the widths ``levels``, its row prox f_i = tilt_i -
+    T f'(a_i / vol) closed-form for entropy and bisected for power energies.
+    Returns (row masses a, f, g, residual, sweeps), the residual being the
+    L1 gap between the row masses of the plan (f, g) and a.
     """
     log_vol = math.log(vol)
 
-    def sweep(f):
-        g = softmin(cmat, f, r_log, eps, 0)
-        M = -softmin(cmat, g, b_log, eps, 1)
+    def energy_prox(s, eps):
+        M = -s
         if energy.kind == "entropy":
             u = (M + tilt + eps * r_log + T * (log_vol - 1.0)) / (eps + T)
         else:
             u = _power_log_mass(M + tilt + eps * r_log, eps, T, energy.m, vol)
-        f_next = eps * (u - r_log) - M
-        a = np.exp(u)
-        return f_next, _row_gap(a, f, f_next, eps), (a, g)
+        return eps * (u - r_log) - M, np.exp(u)
 
-    f, residual, sweeps, (a, g) = _fixed_point(sweep, f, tol, cap)
+    f, g, a, residual, sweeps = _scaling(partial(softmin, cmat), f, r_log, b_log, levels,
+                                         energy_prox, _INNER_TOL, _MAX_INNER)
     if not np.isfinite(a).all():
         raise StepError("inner solver produced non-finite masses", residual=residual)
     return a, f, g, residual, sweeps
@@ -324,26 +320,22 @@ def _dual_value(cmat: np.ndarray, f: np.ndarray, g: np.ndarray, x: np.ndarray, y
 
 
 def _pinned_value(a_log: np.ndarray, b_log: np.ndarray, r_log: np.ndarray,
-                  cmat: np.ndarray, eps: float, f: np.ndarray, tol: float, cap: int):
+                  cmat: np.ndarray, eps: float, f: np.ndarray):
     """Entropic transport between pinned marginals, against the r x b reference.
 
-    ``_fixed_point`` scales the row potential f for min <C,P> + eps KL(P | r x b)
-    with marginals exp(a_log), b = exp(b_log) to a mass-weighted |df| / eps
-    of tol. Returns (dual value, plan cost <C,P>, f, g, residual, sweeps).
-    The dual value f.a + g.b + eps (sum r - mass(P)) is what descent
-    comparisons use; one evaluator on both sides cancels its bias.
+    ``_scaling`` fits f for min <C,P> + eps KL(P | r x b) with marginals
+    a = exp(a_log), b = exp(b_log) to a row-mass L1 gap of ``_INNER_TOL``.
+    Returns (dual value, plan cost <C,P>, f, g, residual, sweeps). The dual
+    value f.a + g.b + eps (sum r - mass(P)) is what descent comparisons use;
+    one evaluator on both sides cancels its bias.
     """
     a = np.exp(a_log)
-    b = np.exp(b_log)
-    live = a > 0  # rows without mass carry f = -inf and no marginal error
-
-    def sweep(f):
-        g = softmin(cmat, f, r_log, eps, 0)
-        f_next = eps * (a_log - r_log) + softmin(cmat, g, b_log, eps, 1)
-        return f_next, float((np.abs(f_next - f)[live] * a[live]).sum() / eps), g
-
-    f, residual, sweeps, g = _fixed_point(sweep, np.where(live, f, -np.inf), tol, cap)
-    value, plan_cost = _dual_value(cmat, f, g, a, b, r_log, b_log, eps, float(np.exp(r_log).sum()))
+    # rows without mass carry f = -inf and no marginal error
+    f, g, _, residual, sweeps = _scaling(
+        partial(softmin, cmat), np.where(a > 0, f, -np.inf), r_log, b_log, [eps],
+        lambda s, eps: (eps * (a_log - r_log) + s, a), _INNER_TOL, _MAX_INNER)
+    value, plan_cost = _dual_value(cmat, f, g, a, np.exp(b_log), r_log, b_log, eps,
+                                   float(np.exp(r_log).sum()))
     if not math.isfinite(value):
         raise StepError("transport evaluation produced a non-finite value",
                         residual=residual)
@@ -351,13 +343,13 @@ def _pinned_value(a_log: np.ndarray, b_log: np.ndarray, r_log: np.ndarray,
 
 
 def _sym_solve(a_log: np.ndarray, r_log: np.ndarray, cmat: np.ndarray,
-               eps: float, u: np.ndarray, tol: float, cap: int):
+               eps: float, u: np.ndarray, cap: int):
     """Self-transport potential and value for marginal a against the r x r reference.
 
     ``_fixed_point`` iterates the map u <- F(u) of the symmetric marginal
     condition for min <C,Q> + eps KL(Q | r x r) over plans with both
-    marginals a = exp(a_log), to a mass-weighted |F(u) - u| / eps of tol;
-    the mixing damps the plain map's oscillation. The minimizer's potential
+    marginals a = exp(a_log), to a mass-weighted |F(u) - u| / eps of
+    ``_INNER_TOL``; the mixing damps the plain map's oscillation. The minimizer's potential
     is the gradient of a |-> OT_eps(a, a) / 2, which the blur correction and
     the debiased descent comparison need. Returns (dual value, u, residual,
     sweeps); the dual value is 2 u.a + eps (mass(r x r) - mass(Q)).
@@ -369,7 +361,7 @@ def _sym_solve(a_log: np.ndarray, r_log: np.ndarray, cmat: np.ndarray,
         fu = eps * (a_log - r_log) + softmin(cmat, u, r_log, eps, 1)
         return fu, float((np.abs(fu - u)[live] * a[live]).sum() / eps), None
 
-    u, residual, sweeps, _ = _fixed_point(sweep, np.where(live, u, -np.inf), tol, cap)
+    u, residual, sweeps, _ = _fixed_point(sweep, np.where(live, u, -np.inf), _INNER_TOL, cap)
     r_mass = float(np.exp(r_log).sum())
     value, _ = _dual_value(cmat, u, u, a, a, r_log, r_log, eps, r_mass * r_mass)
     if not math.isfinite(value):
@@ -401,34 +393,29 @@ def _jko_step_full(rho_k: DensityField, config: JKOConfig,
     else:
         f = u = np.zeros(grid.num_cells)
         levels = _eps_ladder(config.eps, float(cmat.max()))
-    eval_cap = max(config.max_inner, 2000)
 
     # anchor self-potential at the working width; its negative gradient is
     # the blur each transport solve at this width would otherwise inject
     iterations = 0
     for index, eps in enumerate(levels):
-        cap = eval_cap if index == len(levels) - 1 else min(250, config.max_inner)
-        sym_anchor, u, sym_res, sweeps = _sym_solve(
-            b_log, r_log, cmat, eps, u, config.inner_tol, cap)
+        cap = _MAX_INNER if index == len(levels) - 1 else _WARM_CAP
+        sym_anchor, u, sym_res, sweeps = _sym_solve(b_log, r_log, cmat, eps, u, cap)
         iterations += sweeps
-    if not sym_res <= config.inner_tol:
+    if not sym_res <= _INNER_TOL:
         raise StepError(
             f"self-potential iteration did not converge at width {config.eps:g}",
             residual=sym_res,
         )
     tilt = np.where(b > 0, u, u[b > 0].min())
 
-    for index, eps in enumerate(levels):
-        # coarse warm-up widths only seed the potentials; the last width is
-        # the one whose minimizer becomes the candidate
-        cap = config.max_inner if index == len(levels) - 1 else min(250, config.max_inner)
-        a, f, g, residual, sweeps = _scaling_solve(
-            b_log, r_log, cmat, eps, tau_pow, config.energy, vol, tilt, f,
-            config.inner_tol, cap)
-        iterations += sweeps
-    if not residual <= config.inner_tol:
+    # coarse warm-up widths only seed the potentials; the last width is the
+    # one whose minimizer becomes the candidate
+    a, f, g, residual, sweeps = _scaling_solve(
+        b_log, r_log, cmat, levels, tau_pow, config.energy, vol, tilt, f)
+    iterations += sweeps
+    if not residual <= _INNER_TOL:
         raise StepError(
-            f"inner solver did not converge within {cap} sweeps at width {eps:g}",
+            f"inner solver did not converge within {_MAX_INNER} sweeps at width {config.eps:g}",
             residual=residual,
         )
     candidate = _candidate_field(a, grid)
@@ -470,12 +457,10 @@ def _jko_step_full(rho_k: DensityField, config: JKOConfig,
             g_trial, plan_cost = value_joint, plan_cost_joint
         else:
             g_trial, plan_cost, f_a, _, _, sw = _pinned_value(
-                a_log_trial, b_log, r_log, cmat, config.eps, f_a,
-                config.inner_tol, eval_cap)
+                a_log_trial, b_log, r_log, cmat, config.eps, f_a)
             iterations += sw
-        sym_trial, u_trial, _, sw = _sym_solve(
-            a_log_trial, r_log, cmat, config.eps, u,
-            config.inner_tol, eval_cap)
+        sym_trial, u_trial, _, sw = _sym_solve(a_log_trial, r_log, cmat, config.eps, u,
+                                               _MAX_INNER)
         iterations += sw
         g_trial += tau_pow * energy_value(trial_field, config.energy) - 0.5 * sym_trial
         if g_trial <= g_anchor + _DESCENT_SLACK * tau_pow:
@@ -606,10 +591,10 @@ def reference_pde_solve(rho_0: DensityField, p: float, energy: Energy,
     u = rho_0.values.copy()
     states = [rho_0]
     for step in range(steps):
-        w = energy.g(u, p)
-        s = np.diff(w) / spacing
-        flux = np.abs(s) ** (q - 2.0) * s if q != 2.0 else s.copy()
-        flux[np.diff(w) == 0.0] = 0.0
+        dw = np.diff(energy.g(u, p))
+        s = dw / spacing
+        flux = np.abs(s) ** (q - 2.0) * s if q != 2.0 else s
+        flux[dw == 0.0] = 0.0
         div = np.zeros_like(u)
         div[:-1] += flux
         div[1:] -= flux

@@ -51,8 +51,11 @@ _FEASIBILITY_SLACK = 1e-9
 _MARGINAL_TOL = 1e-8
 _GAP_FLOOR = -1e-10
 _LP_CAPACITY = 4096 * 4096
-# entropic solver: L1 marginal residual that ends a level
+# entropic solver: L1 marginal residual that ends a level; sweep caps of
+# its last width and of every warm-up width of an epsilon-scaled solve
 _RAW_MARGINAL_TOL = 1e-7
+_MAX_SWEEPS = 20000
+_WARM_CAP = 200
 # number of past differences _fixed_point mixes
 _ANDERSON_DEPTH = 5
 # log-sum-exp: shifted exponents are raised to this; numpy's vectorized exp
@@ -253,6 +256,29 @@ def _fixed_point(step, x0: np.ndarray, tol: float, cap: int):
                     x, plain = fx.copy(), fx
                     x[live] = mixed
     return x, residual, sweeps, extra
+
+
+def _scaling(kernel, f: np.ndarray, x_log: np.ndarray, y_log: np.ndarray, levels,
+             row_update, tol: float, cap: int):
+    """Generic scaling loop (Chizat, Peyre, Schmitzer and Vialard 2018) over the widths ``levels``.
+
+    At width eps, ``_fixed_point`` iterates f <- f_next, where g = kernel(f, x_log, eps, 0)
+    fits the columns, (f_next, masses) = row_update(kernel(g, y_log, eps, 1), eps) is the
+    row prox, and the residual is the ``_row_gap`` of masses. ``kernel`` takes ``softmin``'s
+    arguments after the cost. Each width warm-starts the next; the last gets ``cap`` sweeps,
+    the others ``_WARM_CAP``. Returns (f, g, masses, residual, sweeps summed over widths).
+    """
+    sweeps = 0
+    for level, eps in enumerate(levels):
+        def step(f):
+            g = kernel(f, x_log, eps, 0)
+            f_next, masses = row_update(kernel(g, y_log, eps, 1), eps)
+            return f_next, _row_gap(masses, f, f_next, eps), (g, masses)
+
+        f, residual, level_sweeps, (g, masses) = _fixed_point(
+            step, f, tol, cap if level == len(levels) - 1 else _WARM_CAP)
+        sweeps += level_sweeps
+    return f, g, masses, residual, sweeps
 
 
 def _min_plus(cost_rows, vals: np.ndarray, n_out: int) -> np.ndarray:
@@ -554,15 +580,14 @@ class _TransportationSimplex:
             np.less(reduced, -self.tol, out=negative)
 
 
-def solve_lp(rho: DensityField, g: DensityField, cost: RadialCost,
-             capacity: int = _LP_CAPACITY) -> TransportResult:
+def solve_lp(rho: DensityField, g: DensityField, cost: RadialCost) -> TransportResult:
     """Exact coupling by transportation-simplex pivoting on the dense cost.
 
     Dual variables from the final basis tree are canonicalized by a double
     c-transform before they are returned, so gradients of phi are safe to
-    take. Instances beyond ``capacity`` cells squared are refused.
+    take. Instances beyond ``_LP_CAPACITY`` cells squared are refused.
     """
-    if rho.grid.num_cells * g.grid.num_cells > capacity:
+    if rho.grid.num_cells * g.grid.num_cells > _LP_CAPACITY:
         raise CapacityError(
             f"instance size {rho.grid.num_cells} x {g.grid.num_cells} exceeds the limit"
         )
@@ -627,20 +652,18 @@ def _round_to_polytope(plan: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.nda
 
 
 def solve_entropic(rho: DensityField, g: DensityField, cost: RadialCost,
-                   eps_final: float, max_iterations: int = 20000) -> TransportResult:
+                   eps_final: float) -> TransportResult:
     """Entropically regularized transport by log-domain dual ascent.
 
-    Iterates the Sinkhorn map of the row potential f (a softmin column fit
-    g = softmin(f), then the row update softmin(g)) through the Anderson
-    iteration ``_fixed_point``, over the epsilon-scaling ladder of
-    ``_eps_ladder`` with warm starts across widths; ``max_iterations`` caps
-    the final width. The plan (f, g) fits its columns exactly, and a width
-    ends once its row-marginal violation falls below 1e-7 in L1. The plan
-    is then rounded onto the transport polytope, so the returned coupling
-    satisfies both marginals to float accuracy. The returned potentials are
-    canonicalized by one exact double c-transform, so they satisfy the same
-    feasibility contract as the exact solvers while the coupling keeps its
-    entropic blur.
+    Runs ``_scaling`` with the Sinkhorn row update f = softmin(g) over the
+    epsilon-scaling ladder of ``_eps_ladder``; ``_MAX_SWEEPS`` caps the final
+    width and ``_WARM_CAP`` the others. The plan (f, g) fits its columns
+    exactly, and a width ends once its row-marginal violation falls below
+    ``_RAW_MARGINAL_TOL`` = 1e-7 in L1. The plan is then rounded onto the
+    transport polytope, so the returned coupling satisfies both marginals to
+    float accuracy. The returned potentials are canonicalized by one exact
+    double c-transform, so they satisfy the same feasibility contract as the
+    exact solvers while the coupling keeps its entropic blur.
 
     On 2-d grids with the power cost p = 2 the sweeps run axis by axis
     (``_separable_softmin`` on the per-axis factors of |x - y|^2 / 2);
@@ -657,7 +680,6 @@ def solve_entropic(rho: DensityField, g: DensityField, cost: RadialCost,
     with np.errstate(divide="ignore"):
         loga = np.log(a)
         logb = np.log(b)
-    f = np.zeros_like(a)
 
     if rho.grid.d == g.grid.d == 2 and cost.family == "power" and cost.exponent == 2.0:
         factors = _axis_factors(rho.grid, g.grid)
@@ -665,21 +687,14 @@ def solve_entropic(rho: DensityField, g: DensityField, cost: RadialCost,
     else:
         kernel, sweep_softmin = "dense", partial(softmin, cmat)
 
-    iterations = 0
-    for level, eps in enumerate(schedule):
-        def sweep(f):
-            gv = sweep_softmin(f, loga, eps, 0)
-            f_next = sweep_softmin(gv, logb, eps, 1)
-            return f_next, _row_gap(a, f, f_next, eps), gv
-
-        cap = max_iterations if level == len(schedule) - 1 else 200
-        f, residual, sweeps, gv = _fixed_point(sweep, f, _RAW_MARGINAL_TOL, cap)
-        iterations += sweeps
+    f, gv, _, residual, iterations = _scaling(
+        sweep_softmin, np.zeros_like(a), loga, logb, schedule, lambda s, eps: (s, a),
+        _RAW_MARGINAL_TOL, _MAX_SWEEPS)
     if not residual <= _RAW_MARGINAL_TOL:
         raise ConvergenceError(f"entropic solver residual {residual:.3e} after {iterations} "
                                "iterations", residual=residual)
 
-    plan = _round_to_polytope(np.exp(log_plan(cmat, f, gv, loga, logb, eps)), a, b)
+    plan = _round_to_polytope(np.exp(log_plan(cmat, f, gv, loga, logb, schedule[-1])), a, b)
     primal = float((plan * cmat).sum())
     phi, psi = _canonical_pair_from_matrix(cmat, f)
     dual = float(phi @ a + psi @ b)

@@ -187,6 +187,32 @@ class TestSolveOT:
         assert abs(float(got["dual"]) - float(want["dual"])) < 1e-8
         assert got["solver"] == want["solver"]
 
+    def test_shipped_2d_entropic_example_matches_golden_meta(self, tmp_path):
+        # sweep counts swing with the last bits of the Anderson mix, so the
+        # golden values are compared to rtol 1e-9 and the counts not at all
+        out = tmp_path / "out"
+        assert run_cli("solve-ot", "--config", CONFIGS / "solve_ot_2d_entropic_example.json",
+                       "--out", out) == 0
+        got = read_meta(out / "meta")
+        want = read_meta(GOLDEN / "solve_ot_2d_entropic_example_meta")
+        assert (got["schedule"], got["kernel"]) == (want["schedule"], want["kernel"])
+        for key in ("primal", "dual"):
+            assert float(got[key]) == pytest.approx(float(want[key]), rel=1e-9)
+
+    def test_shipped_heat_example_matches_golden_tv_and_distances(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("jko", "--config", CONFIGS / "jko_heat_example.json", "--out", out) == 0
+
+        def column(path, index):
+            return [float(row.split(",")[index]) for row in path.read_text().splitlines()[1:]]
+
+        final_tv = column(out / "trace.csv", 2)[-1]
+        assert final_tv == pytest.approx(column(GOLDEN / "jko_heat_example_trace.csv", 2)[-1],
+                                         rel=1e-9)
+        np.testing.assert_allclose(column(out / "pde_compare.csv", 1),
+                                   column(GOLDEN / "jko_heat_example_pde_compare.csv", 1),
+                                   rtol=1e-9)
+
 
 class TestConfigErrors:
     def test_invalid_cost_exponent_exits_2(self, tmp_path, capsys):
@@ -522,13 +548,20 @@ class TestJKO:
     @pytest.mark.parametrize("key, value", [
         ("steps", "3"),
         ("steps", 2.5),
-        ("max_inner", 2.5),
+        ("eps", True),
         ("tau", "0.002"),
     ])
     def test_mistyped_scheme_value_exits_2(self, tmp_path, capsys, key, value):
         cfg = write_config(tmp_path, self.jko_config(**{key: value}))
         assert run_cli("jko", "--config", cfg, "--out", tmp_path / "out") == 2
         assert "must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("inner_tol", 1e-8), ("max_inner", 4000)])
+    def test_inner_solver_key_exits_2(self, tmp_path, capsys, key, value):
+        # the inner solves' tolerance and sweep cap are constants of the scheme
+        cfg = write_config(tmp_path, self.jko_config(**{key: value}))
+        assert run_cli("jko", "--config", cfg, "--out", tmp_path / "out") == 2
+        assert key in capsys.readouterr().err
 
     def test_unknown_energy_kind_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, self.jko_config(energy={"kind": "quartic"}))

@@ -83,8 +83,8 @@ class TestEnergy:
 
 class TestConfigValidation:
     def test_accepts_reasonable_settings(self):
-        cfg = heat_config(3, eps=1e-5, max_inner=50)
-        assert cfg.steps == 3 and cfg.eps == 1e-5 and cfg.max_inner == 50
+        cfg = heat_config(3, eps=1e-5)
+        assert cfg.steps == 3 and cfg.eps == 1e-5
 
     @pytest.mark.parametrize(
         "overrides",
@@ -95,8 +95,8 @@ class TestConfigValidation:
             {"tau": -1e-3},
             {"steps": -1},
             {"eps": 0.0},
-            {"inner_tol": 0.0},
-            {"max_inner": 0},
+            {"eps": -1e-3},
+            {"tau": float("nan")},
             {"energy": "entropy"},
         ],
     )
@@ -163,18 +163,30 @@ class TestJKOStep:
         with pytest.raises(InputError):
             jko.jko_step(DensityField(grid, np.full(grid.shape, 2.0)), heat_config(1))
 
-    def test_non_convergence_raises_step_error_with_residual(self):
-        config = heat_config(1, max_inner=2)
+    def test_non_convergence_raises_step_error_with_residual(self, monkeypatch):
+        monkeypatch.setattr(jko, "_MAX_INNER", 2)
         with pytest.raises(StepError) as excinfo:
-            jko.jko_step(bump_density(), config)
+            jko.jko_step(bump_density(), heat_config(1))
         assert excinfo.value.residual is not None
+
+    def test_step_solve_non_convergence_raises_step_error(self, monkeypatch):
+        # with _MAX_INNER lowered the self-potential solve fails first; capping
+        # only the scaling solves reaches the step solve's own failure
+        real = jko._scaling
+        monkeypatch.setattr(jko, "_scaling", lambda *args: real(*args[:-1], 2))
+        with pytest.raises(StepError, match="inner solver did not converge") as excinfo:
+            jko.jko_step(bump_density(), heat_config(1))
+        assert excinfo.value.residual > jko._INNER_TOL
 
 
 class TestDescentCheck:
-    def test_full_evaluator_matches_shortcut_then_backtracks(self, monkeypatch):
-        # a slack no trial can meet rejects the shortcut, re-checks the
-        # candidate with the full pinned evaluator, then halves the move on
-        # every further trial and returns the anchor
+    @pytest.fixture
+    def rejected_step(self, monkeypatch):
+        """One n = 32 bump step under a slack no trial can meet, with its spied solves.
+
+        Returns (anchor, state, step info, step solves, pinned evaluations),
+        each solve or evaluation as (arguments, result).
+        """
         monkeypatch.setattr(jko, "_DESCENT_SLACK", -1.0)
         solves, evaluations = [], []
 
@@ -188,12 +200,20 @@ class TestDescentCheck:
         monkeypatch.setattr(jko, "_pinned_value", spy(jko._pinned_value, evaluations))
         rho0 = bump_density(n=32)
         state, info, _ = jko._jko_step_full(rho0, heat_config(1))
+        return rho0, state, info, solves, evaluations
+
+    def test_full_evaluator_matches_shortcut_then_backtracks(self, rejected_step):
+        # the slack rejects the shortcut, re-checks the candidate with the
+        # full pinned evaluator, then halves the move on every further trial
+        # and returns the anchor
+        rho0, state, info, solves, evaluations = rejected_step
         assert state is rho0
         assert info.transport_cost == 0.0
         assert len(evaluations) == jko._DESCENT_TRIALS - 1
 
         # the shortcut is the dual value read off the converged step potentials
-        (b_log, r_log, cmat, eps), (a, f, g, _, _) = solves[-1][0][:4], solves[-1][1]
+        (b_log, r_log, cmat, levels), (a, f, g, _, _) = solves[-1][0][:4], solves[-1][1]
+        eps = levels[-1]
         a_mass = a / a.sum()
         plan = np.exp(log_plan(cmat, f, g, r_log, b_log, eps))
         shortcut = float(f @ a_mass + g @ np.exp(b_log)
@@ -204,6 +224,27 @@ class TestDescentCheck:
         # each later trial halves the move away from the anchor
         moves = [np.abs(np.exp(args[0]) - np.exp(b_log)).sum() for args, _ in evaluations]
         np.testing.assert_allclose(moves[1:6], moves[0] / 2.0 ** np.arange(1, 6), rtol=1e-9)
+
+    def test_pinned_value_stops_on_row_mass_gap(self, rejected_step, monkeypatch):
+        # the plan (f, g) has row sums a exp((f - f_next)/eps), so the returned
+        # residual is their L1 gap to the pinned masses a = exp(a_log)
+        args, (*_, f, g, residual, _) = rejected_step[4][0]
+        a_log, b_log, r_log, cmat, eps = args[:5]
+
+        def row_gap(f, g):
+            plan = np.exp(log_plan(cmat, f, g, r_log, b_log, eps))
+            return float(np.abs(plan.sum(axis=1) - np.exp(a_log)).sum())
+
+        # converged: the gap is within tolerance and matches the residual up
+        # to the rounding of the row sums of a unit mass
+        assert residual <= jko._INNER_TOL
+        assert row_gap(f, g) == pytest.approx(residual, rel=1e-12, abs=64 * np.finfo(float).eps)
+        # one sweep from zero potentials: a gap far above rounding, matched
+        # to 1e-12 relative
+        monkeypatch.setattr(jko, "_MAX_INNER", 1)
+        *_, f, g, residual, _ = jko._pinned_value(*args[:5], np.zeros_like(args[5]))
+        assert residual > 1e-3
+        assert row_gap(f, g) == pytest.approx(residual, rel=1e-12)
 
 
 class TestRunJKO:
@@ -256,9 +297,10 @@ class TestRunJKO:
             assert abs(state.mass - 1.0) <= 1e-10
             assert state.values.min() >= 0.0
 
-    def test_step_failure_returns_partial_trajectory(self):
+    def test_step_failure_returns_partial_trajectory(self, monkeypatch):
+        monkeypatch.setattr(jko, "_MAX_INNER", 2)
         rho0 = bump_density()
-        traj = jko.run_jko(rho0, heat_config(5, max_inner=2))
+        traj = jko.run_jko(rho0, heat_config(5))
         assert traj.error.startswith("step 1:")
         assert len(traj) == 1
 
@@ -459,9 +501,10 @@ class TestJKOvsPDEReport:
         with pytest.raises(ParameterError):
             jko.jko_vs_pde_report(traj, config, jko.aligned_dt(rho0, config), refine=False)
 
-    def test_aborted_trajectory_rejected(self):
+    def test_aborted_trajectory_rejected(self, monkeypatch):
+        monkeypatch.setattr(jko, "_MAX_INNER", 2)
         rho0 = bump_density()
-        config = heat_config(5, max_inner=2)
+        config = heat_config(5)
         traj = jko.run_jko(rho0, config)
         assert traj.error
         with pytest.raises(StepError):
@@ -492,9 +535,10 @@ class TestTrajectoryWriter:
         for name in sorted(os.listdir(dir_a)):
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
 
-    def test_error_annotation_recorded(self, tmp_path):
+    def test_error_annotation_recorded(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(jko, "_MAX_INNER", 2)
         rho0 = bump_density()
-        traj = jko.run_jko(rho0, heat_config(5, max_inner=2))
+        traj = jko.run_jko(rho0, heat_config(5))
         out = tmp_path / "failed"
         jko.write_trajectory_dir(out, traj, densities=False)
         trace = (out / "trace.csv").read_text()

@@ -226,11 +226,12 @@ class TestSolveLP:
         assert slack.min() >= -1e-9
         assert np.abs(slack[pairs]).max() <= 1e-6
 
-    def test_capacity_limit(self):
+    def test_capacity_limit(self, monkeypatch):
+        monkeypatch.setattr(oc, "_LP_CAPACITY", 100)
         grid, rho, g = random_pair()
         cost = power_cost(2.0, grid.cost_radius)
         with pytest.raises(CapacityError):
-            oc.solve_lp(rho, g, cost, capacity=100)
+            oc.solve_lp(rho, g, cost)
 
     def test_mass_mismatch_rejected(self):
         grid, rho, g = random_pair()
@@ -641,11 +642,12 @@ class TestSolveEntropic:
             excess.append(r.primal - lp.primal)
         assert excess[0] > excess[1] > excess[2] > 0
 
-    def test_nonconvergence_raises_with_residual(self):
+    def test_nonconvergence_raises_with_residual(self, monkeypatch):
+        monkeypatch.setattr(oc, "_MAX_SWEEPS", 3)
         grid, rho, g = random_pair(n=128)
         cost = power_cost(1.5, grid.cost_radius)
         with pytest.raises(ConvergenceError) as err:
-            oc.solve_entropic(rho, g, cost, eps_final=3e-5, max_iterations=3)
+            oc.solve_entropic(rho, g, cost, eps_final=3e-5)
         assert np.isfinite(err.value.residual)
 
     def test_parameter_validation(self):
