@@ -51,8 +51,10 @@ from .geometry import (
     write_rows,
 )
 from .ot_core import (
+    _LP_CAPACITY,
     TransportResult,
     _clamped_gradient,
+    _cost_matrix,
     solve_entropic,
     solve_exact_1d,
     solve_lp,
@@ -485,12 +487,12 @@ def mollification_convergence_experiment(rho: DensityField, g: DensityField,
 
 
 def _solve_for_batch(rho: DensityField, g: DensityField, cost: RadialCost,
-                     solver: str, entropic_eps: float) -> TransportResult:
+                     solver: str, entropic_eps: float, cmat: np.ndarray | None) -> TransportResult:
     if solver == "lp":
-        return solve_lp(rho, g, cost)
+        return solve_lp(rho, g, cost, cmat=cmat)
     if solver == "exact1d":
-        return solve_exact_1d(rho, g, cost)[0]
-    return solve_entropic(rho, g, cost, eps_final=entropic_eps)
+        return solve_exact_1d(rho, g, cost, cmat=cmat)[0]
+    return solve_entropic(rho, g, cost, eps_final=entropic_eps, cmat=cmat)
 
 
 def instance_densities(spec: BatchSpec, seed: int, n: int) -> tuple[DensityField, DensityField]:
@@ -502,25 +504,59 @@ def instance_densities(spec: BatchSpec, seed: int, n: int) -> tuple[DensityField
     return rho, g
 
 
-def _evaluate(spec: BatchSpec, seed: int, p: float, n: int, q_values) -> list[InequalityReport]:
+def _instance_pair(spec: BatchSpec, seed: int,
+                   n: int) -> tuple[DensityField, DensityField, float, float]:
+    """(rho, g, TV(rho), TV(g)) of one (seed, n); every p shares them."""
+    rho, g = instance_densities(spec, seed, n)
+    return rho, g, rho.tv(), g.tv()
+
+
+def _batch_solver(spec: BatchSpec) -> str:
+    """The spec's solver with ``auto`` resolved: the LP in 1-d, entropic in 2-d."""
+    if spec.solver != "auto":
+        return spec.solver
+    return "lp" if spec.d == 1 else "entropic"
+
+
+def _shared_cost_matrix(cost: RadialCost, grid: Grid, solver: str) -> np.ndarray | None:
+    """The read-only cost matrix every seed of one (p, n) solves against, or None.
+
+    None leaves the build to each solve, which then raises what it raises
+    alone: when the LP refuses the size (``solve_lp`` checks that before it
+    would build, so the matrix is not allocated here) or when the build
+    fails. Read-only, a solver that wrote into it would raise instead of
+    corrupting the next seed's solve.
+    """
+    if solver == "lp" and grid.num_cells**2 > _LP_CAPACITY:
+        return None
+    try:
+        cmat = _cost_matrix(cost, grid.cell_centers(), grid.cell_centers())
+    except OTLabError:
+        return None
+    cmat.setflags(write=False)
+    return cmat
+
+
+def _evaluate(spec: BatchSpec, seed: int, p: float, n: int, q_values, pair, cost: RadialCost,
+              cmat: np.ndarray | None = None) -> list[InequalityReport]:
     """Solve the (seed, p, n) problem once and report the inequality for each q.
 
+    ``pair`` is the (seed, n) density pair with its TVs (``_instance_pair``)
+    and ``cost`` the power cost of (p, n); the batch builds those once, and
+    the cost matrix ``cmat`` once per (p, n). Built here, per instance, are
+    the tolerance, the H functions, the solve and its five-gradients terms.
     The potentials do not depend on H, so one solve serves every q; a failed
     solve gives one error report per q, naming the solver that failed.
     """
-    rho, g = instance_densities(spec, seed, n)
+    rho, g, tv_rho, tv_g = pair
     grid = rho.grid
-    cost = power_cost(p, grid.cost_radius)
-    tv_rho, tv_g = rho.tv(), g.tv()
     tol = tolerance_for(n, tv_rho, tv_g)
     delta0 = _H_DELTA0_FRACTION * 2.0 * grid.enclosing_radius
     hfuns = [power_h_function(q, delta0=delta0) for q in q_values]
-    solver = spec.solver
-    if solver == "auto":
-        solver = "lp" if spec.d == 1 else "entropic"
+    solver = _batch_solver(spec)
     error = ""
     try:
-        result = _solve_for_batch(rho, g, cost, solver, spec.entropic_eps)
+        result = _solve_for_batch(rho, g, cost, solver, spec.entropic_eps, cmat)
         terms = _five_gradients(rho, g, result.phi, result.psi, hfuns)
     except OTLabError as exc:
         error = f"{type(exc).__name__}: {exc}"
@@ -535,23 +571,36 @@ def _evaluate(spec: BatchSpec, seed: int, p: float, n: int, q_values) -> list[In
 
 def run_instance(spec: BatchSpec, seed: int, p: float, q: float, n: int) -> InequalityReport:
     """Solve one instance and evaluate the inequality against its tolerance."""
-    return _evaluate(spec, seed, p, n, (q,))[0]
+    pair = _instance_pair(spec, seed, n)
+    return _evaluate(spec, seed, p, n, (q,), pair, power_cost(p, pair[0].grid.cost_radius))[0]
 
 
 def verify_batch(spec: BatchSpec) -> list[InequalityReport]:
     """Run every (seed, p, q, n) instance of the spec, in lattice order.
 
+    The loops run n first: each seed's density pair and TVs are built once
+    per (seed, n), then the cost and its read-only matrix once per (p, n),
+    shared by every seed's solve and dropped before the next one is built.
     Each (seed, p, n) problem is solved once for all q. Solver failures are
     captured per instance (as reports with an ``error`` field) so one bad
-    instance cannot abort the batch; the fixed order makes reruns
-    reproduce the report list exactly.
+    instance cannot abort the batch; the reports come out in the fixed
+    (seed, p, q, n) order, so reruns reproduce the report list exactly.
     """
-    reports = []
-    for seed in spec.seeds:
-        for p in spec.p_values:
-            per_n = [_evaluate(spec, seed, p, n, spec.q_values) for n in spec.n_values]
-            reports += [report for same_q in zip(*per_n) for report in same_q]
-    return reports
+    solver = _batch_solver(spec)
+    solved = {}
+    for k, n in enumerate(spec.n_values):
+        pairs = [_instance_pair(spec, seed, n) for seed in spec.seeds]
+        grid = pairs[0][0].grid
+        for j, p in enumerate(spec.p_values):
+            cost = power_cost(p, grid.cost_radius)
+            cmat = _shared_cost_matrix(cost, grid, solver)
+            for i, (seed, pair) in enumerate(zip(spec.seeds, pairs)):
+                solved[i, j, k] = _evaluate(spec, seed, p, n, spec.q_values, pair, cost, cmat)
+            cmat = None  # one matrix alive at a time
+    return [report
+            for i in range(len(spec.seeds)) for j in range(len(spec.p_values))
+            for same_q in zip(*(solved[i, j, k] for k in range(len(spec.n_values))))
+            for report in same_q]
 
 
 def summarize(reports) -> BatchSummary:

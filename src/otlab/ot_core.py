@@ -154,20 +154,27 @@ def _cost_matrix(cost: RadialCost, xs: np.ndarray, ys: np.ndarray) -> np.ndarray
 def _log_sum_exp(z: np.ndarray, axis: int) -> np.ndarray:
     """log sum exp(z) along ``axis``, overwriting z.
 
-    Slices are shifted by their maximum unless it is infinite, so -inf
-    entries add nothing and an all -inf slice gives -inf. Shifted entries
-    are raised to ``_EXP_FLOOR`` before ``exp``: a slice with a finite
-    maximum holds an exact exp(0) = 1 term, next to which every term below
-    exp(_EXP_FLOOR) < 1e-304 is lost in rounding either way, so the sums
-    keep their bits while ``exp`` stays off its slow subnormal path.
+    Each slice is shifted by its maximum. A slice whose maximum is not
+    finite gives that maximum: -inf entries add nothing, so an all -inf
+    slice gives -inf, and a slice holding NaN gives NaN. Such a slice is
+    zeroed before ``exp``, so none of its entries can overflow. Shifted
+    entries are raised to ``_EXP_FLOOR`` before ``exp``: a slice with a
+    finite maximum holds an exact exp(0) = 1 term, next to which every term
+    below exp(_EXP_FLOOR) < 1e-304 is lost in rounding either way, so the
+    sums keep their bits while ``exp`` stays off its slow subnormal path.
     """
     zmax = z.max(axis=axis, keepdims=True)
-    empty = np.squeeze(zmax == -np.inf, axis)
-    zmax[~np.isfinite(zmax)] = 0.0
+    odd = ~np.isfinite(zmax)
+    odd_any = odd.any()
+    if odd_any:
+        np.copyto(z, 0.0, where=odd)
+        odd_max = zmax[odd]
+        zmax[odd] = 0.0
     z -= zmax
     np.maximum(z, _EXP_FLOOR, out=z)
     out = np.log(np.exp(z, out=z).sum(axis=axis)) + np.squeeze(zmax, axis)
-    out[empty] = -np.inf
+    if odd_any:
+        out[np.squeeze(odd, axis)] = odd_max
     return out
 
 
@@ -383,14 +390,16 @@ def _monotone_plan(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list[tuple
 
 
 def solve_exact_1d(rho: DensityField, g: DensityField, cost: RadialCost,
-                   mass_threshold: float | None = None) -> tuple[TransportResult, MapField]:
+                   mass_threshold: float | None = None, *,
+                   cmat: np.ndarray | None = None) -> tuple[TransportResult, MapField]:
     """Exact 1-d transport by monotone rearrangement (quantile matching).
 
     Strict convexity of the cost along the line makes the monotone plan
     optimal for any cost in the family, so this doubles as the oracle the
     other solvers are tested against. The potential phi is recovered by
     integrating phi'(x) = h'(x - T(x)) from the left end (phi(left) = 0) and
-    psi as the c-transform of phi, which keeps the pair feasible.
+    psi as the c-transform of phi, which keeps the pair feasible. ``cmat`` is
+    the source-by-target cost matrix, built here when not given.
     """
     if rho.grid.d != 1 or g.grid.d != 1:
         raise DomainError("solve_exact_1d requires 1-d grids")
@@ -413,7 +422,8 @@ def solve_exact_1d(rho: DensityField, g: DensityField, cost: RadialCost,
     dphi = np.sign(diff) * np.asarray(cost.dprofile(np.abs(diff)), dtype=float)
     dx = rho.grid.spacing[0]
     phi = np.concatenate([[0.0], np.cumsum(0.5 * (dphi[1:] + dphi[:-1]) * dx)])
-    cmat = _cost_matrix(cost, rho.grid.cell_centers(), g.grid.cell_centers())
+    if cmat is None:
+        cmat = _cost_matrix(cost, rho.grid.cell_centers(), g.grid.cell_centers())
     psi = _min_plus(lambda start, stop: cmat[:, start:stop].T, phi, cmat.shape[1])
     dual = float(phi @ a + psi @ b)
 
@@ -580,19 +590,22 @@ class _TransportationSimplex:
             np.less(reduced, -self.tol, out=negative)
 
 
-def solve_lp(rho: DensityField, g: DensityField, cost: RadialCost) -> TransportResult:
+def solve_lp(rho: DensityField, g: DensityField, cost: RadialCost, *,
+             cmat: np.ndarray | None = None) -> TransportResult:
     """Exact coupling by transportation-simplex pivoting on the dense cost.
 
     Dual variables from the final basis tree are canonicalized by a double
     c-transform before they are returned, so gradients of phi are safe to
     take. Instances beyond ``_LP_CAPACITY`` cells squared are refused.
+    ``cmat`` is the source-by-target cost matrix, built here when not given.
     """
     if rho.grid.num_cells * g.grid.num_cells > _LP_CAPACITY:
         raise CapacityError(
             f"instance size {rho.grid.num_cells} x {g.grid.num_cells} exceeds the limit"
         )
     a, b = _marginals(rho, g)
-    cmat = _cost_matrix(cost, rho.grid.cell_centers(), g.grid.cell_centers())
+    if cmat is None:
+        cmat = _cost_matrix(cost, rho.grid.cell_centers(), g.grid.cell_centers())
     simplex = _TransportationSimplex(cmat, a, b)
     pivots, u, _ = simplex.pivot_until_optimal(max_pivots=50 * (len(a) + len(b)))
     primal = float((simplex.x * cmat).sum())
@@ -652,7 +665,7 @@ def _round_to_polytope(plan: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.nda
 
 
 def solve_entropic(rho: DensityField, g: DensityField, cost: RadialCost,
-                   eps_final: float) -> TransportResult:
+                   eps_final: float, *, cmat: np.ndarray | None = None) -> TransportResult:
     """Entropically regularized transport by log-domain dual ascent.
 
     Runs ``_scaling`` with the Sinkhorn row update f = softmin(g) over the
@@ -670,11 +683,13 @@ def solve_entropic(rho: DensityField, g: DensityField, cost: RadialCost,
     every other solve uses the dense ``softmin``. The plan, the
     c-transforms and ``validate`` use the dense cost matrix either way, and
     ``meta["kernel"]`` records the path taken ("separable" or "dense").
+    ``cmat`` is the source-by-target cost matrix, built here when not given.
     """
     if not eps_final > 0:
         raise ParameterError("eps_final must be positive")
     a, b = _marginals(rho, g)
-    cmat = _cost_matrix(cost, rho.grid.cell_centers(), g.grid.cell_centers())
+    if cmat is None:
+        cmat = _cost_matrix(cost, rho.grid.cell_centers(), g.grid.cell_centers())
     schedule = _eps_ladder(eps_final, float(cmat.max()))
 
     with np.errstate(divide="ignore"):

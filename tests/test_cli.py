@@ -400,6 +400,13 @@ class TestVerify5G:
         return {"batch": {"seeds": [0, 1], "p_values": [2.0], "q_values": [2.0],
                           "n_values": [48], "solver": "exact1d"}}
 
+    def test_shipped_lp_batch_matches_golden_reports(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("verify-5g", "--config", CONFIGS / "verify_5g_lp_example.json",
+                       "--out", out) == 0
+        want = (GOLDEN / "verify_5g_lp_example_reports.csv").read_bytes()
+        assert (out / "reports.csv").read_bytes() == want
+
     def test_passing_batch_exits_0(self, tmp_path, capsys):
         cfg = write_config(tmp_path, self.batch_config())
         out = tmp_path / "out"
@@ -734,6 +741,7 @@ class TestShippedConfigs:
         ("solve_ot_2d_entropic_example.json", "solve-ot"),
         ("solve_ot_2d_lp_example.json", "solve-ot"),
         ("verify_5g_example.json", "verify-5g"),
+        ("verify_5g_lp_example.json", "verify-5g"),
         ("jko_heat_example.json", "jko"),
         ("mollify_example.json", "mollify-study"),
         ("ctransform_example.json", "ctransform"),

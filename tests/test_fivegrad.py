@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from otlab.cost import (
     scale_h_function,
     semiconcavity_constant,
 )
-from otlab import fivegrad
+from otlab import fivegrad, geometry
+from otlab import ot_core as oc
 from otlab.errors import DomainError, ParameterError, ShapeError
 from otlab.fivegrad import (
     _H_DELTA0_FRACTION,
@@ -35,7 +37,7 @@ from otlab.fivegrad import (
     write_reports_csv,
 )
 from otlab.geometry import Grid, gradient, random_smooth_density
-from otlab.ot_core import solve_lp, transport_map_from_potential
+from otlab.ot_core import solve_exact_1d, solve_lp, transport_map_from_potential
 
 
 def unit_grid(n=128):
@@ -359,9 +361,9 @@ class TestOneSolvePerProblem:
         calls = []
         real = fivegrad._solve_for_batch
 
-        def recording(rho, g, cost, solver, entropic_eps):
+        def recording(rho, g, cost, solver, entropic_eps, cmat):
             calls.append([rho, g, cost, None])
-            calls[-1][3] = real(rho, g, cost, solver, entropic_eps)
+            calls[-1][3] = real(rho, g, cost, solver, entropic_eps, cmat)
             return calls[-1][3]
 
         monkeypatch.setattr(fivegrad, "_solve_for_batch", recording)
@@ -409,6 +411,87 @@ class TestOneSolvePerProblem:
             assert report.flux == boundary_flux(rho, g, result.phi, result.psi, hf)
             integrand = five_gradients_integrand(rho, g, result.phi, result.psi, hf)
             assert report.lhs == float(integrand.sum() * rho.grid.cell_volume)
+
+
+
+class TestSharedBatchInputs:
+    """One cost matrix per (p, n) and one density pair per (seed, n), shared read-only."""
+
+    SPEC = dict(seeds=(0, 1, 2), p_values=(1.5, 3.0), q_values=(1.5, 2.0, 4.0),
+                n_values=(16, 32))
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Counts matrix builds and density draws and records every batch solve."""
+        record = {"matrices": [], "densities": 0, "solves": []}
+        real_matrix = oc._cost_matrix
+        real_density = geometry.random_smooth_density
+        real_solve = fivegrad._solve_for_batch
+
+        def matrix(cost, xs, ys):
+            # the previous matrix is dropped before the next one is built
+            assert all(ref() is None for ref in record["matrices"])
+            out = real_matrix(cost, xs, ys)
+            record["matrices"].append(weakref.ref(out))
+            return out
+
+        def density(*args, **kwargs):
+            record["densities"] += 1
+            return real_density(*args, **kwargs)
+
+        def solve(rho, g, cost, solver, entropic_eps, cmat):
+            shared = (not cmat.flags.writeable, cmat is record["matrices"][-1]())
+            record["solves"].append((rho, g, cost, shared,
+                                     real_solve(rho, g, cost, solver, entropic_eps, cmat)))
+            return record["solves"][-1][-1]
+
+        for module in (oc, fivegrad):
+            monkeypatch.setattr(module, "_cost_matrix", matrix)
+        for module in (geometry, fivegrad):
+            monkeypatch.setattr(module, "random_smooth_density", density)
+        monkeypatch.setattr(fivegrad, "_solve_for_batch", solve)
+        return record
+
+    @pytest.mark.parametrize("solver, standalone", [
+        ("lp", solve_lp),
+        ("exact1d", lambda rho, g, cost: solve_exact_1d(rho, g, cost)[0]),
+    ])
+    def test_builds_once_and_matches_standalone_solves(self, builds, solver, standalone):
+        reports = verify_batch(BatchSpec(solver=solver, **self.SPEC))
+        assert len(reports) == 36
+        assert len(builds["matrices"]) == 4
+        assert builds["densities"] == 12
+        assert len(builds["solves"]) == 12
+        for rho, g, cost, shared, result in builds["solves"]:
+            assert shared == (True, True)
+            alone = standalone(rho, g, cost)
+            for name in ("phi", "psi", "coupling"):
+                assert np.array_equal(getattr(result, name), getattr(alone, name))
+
+    @pytest.mark.parametrize("solver", ["lp", "exact1d"])
+    def test_failed_matrix_build_errors_only_its_p(self, monkeypatch, solver):
+        spec = BatchSpec(solver=solver, **self.SPEC)
+        clean = verify_batch(spec)
+        real = oc._cost_matrix
+
+        def failing(cost, xs, ys):
+            if cost.exponent == 3.0:
+                raise DomainError("no matrix for p = 3")
+            return real(cost, xs, ys)
+
+        for module in (oc, fivegrad):
+            monkeypatch.setattr(module, "_cost_matrix", failing)
+        reports = verify_batch(spec)
+        assert [r[:4] for r in map(report_fields, reports)] == list(lattice(spec))
+        for got, want in zip(reports, clean):
+            if got.p == 3.0:
+                assert got.error == "DomainError: no matrix for p = 3"
+                assert np.isnan(got.lhs) and np.isnan(got.flux) and not got.passed
+                fields, clean_fields = report_fields(got), report_fields(want)
+                # seed, p, q, n, d, solver, tv_rho, tv_g and tolerance are kept
+                assert fields[:6] + fields[8:11] == clean_fields[:6] + clean_fields[8:11]
+            else:
+                assert report_fields(got) == report_fields(want)
 
 
 class TestReportsCSV:

@@ -1,6 +1,7 @@
 """Tests for the transport solvers, c-transforms, and map assembly."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -549,9 +550,9 @@ class TestExpFloor:
         else:
             cmat[50, :] = np.inf
             cmat[60, 20] = np.nan
-        with np.errstate(over="ignore"):  # a NaN slice is not shifted
-            got = oc.softmin(cmat, pot, logw, 1e-4, axis)
-            monkeypatch.setattr(oc, "_log_sum_exp", unfloored_log_sum_exp)
+        got = oc.softmin(cmat, pot, logw, 1e-4, axis)
+        monkeypatch.setattr(oc, "_log_sum_exp", unfloored_log_sum_exp)
+        with np.errstate(over="ignore"):  # the reference does not shift a NaN slice
             want = oc.softmin(cmat, pot, logw, 1e-4, axis)
         assert got[50] == np.inf and np.isnan(got[60])
         assert np.array_equal(got, want, equal_nan=True)
@@ -566,12 +567,34 @@ class TestExpFloor:
         logw[1, :] = -np.inf  # an all -inf slice of the first stage
         logw[3, 2] = -np.inf
         factors[1][2, 5] = np.nan
-        with np.errstate(over="ignore"):  # a NaN slice is not shifted
-            got = oc._separable_softmin(factors, pot, logw.reshape(-1), 1e-4, axis)
-            monkeypatch.setattr(oc, "_log_sum_exp", unfloored_log_sum_exp)
+        got = oc._separable_softmin(factors, pot, logw.reshape(-1), 1e-4, axis)
+        monkeypatch.setattr(oc, "_log_sum_exp", unfloored_log_sum_exp)
+        with np.errstate(over="ignore"):  # the reference does not shift a NaN slice
             want = oc._separable_softmin(factors, pot, logw.reshape(-1), 1e-4, axis)
         assert np.isnan(got).any() and np.isfinite(got).any()
         assert np.array_equal(got, want, equal_nan=True)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_nan_cell_gives_nan_without_overflow(self, axis):
+        # potentials of 1 at eps = 1e-3 put exponents near 1000 next to the
+        # NaN: an unshifted slice would overflow exp
+        grid = Grid(2, 0.0, 1.0, 4)
+        factors = oc._axis_factors(grid, grid)
+        cmat = (factors[0][:, None, :, None] + factors[1][None, :, None, :]).reshape(16, 16)
+        pot = np.linspace(0.5, 1.0, 16)
+        logw = np.full(16, np.log(1.0 / 16))
+        clean = (oc.softmin(cmat, pot, logw, 1e-3, axis),
+                 oc._separable_softmin(factors, pot, logw, 1e-3, axis))
+        cmat[5, 9] = np.nan
+        factors[0][1, 2] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = (oc.softmin(cmat, pot, logw, 1e-3, axis),
+                   oc._separable_softmin(factors, pot, logw, 1e-3, axis))
+        for out, ref in zip(got, clean):
+            nan = np.isnan(out)
+            assert nan.any() and not nan.all()
+            assert np.array_equal(out[~nan], ref[~nan])
 
 
 class TestEntropicKernelDispatch:
