@@ -464,7 +464,12 @@ def cmd_ctransform(config: dict, out: Path, base_dir: Path, seed) -> int:
     eval_grid = value_grid
     if "eval_grid" in config:
         eval_grid = _grid_from_spec(config["eval_grid"])
-    radius = max(value_grid.cost_radius, eval_grid.cost_radius)
+    if eval_grid.d != value_grid.d:
+        raise ConfigError(f"eval_grid is {eval_grid.d}-d but the potential grid is "
+                          f"{value_grid.d}-d")
+    # diagonal of the smallest box holding both grids: every pair lies within it
+    radius = float(np.hypot.reduce(np.subtract(np.maximum(value_grid.upper, eval_grid.upper),
+                                               np.minimum(value_grid.lower, eval_grid.lower))))
     cost = _cost_from_spec(config["cost"], radius)
     transform = c_transform(cost, values, value_grid, eval_grid)
     write_field_csv(out / "transform.csv", eval_grid, transform,

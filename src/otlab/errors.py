@@ -54,7 +54,7 @@ class StepError(OTLabError):
 
 
 class ProjectionError(OTLabError):
-    """A density update produced negative values (internal bug signal)."""
+    """A step's candidate density carries no mass, so it cannot be normalized."""
 
 
 class ConfigError(OTLabError):

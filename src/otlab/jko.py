@@ -19,10 +19,10 @@ a safeguarded bisection for power energies. The row marginal of the
 converged plan is the next iterate.
 
 The step and the pinned evaluation run ``ot_core._scaling``, the entropic
-solver's loop, with their own row updates; the self-transport iterates its
-symmetric map through ``ot_core._fixed_point``. Cold starts walk
-``ot_core._eps_ladder`` with ``ot_core._WARM_CAP`` sweeps per wider width;
-every solve stops at ``_INNER_TOL`` within ``_MAX_INNER`` sweeps at eps.
+solver's loop, with their own row updates; the self-transport runs its
+symmetric map through ``ot_core._over_widths``, the width ladder under that
+loop. Cold starts walk the widths of ``ot_core._eps_ladder``; every solve
+stops at ``_INNER_TOL`` within ``_MAX_INNER`` sweeps at eps.
 
 The tilt is the blur correction: smoothing at width eps inflates every
 transport value by a self-transport cost that depends on the density, so
@@ -76,8 +76,7 @@ from .errors import (
     StepError,
 )
 from .geometry import DensityField, Grid, write_field_csv, write_rows
-from .ot_core import (_WARM_CAP, _cost_matrix, _eps_ladder, _fixed_point, _scaling, log_plan,
-                      softmin)
+from .ot_core import _cost_matrix, _eps_ladder, _over_widths, _scaling, log_plan, softmin
 
 # s log s at s = 0 is the limit 0; the floor keeps the evaluation finite
 # without moving the value at any density above it.
@@ -194,9 +193,9 @@ class JKOConfig:
 class Trajectory:
     """States of one flow run plus per-state diagnostics.
 
-    ``cost[k]`` is the transport term of step k (0 at the initial state) and
-    ``residual[k]`` the last inner update size; a non-empty ``error`` marks a
-    run aborted at ``len(densities) - 1`` states after the failure.
+    ``cost[k]`` is the transport term of step k and ``residual[k]`` its scaling
+    solve's L1 row-mass gap (both 0 where no step ran); a non-empty ``error``
+    marks a run aborted at ``len(densities) - 1`` states after the failure.
     """
 
     densities: tuple
@@ -342,28 +341,30 @@ def _pinned_value(a_log: np.ndarray, b_log: np.ndarray, r_log: np.ndarray,
     return value, plan_cost, f, g, residual, sweeps
 
 
-def _sym_solve(a_log: np.ndarray, r_log: np.ndarray, cmat: np.ndarray,
-               eps: float, u: np.ndarray, cap: int):
+def _sym_solve(a_log: np.ndarray, r_log: np.ndarray, cmat: np.ndarray, levels: list,
+               u: np.ndarray):
     """Self-transport potential and value for marginal a against the r x r reference.
 
-    ``_fixed_point`` iterates the map u <- F(u) of the symmetric marginal
+    ``_over_widths`` iterates the map u <- F(u) of the symmetric marginal
     condition for min <C,Q> + eps KL(Q | r x r) over plans with both
-    marginals a = exp(a_log), to a mass-weighted |F(u) - u| / eps of
-    ``_INNER_TOL``; the mixing damps the plain map's oscillation. The minimizer's potential
-    is the gradient of a |-> OT_eps(a, a) / 2, which the blur correction and
-    the debiased descent comparison need. Returns (dual value, u, residual,
-    sweeps); the dual value is 2 u.a + eps (mass(r x r) - mass(Q)).
+    marginals a = exp(a_log), through the widths ``levels``, to a
+    mass-weighted |F(u) - u| / eps of ``_INNER_TOL``; the mixing damps the
+    plain map's oscillation. The minimizer's potential is the gradient of
+    a |-> OT_eps(a, a) / 2, which the blur correction and the debiased
+    descent comparison need. Returns (dual value, u, residual, sweeps); the
+    dual value at the last width is 2 u.a + eps (mass(r x r) - mass(Q)).
     """
     a = np.exp(a_log)
     live = a > 0
 
-    def sweep(u):
+    def sweep(u, eps):
         fu = eps * (a_log - r_log) + softmin(cmat, u, r_log, eps, 1)
         return fu, float((np.abs(fu - u)[live] * a[live]).sum() / eps), None
 
-    u, residual, sweeps, _ = _fixed_point(sweep, np.where(live, u, -np.inf), _INNER_TOL, cap)
+    u, residual, sweeps, _ = _over_widths(sweep, np.where(live, u, -np.inf), levels,
+                                          _INNER_TOL, _MAX_INNER)
     r_mass = float(np.exp(r_log).sum())
-    value, _ = _dual_value(cmat, u, u, a, a, r_log, r_log, eps, r_mass * r_mass)
+    value, _ = _dual_value(cmat, u, u, a, a, r_log, r_log, levels[-1], r_mass * r_mass)
     if not math.isfinite(value):
         raise StepError("self-transport evaluation produced a non-finite value",
                         residual=residual)
@@ -396,11 +397,7 @@ def _jko_step_full(rho_k: DensityField, config: JKOConfig,
 
     # anchor self-potential at the working width; its negative gradient is
     # the blur each transport solve at this width would otherwise inject
-    iterations = 0
-    for index, eps in enumerate(levels):
-        cap = _MAX_INNER if index == len(levels) - 1 else _WARM_CAP
-        sym_anchor, u, sym_res, sweeps = _sym_solve(b_log, r_log, cmat, eps, u, cap)
-        iterations += sweeps
+    sym_anchor, u, sym_res, iterations = _sym_solve(b_log, r_log, cmat, levels, u)
     if not sym_res <= _INNER_TOL:
         raise StepError(
             f"self-potential iteration did not converge at width {config.eps:g}",
@@ -430,38 +427,33 @@ def _jko_step_full(rho_k: DensityField, config: JKOConfig,
     # self problems share their optimal plan, so the anchor's transport
     # value follows from the self value by a closed-form offset, and the
     # converged step potentials are already optimal for the candidate's
-    # pinned problem, so its value reads off them directly. A rejected
-    # shortcut trial is re-checked once with the full evaluator before any
-    # damping, and a step that cannot help returns the anchor itself.
+    # pinned problem, so its value reads off them directly. Trial 0 takes
+    # that shortcut, trial 1 re-checks the candidate with the full evaluator
+    # (same self solve), and trial k >= 2 moves 2^-(k-1) of the way; a step
+    # that cannot help returns the anchor itself.
     live = b > 0
     offset = config.eps * (r_mass - r_mass * r_mass
                            + float((b[live] * (r_log[live] - b_log[live])).sum()))
     g_anchor = 0.5 * sym_anchor + offset + tau_pow * energy_value(rho_k, config.energy)
 
-    value_joint, plan_cost_joint = _dual_value(
-        cmat, f, g, candidate.reshape(-1) * vol, b, r_log, b_log, config.eps, r_mass)
-
-    current = rho_k
-    transport_current = 0.0
-    objective_current = g_anchor
-    u_next = u
+    current, transport_current, objective_current, u_next = rho_k, 0.0, g_anchor, u
     f_a = f
-    theta = 1.0
-    trial_vals = candidate
-    shortcut = True
-    for _ in range(_DESCENT_TRIALS):
+    for trial in range(_DESCENT_TRIALS):
+        theta = 0.5 ** max(trial - 1, 0)  # 1 gives the candidate's own bits
+        trial_vals = (1.0 - theta) * rho_k.values + theta * candidate
         trial_field = DensityField(grid, trial_vals)
         with np.errstate(divide="ignore"):
             a_log_trial = np.log(trial_vals.reshape(-1) * vol)
-        if shortcut:
-            g_trial, plan_cost = value_joint, plan_cost_joint
+        if trial == 0:
+            g_trial, plan_cost = _dual_value(cmat, f, g, candidate.reshape(-1) * vol, b,
+                                             r_log, b_log, config.eps, r_mass)
         else:
             g_trial, plan_cost, f_a, _, _, sw = _pinned_value(
                 a_log_trial, b_log, r_log, cmat, config.eps, f_a)
             iterations += sw
-        sym_trial, u_trial, _, sw = _sym_solve(a_log_trial, r_log, cmat, config.eps, u,
-                                               _MAX_INNER)
-        iterations += sw
+        if trial != 1:
+            sym_trial, u_trial, _, sw = _sym_solve(a_log_trial, r_log, cmat, [config.eps], u)
+            iterations += sw
         g_trial += tau_pow * energy_value(trial_field, config.energy) - 0.5 * sym_trial
         if g_trial <= g_anchor + _DESCENT_SLACK * tau_pow:
             current = trial_field
@@ -469,11 +461,6 @@ def _jko_step_full(rho_k: DensityField, config: JKOConfig,
             objective_current = g_trial
             u_next = u_trial
             break
-        if shortcut:
-            shortcut = False
-            continue
-        theta *= 0.5
-        trial_vals = (1.0 - theta) * rho_k.values + theta * candidate
 
     return current, _StepInfo(transport_current, residual,
                               objective_current / tau_pow, g_anchor / tau_pow,

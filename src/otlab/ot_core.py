@@ -26,6 +26,7 @@ from .errors import (
     OTLabError,
     ParameterError,
     RangeError,
+    ShapeError,
 )
 from .geometry import DensityField, Grid, format_cell, write_rows
 
@@ -51,8 +52,8 @@ _FEASIBILITY_SLACK = 1e-9
 _MARGINAL_TOL = 1e-8
 _GAP_FLOOR = -1e-10
 _LP_CAPACITY = 4096 * 4096
-# entropic solver: L1 marginal residual that ends a level; sweep caps of
-# its last width and of every warm-up width of an epsilon-scaled solve
+# entropic solver: L1 marginal residual that ends a level and sweep cap of
+# its last width; sweep cap of every warm-up width of ``_over_widths``
 _RAW_MARGINAL_TOL = 1e-7
 _MAX_SWEEPS = 20000
 _WARM_CAP = 200
@@ -140,7 +141,9 @@ def default_mass_threshold(grid: Grid) -> float:
 
 
 def _cost_matrix(cost: RadialCost, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Dense matrix h(x_i - y_j); raises if any pair leaves the cost ball."""
+    """Dense matrix h(x_i - y_j); raises if the points' dimensions differ or a pair leaves the cost ball."""
+    if xs.shape[1] != ys.shape[1]:
+        raise ShapeError(f"points x are {xs.shape[1]}-d but points y are {ys.shape[1]}-d")
     diff = xs[:, None, :] - ys[None, :, :]
     r = np.square(diff, out=diff).sum(axis=-1)  # in place: one (N, M, d) temporary
     np.sqrt(r, out=r)
@@ -265,26 +268,36 @@ def _fixed_point(step, x0: np.ndarray, tol: float, cap: int):
     return x, residual, sweeps, extra
 
 
+def _over_widths(step, x: np.ndarray, levels, tol: float, cap: int):
+    """``_fixed_point`` on ``step(x, eps)`` at each width of ``levels``, each warm-starting the next.
+
+    The last width gets ``cap`` sweeps, the others ``_WARM_CAP``. Returns
+    (x, residual, sweeps summed over widths, extra) of the last width.
+    """
+    sweeps = 0
+    for level, eps in enumerate(levels):
+        x, residual, level_sweeps, extra = _fixed_point(
+            partial(step, eps=eps), x, tol, cap if level == len(levels) - 1 else _WARM_CAP)
+        sweeps += level_sweeps
+    return x, residual, sweeps, extra
+
+
 def _scaling(kernel, f: np.ndarray, x_log: np.ndarray, y_log: np.ndarray, levels,
              row_update, tol: float, cap: int):
     """Generic scaling loop (Chizat, Peyre, Schmitzer and Vialard 2018) over the widths ``levels``.
 
-    At width eps, ``_fixed_point`` iterates f <- f_next, where g = kernel(f, x_log, eps, 0)
+    At width eps, ``_over_widths`` iterates f <- f_next, where g = kernel(f, x_log, eps, 0)
     fits the columns, (f_next, masses) = row_update(kernel(g, y_log, eps, 1), eps) is the
     row prox, and the residual is the ``_row_gap`` of masses. ``kernel`` takes ``softmin``'s
-    arguments after the cost. Each width warm-starts the next; the last gets ``cap`` sweeps,
-    the others ``_WARM_CAP``. Returns (f, g, masses, residual, sweeps summed over widths).
+    arguments after the cost; ``cap`` bounds the sweeps at the last width. Returns
+    (f, g, masses, residual, sweeps summed over widths).
     """
-    sweeps = 0
-    for level, eps in enumerate(levels):
-        def step(f):
-            g = kernel(f, x_log, eps, 0)
-            f_next, masses = row_update(kernel(g, y_log, eps, 1), eps)
-            return f_next, _row_gap(masses, f, f_next, eps), (g, masses)
+    def step(f, eps):
+        g = kernel(f, x_log, eps, 0)
+        f_next, masses = row_update(kernel(g, y_log, eps, 1), eps)
+        return f_next, _row_gap(masses, f, f_next, eps), (g, masses)
 
-        f, residual, level_sweeps, (g, masses) = _fixed_point(
-            step, f, tol, cap if level == len(levels) - 1 else _WARM_CAP)
-        sweeps += level_sweeps
+    f, residual, sweeps, (g, masses) = _over_widths(step, f, levels, tol, cap)
     return f, g, masses, residual, sweeps
 
 
@@ -367,25 +380,26 @@ def _monotone_plan(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list[tuple
     they form a starting basis for the transportation simplex.
     """
     m, n = len(a), len(b)
-    plan = np.zeros((m, n))
-    path = []
-    ar = a.tolist()  # plain floats: the same IEEE arithmetic, no numpy scalars
-    br = b.tolist()
+    path, moves = [], []
+    ar, br = a.tolist(), b.tolist()  # plain floats: the same IEEE arithmetic, no numpy scalars
     i = j = 0
     while True:
         path.append((i, j))
-        move = min(ar[i], br[j])
-        plan[i, j] = move
-        ar[i] -= move
-        br[j] -= move
+        x, y = ar[i], br[j]
+        move = y if y < x else x  # min(x, y), without the call
+        moves.append(move)
+        ar[i] = x = x - move
+        br[j] = y - move
         if i == m - 1 and j == n - 1:
             break
-        if ar[i] == 0.0 and i < m - 1:
+        if x == 0.0 and i < m - 1:
             i += 1
         elif j < n - 1:
             j += 1
         else:
             i += 1
+    plan = np.zeros((m, n))
+    plan[tuple(zip(*path))] = moves  # the staircase visits each cell once
     return plan, path
 
 

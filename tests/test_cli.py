@@ -24,6 +24,7 @@ from otlab.geometry import (
     density_from_csv,
     density_to_csv,
     random_smooth_density,
+    read_field_csv,
     write_field_csv,
 )
 from otlab.jko import energy_value, entropy_energy, power_energy
@@ -726,6 +727,31 @@ class TestCTransform:
         rows = (out / "transform.csv").read_text().splitlines()
         assert len(rows) == 65
 
+    def test_eval_grid_beyond_the_value_box(self, tmp_path):
+        # the pairs span the union box [0, 1.5]; neither box's own diagonal holds them
+        cfg = write_config(tmp_path, {
+            "cost": {"family": "power", "p": 1.5},
+            "potential_csv": str(CONFIGS / "ctransform_potential.csv"),
+            "eval_grid": {"d": 1, "lower": 0.5, "upper": 1.5, "n": 32},
+        })
+        out = tmp_path / "out"
+        assert run_cli("ctransform", "--config", cfg, "--out", out) == 0
+        rows = (out / "transform.csv").read_text().splitlines()[1:]
+        got = np.array([float(r.split(",")[1]) for r in rows])
+        value_grid, values = read_field_csv(CONFIGS / "ctransform_potential.csv")
+        want = c_transform(power_cost(1.5, 2.0), values, value_grid, Grid(1, 0.5, 1.5, 32))
+        assert np.array_equal(got, want)
+
+    def test_mismatched_eval_grid_dimension_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "cost": {"family": "power", "p": 1.5},
+            "potential_csv": str(CONFIGS / "ctransform_potential.csv"),
+            "eval_grid": {"d": 2, "lower": 0.0, "upper": 1.0, "n": 4},
+        })
+        assert run_cli("ctransform", "--config", cfg, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "2-d" in err and "1-d" in err
+
     def test_missing_potential_file_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, {
             "cost": {"family": "power", "p": 2.0},
@@ -735,18 +761,21 @@ class TestCTransform:
                        tmp_path / "out") == 2
 
 
+# file-name prefix -> subcommand of a shipped config, the same map CI loops over
+SHIPPED_PREFIXES = {"solve_ot_": "solve-ot", "verify_5g_": "verify-5g", "jko_": "jko",
+                    "mollify_": "mollify-study", "ctransform_": "ctransform"}
+
+
+def shipped_command(name: str):
+    return next((c for p, c in SHIPPED_PREFIXES.items() if name.startswith(p)), None)
+
+
 class TestShippedConfigs:
     @pytest.mark.parametrize("name,command", [
-        ("solve_ot_example.json", "solve-ot"),
-        ("solve_ot_2d_entropic_example.json", "solve-ot"),
-        ("solve_ot_2d_lp_example.json", "solve-ot"),
-        ("verify_5g_example.json", "verify-5g"),
-        ("verify_5g_lp_example.json", "verify-5g"),
-        ("jko_heat_example.json", "jko"),
-        ("mollify_example.json", "mollify-study"),
-        ("ctransform_example.json", "ctransform"),
+        (path.name, shipped_command(path.name)) for path in sorted(CONFIGS.glob("*.json"))
     ])
     def test_examples_parse_and_run(self, tmp_path, name, command):
+        assert command is not None, f"{name} has no known subcommand prefix"
         assert run_cli(command, "--config", CONFIGS / name,
                        "--out", tmp_path / "out") == 0
 

@@ -247,6 +247,55 @@ class TestDescentCheck:
         assert row_gap(f, g) == pytest.approx(residual, rel=1e-12)
 
 
+class TestSelfSolves:
+    @staticmethod
+    def spied_step(monkeypatch):
+        """One cold n = 32 bump step; returns the levels of each self solve and,
+        for each dual evaluation, its width and the levels of the self solve
+        it ran inside (None outside one)."""
+        sym_levels, evaluations, inside = [], [], []
+        real_sym, real_dual = jko._sym_solve, jko._dual_value
+
+        def sym(*args):
+            sym_levels.append(np.atleast_1d(args[3]).tolist())
+            inside.append(sym_levels[-1])
+            try:
+                return real_sym(*args)
+            finally:
+                inside.pop()
+
+        def dual(*args):
+            evaluations.append((args[7], inside[-1] if inside else None))
+            return real_dual(*args)
+
+        monkeypatch.setattr(jko, "_sym_solve", sym)
+        monkeypatch.setattr(jko, "_dual_value", dual)
+        jko._jko_step_full(bump_density(n=32), heat_config(1))
+        return sym_levels, evaluations
+
+    def test_accepted_cold_step_solves_each_self_problem_once(self, monkeypatch):
+        # the anchor's self solve walks the whole ladder in one call; the
+        # shortcut trial adds one self solve and one dual evaluation
+        sym_levels, evaluations = self.spied_step(monkeypatch)
+        assert len(sym_levels) == 2
+        assert len(sym_levels[0]) > 2 and sym_levels[1] == [heat_config(1).eps]
+        assert len(evaluations) == 3
+
+    def test_self_value_only_at_the_last_width(self, monkeypatch):
+        # no self value is taken at a warm-up width of the anchor's ladder
+        _, evaluations = self.spied_step(monkeypatch)
+        inner = [(eps, levels) for eps, levels in evaluations if levels is not None]
+        assert len(inner) == 2
+        assert all(eps == levels[-1] == heat_config(1).eps for eps, levels in inner)
+
+    def test_rejected_trials_reuse_the_candidate_self_solve(self, monkeypatch):
+        # the full re-check of the candidate shares trial 0's self solve, so
+        # the anchor and every trial but that one solve once each
+        monkeypatch.setattr(jko, "_DESCENT_SLACK", -1.0)
+        sym_levels, _ = self.spied_step(monkeypatch)
+        assert len(sym_levels) == 1 + (jko._DESCENT_TRIALS - 1)
+
+
 class TestRunJKO:
     def test_zero_steps_returns_initial_state(self):
         rho0 = bump_density(n=32)

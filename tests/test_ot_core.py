@@ -19,6 +19,7 @@ from otlab.errors import (
     InputError,
     ParameterError,
     RangeError,
+    ShapeError,
 )
 from otlab.geometry import Grid, as_density, gradient, random_smooth_density
 
@@ -70,6 +71,12 @@ class TestCTransform:
         phi1 = oc.c_transform(cost, psi1, grid)
         phi2 = oc.c_transform(cost, psi2, grid)
         assert np.all(phi1 >= phi2 - 1e-14)
+
+    def test_mismatched_dimensions_rejected(self):
+        cost = power_cost(2.0, 2.0)
+        # the eval grid's points come first in the cost matrix
+        with pytest.raises(ShapeError, match="2-d.*1-d"):
+            oc.c_transform(cost, np.zeros(4), Grid(1, 0.0, 1.0, 4), Grid(2, 0.0, 1.0, 4))
 
 
 class TestCanonicalPairMatrixForm:
@@ -240,6 +247,12 @@ class TestSolveLP:
         heavier = as_density(grid, g.values * 1.5)
         with pytest.raises(InputError):
             oc.solve_lp(rho, heavier, cost)
+
+    def test_mismatched_dimensions_rejected(self):
+        rho = random_smooth_density(Grid(1, 0.0, 1.0, 16), 3)
+        g = random_smooth_density(Grid(2, 0.0, 1.0, 4), 4)
+        with pytest.raises(ShapeError, match="1-d.*2-d"):
+            oc.solve_lp(rho, g, power_cost(2.0, 2.0))
 
 
 def _numpy_tree_duals(cmat, cells):
@@ -811,6 +824,33 @@ class TestFixedPoint:
         assert rejected
         for k in rejected:
             np.testing.assert_array_equal(calls[k + 1], updates[k - 1])
+
+
+class TestOverWidths:
+    def test_warm_caps_then_the_last_cap_each_width_seeding_the_next(self, monkeypatch):
+        calls = []
+        real = oc._fixed_point
+
+        def spy(step, x0, tol, cap):
+            out = real(step, x0, tol, cap)
+            calls.append((step.keywords["eps"], x0, cap, out))
+            return out
+
+        monkeypatch.setattr(oc, "_fixed_point", spy)
+
+        def step(x, eps):
+            fx = 0.5 * x + eps
+            return fx, float(np.abs(fx - x).sum()), eps
+
+        levels = [16.0, 4.0, 1.0]
+        x, residual, sweeps, extra = oc._over_widths(step, np.zeros(2), levels, 1e-12, 7)
+        assert [c[0] for c in calls] == levels
+        assert [c[2] for c in calls] == [oc._WARM_CAP, oc._WARM_CAP, 7]
+        for prev, nxt in zip(calls, calls[1:]):
+            assert nxt[1] is prev[3][0]
+        assert x is calls[-1][3][0] and extra == 1.0
+        assert residual == calls[-1][3][1]
+        assert sweeps == sum(c[3][2] for c in calls)
 
 
 class TestTransportMap:
