@@ -348,13 +348,18 @@ def cmd_solve_ot(config: dict, out: Path, base_dir: Path, seed) -> int:
     write_map = config.get("write_map", True)
 
     threshold = solver_spec.get("mass_threshold", default_mass_threshold(grid))
+    eps_final = solver_spec.get("eps_final", 1e-4)
+    if not (np.isfinite(threshold) and threshold >= 0):
+        raise ConfigError(f"solver mass_threshold must be finite and >= 0, got {threshold!r}")
+    if not (np.isfinite(eps_final) and eps_final > 0):
+        raise ConfigError(f"solver eps_final must be finite and > 0, got {eps_final!r}")
     map_field = None
     if method == "exact1d":
         result, map_field = solve_exact_1d(rho, g, cost, mass_threshold=threshold)
     elif method == "lp":
         result = solve_lp(rho, g, cost)
     else:
-        result = solve_entropic(rho, g, cost, eps_final=solver_spec.get("eps_final", 1e-4))
+        result = solve_entropic(rho, g, cost, eps_final=eps_final)
     if map_field is None and write_map:
         map_field = transport_map_from_potential(result.phi, cost, rho,
                                                  mass_threshold=threshold)

@@ -181,6 +181,9 @@ class BatchSpec:
     def __post_init__(self):
         if len(self.seeds) == 0:
             raise ParameterError("batch needs at least one seed")
+        for name in ("p_values", "q_values", "n_values"):
+            if len(getattr(self, name)) == 0:
+                raise ParameterError(f"batch {name} must not be empty")
         if self.d not in (1, 2):
             raise DomainError("batch dimension must be 1 or 2")
         if self.solver not in ("auto", "lp", "entropic", "exact1d"):

@@ -62,6 +62,8 @@ _ANDERSON_DEPTH = 5
 # log-sum-exp: shifted exponents are raised to this; numpy's vectorized exp
 # leaves its fast path for inputs whose result is subnormal (below about -708)
 _EXP_FLOOR = -700.0
+# entries per row block of ``_row_blocks``: 256 KB of float64, which fits in L2
+_BLOCK_ENTRIES = 2**15
 
 
 @dataclass(frozen=True)
@@ -109,7 +111,9 @@ class TransportResult:
             raise OTLabError(f"duality gap {self.gap:.3e} is below {_GAP_FLOOR}")
         if cmat is None:
             cmat = _cost_matrix(self.cost, self.source.grid.cell_centers(), self.target.grid.cell_centers())
-        worst = (self.phi.reshape(-1)[:, None] + self.psi.reshape(-1)[None, :] - cmat).max()
+        phi, psi = self.phi.reshape(-1), self.psi.reshape(-1)
+        worst = np.array([(phi[start:stop, None] + psi - cmat[start:stop]).max()
+                          for start, stop in _row_blocks(*cmat.shape)]).max()
         if worst > _FEASIBILITY_SLACK:
             raise OTLabError(f"potentials violate phi + psi <= h by {worst:.3e}")
 
@@ -301,17 +305,37 @@ def _scaling(kernel, f: np.ndarray, x_log: np.ndarray, y_log: np.ndarray, levels
     return f, g, masses, residual, sweeps
 
 
+def _row_blocks(m: int, n: int) -> list[tuple[int, int]]:
+    """Row ranges (start, stop) that cover an m-by-n matrix, at most ``_BLOCK_ENTRIES`` entries each.
+
+    A block holds at least one row. Every blocked pass over a cost matrix
+    takes its blocks from here, so its temporaries stay cache-sized.
+    """
+    rows = max(1, _BLOCK_ENTRIES // max(n, 1))
+    return [(start, min(start + rows, m)) for start in range(0, m, rows)]
+
+
 def _min_plus(cost_rows, vals: np.ndarray, n_out: int) -> np.ndarray:
     """out[k] = min_l [C[k, l] - vals[l]] for the n_out rows of a cost matrix C.
 
     ``cost_rows(start, stop)`` returns rows start..stop of C; they are taken
-    in blocks of at most 2**22 pairs, which caps the temporaries.
+    in the blocks of ``_row_blocks``, which caps the temporaries.
     """
     out = np.empty(n_out)
-    block = max(1, int(2**22 // max(vals.size, 1)))
-    for start in range(0, n_out, block):
-        stop = min(start + block, n_out)
-        out[start:stop] = (cost_rows(start, stop) - vals[None, :]).min(axis=1)
+    for start, stop in _row_blocks(n_out, vals.size):
+        out[start:stop] = (cost_rows(start, stop) - vals).min(axis=1)
+    return out
+
+
+def _column_min(cmat: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """out[l] = min_k [C[k, l] - vals[k]]: ``_min_plus`` down the columns of C.
+
+    A running minimum over the row blocks of C, each reduced along its
+    rows; no transposed or strided view of C is read.
+    """
+    out = np.full(cmat.shape[1], np.inf)
+    for start, stop in _row_blocks(*cmat.shape):
+        np.minimum(out, (cmat[start:stop] - vals[start:stop, None]).min(axis=0), out=out)
     return out
 
 
@@ -336,11 +360,13 @@ def c_transform(cost: RadialCost, values, value_grid: Grid, eval_grid: Grid | No
 def _canonical_pair_from_matrix(cmat: np.ndarray, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Double c-transform on a source-by-target cost matrix; flat phi in, flat pair out.
 
-    psi = min over rows of (C - phi), then phi = min over columns of (C - psi).
-    For a radial h, h(y - x) = h(x - y) bit for bit, so this equals two
-    ``c_transform`` calls exactly.
+    psi = min over rows of (C - phi) by ``_column_min``, then phi = min over
+    columns of (C - psi) by ``_min_plus``; both walk the row blocks of C, so
+    no temporary is larger than a block. For a radial h, h(y - x) = h(x - y)
+    bit for bit, and min is exact, so this equals two ``c_transform`` calls
+    exactly.
     """
-    psi = _min_plus(lambda start, stop: cmat[:, start:stop].T, phi, cmat.shape[1])
+    psi = _column_min(cmat, phi)
     return _min_plus(lambda start, stop: cmat[start:stop], psi, cmat.shape[0]), psi
 
 
@@ -438,7 +464,7 @@ def solve_exact_1d(rho: DensityField, g: DensityField, cost: RadialCost,
     phi = np.concatenate([[0.0], np.cumsum(0.5 * (dphi[1:] + dphi[:-1]) * dx)])
     if cmat is None:
         cmat = _cost_matrix(cost, rho.grid.cell_centers(), g.grid.cell_centers())
-    psi = _min_plus(lambda start, stop: cmat[:, start:stop].T, phi, cmat.shape[1])
+    psi = _column_min(cmat, phi)
     dual = float(phi @ a + psi @ b)
 
     result = TransportResult(
@@ -490,7 +516,8 @@ class _TransportationSimplex:
         self.cmat = cmat
         self.m, self.n = cmat.shape
         self.x, self.path = _monotone_plan(a, b)
-        self.tol = 1e-11 * (1.0 + float(np.abs(cmat).max()))
+        # the largest |c_ij| of a finite matrix, without an |C| temporary
+        self.tol = 1e-11 * (1.0 + max(float(cmat.max()), -float(cmat.min())))
         self.children: list[list[int]] | None = None  # built at the first pivot
 
     def staircase_duals(self) -> tuple[np.ndarray, np.ndarray]:
@@ -500,13 +527,13 @@ class _TransportationSimplex:
         ``depth`` and ``duals``.
         """
         m = self.m
-        ii, jj = np.array(self.path).T
+        ii, jj = zip(*self.path)  # tuples of plain ints
         costs = self.cmat[ii, jj].tolist()
         dual = [0.0] * (m + self.n)
         parent = [-1] * (m + self.n)
         depth = [0] * (m + self.n)
         prev_i = 0
-        for i, j, c in zip(ii.tolist(), jj.tolist(), costs):
+        for i, j, c in zip(ii, jj, costs):
             if i != prev_i:  # a row step reaches row i through column j
                 node, up = i, m + j
                 prev_i = i
@@ -582,26 +609,51 @@ class _TransportationSimplex:
             depth[k] = depth[up] + 1
             stack.extend(children[k])
 
-    def pivot_until_optimal(self, max_pivots: int) -> tuple[int, np.ndarray, np.ndarray]:
-        """Pivot to optimality; returns the pivot count and the final duals u, v."""
-        pivots = 0
+    def pivot_until_optimal(self, max_pivots: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+        """Pivot to optimality; returns the pivot count, the final duals u, v and psi.
+
+        Each pass walks C in the row blocks of ``_row_blocks``, in three
+        block-sized buffers allocated once: t = C - u, the reduced costs
+        t - v and their test against -tol. The first negative reduced cost
+        of the first block that has one enters (Bland's rule, the first in
+        row-major order). A block with none folds t.min(axis=0) into psi, so
+        the pass that finds none has covered every block and leaves
+        psi_j = min_i (c_ij - u_i), the first c-transform of u, bit for bit
+        ``_canonical_pair_from_matrix(cmat, u)[1]``. On a single block no
+        psi work is done on a pass that finds an entering cell.
+        """
+        cmat, n, limit = self.cmat, self.n, -self.tol
         u, v = self.staircase_duals()  # views of ``duals``, which each pivot updates in place
-        reduced = self.cmat - u[:, None] - v[None, :]
-        negative = reduced < -self.tol
+        ranges = _row_blocks(self.m, n)
+        rows = ranges[0][1]  # the first block is a largest one
+        t, reduced, negative = np.empty((rows, n)), np.empty((rows, n)), np.empty((rows, n), bool)
+        blocks = [(start, cmat[start:stop], u[start:stop, None], t[:stop - start],
+                   reduced[:stop - start], negative[:stop - start]) for start, stop in ranges]
+        psi, block_min = np.empty(n), np.empty(n)
+        pivots = 0
         while True:
-            k = int(negative.argmax())  # the first True in row-major order
-            if not negative.flat[k]:
-                return pivots, u, v
+            for start, c_b, u_b, t_b, r_b, neg_b in blocks:
+                np.subtract(c_b, u_b, out=t_b)
+                np.subtract(t_b, v, out=r_b)
+                np.less(r_b, limit, out=neg_b)
+                k = int(neg_b.argmax())  # the first True in row-major order
+                if neg_b.flat[k]:
+                    break
+                if start == 0:  # the pass's first block starts psi
+                    t_b.min(axis=0, out=psi)
+                else:
+                    np.minimum(psi, t_b.min(axis=0, out=block_min), out=psi)
+            else:
+                return pivots, u, v, psi
             if pivots >= max_pivots:
-                raise ConvergenceError(
-                    "transportation simplex exceeded its pivot budget",
-                    residual=float(-reduced.min()),
-                )
-            self._pivot(*divmod(k, self.n))
+                # the most negative reduced cost over all of C, not only this pass's blocks
+                worst = min(float((np.subtract(c_b, u_b, out=t_b) - v).min())
+                            for _, c_b, u_b, t_b, _, _ in blocks)
+                raise ConvergenceError("transportation simplex exceeded its pivot budget",
+                                       residual=-worst)
+            i, j = divmod(k, n)
+            self._pivot(start + i, j)
             pivots += 1
-            np.subtract(self.cmat, u[:, None], out=reduced)
-            np.subtract(reduced, v[None, :], out=reduced)
-            np.less(reduced, -self.tol, out=negative)
 
 
 def solve_lp(rho: DensityField, g: DensityField, cost: RadialCost, *,
@@ -621,10 +673,11 @@ def solve_lp(rho: DensityField, g: DensityField, cost: RadialCost, *,
     if cmat is None:
         cmat = _cost_matrix(cost, rho.grid.cell_centers(), g.grid.cell_centers())
     simplex = _TransportationSimplex(cmat, a, b)
-    pivots, u, _ = simplex.pivot_until_optimal(max_pivots=50 * (len(a) + len(b)))
+    pivots, _, _, psi = simplex.pivot_until_optimal(max_pivots=50 * (len(a) + len(b)))
     primal = float((simplex.x * cmat).sum())
 
-    phi, psi = _canonical_pair_from_matrix(cmat, u)
+    # psi is the first c-transform of u from the certifying pass; phi the second
+    phi = _min_plus(lambda start, stop: cmat[start:stop], psi, cmat.shape[0])
     dual = float(phi @ a + psi @ b)
     result = TransportResult(
         source=rho,

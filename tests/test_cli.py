@@ -188,6 +188,33 @@ class TestSolveOT:
         assert abs(float(got["dual"]) - float(want["dual"])) < 1e-8
         assert got["solver"] == want["solver"]
 
+    def test_shipped_2d_lp_example_matches_golden_meta(self, tmp_path):
+        # the one shipped pivoting LP (1783 pivots): its meta must not change by a bit
+        out = tmp_path / "out"
+        assert run_cli("solve-ot", "--config", CONFIGS / "solve_ot_2d_lp_example.json",
+                       "--out", out) == 0
+        assert (out / "meta").read_bytes() == (GOLDEN / "solve_ot_2d_lp_example_meta").read_bytes()
+
+    @pytest.mark.parametrize("solver", [
+        {"method": "exact1d", "mass_threshold": float("nan")},
+        {"method": "lp", "mass_threshold": -1e-6},
+        {"method": "exact1d", "mass_threshold": float("inf")},
+        {"method": "entropic", "eps_final": 0},
+        {"method": "entropic", "eps_final": float("nan")},
+        {"method": "entropic", "eps_final": -1e-3},
+        {"method": "entropic", "eps_final": float("inf")},
+    ])
+    def test_bad_solver_number_exits_2(self, tmp_path, capsys, monkeypatch, solver):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the solver numbers were checked")
+
+        for name in ("solve_exact_1d", "solve_lp", "solve_entropic"):
+            monkeypatch.setattr(cli, name, no_solve)
+        cfg = write_config(tmp_path, solve_config(solver=solver))
+        assert run_cli("solve-ot", "--config", cfg, "--out", tmp_path / "out") == 2
+        key = "mass_threshold" if "mass_threshold" in solver else "eps_final"
+        assert key in capsys.readouterr().err
+
     def test_shipped_2d_entropic_example_matches_golden_meta(self, tmp_path):
         # sweep counts swing with the last bits of the Anderson mix, so the
         # golden values are compared to rtol 1e-9 and the counts not at all
@@ -440,6 +467,15 @@ class TestVerify5G:
     def test_missing_seeds_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, {"batch": {"p_values": [2.0]}})
         assert run_cli("verify-5g", "--config", cfg, "--out", tmp_path / "out") == 2
+
+    @pytest.mark.parametrize("key", ["p_values", "q_values", "n_values"])
+    def test_empty_batch_list_exits_2(self, tmp_path, capsys, key):
+        # an empty lattice would check nothing and still print PASS
+        batch = {"seeds": [0], "p_values": [2.0], "q_values": [2.0], "n_values": [16], key: []}
+        cfg = write_config(tmp_path, {"batch": batch})
+        assert run_cli("verify-5g", "--config", cfg, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "invalid batch spec" in err and key in err
 
     def test_unknown_batch_key_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"batch": {"seeds": [0], "kappa": 0.1}})

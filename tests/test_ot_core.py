@@ -1,6 +1,7 @@
 """Tests for the transport solvers, c-transforms, and map assembly."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -373,6 +374,30 @@ class TestLPRegression:
             simplex.pivot_until_optimal(max_pivots=5)
         assert math.isfinite(info.value.residual) and info.value.residual > 0.0
 
+    # 5 rows per block: the 64 rows make 12 blocks and a ragged last block of 4
+    RAGGED_BLOCK_ENTRIES = 5 * 64
+
+    def test_pinned_under_ragged_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(oc, "_BLOCK_ENTRIES", self.RAGGED_BLOCK_ENTRIES)
+        assert oc._row_blocks(64, 64)[-1] == (60, 64)
+        self.test_pivots_and_duals_pinned(monkeypatch)
+
+    def test_pivot_budget_residual_covers_every_block(self, monkeypatch):
+        monkeypatch.setattr(oc, "_BLOCK_ENTRIES", self.RAGGED_BLOCK_ENTRIES)
+        rho, g, cost = self.instance()
+        a, b = oc._marginals(rho, g)
+        cmat = oc._cost_matrix(cost, rho.grid.cell_centers(), g.grid.cell_centers())
+        simplex = oc._TransportationSimplex(cmat, a, b)
+        with pytest.raises(ConvergenceError) as info:
+            simplex.pivot_until_optimal(max_pivots=5)
+        m, n = cmat.shape
+        reduced = cmat - simplex.duals[:m, None] - simplex.duals[None, m:]
+        entering_row = int((reduced < -simplex.tol).argmax()) // n
+        worst_row = int(reduced.argmin()) // n
+        # the most negative reduced cost lies outside the block the pass stopped in
+        assert worst_row // 5 != entering_row // 5
+        assert info.value.residual == float(-reduced.min())
+
 
 def _weights(size):
     # small integer weights give zero-mass cells and tied partial sums
@@ -440,6 +465,112 @@ class TestSolveLPProperties:
                         b_eq=np.concatenate([a, b]), bounds=(0, None), method="highs")
         assert highs.status == 0
         assert abs(result.primal - highs.fun) <= 1e-9 * abs(highs.fun)
+
+
+def _dense_certificate(simplex):
+    """Reference pivoting on dense reduced costs; returns (entering cells, u, v, psi).
+
+    The entering cell is the first negative reduced cost in row-major order,
+    and psi_j = min_i (c_ij - u_i) over the final duals.
+    """
+    cmat, entering = simplex.cmat, []
+    u, v = simplex.staircase_duals()
+    while True:
+        negative = cmat - u[:, None] - v[None, :] < -simplex.tol
+        k = int(negative.argmax())
+        if not negative.flat[k]:
+            return entering, u, v, (cmat - u[:, None]).min(axis=0)
+        entering.append(divmod(k, simplex.n))
+        simplex._pivot(*entering[-1])
+
+
+class TestBlockedCertificate:
+    """Under row blocks that do not divide m, the blocked certificate matches a dense one bit for bit."""
+
+    @staticmethod
+    def check(instance):
+        rho, g, cost = instance
+        a, b = oc._marginals(rho, g)
+        cmat = oc._cost_matrix(cost, rho.grid.cell_centers(), g.grid.cell_centers())
+        m, n = cmat.shape
+        want_cells, want_u, want_v, want_psi = _dense_certificate(oc._TransportationSimplex(cmat, a, b))
+        want_phi = (cmat - want_psi[None, :]).min(axis=1)
+        rows = next(r for r in (2, 3, 5, 7) if m % r)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oc, "_BLOCK_ENTRIES", rows * n)
+            assert len(oc._row_blocks(m, n)) > 1
+            simplex = oc._TransportationSimplex(cmat, a, b)
+            cells, pivot = [], simplex._pivot
+            simplex._pivot = lambda i, j: (cells.append((i, j)), pivot(i, j))
+            _, u, v, psi = simplex.pivot_until_optimal(max_pivots=50 * (m + n))
+            result = oc.solve_lp(rho, g, cost, cmat=cmat)
+        assert cells == want_cells
+        for got, want in ((u, want_u), (v, want_v), (psi, want_psi),
+                          (result.psi.reshape(-1), want_psi), (result.phi.reshape(-1), want_phi)):
+            assert np.array_equal(got, want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(instance=lp_instances(d=1))
+    def test_1d(self, instance):
+        self.check(instance)
+
+    @settings(max_examples=30, deadline=None)
+    @given(instance=lp_instances(d=2))
+    def test_2d(self, instance):
+        self.check(instance)
+
+    def test_row_blocks_cover_the_rows(self, monkeypatch):
+        assert oc._row_blocks(512, 512) == [(s, s + 64) for s in range(0, 512, 64)]
+        assert oc._row_blocks(3, 2**16) == [(0, 1), (1, 2), (2, 3)]  # a row wider than a block
+        monkeypatch.setattr(oc, "_BLOCK_ENTRIES", 3 * 10)
+        assert oc._row_blocks(10, 10) == [(0, 3), (3, 6), (6, 9), (9, 10)]
+
+    def test_column_min_matches_dense(self, monkeypatch):
+        monkeypatch.setattr(oc, "_BLOCK_ENTRIES", 3 * 7)
+        rng = np.random.default_rng(4)
+        cmat, vals = rng.normal(size=(10, 7)), rng.normal(size=10)
+        assert np.array_equal(oc._column_min(cmat, vals), (cmat - vals[:, None]).min(axis=0))
+
+
+def _traced_peak(fn) -> int:
+    """Peak bytes that numpy and Python allocate while fn runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBlockedMemory:
+    """At n = 512 with a given cost matrix no step builds an m x n temporary but the primal product."""
+
+    @pytest.fixture(scope="class")
+    def instance(self):
+        grid, rho, g = random_pair(n=512)
+        cost = power_cost(2.0, grid.cost_radius)
+        return rho, g, cost, oc._cost_matrix(cost, grid.cell_centers(), grid.cell_centers())
+
+    def test_solve_lp_peak(self, instance):
+        # the coupling and the primal product are m x n each; blocks add little
+        rho, g, cost, cmat = instance
+        assert _traced_peak(lambda: oc.solve_lp(rho, g, cost, cmat=cmat)) <= 2.2 * cmat.nbytes
+
+    def test_canonical_pair_peak(self, instance):
+        cmat = instance[3]
+        phi = np.linspace(0.0, 1.0, cmat.shape[0])
+        assert _traced_peak(lambda: oc._canonical_pair_from_matrix(cmat, phi)) <= cmat.nbytes / 4
+
+    def test_simplex_steps_peak(self, instance):
+        # the simplex owns one m x n array, its plan; certifying (three block
+        # buffers and the staircase walk) and validating add far less than m x n
+        rho, g, cost, cmat = instance
+        a, b = oc._marginals(rho, g)
+        assert _traced_peak(lambda: oc._TransportationSimplex(cmat, a, b)) <= 1.25 * cmat.nbytes
+        simplex = oc._TransportationSimplex(cmat, a, b)
+        assert _traced_peak(lambda: simplex.pivot_until_optimal(max_pivots=0)) <= cmat.nbytes / 2
+        result = oc.solve_lp(rho, g, cost, cmat=cmat)
+        assert _traced_peak(lambda: result.validate(cmat)) <= cmat.nbytes / 2
 
 
 class TestSoftmin:
