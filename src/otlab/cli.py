@@ -21,7 +21,9 @@ and the tool version.
 
 Exit codes: 0 success/pass, 2 configuration error, 3 numerical/solver
 error, 4 acceptance failure (a verification subcommand ran but its check
-failed).
+failed). A configuration error removes the output directory, and any of
+its parents, that the run created; a directory that existed is left as it
+was.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import shutil
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -321,6 +324,11 @@ def _write_manifest(out: Path, subcommand: str, config: dict, seed) -> None:
     ])
 
 
+def _first_missing(path: Path) -> Path | None:
+    """The outermost directory of ``path`` that does not exist yet, or None."""
+    return next((p for p in (*reversed(path.parents), path) if not p.exists()), None)
+
+
 def _prepare_out(out_dir: str) -> Path:
     out = Path(out_dir)
     try:
@@ -515,6 +523,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     command, schema = _COMMANDS[args.subcommand]
+    created = _first_missing(Path(args.out))  # what this run creates, and removes on a config error
     try:
         config = _load_config(args.config)
         _check(schema, config, (), "config root")
@@ -527,6 +536,8 @@ def main(argv=None) -> int:
         _write_manifest(out, args.subcommand, config, seed)
         return code
     except ConfigError as exc:
+        if created is not None:
+            shutil.rmtree(created, ignore_errors=True)
         print(f"config error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
     except OTLabError as exc:

@@ -55,6 +55,8 @@ from .ot_core import (
     TransportResult,
     _clamped_gradient,
     _cost_matrix,
+    _marginals,
+    _Staircase,
     solve_entropic,
     solve_exact_1d,
     solve_lp,
@@ -434,7 +436,9 @@ def mollification_convergence_experiment(rho: DensityField, g: DensityField,
     potential source is the monotone solver: degenerate instances (equal
     densities, flat stretches) admit many optimal LP duals, and the simplex
     may return a steep one whose map differs from the monotone map at order
-    one even though both are optimal.
+    one even though both are optimal. The marginals, and so their
+    ``_Staircase``, are the same for every cost: one serves the reference
+    solve and every width.
     """
     grid = rho.grid
     if grid.d != 1:
@@ -449,7 +453,8 @@ def mollification_convergence_experiment(rho: DensityField, g: DensityField,
     if solver not in ("lp", "exact1d"):
         raise ParameterError(f"unknown solver {solver!r}")
 
-    _, ref_map = solve_exact_1d(rho, g, base_cost)
+    staircase = _Staircase(*_marginals(rho, g))
+    _, ref_map = solve_exact_1d(rho, g, base_cost, staircase=staircase)
     spacing = grid.spacing[0]
     dev_threshold = 2.0 * spacing
     final_threshold = 5.0 * spacing
@@ -461,9 +466,9 @@ def mollification_convergence_experiment(rho: DensityField, g: DensityField,
     for e in eps:
         smooth = mollify(base_cost, e, dim=1)
         if solver == "lp":
-            result = solve_lp(rho, g, smooth)
+            result = solve_lp(rho, g, smooth, staircase=staircase)
         else:
-            result, _ = solve_exact_1d(rho, g, smooth)
+            result, _ = solve_exact_1d(rho, g, smooth, staircase=staircase)
         t_eps = transport_map_from_potential(result.phi, smooth, rho)
         mask = t_eps.mask & ref_map.mask
         dev = np.abs(t_eps.points[:, 0] - ref_map.points[:, 0])
@@ -489,12 +494,13 @@ def mollification_convergence_experiment(rho: DensityField, g: DensityField,
     )
 
 
-def _solve_for_batch(rho: DensityField, g: DensityField, cost: RadialCost,
-                     solver: str, entropic_eps: float, cmat: np.ndarray | None) -> TransportResult:
+def _solve_for_batch(rho: DensityField, g: DensityField, cost: RadialCost, solver: str,
+                     entropic_eps: float, cmat: np.ndarray | None,
+                     staircase: _Staircase | None) -> TransportResult:
     if solver == "lp":
-        return solve_lp(rho, g, cost, cmat=cmat)
+        return solve_lp(rho, g, cost, cmat=cmat, staircase=staircase)
     if solver == "exact1d":
-        return solve_exact_1d(rho, g, cost, cmat=cmat)[0]
+        return solve_exact_1d(rho, g, cost, cmat=cmat, staircase=staircase)[0]
     return solve_entropic(rho, g, cost, eps_final=entropic_eps, cmat=cmat)
 
 
@@ -540,14 +546,32 @@ def _shared_cost_matrix(cost: RadialCost, grid: Grid, solver: str) -> np.ndarray
     return cmat
 
 
+def _shared_staircase(rho: DensityField, g: DensityField, solver: str) -> _Staircase | None:
+    """The ``_Staircase`` every p of one (seed, n) pair solves from, or None.
+
+    None for the entropic solver, which starts from no staircase, when the
+    LP refuses the size and when the marginals are refused; as with
+    ``_shared_cost_matrix``, each solve then raises what it raises alone.
+    """
+    if solver not in ("lp", "exact1d") or (
+            solver == "lp" and rho.grid.num_cells * g.grid.num_cells > _LP_CAPACITY):
+        return None
+    try:
+        return _Staircase(*_marginals(rho, g))
+    except OTLabError:
+        return None
+
+
 def _evaluate(spec: BatchSpec, seed: int, p: float, n: int, q_values, pair, cost: RadialCost,
-              cmat: np.ndarray | None = None) -> list[InequalityReport]:
+              cmat: np.ndarray | None = None,
+              staircase: _Staircase | None = None) -> list[InequalityReport]:
     """Solve the (seed, p, n) problem once and report the inequality for each q.
 
     ``pair`` is the (seed, n) density pair with its TVs (``_instance_pair``)
-    and ``cost`` the power cost of (p, n); the batch builds those once, and
-    the cost matrix ``cmat`` once per (p, n). Built here, per instance, are
-    the tolerance, the H functions, the solve and its five-gradients terms.
+    and ``cost`` the power cost of (p, n); the batch builds those and the
+    pair's ``staircase`` once, and the cost matrix ``cmat`` once per (p, n).
+    Built here, per instance, are the tolerance, the H functions, the solve
+    and its five-gradients terms.
     The potentials do not depend on H, so one solve serves every q; a failed
     solve gives one error report per q, naming the solver that failed.
     """
@@ -559,7 +583,7 @@ def _evaluate(spec: BatchSpec, seed: int, p: float, n: int, q_values, pair, cost
     solver = _batch_solver(spec)
     error = ""
     try:
-        result = _solve_for_batch(rho, g, cost, solver, spec.entropic_eps, cmat)
+        result = _solve_for_batch(rho, g, cost, solver, spec.entropic_eps, cmat, staircase)
         terms = _five_gradients(rho, g, result.phi, result.psi, hfuns)
     except OTLabError as exc:
         error = f"{type(exc).__name__}: {exc}"
@@ -581,9 +605,12 @@ def run_instance(spec: BatchSpec, seed: int, p: float, q: float, n: int) -> Ineq
 def verify_batch(spec: BatchSpec) -> list[InequalityReport]:
     """Run every (seed, p, q, n) instance of the spec, in lattice order.
 
-    The loops run n first: each seed's density pair and TVs are built once
-    per (seed, n), then the cost and its read-only matrix once per (p, n),
-    shared by every seed's solve and dropped before the next one is built.
+    The loops run n first: each seed's density pair, its TVs and, for the
+    ``lp`` and ``exact1d`` solvers, its ``_Staircase`` (the monotone plan
+    and LP start basis, which no cost changes) are built once per (seed, n)
+    and shared by every p. Then the cost and its read-only matrix are built
+    once per (p, n), shared by every seed's solve and dropped before the
+    next one is built.
     Each (seed, p, n) problem is solved once for all q. Solver failures are
     captured per instance (as reports with an ``error`` field) so one bad
     instance cannot abort the batch; the reports come out in the fixed
@@ -593,12 +620,14 @@ def verify_batch(spec: BatchSpec) -> list[InequalityReport]:
     solved = {}
     for k, n in enumerate(spec.n_values):
         pairs = [_instance_pair(spec, seed, n) for seed in spec.seeds]
+        staircases = [_shared_staircase(rho, g, solver) for rho, g, _, _ in pairs]
         grid = pairs[0][0].grid
         for j, p in enumerate(spec.p_values):
             cost = power_cost(p, grid.cost_radius)
             cmat = _shared_cost_matrix(cost, grid, solver)
-            for i, (seed, pair) in enumerate(zip(spec.seeds, pairs)):
-                solved[i, j, k] = _evaluate(spec, seed, p, n, spec.q_values, pair, cost, cmat)
+            for i, (seed, pair, staircase) in enumerate(zip(spec.seeds, pairs, staircases)):
+                solved[i, j, k] = _evaluate(spec, seed, p, n, spec.q_values, pair, cost, cmat,
+                                            staircase)
             cmat = None  # one matrix alive at a time
     return [report
             for i in range(len(spec.seeds)) for j in range(len(spec.p_values))

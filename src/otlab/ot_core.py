@@ -398,40 +398,94 @@ def _marginals(rho: DensityField, g: DensityField) -> tuple[np.ndarray, np.ndarr
     return a, b * (a.sum() / b.sum())
 
 
-def _monotone_plan(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Northwest-corner filling of sorted 1-d marginals: the monotone plan.
+class _Staircase:
+    """North-west staircase of two marginals: the monotone plan and the LP's start basis.
 
-    Also returns the m + n - 1 staircase cells the fill visits, in order;
-    some may carry zero mass. They span the bipartite row/column graph, so
-    they form a starting basis for the transportation simplex.
+    The fill walks the cells of sorted 1-d marginals from (0, 0), moving
+    the most mass it can into each and stepping down a row when the row is
+    spent, else right a column. Its m + n - 1 cells, some of zero mass,
+    span the bipartite row/column graph. It depends only on (a, b), so one
+    staircase serves every cost; for a strictly convex radial cost on the
+    line it is optimal (Hoffman 1963). Only two arrays are kept: the flat
+    cell indices i n + j in fill order, which is row-major order, and the
+    masses moved into them.
     """
-    m, n = len(a), len(b)
-    path, moves = [], []
-    ar, br = a.tolist(), b.tolist()  # plain floats: the same IEEE arithmetic, no numpy scalars
-    i = j = 0
-    while True:
-        path.append((i, j))
-        x, y = ar[i], br[j]
-        move = y if y < x else x  # min(x, y), without the call
-        moves.append(move)
-        ar[i] = x = x - move
-        br[j] = y - move
-        if i == m - 1 and j == n - 1:
-            break
-        if x == 0.0 and i < m - 1:
-            i += 1
-        elif j < n - 1:
-            j += 1
-        else:
-            i += 1
-    plan = np.zeros((m, n))
-    plan[tuple(zip(*path))] = moves  # the staircase visits each cell once
-    return plan, path
+
+    def __init__(self, a: np.ndarray, b: np.ndarray):
+        m, n = self.m, self.n = len(a), len(b)
+        cells, moves = [], []
+        ar, br = a.tolist(), b.tolist()  # plain floats: the same IEEE arithmetic, no numpy scalars
+        i = j = 0
+        while True:
+            cells.append(i * n + j)
+            x, y = ar[i], br[j]
+            move = y if y < x else x  # min(x, y), without the call
+            moves.append(move)
+            ar[i] = x = x - move
+            br[j] = y - move
+            if i == m - 1 and j == n - 1:
+                break
+            if x == 0.0 and i < m - 1:
+                i += 1
+            elif j < n - 1:
+                j += 1
+            else:
+                i += 1
+        self.cells = np.array(cells, dtype=np.intp)
+        self.moves = np.array(moves)
+
+    def plan(self) -> np.ndarray:
+        """A new dense m x n plan holding the staircase masses."""
+        plan = np.zeros(self.m * self.n)
+        plan[self.cells] = self.moves  # the staircase visits each cell once
+        return plan.reshape(self.m, self.n)
+
+    @property
+    def path(self) -> list[tuple[int, int]]:
+        """The staircase cells (i, j) in fill order."""
+        return [divmod(k, self.n) for k in self.cells.tolist()]
+
+    def tree(self, cmat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(duals, parent, depth) of the staircase basis rooted at row 0, where u_0 = 0.
+
+        Nodes are rows 0..m-1 and columns m..m+n-1, and u_i + v_j = c_ij on
+        every staircase cell. The first cell adds column 0 and each step
+        adds the row or column it moves into. A run of steps of one kind
+        hangs from the last node of the run before it, and run 0 from row 0,
+        so a node of run r has depth r + 1 and dual c - e_(r-1), where e_r
+        is the dual of run r's last node and e_(-1) = u_0 = 0. Those satisfy
+        e_r = c_end(r) - e_(r-1): with s = (-1)^r, s e_r is a left fold of
+        s c_end, and as negation is exact and rounding to nearest is
+        symmetric, the fold gives the bits of the walk that takes one cell
+        at a time, up to the sign of a zero. Every dual, a run's last
+        included, is then taken as c - e_(r-1); for any cost but -0.0 that
+        difference does not depend on the sign of a zero e_(r-1).
+        ``cmat`` is the source-by-target cost matrix.
+        """
+        m, n, cells = self.m, self.n, self.cells
+        ii, jj = np.divmod(cells, n)
+        down = np.zeros(cells.size, dtype=bool)  # a row step; the first cell counts as a column step
+        down[1:] = np.diff(cells) == n
+        node = np.where(down, ii, m + jj)
+        new_run = down[1:] != down[:-1]
+        run = np.zeros(cells.size, dtype=np.intp)
+        np.cumsum(new_run, out=run[1:])
+        ends = np.flatnonzero(np.append(new_run, True))
+        costs = cmat[ii, jj]
+        sign = np.where(np.arange(ends.size) % 2 == 0, 1.0, -1.0)
+        run_duals = sign * np.add.accumulate(sign * costs[ends])
+        duals = np.zeros(m + n)
+        duals[node] = costs - np.concatenate(([0.0], run_duals))[run]
+        parent = np.full(m + n, -1, dtype=np.intp)
+        parent[node] = np.concatenate(([0], node[ends]))[run]
+        depth = np.zeros(m + n, dtype=np.intp)
+        depth[node] = run + 1
+        return duals, parent, depth
 
 
 def solve_exact_1d(rho: DensityField, g: DensityField, cost: RadialCost,
-                   mass_threshold: float | None = None, *,
-                   cmat: np.ndarray | None = None) -> tuple[TransportResult, MapField]:
+                   mass_threshold: float | None = None, *, cmat: np.ndarray | None = None,
+                   staircase: _Staircase | None = None) -> tuple[TransportResult, MapField]:
     """Exact 1-d transport by monotone rearrangement (quantile matching).
 
     Strict convexity of the cost along the line makes the monotone plan
@@ -439,7 +493,8 @@ def solve_exact_1d(rho: DensityField, g: DensityField, cost: RadialCost,
     other solvers are tested against. The potential phi is recovered by
     integrating phi'(x) = h'(x - T(x)) from the left end (phi(left) = 0) and
     psi as the c-transform of phi, which keeps the pair feasible. ``cmat`` is
-    the source-by-target cost matrix, built here when not given.
+    the source-by-target cost matrix and ``staircase`` the ``_Staircase`` of
+    the marginals, the monotone plan; each is built here when not given.
     """
     if rho.grid.d != 1 or g.grid.d != 1:
         raise DomainError("solve_exact_1d requires 1-d grids")
@@ -454,9 +509,11 @@ def solve_exact_1d(rho: DensityField, g: DensityField, cost: RadialCost,
     gb_monotone = gb + np.arange(len(b)) * (1e-15 * max(total, 1.0))
     t_vals = np.interp(fa, gb_monotone, ys)
 
-    plan, _ = _monotone_plan(a, b)
-    ii, jj = np.nonzero(plan)
-    primal = float((plan[ii, jj] * cost.profile(np.abs(xs[ii] - ys[jj]))).sum())
+    if staircase is None:
+        staircase = _Staircase(a, b)
+    held = staircase.moves != 0.0  # the plan's nonzeros, in row-major order
+    ii, jj = np.divmod(staircase.cells[held], len(b))
+    primal = float((staircase.moves[held] * cost.profile(np.abs(xs[ii] - ys[jj]))).sum())
 
     diff = xs - t_vals
     dphi = np.sign(diff) * np.asarray(cost.dprofile(np.abs(diff)), dtype=float)
@@ -471,7 +528,7 @@ def solve_exact_1d(rho: DensityField, g: DensityField, cost: RadialCost,
         source=rho,
         target=g,
         cost=cost,
-        coupling=plan,
+        coupling=staircase.plan(),
         phi=phi.reshape(rho.grid.shape),
         psi=psi.reshape(g.grid.shape),
         primal=primal,
@@ -500,10 +557,9 @@ class _TransportationSimplex:
     smallest reduced cost index and leaving ties broken by smallest index
     (Bland's rule, no cycling).
 
-    The start basis is the north-west staircase of ``_monotone_plan``;
-    walking it in order reaches each row or column from the cell that adds
-    it, which gives every node its parent. In 1-d the staircase is optimal
-    (Hoffman 1963) and no pivot comes. A pivot climbs parent pointers from
+    The start basis is a ``_Staircase``, which gives the start plan and,
+    in ``staircase_duals``, every node's parent, depth and dual. In 1-d the
+    staircase is optimal (Hoffman 1963) and no pivot comes. A pivot climbs parent pointers from
     the entering cell's row and column to find the cycle, cuts the leaving
     cell, hangs the cut-off subtree from the entering cell and re-walks only
     that subtree. A dual is computed along its unique path from row 0,
@@ -512,10 +568,11 @@ class _TransportationSimplex:
     that arithmetic and the others keep their path.
     """
 
-    def __init__(self, cmat: np.ndarray, a: np.ndarray, b: np.ndarray):
+    def __init__(self, cmat: np.ndarray, staircase: _Staircase):
         self.cmat = cmat
         self.m, self.n = cmat.shape
-        self.x, self.path = _monotone_plan(a, b)
+        self.staircase = staircase
+        self.x = staircase.plan()
         # the largest |c_ij| of a finite matrix, without an |C| temporary
         self.tol = 1e-11 * (1.0 + max(float(cmat.max()), -float(cmat.min())))
         self.children: list[list[int]] | None = None  # built at the first pivot
@@ -523,28 +580,12 @@ class _TransportationSimplex:
     def staircase_duals(self) -> tuple[np.ndarray, np.ndarray]:
         """u_i + v_j = c_ij on the start staircase, anchored at u_0 = 0.
 
-        Also roots the basis tree: sets ``parent`` (-1 at the root),
-        ``depth`` and ``duals``.
+        Also roots the basis tree from ``_Staircase.tree``: sets ``parent``
+        (-1 at the root) and ``depth`` as lists for the pivots, and ``duals``.
         """
-        m = self.m
-        ii, jj = zip(*self.path)  # tuples of plain ints
-        costs = self.cmat[ii, jj].tolist()
-        dual = [0.0] * (m + self.n)
-        parent = [-1] * (m + self.n)
-        depth = [0] * (m + self.n)
-        prev_i = 0
-        for i, j, c in zip(ii, jj, costs):
-            if i != prev_i:  # a row step reaches row i through column j
-                node, up = i, m + j
-                prev_i = i
-            else:  # the first cell or a column step reaches column j
-                node, up = m + j, i
-            dual[node] = c - dual[up]
-            parent[node] = up
-            depth[node] = depth[up] + 1
-        self.parent, self.depth = parent, depth
-        self.duals = np.array(dual)
-        return self.duals[:m], self.duals[m:]
+        self.duals, parent, depth = self.staircase.tree(self.cmat)
+        self.parent, self.depth = parent.tolist(), depth.tolist()
+        return self.duals[:self.m], self.duals[self.m:]
 
     def _pivot(self, ei: int, ej: int) -> None:
         """Bring cell (ei, ej) into the basis and drop the leaving cell."""
@@ -657,13 +698,17 @@ class _TransportationSimplex:
 
 
 def solve_lp(rho: DensityField, g: DensityField, cost: RadialCost, *,
-             cmat: np.ndarray | None = None) -> TransportResult:
+             cmat: np.ndarray | None = None,
+             staircase: _Staircase | None = None) -> TransportResult:
     """Exact coupling by transportation-simplex pivoting on the dense cost.
 
     Dual variables from the final basis tree are canonicalized by a double
     c-transform before they are returned, so gradients of phi are safe to
     take. Instances beyond ``_LP_CAPACITY`` cells squared are refused.
-    ``cmat`` is the source-by-target cost matrix, built here when not given.
+    ``cmat`` is the source-by-target cost matrix and ``staircase`` the
+    ``_Staircase`` of the marginals, the start basis; each is built here
+    when not given. The staircase does not depend on the cost, so solves of
+    one density pair under several costs can share it.
     """
     if rho.grid.num_cells * g.grid.num_cells > _LP_CAPACITY:
         raise CapacityError(
@@ -672,7 +717,9 @@ def solve_lp(rho: DensityField, g: DensityField, cost: RadialCost, *,
     a, b = _marginals(rho, g)
     if cmat is None:
         cmat = _cost_matrix(cost, rho.grid.cell_centers(), g.grid.cell_centers())
-    simplex = _TransportationSimplex(cmat, a, b)
+    if staircase is None:
+        staircase = _Staircase(a, b)
+    simplex = _TransportationSimplex(cmat, staircase)
     pivots, _, _, psi = simplex.pivot_until_optimal(max_pivots=50 * (len(a) + len(b)))
     primal = float((simplex.x * cmat).sum())
 

@@ -243,6 +243,29 @@ class TestSolveOT:
 
 
 class TestConfigErrors:
+    @pytest.mark.parametrize("overrides", [
+        {"solver": {"method": "exact1d", "mass_threshold": float("nan")}},
+        {"grid": {"d": 1, "lower": 1.0, "upper": 0.0, "n": 48}},
+        {"cost": {"family": "power", "p": 0.5}},
+        {"rho": {"kind": "random", "mode_count": 0}},
+    ], ids=["mass_threshold", "grid", "cost", "density"])
+    def test_config_error_removes_the_out_dir_it_created(self, tmp_path, capsys, overrides):
+        cfg = write_config(tmp_path, solve_config(**overrides))
+        assert run_cli("solve-ot", "--config", cfg, "--out", tmp_path / "new" / "out") == 2
+        assert capsys.readouterr().err.startswith("config error")
+        assert not (tmp_path / "new").exists()
+
+    def test_config_error_keeps_an_existing_out_dir(self, tmp_path):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "earlier").write_text("kept\n")
+        cfg = write_config(tmp_path, solve_config(
+            solver={"method": "exact1d", "mass_threshold": float("nan")}))
+        assert run_cli("solve-ot", "--config", cfg, "--out", out) == 2
+        assert run_cli("solve-ot", "--config", cfg, "--out", out / "sub") == 2
+        assert [p.name for p in out.iterdir()] == ["earlier"]
+        assert (out / "earlier").read_text() == "kept\n"
+
     def test_invalid_cost_exponent_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, solve_config(cost={"family": "power", "p": 0.5}))
         assert run_cli("solve-ot", "--config", cfg, "--out", tmp_path / "out") == 2

@@ -209,6 +209,20 @@ class TestBoundaryConjugate:
         assert rep.min_normal_component == pytest.approx(direct, rel=1e-12, abs=1e-15)
 
 
+@pytest.fixture
+def staircase_fills(monkeypatch):
+    """Every ``_Staircase`` built, in build order: one entry per run of the fill loop."""
+    built = []
+    real = oc._Staircase.__init__
+
+    def init(self, a, b):
+        built.append(self)
+        real(self, a, b)
+
+    monkeypatch.setattr(oc._Staircase, "__init__", init)
+    return built
+
+
 class TestMollificationExperiment:
     def test_equal_densities_zero_deviation(self):
         grid = unit_grid()
@@ -242,6 +256,22 @@ class TestMollificationExperiment:
         assert all(b <= a + 1e-12 for a, b in zip(meas, meas[1:]))
         assert rep.monotone_ok
         assert rep.final_ok
+
+    @pytest.mark.parametrize("solver", ["exact1d", "lp"])
+    def test_one_staircase_for_reference_and_widths(self, monkeypatch, staircase_fills, solver):
+        grid = unit_grid(64)
+        rho, g = random_smooth_density(grid, 5), random_smooth_density(grid, 15)
+        cost = power_cost(1.5, grid.cost_radius)
+        shared = mollification_convergence_experiment(rho, g, cost, (0.2, 0.1, 0.05), solver)
+        assert len(staircase_fills) == 1
+        # with every solve building its own staircase the report is the same
+        for name in ("solve_exact_1d", "solve_lp"):
+            real = getattr(fivegrad, name)
+            monkeypatch.setattr(fivegrad, name,
+                                lambda *args, real=real, staircase, **kwargs: real(*args, **kwargs))
+        alone = mollification_convergence_experiment(rho, g, cost, (0.2, 0.1, 0.05), solver)
+        assert len(staircase_fills) == 1 + 1 + 4  # the shared ones and one per solve
+        assert shared == alone
 
     def test_parameter_validation(self):
         grid = unit_grid()
@@ -361,9 +391,9 @@ class TestOneSolvePerProblem:
         calls = []
         real = fivegrad._solve_for_batch
 
-        def recording(rho, g, cost, solver, entropic_eps, cmat):
+        def recording(rho, g, cost, solver, entropic_eps, cmat, staircase):
             calls.append([rho, g, cost, None])
-            calls[-1][3] = real(rho, g, cost, solver, entropic_eps, cmat)
+            calls[-1][3] = real(rho, g, cost, solver, entropic_eps, cmat, staircase)
             return calls[-1][3]
 
         monkeypatch.setattr(fivegrad, "_solve_for_batch", recording)
@@ -439,10 +469,11 @@ class TestSharedBatchInputs:
             record["densities"] += 1
             return real_density(*args, **kwargs)
 
-        def solve(rho, g, cost, solver, entropic_eps, cmat):
+        def solve(rho, g, cost, solver, entropic_eps, cmat, staircase):
             shared = (not cmat.flags.writeable, cmat is record["matrices"][-1]())
             record["solves"].append((rho, g, cost, shared,
-                                     real_solve(rho, g, cost, solver, entropic_eps, cmat)))
+                                     real_solve(rho, g, cost, solver, entropic_eps, cmat,
+                                                staircase)))
             return record["solves"][-1][-1]
 
         for module in (oc, fivegrad):
@@ -492,6 +523,53 @@ class TestSharedBatchInputs:
                 assert fields[:6] + fields[8:11] == clean_fields[:6] + clean_fields[8:11]
             else:
                 assert report_fields(got) == report_fields(want)
+
+
+class TestSharedStaircase:
+    """One ``_Staircase`` per (seed, n) pair, shared by every p of an lp or exact1d batch."""
+
+    @pytest.mark.parametrize("solver, standalone", [
+        ("lp", solve_lp),
+        ("exact1d", lambda rho, g, cost: solve_exact_1d(rho, g, cost)[0]),
+    ])
+    def test_one_per_pair_and_solves_match_standalone(self, monkeypatch, staircase_fills,
+                                                      solver, standalone):
+        solves = []
+        real_solve = fivegrad._solve_for_batch
+
+        def solve(rho, g, cost, solver, entropic_eps, cmat, staircase):
+            solves.append((rho, g, cost, staircase,
+                           real_solve(rho, g, cost, solver, entropic_eps, cmat, staircase)))
+            return solves[-1][-1]
+
+        monkeypatch.setattr(fivegrad, "_solve_for_batch", solve)
+        spec = BatchSpec(solver=solver, **TestSharedBatchInputs.SPEC)
+        assert len(verify_batch(spec)) == 36
+        batch_fills = list(staircase_fills)
+        pairs = len(spec.seeds) * len(spec.n_values)
+        assert len(batch_fills) == pairs  # not one per (seed, p, n)
+        assert len(solves) == pairs * len(spec.p_values)
+        shared = {}
+        for rho, g, cost, staircase, result in solves:
+            assert shared.setdefault(id(rho), staircase) is staircase
+            alone = standalone(rho, g, cost)
+            for name in ("phi", "psi", "coupling"):
+                assert getattr(result, name).tobytes() == getattr(alone, name).tobytes()
+            assert (result.primal, result.dual, result.meta) == (alone.primal, alone.dual,
+                                                                 alone.meta)
+        assert {id(s) for s in shared.values()} == {id(s) for s in batch_fills}
+
+    def test_criterion_1_lattice_fills_once_per_pair(self, staircase_fills):
+        # the inequality-batch pass: 20 seeds x 2 n pairs, 3 p, 3 q
+        spec = BatchSpec(seeds=tuple(range(20, 40)), p_values=(1.5, 2.0, 3.0),
+                         q_values=(1.5, 2.0, 4.0), n_values=(128, 512), solver="lp")
+        assert len(verify_batch(spec)) == 360
+        assert len(staircase_fills) == 40
+
+    def test_refused_lp_builds_no_staircase(self, staircase_fills):
+        reports = verify_batch(BatchSpec(seeds=(0,), n_values=(5000,), solver="auto"))
+        assert reports[0].error.startswith("CapacityError")
+        assert staircase_fills == []
 
 
 class TestReportsCSV:

@@ -286,6 +286,11 @@ def _numpy_tree_duals(cmat, cells):
     return u, v
 
 
+def _simplex(cmat, a, b):
+    """A transportation simplex started from the staircase of (a, b)."""
+    return oc._TransportationSimplex(cmat, oc._Staircase(a, b))
+
+
 def _basis_cells(simplex):
     """The cells of the rooted basis tree: one per node below the root."""
     m = simplex.m
@@ -293,19 +298,70 @@ def _basis_cells(simplex):
             for k, up in enumerate(simplex.parent) if up >= 0]
 
 
+def _sequential_tree(cmat, path):
+    """The staircase walk one cell at a time on plain floats: (duals, parent, depth).
+
+    A row step reaches row i through column j; the first cell and every
+    column step reach column j from row i.
+    """
+    m, n = cmat.shape
+    dual, parent, depth = [0.0] * (m + n), [-1] * (m + n), [0] * (m + n)
+    prev_i = 0
+    for i, j in path:
+        if i != prev_i:
+            node, up = i, m + j
+            prev_i = i
+        else:
+            node, up = m + j, i
+        dual[node] = float(cmat[i, j]) - dual[up]
+        parent[node] = up
+        depth[node] = depth[up] + 1
+    return np.array(dual), parent, depth
+
+
+@st.composite
+def staircase_instances(draw):
+    """(cmat, a, b): zero masses, 1 x n and m x 1 shapes, tied integer and zero costs."""
+    sizes = st.integers(1, 9)
+    m, n = draw(st.one_of(st.tuples(st.just(1), sizes), st.tuples(sizes, st.just(1)),
+                          st.tuples(sizes, sizes)))
+    a = np.array(draw(_weights(m)), float)
+    b = np.array(draw(_weights(n)), float)
+    if draw(st.booleans()):
+        entries = st.integers(0, 3).map(float)
+    else:
+        entries = st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False)
+    cmat = np.array(draw(st.lists(entries, min_size=m * n, max_size=m * n))).reshape(m, n) + 0.0
+    return cmat, a, b * (a.sum() / b.sum())
+
+
 class TestStaircaseDuals:
     """The start duals walked off the staircase equal a tree search bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(instance=staircase_instances())
+    def test_matches_sequential_walk(self, instance):
+        cmat, a, b = instance
+        staircase = oc._Staircase(a, b)
+        want_duals, want_parent, want_depth = _sequential_tree(cmat, staircase.path)
+        duals, parent, depth = staircase.tree(cmat)
+        assert duals.tobytes() == want_duals.tobytes()
+        assert parent.tolist() == want_parent and depth.tolist() == want_depth
+        simplex = oc._TransportationSimplex(cmat, staircase)
+        u, v = simplex.staircase_duals()
+        assert np.concatenate([u, v]).tobytes() == want_duals.tobytes()
+        assert (simplex.parent, simplex.depth) == (want_parent, want_depth)
 
     @staticmethod
     def simplex(cost, source, target, a, b):
         cmat = oc._cost_matrix(cost, source.cell_centers(), target.cell_centers())
-        return oc._TransportationSimplex(cmat, np.asarray(a, float), np.asarray(b, float))
+        return _simplex(cmat, np.asarray(a, float), np.asarray(b, float))
 
     @staticmethod
     def check(simplex):
         u, v = simplex.staircase_duals()
-        assert sorted(_basis_cells(simplex)) == sorted(simplex.path)
-        want_u, want_v = _numpy_tree_duals(simplex.cmat, simplex.path)
+        assert sorted(_basis_cells(simplex)) == sorted(simplex.staircase.path)
+        want_u, want_v = _numpy_tree_duals(simplex.cmat, simplex.staircase.path)
         assert np.array_equal(u, want_u) and np.array_equal(v, want_v)
 
     @pytest.mark.parametrize("a, b", [
@@ -317,8 +373,8 @@ class TestStaircaseDuals:
     def test_degenerate_staircase(self, a, b):
         source, target = Grid(1, 0.0, 1.0, len(a)), Grid(1, 0.0, 1.0, len(b))
         simplex = self.simplex(power_cost(1.5, 1.0), source, target, a, b)
-        assert len(simplex.path) == len(a) + len(b) - 1
-        assert any(simplex.x[cell] == 0.0 for cell in simplex.path)
+        assert len(simplex.staircase.path) == len(a) + len(b) - 1
+        assert any(simplex.x[cell] == 0.0 for cell in simplex.staircase.path)
         self.check(simplex)
 
     @pytest.mark.parametrize("d, n", [(1, 96), (2, 8)])
@@ -369,7 +425,7 @@ class TestLPRegression:
         rho, g, cost = self.instance()
         a, b = oc._marginals(rho, g)
         cmat = oc._cost_matrix(cost, rho.grid.cell_centers(), g.grid.cell_centers())
-        simplex = oc._TransportationSimplex(cmat, a, b)
+        simplex = _simplex(cmat, a, b)
         with pytest.raises(ConvergenceError) as info:
             simplex.pivot_until_optimal(max_pivots=5)
         assert math.isfinite(info.value.residual) and info.value.residual > 0.0
@@ -387,7 +443,7 @@ class TestLPRegression:
         rho, g, cost = self.instance()
         a, b = oc._marginals(rho, g)
         cmat = oc._cost_matrix(cost, rho.grid.cell_centers(), g.grid.cell_centers())
-        simplex = oc._TransportationSimplex(cmat, a, b)
+        simplex = _simplex(cmat, a, b)
         with pytest.raises(ConvergenceError) as info:
             simplex.pivot_until_optimal(max_pivots=5)
         m, n = cmat.shape
@@ -493,13 +549,13 @@ class TestBlockedCertificate:
         a, b = oc._marginals(rho, g)
         cmat = oc._cost_matrix(cost, rho.grid.cell_centers(), g.grid.cell_centers())
         m, n = cmat.shape
-        want_cells, want_u, want_v, want_psi = _dense_certificate(oc._TransportationSimplex(cmat, a, b))
+        want_cells, want_u, want_v, want_psi = _dense_certificate(_simplex(cmat, a, b))
         want_phi = (cmat - want_psi[None, :]).min(axis=1)
         rows = next(r for r in (2, 3, 5, 7) if m % r)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(oc, "_BLOCK_ENTRIES", rows * n)
             assert len(oc._row_blocks(m, n)) > 1
-            simplex = oc._TransportationSimplex(cmat, a, b)
+            simplex = _simplex(cmat, a, b)
             cells, pivot = [], simplex._pivot
             simplex._pivot = lambda i, j: (cells.append((i, j)), pivot(i, j))
             _, u, v, psi = simplex.pivot_until_optimal(max_pivots=50 * (m + n))
@@ -566,8 +622,8 @@ class TestBlockedMemory:
         # buffers and the staircase walk) and validating add far less than m x n
         rho, g, cost, cmat = instance
         a, b = oc._marginals(rho, g)
-        assert _traced_peak(lambda: oc._TransportationSimplex(cmat, a, b)) <= 1.25 * cmat.nbytes
-        simplex = oc._TransportationSimplex(cmat, a, b)
+        assert _traced_peak(lambda: _simplex(cmat, a, b)) <= 1.25 * cmat.nbytes
+        simplex = _simplex(cmat, a, b)
         assert _traced_peak(lambda: simplex.pivot_until_optimal(max_pivots=0)) <= cmat.nbytes / 2
         result = oc.solve_lp(rho, g, cost, cmat=cmat)
         assert _traced_peak(lambda: result.validate(cmat)) <= cmat.nbytes / 2
