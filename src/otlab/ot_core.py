@@ -70,14 +70,20 @@ _BLOCK_ENTRIES = 2**15
 class TransportResult:
     """Optimal coupling between two grid densities plus dual potentials.
 
-    The coupling is dense (desk scale); phi lives on the source grid, psi on
-    the target grid, both in cost units. The duality gap is primal - dual.
+    An exact solve holds its coupling as its support: ``cells`` are the
+    flat row-major indices i n + j of its nonzero entries, increasing, at
+    most m + n - 1 of them, and ``masses`` their masses. The entropic plan
+    is dense: its ``cells`` is None and ``masses`` holds all m n entries in
+    row-major order. ``coupling`` gives the dense m x n array either way.
+    phi lives on the source grid, psi on the target grid, both in cost
+    units. The duality gap is primal - dual.
     """
 
     source: DensityField
     target: DensityField
     cost: RadialCost = field(repr=False)
-    coupling: np.ndarray = field(repr=False)
+    cells: np.ndarray | None = field(repr=False)
+    masses: np.ndarray = field(repr=False)
     phi: np.ndarray = field(repr=False)
     psi: np.ndarray = field(repr=False)
     primal: float
@@ -89,6 +95,16 @@ class TransportResult:
     def gap(self) -> float:
         return self.primal - self.dual
 
+    @property
+    def coupling(self) -> np.ndarray:
+        """The dense source-by-target coupling; built anew from a support."""
+        m, n = self.source.grid.num_cells, self.target.grid.num_cells
+        if self.cells is None:
+            return self.masses.reshape(m, n)
+        plan = np.zeros(m * n)
+        plan[self.cells] = self.masses
+        return plan.reshape(m, n)
+
     def validate(self, cmat: np.ndarray | None = None) -> None:
         """Assert the coupling/potential contracts; raises on violation.
 
@@ -97,8 +113,13 @@ class TransportResult:
         """
         a = self.source.values.reshape(-1) * self.source.grid.cell_volume
         b = self.target.values.reshape(-1) * self.target.grid.cell_volume
-        rows = self.coupling.sum(axis=1)
-        cols = self.coupling.sum(axis=0)
+        if self.cells is None:
+            plan = self.coupling
+            rows, cols = plan.sum(axis=1), plan.sum(axis=0)
+        else:
+            ii, jj = np.divmod(self.cells, b.size)
+            rows = np.bincount(ii, weights=self.masses, minlength=a.size)
+            cols = np.bincount(jj, weights=self.masses, minlength=b.size)
         if np.abs(rows - a).max() > _MARGINAL_TOL:
             raise OTLabError(
                 f"coupling row sums violate the source marginal by {np.abs(rows - a).max():.3e}"
@@ -440,6 +461,11 @@ class _Staircase:
         plan[self.cells] = self.moves  # the staircase visits each cell once
         return plan.reshape(self.m, self.n)
 
+    def support(self) -> tuple[np.ndarray, np.ndarray]:
+        """The plan's support: its held (nonzero) cells, flat and row-major, and their masses."""
+        held = self.moves != 0.0
+        return self.cells[held], self.moves[held]
+
     @property
     def path(self) -> list[tuple[int, int]]:
         """The staircase cells (i, j) in fill order."""
@@ -483,6 +509,17 @@ class _Staircase:
         return duals, parent, depth
 
 
+def _support(plan: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A dense plan's support: its nonzero entries' flat row-major indices, and their masses."""
+    cells = np.flatnonzero(plan)
+    return cells, plan.reshape(-1)[cells]
+
+
+def _support_cost(cells: np.ndarray, masses: np.ndarray, cmat: np.ndarray) -> float:
+    """sum masses_k c_k over a support's flat cells k of the cost matrix ``cmat``."""
+    return float((masses * cmat[np.divmod(cells, cmat.shape[1])]).sum())
+
+
 def solve_exact_1d(rho: DensityField, g: DensityField, cost: RadialCost,
                    mass_threshold: float | None = None, *, cmat: np.ndarray | None = None,
                    staircase: _Staircase | None = None) -> tuple[TransportResult, MapField]:
@@ -492,9 +529,11 @@ def solve_exact_1d(rho: DensityField, g: DensityField, cost: RadialCost,
     optimal for any cost in the family, so this doubles as the oracle the
     other solvers are tested against. The potential phi is recovered by
     integrating phi'(x) = h'(x - T(x)) from the left end (phi(left) = 0) and
-    psi as the c-transform of phi, which keeps the pair feasible. ``cmat`` is
-    the source-by-target cost matrix and ``staircase`` the ``_Staircase`` of
-    the marginals, the monotone plan; each is built here when not given.
+    psi as the c-transform of phi, which keeps the pair feasible. The
+    coupling is the staircase's support and primal its ``_support_cost``.
+    ``cmat`` is the source-by-target cost matrix and ``staircase`` the
+    ``_Staircase`` of the marginals, the monotone plan; each is built here
+    when not given.
     """
     if rho.grid.d != 1 or g.grid.d != 1:
         raise DomainError("solve_exact_1d requires 1-d grids")
@@ -511,16 +550,15 @@ def solve_exact_1d(rho: DensityField, g: DensityField, cost: RadialCost,
 
     if staircase is None:
         staircase = _Staircase(a, b)
-    held = staircase.moves != 0.0  # the plan's nonzeros, in row-major order
-    ii, jj = np.divmod(staircase.cells[held], len(b))
-    primal = float((staircase.moves[held] * cost.profile(np.abs(xs[ii] - ys[jj]))).sum())
+    if cmat is None:
+        cmat = _cost_matrix(cost, rho.grid.cell_centers(), g.grid.cell_centers())
+    cells, masses = staircase.support()
+    primal = _support_cost(cells, masses, cmat)
 
     diff = xs - t_vals
     dphi = np.sign(diff) * np.asarray(cost.dprofile(np.abs(diff)), dtype=float)
     dx = rho.grid.spacing[0]
     phi = np.concatenate([[0.0], np.cumsum(0.5 * (dphi[1:] + dphi[:-1]) * dx)])
-    if cmat is None:
-        cmat = _cost_matrix(cost, rho.grid.cell_centers(), g.grid.cell_centers())
     psi = _column_min(cmat, phi)
     dual = float(phi @ a + psi @ b)
 
@@ -528,13 +566,14 @@ def solve_exact_1d(rho: DensityField, g: DensityField, cost: RadialCost,
         source=rho,
         target=g,
         cost=cost,
-        coupling=staircase.plan(),
+        cells=cells,
+        masses=masses,
         phi=phi.reshape(rho.grid.shape),
         psi=psi.reshape(g.grid.shape),
         primal=primal,
         dual=dual,
         solver="exact1d",
-        meta={"plan_nonzeros": int(len(ii))},
+        meta={"plan_nonzeros": int(cells.size)},
     )
     result.validate(cmat)
 
@@ -547,6 +586,26 @@ def solve_exact_1d(rho: DensityField, g: DensityField, cost: RadialCost,
     return result, map_field
 
 
+def _largest_abs_cost(cmat: np.ndarray, xs: np.ndarray | None = None,
+                      ys: np.ndarray | None = None) -> float:
+    """max |c_ij| of a finite cost matrix, as max(C.max(), -C.min()) gives it.
+
+    ``xs`` and ``ys`` are the (m, d) and (n, d) points of the rows and
+    columns. In 1-d they are sorted and the profile increases with the
+    distance, so C.max() is the larger corner entry C[0, -1] or C[-1, 0] and
+    C.min() the least entry C[i, j] at a nearest y_j of some x_i, which
+    ``np.searchsorted`` finds: 2m + 2 entries read in place of two passes
+    over C. Other dimensions, or no points, take the two passes.
+    """
+    if xs is None or xs.shape[1] != 1:
+        return max(float(cmat.max()), -float(cmat.min()))
+    n = cmat.shape[1]
+    above = np.searchsorted(ys[:, 0], xs[:, 0])  # y[above - 1] < x <= y[above]
+    rows = np.arange(cmat.shape[0])
+    near = min(cmat[rows, np.minimum(above, n - 1)].min(), cmat[rows, np.maximum(above - 1, 0)].min())
+    return max(float(max(cmat[0, -1], cmat[-1, 0])), -float(near))
+
+
 class _TransportationSimplex:
     """Dense transportation-problem solver: NW-corner start, MODI pivoting.
 
@@ -557,24 +616,28 @@ class _TransportationSimplex:
     smallest reduced cost index and leaving ties broken by smallest index
     (Bland's rule, no cycling).
 
-    The start basis is a ``_Staircase``, which gives the start plan and,
-    in ``staircase_duals``, every node's parent, depth and dual. In 1-d the
-    staircase is optimal (Hoffman 1963) and no pivot comes. A pivot climbs parent pointers from
-    the entering cell's row and column to find the cycle, cuts the leaving
-    cell, hangs the cut-off subtree from the entering cell and re-walks only
-    that subtree. A dual is computed along its unique path from row 0,
-    parent first, as ``c_ij - dual[parent]``, so every node gets the bits a
-    full walk of the tree from row 0 would give it: re-walked nodes redo
-    that arithmetic and the others keep their path.
+    The start basis is a ``_Staircase``, which gives, in
+    ``staircase_duals``, every node's parent, depth and dual. In 1-d the
+    staircase is optimal (Hoffman 1963) and no pivot comes, so the dense
+    plan ``x`` is built from it only at the first pivot, as ``children``
+    is. A pivot climbs parent pointers from the entering cell's row and
+    column to find the cycle, cuts the leaving cell, hangs the cut-off
+    subtree from the entering cell and re-walks only that subtree. A dual
+    is computed along its unique path from row 0, parent first, as
+    ``c_ij - dual[parent]``, so every node gets the bits a full walk of the
+    tree from row 0 would give it: re-walked nodes redo that arithmetic and
+    the others keep their path. ``xs`` and ``ys``, the points of the rows
+    and columns, spare the tolerance two passes over C in 1-d
+    (``_largest_abs_cost``).
     """
 
-    def __init__(self, cmat: np.ndarray, staircase: _Staircase):
+    def __init__(self, cmat: np.ndarray, staircase: _Staircase,
+                 xs: np.ndarray | None = None, ys: np.ndarray | None = None):
         self.cmat = cmat
         self.m, self.n = cmat.shape
         self.staircase = staircase
-        self.x = staircase.plan()
-        # the largest |c_ij| of a finite matrix, without an |C| temporary
-        self.tol = 1e-11 * (1.0 + max(float(cmat.max()), -float(cmat.min())))
+        self.x: np.ndarray | None = None  # built at the first pivot
+        self.tol = 1e-11 * (1.0 + _largest_abs_cost(cmat, xs, ys))
         self.children: list[list[int]] | None = None  # built at the first pivot
 
     def staircase_duals(self) -> tuple[np.ndarray, np.ndarray]:
@@ -589,6 +652,8 @@ class _TransportationSimplex:
 
     def _pivot(self, ei: int, ej: int) -> None:
         """Bring cell (ei, ej) into the basis and drop the leaving cell."""
+        if self.x is None:
+            self.x = self.staircase.plan()
         m, n, x = self.m, self.n, self.x
         parent, depth = self.parent, self.depth
         # the cycle: column ej and row ei climb to the node where they meet
@@ -653,43 +718,52 @@ class _TransportationSimplex:
     def pivot_until_optimal(self, max_pivots: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
         """Pivot to optimality; returns the pivot count, the final duals u, v and psi.
 
-        Each pass walks C in the row blocks of ``_row_blocks``, in three
-        block-sized buffers allocated once: t = C - u, the reduced costs
-        t - v and their test against -tol. The first negative reduced cost
-        of the first block that has one enters (Bland's rule, the first in
-        row-major order). A block with none folds t.min(axis=0) into psi, so
-        the pass that finds none has covered every block and leaves
+        Each pass walks C in the row blocks of ``_row_blocks``, taking
+        t = C - u into one block-sized buffer allocated once. The first
+        reduced cost t - v below -tol in row-major order enters (Bland's
+        rule). As rounding is monotone, fl(t_ij - v_j) < -tol holds
+        for some cell of a block exactly when fl(min_i t_ij - v_j) < -tol
+        holds for some column. So until the first pivot, which in 1-d never
+        comes, a block tests its n column minima and goes cell by cell only
+        if that test fails. After it, when most blocks hold an entering
+        cell, a block goes cell by cell at once. A block without one folds
+        its column minima into psi, so the pass that finds none leaves
         psi_j = min_i (c_ij - u_i), the first c-transform of u, bit for bit
-        ``_canonical_pair_from_matrix(cmat, u)[1]``. On a single block no
-        psi work is done on a pass that finds an entering cell.
+        ``_canonical_pair_from_matrix(cmat, u)[1]``.
         """
         cmat, n, limit = self.cmat, self.n, -self.tol
         u, v = self.staircase_duals()  # views of ``duals``, which each pivot updates in place
         ranges = _row_blocks(self.m, n)
-        rows = ranges[0][1]  # the first block is a largest one
-        t, reduced, negative = np.empty((rows, n)), np.empty((rows, n)), np.empty((rows, n), bool)
-        blocks = [(start, cmat[start:stop], u[start:stop, None], t[:stop - start],
-                   reduced[:stop - start], negative[:stop - start]) for start, stop in ranges]
+        t = np.empty((ranges[0][1], n))  # the first block is a largest one
+        blocks = [(start, cmat[start:stop], u[start:stop, None], t[:stop - start])
+                  for start, stop in ranges]
         psi, block_min = np.empty(n), np.empty(n)
+
+        def entering(t_b) -> int:
+            """The flat index of the block's first reduced cost below -tol, or -1."""
+            negative = t_b - v < limit
+            k = int(negative.argmax())  # the first True in row-major order
+            return k if negative.flat[k] else -1
+
         pivots = 0
         while True:
-            for start, c_b, u_b, t_b, r_b, neg_b in blocks:
+            for start, c_b, u_b, t_b in blocks:
                 np.subtract(c_b, u_b, out=t_b)
-                np.subtract(t_b, v, out=r_b)
-                np.less(r_b, limit, out=neg_b)
-                k = int(neg_b.argmax())  # the first True in row-major order
-                if neg_b.flat[k]:
+                k = entering(t_b) if pivots else -1
+                if k >= 0:
                     break
-                if start == 0:  # the pass's first block starts psi
-                    t_b.min(axis=0, out=psi)
-                else:
-                    np.minimum(psi, t_b.min(axis=0, out=block_min), out=psi)
+                mins = t_b.min(axis=0, out=block_min if start else psi)
+                if not pivots and (mins - v < limit).any():
+                    k = entering(t_b)
+                    break
+                if start:
+                    np.minimum(psi, mins, out=psi)
             else:
                 return pivots, u, v, psi
             if pivots >= max_pivots:
                 # the most negative reduced cost over all of C, not only this pass's blocks
                 worst = min(float((np.subtract(c_b, u_b, out=t_b) - v).min())
-                            for _, c_b, u_b, t_b, _, _ in blocks)
+                            for _, c_b, u_b, t_b in blocks)
                 raise ConvergenceError("transportation simplex exceeded its pivot budget",
                                        residual=-worst)
             i, j = divmod(k, n)
@@ -704,7 +778,11 @@ def solve_lp(rho: DensityField, g: DensityField, cost: RadialCost, *,
 
     Dual variables from the final basis tree are canonicalized by a double
     c-transform before they are returned, so gradients of phi are safe to
-    take. Instances beyond ``_LP_CAPACITY`` cells squared are refused.
+    take. When no pivot comes, as in 1-d for a convex cost, the coupling is
+    the start staircase's support and primal its ``_support_cost``, as in
+    ``solve_exact_1d``; no m x n plan is built. After a pivot the coupling
+    is the support of the dense plan and primal the dense product sum.
+    Instances beyond ``_LP_CAPACITY`` cells squared are refused.
     ``cmat`` is the source-by-target cost matrix and ``staircase`` the
     ``_Staircase`` of the marginals, the start basis; each is built here
     when not given. The staircase does not depend on the cost, so solves of
@@ -715,13 +793,19 @@ def solve_lp(rho: DensityField, g: DensityField, cost: RadialCost, *,
             f"instance size {rho.grid.num_cells} x {g.grid.num_cells} exceeds the limit"
         )
     a, b = _marginals(rho, g)
+    xs, ys = rho.grid.cell_centers(), g.grid.cell_centers()
     if cmat is None:
-        cmat = _cost_matrix(cost, rho.grid.cell_centers(), g.grid.cell_centers())
+        cmat = _cost_matrix(cost, xs, ys)
     if staircase is None:
         staircase = _Staircase(a, b)
-    simplex = _TransportationSimplex(cmat, staircase)
+    simplex = _TransportationSimplex(cmat, staircase, xs, ys)
     pivots, _, _, psi = simplex.pivot_until_optimal(max_pivots=50 * (len(a) + len(b)))
-    primal = float((simplex.x * cmat).sum())
+    if pivots == 0:
+        cells, masses = staircase.support()
+        primal = _support_cost(cells, masses, cmat)
+    else:
+        cells, masses = _support(simplex.x)
+        primal = float((simplex.x * cmat).sum())
 
     # psi is the first c-transform of u from the certifying pass; phi the second
     phi = _min_plus(lambda start, stop: cmat[start:stop], psi, cmat.shape[0])
@@ -730,7 +814,8 @@ def solve_lp(rho: DensityField, g: DensityField, cost: RadialCost, *,
         source=rho,
         target=g,
         cost=cost,
-        coupling=simplex.x,
+        cells=cells,
+        masses=masses,
         phi=phi.reshape(rho.grid.shape),
         psi=psi.reshape(g.grid.shape),
         primal=primal,
@@ -831,7 +916,8 @@ def solve_entropic(rho: DensityField, g: DensityField, cost: RadialCost,
         source=rho,
         target=g,
         cost=cost,
-        coupling=plan,
+        cells=None,
+        masses=plan.reshape(-1),
         phi=phi.reshape(rho.grid.shape),
         psi=psi.reshape(g.grid.shape),
         primal=primal,
@@ -958,9 +1044,9 @@ def write_result_dir(path, result: TransportResult, map_field: MapField | None =
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
 
-    ii, jj = np.nonzero(result.coupling)
-    masses = result.coupling[ii, jj].tolist()
-    write_rows(out / "coupling.csv", [("i", "j", "mass"), *zip(ii.tolist(), jj.tolist(), masses)])
+    cells, masses = _support(result.masses) if result.cells is None else (result.cells, result.masses)
+    ii, jj = np.divmod(cells, result.target.grid.num_cells)
+    write_rows(out / "coupling.csv", [("i", "j", "mass"), *zip(ii.tolist(), jj.tolist(), masses.tolist())])
 
     geometry.write_field_csv(out / "phi.csv", result.source.grid, result.phi, "phi")
     geometry.write_field_csv(out / "psi.csv", result.target.grid, result.psi, "psi")

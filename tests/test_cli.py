@@ -179,14 +179,13 @@ class TestSolveOT:
         assert "uniform row-major grid" in capsys.readouterr().err
 
     def test_shipped_example_matches_golden_meta(self, tmp_path):
+        # the shipped 1-d exact solve: its meta and its sparse coupling must not change by a bit
         out = tmp_path / "out"
         assert run_cli("solve-ot", "--config", CONFIGS / "solve_ot_example.json",
                        "--out", out) == 0
-        got = read_meta(out / "meta")
-        want = read_meta(GOLDEN / "solve_ot_example_meta")
-        assert abs(float(got["primal"]) - float(want["primal"])) < 1e-8
-        assert abs(float(got["dual"]) - float(want["dual"])) < 1e-8
-        assert got["solver"] == want["solver"]
+        assert (out / "meta").read_bytes() == (GOLDEN / "solve_ot_example_meta").read_bytes()
+        assert ((out / "coupling.csv").read_bytes()
+                == (GOLDEN / "solve_ot_example_coupling.csv").read_bytes())
 
     def test_shipped_2d_lp_example_matches_golden_meta(self, tmp_path):
         # the one shipped pivoting LP (1783 pivots): its meta must not change by a bit
