@@ -432,8 +432,3 @@ def density_to_csv(path, density: DensityField) -> None:
 def density_from_csv(path) -> DensityField:
     grid, values = read_field_csv(path)
     return DensityField(grid, values)
-
-
-def as_density(grid: Grid, values) -> DensityField:
-    """Convenience constructor used by generators and tests."""
-    return DensityField(grid, np.asarray(values, dtype=float))

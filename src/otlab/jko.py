@@ -109,7 +109,6 @@ class Energy:
 
     kind: str
     f: Callable = field(repr=False)
-    f_prime: Callable = field(repr=False)
     g: Callable = field(repr=False)
     g_prime: Callable = field(repr=False)
     m: float | None = None
@@ -120,16 +119,13 @@ def entropy_energy() -> Energy:
         s = np.asarray(s, dtype=float)
         return s * np.log(np.maximum(s, _ENTROPY_FLOOR))
 
-    def f_prime(s):
-        return np.log(np.maximum(np.asarray(s, dtype=float), _ENTROPY_FLOOR)) + 1.0
-
     def g(s, p):
         return np.asarray(s, dtype=float) ** (p - 1.0) / (p - 1.0)
 
     def g_prime(s, p):
         return np.maximum(np.asarray(s, dtype=float), _ENTROPY_FLOOR) ** (p - 2.0)
 
-    return Energy("entropy", f, f_prime, g, g_prime)
+    return Energy("entropy", f, g, g_prime)
 
 
 def power_energy(m: float) -> Energy:
@@ -141,16 +137,13 @@ def power_energy(m: float) -> Energy:
     def f(s):
         return np.asarray(s, dtype=float) ** m / (m - 1.0)
 
-    def f_prime(s):
-        return m * np.asarray(s, dtype=float) ** (m - 1.0) / (m - 1.0)
-
     def g(s, p):
         return m * np.asarray(s, dtype=float) ** (p + m - 2.0) / (p + m - 2.0)
 
     def g_prime(s, p):
         return m * np.asarray(s, dtype=float) ** (p + m - 3.0)
 
-    return Energy("power", f, f_prime, g, g_prime, m=m)
+    return Energy("power", f, g, g_prime, m=m)
 
 
 def energy_value(rho: DensityField, energy: Energy) -> float:

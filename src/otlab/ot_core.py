@@ -171,6 +171,7 @@ def _cost_matrix(cost: RadialCost, xs: np.ndarray, ys: np.ndarray) -> np.ndarray
         raise ShapeError(f"points x are {xs.shape[1]}-d but points y are {ys.shape[1]}-d")
     diff = xs[:, None, :] - ys[None, :, :]
     r = np.square(diff, out=diff).sum(axis=-1)  # in place: one (N, M, d) temporary
+    del diff  # freed before the profile allocates its output
     np.sqrt(r, out=r)
     if r.max() > cost.radius * (1.0 + 1e-9):
         raise DomainError(
@@ -586,8 +587,7 @@ def solve_exact_1d(rho: DensityField, g: DensityField, cost: RadialCost,
     return result, map_field
 
 
-def _largest_abs_cost(cmat: np.ndarray, xs: np.ndarray | None = None,
-                      ys: np.ndarray | None = None) -> float:
+def _largest_abs_cost(cmat: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> float:
     """max |c_ij| of a finite cost matrix, as max(C.max(), -C.min()) gives it.
 
     ``xs`` and ``ys`` are the (m, d) and (n, d) points of the rows and
@@ -595,9 +595,9 @@ def _largest_abs_cost(cmat: np.ndarray, xs: np.ndarray | None = None,
     distance, so C.max() is the larger corner entry C[0, -1] or C[-1, 0] and
     C.min() the least entry C[i, j] at a nearest y_j of some x_i, which
     ``np.searchsorted`` finds: 2m + 2 entries read in place of two passes
-    over C. Other dimensions, or no points, take the two passes.
+    over C. Other dimensions take the two passes.
     """
-    if xs is None or xs.shape[1] != 1:
+    if xs.shape[1] != 1:
         return max(float(cmat.max()), -float(cmat.min()))
     n = cmat.shape[1]
     above = np.searchsorted(ys[:, 0], xs[:, 0])  # y[above - 1] < x <= y[above]
@@ -607,7 +607,7 @@ def _largest_abs_cost(cmat: np.ndarray, xs: np.ndarray | None = None,
 
 
 class _TransportationSimplex:
-    """Dense transportation-problem solver: NW-corner start, MODI pivoting.
+    """Dense transportation-problem solver: MODI pivoting from a north-west staircase.
 
     The basis is a spanning tree of the bipartite row/column graph, kept
     rooted: nodes are rows ``0..m-1`` and columns ``m..m+n-1``, the root is
@@ -616,46 +616,36 @@ class _TransportationSimplex:
     smallest reduced cost index and leaving ties broken by smallest index
     (Bland's rule, no cycling).
 
-    The start basis is a ``_Staircase``, which gives, in
-    ``staircase_duals``, every node's parent, depth and dual. In 1-d the
-    staircase is optimal (Hoffman 1963) and no pivot comes, so the dense
-    plan ``x`` is built from it only at the first pivot, as ``children``
-    is. A pivot climbs parent pointers from the entering cell's row and
-    column to find the cycle, cuts the leaving cell, hangs the cut-off
-    subtree from the entering cell and re-walks only that subtree. A dual
-    is computed along its unique path from row 0, parent first, as
-    ``c_ij - dual[parent]``, so every node gets the bits a full walk of the
-    tree from row 0 would give it: re-walked nodes redo that arithmetic and
-    the others keep their path. ``xs`` and ``ys``, the points of the rows
-    and columns, spare the tolerance two passes over C in 1-d
-    (``_largest_abs_cost``).
+    It starts from a ``_Staircase``: ``tree`` is that staircase's
+    ``_Staircase.tree`` (every node's dual, parent and depth), and the
+    dense plan ``x`` is built from its masses. ``solve_lp`` builds a
+    simplex only when the staircase fails its certificate, so there is
+    always a pivot to make. A pivot climbs parent pointers from the
+    entering cell's row and column to find the cycle, cuts the leaving
+    cell, hangs the cut-off subtree from the entering cell and re-walks
+    only that subtree. A dual is computed along its unique path from row 0,
+    parent first, as ``c_ij - dual[parent]``, so every node gets the bits a
+    full walk of the tree from row 0 would give it: re-walked nodes redo
+    that arithmetic and the others keep their path. ``tol`` bounds the
+    reduced costs that count as negative.
     """
 
     def __init__(self, cmat: np.ndarray, staircase: _Staircase,
-                 xs: np.ndarray | None = None, ys: np.ndarray | None = None):
+                 tree: tuple[np.ndarray, np.ndarray, np.ndarray], tol: float):
         self.cmat = cmat
         self.m, self.n = cmat.shape
-        self.staircase = staircase
-        self.x: np.ndarray | None = None  # built at the first pivot
-        self.tol = 1e-11 * (1.0 + _largest_abs_cost(cmat, xs, ys))
-        self.children: list[list[int]] | None = None  # built at the first pivot
-
-    def staircase_duals(self) -> tuple[np.ndarray, np.ndarray]:
-        """u_i + v_j = c_ij on the start staircase, anchored at u_0 = 0.
-
-        Also roots the basis tree from ``_Staircase.tree``: sets ``parent``
-        (-1 at the root) and ``depth`` as lists for the pivots, and ``duals``.
-        """
-        self.duals, parent, depth = self.staircase.tree(self.cmat)
+        self.tol = tol
+        self.x = staircase.plan()
+        self.duals, parent, depth = tree
         self.parent, self.depth = parent.tolist(), depth.tolist()
-        return self.duals[:self.m], self.duals[self.m:]
+        self.children = [[] for _ in self.parent]
+        for k, up in enumerate(self.parent[1:], 1):
+            self.children[up].append(k)
 
     def _pivot(self, ei: int, ej: int) -> None:
         """Bring cell (ei, ej) into the basis and drop the leaving cell."""
-        if self.x is None:
-            self.x = self.staircase.plan()
         m, n, x = self.m, self.n, self.x
-        parent, depth = self.parent, self.depth
+        parent, depth, children = self.parent, self.depth, self.children
         # the cycle: column ej and row ei climb to the node where they meet
         up_col, up_row = [m + ej], [ei]
         while depth[up_col[-1]] > depth[up_row[-1]]:
@@ -684,11 +674,6 @@ class _TransportationSimplex:
             cut, inside, outside = nodes[out], m + ej, ei
         else:
             cut, inside, outside = nodes[out + 1], ei, m + ej
-        if self.children is None:
-            self.children = [[] for _ in parent]
-            for k, up in enumerate(parent[1:], 1):
-                self.children[up].append(k)
-        children = self.children
         children[parent[cut]].remove(cut)
         # re-root the subtree at `inside` (reverse its path up to `cut`)
         # and hang it from `outside` through the entering cell
@@ -715,51 +700,38 @@ class _TransportationSimplex:
             depth[k] = depth[up] + 1
             stack.extend(children[k])
 
-    def pivot_until_optimal(self, max_pivots: int) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-        """Pivot to optimality; returns the pivot count, the final duals u, v and psi.
+    def pivot_until_optimal(self, max_pivots: int) -> tuple[int, np.ndarray]:
+        """Pivot to optimality; returns the pivot count and psi, the first c-transform of the final u.
 
         Each pass walks C in the row blocks of ``_row_blocks``, taking
-        t = C - u into one block-sized buffer allocated once. The first
-        reduced cost t - v below -tol in row-major order enters (Bland's
-        rule). As rounding is monotone, fl(t_ij - v_j) < -tol holds
-        for some cell of a block exactly when fl(min_i t_ij - v_j) < -tol
-        holds for some column. So until the first pivot, which in 1-d never
-        comes, a block tests its n column minima and goes cell by cell only
-        if that test fails. After it, when most blocks hold an entering
-        cell, a block goes cell by cell at once. A block without one folds
-        its column minima into psi, so the pass that finds none leaves
-        psi_j = min_i (c_ij - u_i), the first c-transform of u, bit for bit
-        ``_canonical_pair_from_matrix(cmat, u)[1]``.
+        t = C - u into one block-sized buffer allocated once, and tests the
+        block cell by cell: its first reduced cost t - v below -tol in
+        row-major order enters (Bland's rule). A block without one folds its
+        column minima into psi, so the pass that finds none leaves
+        psi_j = min_i (c_ij - u_i) bit for bit ``_column_min(cmat, u)``.
+        Block-search pricing would change only the rule that picks the
+        entering cell here.
         """
-        cmat, n, limit = self.cmat, self.n, -self.tol
-        u, v = self.staircase_duals()  # views of ``duals``, which each pivot updates in place
-        ranges = _row_blocks(self.m, n)
+        cmat, m, n, limit = self.cmat, self.m, self.n, -self.tol
+        u, v = self.duals[:m], self.duals[m:]  # views of ``duals``, which each pivot updates in place
+        ranges = _row_blocks(m, n)
         t = np.empty((ranges[0][1], n))  # the first block is a largest one
         blocks = [(start, cmat[start:stop], u[start:stop, None], t[:stop - start])
                   for start, stop in ranges]
         psi, block_min = np.empty(n), np.empty(n)
-
-        def entering(t_b) -> int:
-            """The flat index of the block's first reduced cost below -tol, or -1."""
-            negative = t_b - v < limit
-            k = int(negative.argmax())  # the first True in row-major order
-            return k if negative.flat[k] else -1
-
         pivots = 0
         while True:
             for start, c_b, u_b, t_b in blocks:
                 np.subtract(c_b, u_b, out=t_b)
-                k = entering(t_b) if pivots else -1
-                if k >= 0:
+                negative = t_b - v < limit
+                k = int(negative.argmax())  # the first True in row-major order
+                if negative.flat[k]:
                     break
                 mins = t_b.min(axis=0, out=block_min if start else psi)
-                if not pivots and (mins - v < limit).any():
-                    k = entering(t_b)
-                    break
                 if start:
                     np.minimum(psi, mins, out=psi)
             else:
-                return pivots, u, v, psi
+                return pivots, psi
             if pivots >= max_pivots:
                 # the most negative reduced cost over all of C, not only this pass's blocks
                 worst = min(float((np.subtract(c_b, u_b, out=t_b) - v).min())
@@ -774,15 +746,20 @@ class _TransportationSimplex:
 def solve_lp(rho: DensityField, g: DensityField, cost: RadialCost, *,
              cmat: np.ndarray | None = None,
              staircase: _Staircase | None = None) -> TransportResult:
-    """Exact coupling by transportation-simplex pivoting on the dense cost.
+    """Exact coupling by a certified north-west staircase or transportation-simplex pivoting.
 
-    Dual variables from the final basis tree are canonicalized by a double
-    c-transform before they are returned, so gradients of phi are safe to
-    take. When no pivot comes, as in 1-d for a convex cost, the coupling is
-    the start staircase's support and primal its ``_support_cost``, as in
-    ``solve_exact_1d``; no m x n plan is built. After a pivot the coupling
-    is the support of the dense plan and primal the dense product sum.
-    Instances beyond ``_LP_CAPACITY`` cells squared are refused.
+    The start staircase's duals u, v come from ``_Staircase.tree`` and psi,
+    the first c-transform of u, from ``_column_min``. As rounding is
+    monotone, some reduced cost c_ij - u_i - v_j lies below -tol exactly
+    when some psi_j - v_j does, so psi alone certifies the staircase. A
+    certified staircase, as in 1-d for a convex cost, is the solve: the
+    coupling is its support and primal its ``_support_cost``, as in
+    ``solve_exact_1d``, and no m x n plan is built. Otherwise a
+    ``_TransportationSimplex`` pivots from it to optimality; the coupling
+    is then the support of its dense plan and primal the dense product sum.
+    Either way psi is the first c-transform of the final u and phi the
+    second, so the returned pair is canonical and gradients of phi are safe
+    to take. Instances beyond ``_LP_CAPACITY`` cells squared are refused.
     ``cmat`` is the source-by-target cost matrix and ``staircase`` the
     ``_Staircase`` of the marginals, the start basis; each is built here
     when not given. The staircase does not depend on the cost, so solves of
@@ -798,17 +775,21 @@ def solve_lp(rho: DensityField, g: DensityField, cost: RadialCost, *,
         cmat = _cost_matrix(cost, xs, ys)
     if staircase is None:
         staircase = _Staircase(a, b)
-    simplex = _TransportationSimplex(cmat, staircase, xs, ys)
-    pivots, _, _, psi = simplex.pivot_until_optimal(max_pivots=50 * (len(a) + len(b)))
-    if pivots == 0:
-        cells, masses = staircase.support()
-        primal = _support_cost(cells, masses, cmat)
-    else:
+    m = len(a)
+    duals, parent, depth = staircase.tree(cmat)
+    tol = 1e-11 * (1.0 + _largest_abs_cost(cmat, xs, ys))
+    psi = _column_min(cmat, duals[:m])  # the first c-transform of the staircase's u
+    if (psi - duals[m:] < -tol).any():
+        simplex = _TransportationSimplex(cmat, staircase, (duals, parent, depth), tol)
+        pivots, psi = simplex.pivot_until_optimal(max_pivots=50 * (m + len(b)))
         cells, masses = _support(simplex.x)
         primal = float((simplex.x * cmat).sum())
+    else:
+        pivots = 0
+        cells, masses = staircase.support()
+        primal = _support_cost(cells, masses, cmat)
 
-    # psi is the first c-transform of u from the certifying pass; phi the second
-    phi = _min_plus(lambda start, stop: cmat[start:stop], psi, cmat.shape[0])
+    phi = _min_plus(lambda start, stop: cmat[start:stop], psi, m)  # the second c-transform
     dual = float(phi @ a + psi @ b)
     result = TransportResult(
         source=rho,

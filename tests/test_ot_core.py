@@ -22,7 +22,7 @@ from otlab.errors import (
     RangeError,
     ShapeError,
 )
-from otlab.geometry import Grid, as_density, gradient, random_smooth_density
+from otlab.geometry import DensityField, Grid, gradient, random_smooth_density
 
 
 def four_point_grid():
@@ -151,8 +151,8 @@ class TestExact1D:
         grid = Grid(1, 0.0, 1.0, 64)
         cost = power_cost(p, grid.cost_radius)
         xs = grid.cell_centers()[:, 0]
-        rho = as_density(grid, np.where(xs < 0.5, 2.0, 0.0))
-        g = as_density(grid, np.where(xs >= 0.5, 2.0, 0.0))
+        rho = DensityField(grid, np.where(xs < 0.5, 2.0, 0.0))
+        g = DensityField(grid, np.where(xs >= 0.5, 2.0, 0.0))
         result, map_field = oc.solve_exact_1d(rho, g, cost)
         mask = map_field.mask
         err = np.abs(map_field.points[mask, 0] - (xs[mask] + 0.5))
@@ -182,10 +182,10 @@ class TestExact1D:
         target[xs < 0.15] = 0.0
         target[xs > 0.85] = 0.0
         cost = power_cost(2.0, grid.cost_radius)
-        rho1 = as_density(grid, bump).normalized()
-        g1 = as_density(grid, target).normalized()
-        rho2 = as_density(grid, np.roll(bump, 1)).normalized()
-        g2 = as_density(grid, np.roll(target, 1)).normalized()
+        rho1 = DensityField(grid, bump).normalized()
+        g1 = DensityField(grid, target).normalized()
+        rho2 = DensityField(grid, np.roll(bump, 1)).normalized()
+        g2 = DensityField(grid, np.roll(target, 1)).normalized()
         _, m1 = oc.solve_exact_1d(rho1, g1, cost)
         _, m2 = oc.solve_exact_1d(rho2, g2, cost)
         dx = grid.spacing[0]
@@ -199,7 +199,7 @@ class TestSolveLP:
     def test_identity_uniform_is_diagonal(self):
         grid = four_point_grid()
         cost = power_cost(1.5, grid.cost_radius)
-        uniform = as_density(grid, np.ones(4)).normalized()
+        uniform = DensityField(grid, np.ones(4)).normalized()
         result = oc.solve_lp(uniform, uniform, cost)
         np.testing.assert_allclose(result.coupling, np.eye(4) * 0.25, atol=1e-12)
         assert result.primal == pytest.approx(0.0, abs=1e-12)
@@ -245,7 +245,7 @@ class TestSolveLP:
     def test_mass_mismatch_rejected(self):
         grid, rho, g = random_pair()
         cost = power_cost(2.0, grid.cost_radius)
-        heavier = as_density(grid, g.values * 1.5)
+        heavier = DensityField(grid, g.values * 1.5)
         with pytest.raises(InputError):
             oc.solve_lp(rho, heavier, cost)
 
@@ -286,9 +286,10 @@ def _numpy_tree_duals(cmat, cells):
     return u, v
 
 
-def _simplex(cmat, a, b):
-    """A transportation simplex started from the staircase of (a, b)."""
-    return oc._TransportationSimplex(cmat, oc._Staircase(a, b))
+def _simplex(cmat, staircase):
+    """A transportation simplex started from ``staircase``, its tolerance from the two-pass max |c_ij|."""
+    tol = 1e-11 * (1.0 + max(float(cmat.max()), -float(cmat.min())))
+    return oc._TransportationSimplex(cmat, staircase, staircase.tree(cmat), tol)
 
 
 def _basis_cells(simplex):
@@ -347,22 +348,23 @@ class TestStaircaseDuals:
         duals, parent, depth = staircase.tree(cmat)
         assert duals.tobytes() == want_duals.tobytes()
         assert parent.tolist() == want_parent and depth.tolist() == want_depth
-        simplex = oc._TransportationSimplex(cmat, staircase)
-        u, v = simplex.staircase_duals()
-        assert np.concatenate([u, v]).tobytes() == want_duals.tobytes()
+        simplex = _simplex(cmat, staircase)
+        assert simplex.duals.tobytes() == want_duals.tobytes()
         assert (simplex.parent, simplex.depth) == (want_parent, want_depth)
+        assert simplex.children == [[k for k, up in enumerate(want_parent) if up == node]
+                                    for node in range(len(want_parent))]
+        assert np.array_equal(simplex.x, staircase.plan())
 
     @staticmethod
-    def simplex(cost, source, target, a, b):
+    def check(cost, source, target, a, b):
         cmat = oc._cost_matrix(cost, source.cell_centers(), target.cell_centers())
-        return _simplex(cmat, np.asarray(a, float), np.asarray(b, float))
-
-    @staticmethod
-    def check(simplex):
-        u, v = simplex.staircase_duals()
-        assert sorted(_basis_cells(simplex)) == sorted(simplex.staircase.path)
-        want_u, want_v = _numpy_tree_duals(simplex.cmat, simplex.staircase.path)
+        staircase = oc._Staircase(np.asarray(a, float), np.asarray(b, float))
+        simplex = _simplex(cmat, staircase)
+        u, v = simplex.duals[:simplex.m], simplex.duals[simplex.m:]
+        assert sorted(_basis_cells(simplex)) == sorted(staircase.path)
+        want_u, want_v = _numpy_tree_duals(cmat, staircase.path)
         assert np.array_equal(u, want_u) and np.array_equal(v, want_v)
+        return staircase
 
     @pytest.mark.parametrize("a, b", [
         # equal partial sums: the fill empties a row and a column at once
@@ -372,10 +374,9 @@ class TestStaircaseDuals:
     ])
     def test_degenerate_staircase(self, a, b):
         source, target = Grid(1, 0.0, 1.0, len(a)), Grid(1, 0.0, 1.0, len(b))
-        simplex = self.simplex(power_cost(1.5, 1.0), source, target, a, b)
-        assert len(simplex.staircase.path) == len(a) + len(b) - 1
-        assert (simplex.staircase.moves == 0.0).any()  # a basic cell that holds no mass
-        self.check(simplex)
+        staircase = self.check(power_cost(1.5, 1.0), source, target, a, b)
+        assert len(staircase.path) == len(a) + len(b) - 1
+        assert (staircase.moves == 0.0).any()  # a basic cell that holds no mass
 
     @pytest.mark.parametrize("d, n", [(1, 96), (2, 8)])
     def test_random_marginals(self, d, n):
@@ -383,7 +384,7 @@ class TestStaircaseDuals:
         a = random_smooth_density(grid, 3).values.reshape(-1) * grid.cell_volume
         b = random_smooth_density(grid, 4).values.reshape(-1) * grid.cell_volume
         cost = power_cost(3.0, grid.cost_radius)
-        self.check(self.simplex(cost, grid, grid, a, b * (a.sum() / b.sum())))
+        self.check(cost, grid, grid, a, b * (a.sum() / b.sum()))
 
 
 class TestLPRegression:
@@ -425,7 +426,7 @@ class TestLPRegression:
         rho, g, cost = self.instance()
         a, b = oc._marginals(rho, g)
         cmat = oc._cost_matrix(cost, rho.grid.cell_centers(), g.grid.cell_centers())
-        simplex = _simplex(cmat, a, b)
+        simplex = _simplex(cmat, oc._Staircase(a, b))
         with pytest.raises(ConvergenceError) as info:
             simplex.pivot_until_optimal(max_pivots=5)
         assert math.isfinite(info.value.residual) and info.value.residual > 0.0
@@ -443,7 +444,7 @@ class TestLPRegression:
         rho, g, cost = self.instance()
         a, b = oc._marginals(rho, g)
         cmat = oc._cost_matrix(cost, rho.grid.cell_centers(), g.grid.cell_centers())
-        simplex = _simplex(cmat, a, b)
+        simplex = _simplex(cmat, oc._Staircase(a, b))
         with pytest.raises(ConvergenceError) as info:
             simplex.pivot_until_optimal(max_pivots=5)
         m, n = cmat.shape
@@ -464,8 +465,8 @@ def _weights(size):
 def lp_instances(draw, d):
     n = draw(st.integers(4, 24)) if d == 1 else (draw(st.integers(4, 5)), draw(st.integers(4, 5)))
     grid = Grid(d, 0.0, 1.0, n)
-    rho = as_density(grid, np.reshape(draw(_weights(grid.num_cells)), grid.shape)).normalized()
-    g = as_density(grid, np.reshape(draw(_weights(grid.num_cells)), grid.shape)).normalized()
+    rho = DensityField(grid, np.reshape(draw(_weights(grid.num_cells)), grid.shape)).normalized()
+    g = DensityField(grid, np.reshape(draw(_weights(grid.num_cells)), grid.shape)).normalized()
     cost = power_cost(draw(st.sampled_from([1.5, 2.0, 3.0])), grid.cost_radius)
     return rho, g, cost
 
@@ -503,7 +504,7 @@ class TestSolveLPProperties:
         source = Grid(2, 0.0, 1.0, data.draw(shapes))
         target = Grid(2, 0.0, 1.0,
                       data.draw(shapes.filter(lambda s: s[0] * s[1] != source.num_cells)))
-        rho, g = (as_density(grid, np.reshape(data.draw(_weights(grid.num_cells)), grid.shape)).normalized()
+        rho, g = (DensityField(grid, np.reshape(data.draw(_weights(grid.num_cells)), grid.shape)).normalized()
                   for grid in (source, target))
         cost = power_cost(data.draw(st.sampled_from([1.5, 2.0, 3.0])),
                           max(source.cost_radius, target.cost_radius))
@@ -544,7 +545,7 @@ def lp_1d_unequal_instances(draw):
     m, n = draw(st.tuples(st.integers(4, 24), st.integers(4, 24)).filter(lambda s: s[0] != s[1]))
     lower = draw(st.floats(-0.3, 0.3))
     source, target = Grid(1, 0.0, 1.0, m), Grid(1, lower, lower + draw(st.floats(0.5, 1.2)), n)
-    rho, g = (as_density(grid, np.array(draw(_weights(grid.num_cells)), float)).normalized()
+    rho, g = (DensityField(grid, np.array(draw(_weights(grid.num_cells)), float)).normalized()
               for grid in (source, target))
     return rho, g, draw(convex_costs(2.0))
 
@@ -597,7 +598,7 @@ class TestSolveLP1D:
         shifted = v + shift * tol * (rng.random(n) < 0.5)
         assert _column_verdict(cmat, u, shifted, tol) == _dense_verdict(cmat, u, shifted, tol)
 
-    def test_concave_cost_falls_back_to_pivoting(self):
+    def test_concave_cost_falls_back_to_pivoting(self, monkeypatch):
         # for the concave profile sqrt(r) the monotone staircase is not optimal
         source, target = Grid(1, 0.0, 1.0, 12), Grid(1, 0.1, 1.2, 9)
         rho, g = random_smooth_density(source, 5), random_smooth_density(target, 6)
@@ -607,10 +608,12 @@ class TestSolveLP1D:
         staircase = oc._Staircase(a, b)
         duals = staircase.tree(cmat)[0]
         u, v = duals[:len(a)], duals[len(a):]
-        tol = oc._TransportationSimplex(cmat, staircase).tol
+        tol = 1e-11 * (1.0 + oc._largest_abs_cost(cmat, source.cell_centers(), target.cell_centers()))
         assert _column_verdict(cmat, u, v, tol) and _dense_verdict(cmat, u, v, tol)
 
+        built = _count_simplices(monkeypatch)
         result = oc.solve_lp(rho, g, cost)
+        assert len(built) == 1
         assert result.meta["pivots"] > 0
         staircase_cost = float((staircase.plan() * cmat).sum())
         highs = _highs_primal(rho, g, cost)
@@ -619,7 +622,7 @@ class TestSolveLP1D:
 
 
 class TestSimplexTolerance:
-    """From the cell centers, the 1-d tolerance reads O(m) entries and equals the two-pass formula bit for bit."""
+    """From the cell centers, the 1-d bound on |C| reads O(m) entries and equals the two-pass formula bit for bit."""
 
     # r^2/2 + r^4/4 - 100 is negative on the whole ball, so -C.min() decides the 1-d bound
     RADII = np.linspace(0.0, 3.0, 256)
@@ -639,11 +642,7 @@ class TestSimplexTolerance:
     def test_matches_dense_formula(self, cost, source, target):
         xs, ys = source.cell_centers(), target.cell_centers()
         cmat = oc._cost_matrix(cost, xs, ys)
-        m, n = cmat.shape
-        staircase = oc._Staircase(np.full(m, 1.0 / m), np.full(n, 1.0 / n))
-        want = 1e-11 * (1.0 + max(float(cmat.max()), -float(cmat.min())))
-        assert oc._TransportationSimplex(cmat, staircase, xs, ys).tol == want
-        assert oc._TransportationSimplex(cmat, staircase).tol == want
+        assert oc._largest_abs_cost(cmat, xs, ys) == max(float(cmat.max()), -float(cmat.min()))
         if cost.family == "tabulated":
             assert -cmat.min() > abs(cmat.max())
 
@@ -655,7 +654,7 @@ def _dense_certificate(simplex):
     and psi_j = min_i (c_ij - u_i) over the final duals.
     """
     cmat, entering = simplex.cmat, []
-    u, v = simplex.staircase_duals()
+    u, v = simplex.duals[:simplex.m], simplex.duals[simplex.m:]  # views: each pivot updates them
     while True:
         negative = cmat - u[:, None] - v[None, :] < -simplex.tol
         k = int(negative.argmax())
@@ -674,16 +673,17 @@ class TestBlockedCertificate:
         a, b = oc._marginals(rho, g)
         cmat = oc._cost_matrix(cost, rho.grid.cell_centers(), g.grid.cell_centers())
         m, n = cmat.shape
-        want_cells, want_u, want_v, want_psi = _dense_certificate(_simplex(cmat, a, b))
+        want_cells, want_u, want_v, want_psi = _dense_certificate(_simplex(cmat, oc._Staircase(a, b)))
         want_phi = (cmat - want_psi[None, :]).min(axis=1)
         rows = next(r for r in (2, 3, 5, 7) if m % r)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(oc, "_BLOCK_ENTRIES", rows * n)
             assert len(oc._row_blocks(m, n)) > 1
-            simplex = _simplex(cmat, a, b)
+            simplex = _simplex(cmat, oc._Staircase(a, b))
             cells, pivot = [], simplex._pivot
             simplex._pivot = lambda i, j: (cells.append((i, j)), pivot(i, j))
-            _, u, v, psi = simplex.pivot_until_optimal(max_pivots=50 * (m + n))
+            _, psi = simplex.pivot_until_optimal(max_pivots=50 * (m + n))
+            u, v = simplex.duals[:m], simplex.duals[m:]
             result = oc.solve_lp(rho, g, cost, cmat=cmat)
         assert cells == want_cells
         for got, want in ((u, want_u), (v, want_v), (psi, want_psi),
@@ -711,6 +711,18 @@ class TestBlockedCertificate:
         rng = np.random.default_rng(4)
         cmat, vals = rng.normal(size=(10, 7)), rng.normal(size=10)
         assert np.array_equal(oc._column_min(cmat, vals), (cmat - vals[:, None]).min(axis=0))
+
+
+def _count_simplices(monkeypatch) -> list:
+    """A list that gains one entry for every ``_TransportationSimplex`` built from now on."""
+    built, init = [], oc._TransportationSimplex.__init__
+
+    def counted(simplex, *args):
+        built.append(simplex)
+        init(simplex, *args)
+
+    monkeypatch.setattr(oc._TransportationSimplex, "__init__", counted)
+    return built
 
 
 def _traced_peak(fn) -> int:
@@ -746,18 +758,32 @@ class TestBlockedMemory:
         phi = np.linspace(0.0, 1.0, cmat.shape[0])
         assert _traced_peak(lambda: oc._canonical_pair_from_matrix(cmat, phi)) <= cmat.nbytes / 4
 
-    def test_simplex_steps_peak(self, instance):
-        # the simplex builds its dense plan only at a first pivot, so starting
-        # it takes the staircase walk alone (0.06 C measured), and certifying one
-        # block buffer and the tree (0.20 C); validating adds far less than C
+    def test_simplex_steps_peak(self, instance, monkeypatch):
+        # measured: the staircase walk takes 0.06 C and its certificate, the
+        # tree and one c-transform, 0.16 C; a certified solve builds no
+        # simplex, so no dense plan, and validating adds far less than C
         rho, g, cost, cmat = instance
         a, b = oc._marginals(rho, g)
-        assert _traced_peak(lambda: _simplex(cmat, a, b)) <= cmat.nbytes / 8
-        simplex = _simplex(cmat, a, b)
-        assert _traced_peak(lambda: simplex.pivot_until_optimal(max_pivots=0)) <= cmat.nbytes / 4
-        assert simplex.x is None
+        assert _traced_peak(lambda: oc._Staircase(a, b)) <= cmat.nbytes / 8
+        staircase = oc._Staircase(a, b)
+
+        def certify():
+            return oc._column_min(cmat, staircase.tree(cmat)[0][:cmat.shape[0]])
+
+        assert _traced_peak(certify) <= cmat.nbytes / 4
+        built = _count_simplices(monkeypatch)
         result = oc.solve_lp(rho, g, cost, cmat=cmat)
+        assert result.meta["pivots"] == 0 and not built
         assert _traced_peak(lambda: result.validate(cmat)) <= cmat.nbytes / 2
+
+    def test_cost_matrix_peak(self):
+        # the (N, M, d) differences are freed before the profile runs: the
+        # radii and the profile's output are alive at once (2.0 C measured)
+        grid = Grid(1, 0.0, 1.0, 2048)
+        cost = power_cost(1.5, grid.cost_radius)
+        nbytes = 8 * grid.num_cells**2
+        centers = grid.cell_centers()
+        assert _traced_peak(lambda: oc._cost_matrix(cost, centers, centers)) <= 2.2 * nbytes
 
 
 class TestSoftmin:
@@ -1067,9 +1093,9 @@ class TestSolveEntropicProperties:
                               "along the (f + c, g - c) gauge until f loses its precision")
     def test_degenerate_integer_weights(self):
         grid = Grid(2, 0.0, 1.0, (5, 5))
-        rho = as_density(grid, np.array([[0, 5, 4, 5, 6], [5, 0, 1, 4, 4], [6, 2, 3, 1, 1],
+        rho = DensityField(grid, np.array([[0, 5, 4, 5, 6], [5, 0, 1, 4, 4], [6, 2, 3, 1, 1],
                                          [2, 6, 3, 3, 0], [1, 5, 3, 0, 3]], float)).normalized()
-        g = as_density(grid, np.array([[0, 5, 4, 5, 6], [5, 0, 1, 1, 2], [3, 4, 4, 6, 1],
+        g = DensityField(grid, np.array([[0, 5, 4, 5, 6], [5, 0, 1, 1, 2], [3, 4, 4, 6, 1],
                                        [2, 6, 1, 3, 3], [0, 5, 3, 0, 2]], float)).normalized()
         oc.solve_entropic(rho, g, power_cost(1.5, grid.cost_radius), 1e-3)
 
@@ -1183,8 +1209,8 @@ class TestTransportMap:
         grid = Grid(1, 0.0, 1.0, 64)
         cost = power_cost(2.0, grid.cost_radius)
         xs = grid.cell_centers()[:, 0]
-        rho = as_density(grid, np.where(xs < 0.5, 2.0, 0.0))
-        g = as_density(grid, np.where(xs >= 0.5, 2.0, 0.0))
+        rho = DensityField(grid, np.where(xs < 0.5, 2.0, 0.0))
+        g = DensityField(grid, np.where(xs >= 0.5, 2.0, 0.0))
         lp = oc.solve_lp(rho, g, cost)
         mf = oc.transport_map_from_potential(lp.phi, cost, rho)
         _, oracle = oc.solve_exact_1d(rho, g, cost)
