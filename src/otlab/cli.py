@@ -65,6 +65,7 @@ from .jko import (
     aligned_dt,
     entropy_energy,
     jko_vs_pde_report,
+    pde_substeps,
     power_energy,
     run_jko,
     write_trajectory_dir,
@@ -153,9 +154,12 @@ def _check(spec, value, path: tuple, where: str) -> None:
                    _where(f"{spec.name} key '{key}'", sub if path else ()))
 
 
-# exact type matches: a JSON bool is a Python int but never passes as a number
+# exact type matches: a JSON bool is a Python int but never passes as a number;
+# a real number is finite (Python's JSON reader takes NaN and Infinity) and
+# within the float range, so that float() of it cannot overflow
 _INT = _Type(lambda v: type(v) is int, "an integer", "integers")
-_REAL = _Type(lambda v: type(v) in (int, float), "a real number", "real numbers")
+_REAL = _Type(lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
+              "a real number", "real numbers")
 _BOOL = _Type(lambda v: type(v) is bool, "true or false", "booleans")
 _STR = _Type(lambda v: type(v) is str, "a string", "strings")
 
@@ -357,10 +361,10 @@ def cmd_solve_ot(config: dict, out: Path, base_dir: Path, seed) -> int:
 
     threshold = solver_spec.get("mass_threshold", default_mass_threshold(grid))
     eps_final = solver_spec.get("eps_final", 1e-4)
-    if not (np.isfinite(threshold) and threshold >= 0):
-        raise ConfigError(f"solver mass_threshold must be finite and >= 0, got {threshold!r}")
-    if not (np.isfinite(eps_final) and eps_final > 0):
-        raise ConfigError(f"solver eps_final must be finite and > 0, got {eps_final!r}")
+    if not threshold >= 0:
+        raise ConfigError(f"solver mass_threshold must be >= 0, got {threshold!r}")
+    if not eps_final > 0:
+        raise ConfigError(f"solver eps_final must be > 0, got {eps_final!r}")
     map_field = None
     if method == "exact1d":
         result, map_field = solve_exact_1d(rho, g, cost, mass_threshold=threshold)
@@ -407,6 +411,14 @@ def cmd_jko(config: dict, out: Path, base_dir: Path, seed) -> int:
         jko_config = JKOConfig(**{**scheme, "energy": _energy_from_spec(scheme["energy"])})
     except OTLabError as exc:
         raise ConfigError(f"invalid scheme spec: {exc}") from exc
+    compare = config.get("compare_pde")
+    if compare is not None:
+        refine = compare.get("refine", False)
+        dt = aligned_dt(rho0, jko_config) if compare.get("dt") is None else compare["dt"]
+        try:
+            pde_substeps(jko_config, dt, refine)
+        except ParameterError as exc:
+            raise ConfigError(f"invalid compare_pde spec: {exc}") from exc
 
     trajectory = run_jko(rho0, jko_config)
     write_trajectory_dir(out, trajectory, densities=config.get("write_densities", True))
@@ -415,10 +427,7 @@ def cmd_jko(config: dict, out: Path, base_dir: Path, seed) -> int:
               file=sys.stderr)
         return _EXIT_SOLVER
 
-    compare = config.get("compare_pde")
     if compare is not None:
-        refine = compare.get("refine", False)
-        dt = aligned_dt(rho0, jko_config) if compare.get("dt") is None else compare["dt"]
         report = jko_vs_pde_report(trajectory, jko_config, dt, refine=refine)
         columns = [report.times, report.distances]
         header = ["time", "distance"]

@@ -110,8 +110,8 @@ def _validate_monotone_derivative(cost: RadialCost, samples: int = 64) -> None:
 
 def power_cost(p: float, radius: float) -> RadialCost:
     """Cost |z|^p / p for an exponent p > 1."""
-    if not p > 1:
-        raise ParameterError(f"power-family exponent must exceed 1, got {p}")
+    if not 1 < p < np.inf:
+        raise ParameterError(f"power-family exponent must be finite and exceed 1, got {p}")
     if not radius > 0:
         raise ParameterError("radius must be positive")
 

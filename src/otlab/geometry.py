@@ -68,6 +68,8 @@ class Grid:
         hi = tuple(float(v) for v in _as_tuple(upper, d))
         nn = tuple(int(v) for v in _as_tuple(n, d))
         for a in range(d):
+            if not (np.isfinite(lo[a]) and np.isfinite(hi[a])):
+                raise ParameterError(f"axis {a}: bounds must be finite ({lo[a]} .. {hi[a]})")
             if not hi[a] > lo[a]:
                 raise ParameterError(f"axis {a}: upper must exceed lower ({lo[a]} .. {hi[a]})")
             if nn[a] < 4:

@@ -634,28 +634,38 @@ def _l1_distance(a: DensityField, b: DensityField) -> float:
     return float(np.abs(a.values - b.values).sum() * a.grid.cell_volume)
 
 
-def jko_vs_pde_report(trajectory: Trajectory, config: JKOConfig, dt: float,
-                      refine: bool = True) -> JKOPDEReport:
-    """Compare a completed scheme run against the PDE reference at 5 shared checkpoints.
+def pde_substeps(config: JKOConfig, dt: float, refine: bool) -> int:
+    """The reference steps tau / dt per scheme step of ``jko_vs_pde_report``.
 
-    ``trajectory`` is the ``run_jko`` result for ``config``; the reference
-    starts from its first state. ``dt`` must divide tau (and tau/2 when
-    ``refine`` is set) so checkpoint times exist in both discretizations;
-    ``aligned_dt`` constructs such a step. The refined pass reruns the
-    scheme at tau/2 over the same horizon and must not increase the
-    final-checkpoint distance.
+    Raises ParameterError unless dt > 0 divides tau, and tau/2 if ``refine``
+    is set; ``aligned_dt`` constructs such a step. Needs no run of the flow.
     """
-    rho_0 = trajectory.densities[0]
-    if rho_0.grid.d != 1:
-        raise DomainError("the comparison runs on 1-d grids")
-    if config.steps < 1:
-        raise ParameterError("need at least one step to compare")
+    if not dt > 0:
+        raise ParameterError(f"dt must be positive, got {dt}")
     ratio = config.tau / dt
     substeps = round(ratio)
     if substeps < 1 or abs(ratio - substeps) > 1e-9 * ratio:
         raise ParameterError(f"dt = {dt:.3e} must divide tau = {config.tau:.3e}")
     if refine and substeps % 2 != 0:
         raise ParameterError("refinement needs tau/dt even so tau/2 stays aligned")
+    return substeps
+
+
+def jko_vs_pde_report(trajectory: Trajectory, config: JKOConfig, dt: float,
+                      refine: bool = True) -> JKOPDEReport:
+    """Compare a completed scheme run against the PDE reference at 5 shared checkpoints.
+
+    ``trajectory`` is the ``run_jko`` result for ``config``; the reference
+    starts from its first state, and ``dt`` must pass ``pde_substeps``. The
+    refined pass reruns the scheme at tau/2 over the same horizon and must
+    not increase the final-checkpoint distance.
+    """
+    rho_0 = trajectory.densities[0]
+    if rho_0.grid.d != 1:
+        raise DomainError("the comparison runs on 1-d grids")
+    if config.steps < 1:
+        raise ParameterError("need at least one step to compare")
+    substeps = pde_substeps(config, dt, refine)
     if trajectory.error:
         raise StepError(f"scheme run failed: {trajectory.error}", residual=float("nan"))
     if len(trajectory) != config.steps + 1:

@@ -456,12 +456,6 @@ class _Staircase:
         self.cells = np.array(cells, dtype=np.intp)
         self.moves = np.array(moves)
 
-    def plan(self) -> np.ndarray:
-        """A new dense m x n plan holding the staircase masses."""
-        plan = np.zeros(self.m * self.n)
-        plan[self.cells] = self.moves  # the staircase visits each cell once
-        return plan.reshape(self.m, self.n)
-
     def support(self) -> tuple[np.ndarray, np.ndarray]:
         """The plan's support: its held (nonzero) cells, flat and row-major, and their masses."""
         held = self.moves != 0.0
@@ -472,12 +466,14 @@ class _Staircase:
         """The staircase cells (i, j) in fill order."""
         return [divmod(k, self.n) for k in self.cells.tolist()]
 
-    def tree(self, cmat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(duals, parent, depth) of the staircase basis rooted at row 0, where u_0 = 0.
+    def tree(self, cmat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(duals, parent, depth, flow) of the staircase basis rooted at row 0, where u_0 = 0.
 
         Nodes are rows 0..m-1 and columns m..m+n-1, and u_i + v_j = c_ij on
         every staircase cell. The first cell adds column 0 and each step
-        adds the row or column it moves into. A run of steps of one kind
+        adds the row or column it moves into; the cell is the tree arc from
+        that lower node to its parent, and ``flow`` holds the cell's mass
+        on its lower node (the root's entry is 0). A run of steps of one kind
         hangs from the last node of the run before it, and run 0 from row 0,
         so a node of run r has depth r + 1 and dual c - e_(r-1), where e_r
         is the dual of run r's last node and e_(-1) = u_0 = 0. Those satisfy
@@ -507,18 +503,27 @@ class _Staircase:
         parent[node] = np.concatenate(([0], node[ends]))[run]
         depth = np.zeros(m + n, dtype=np.intp)
         depth[node] = run + 1
-        return duals, parent, depth
-
-
-def _support(plan: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A dense plan's support: its nonzero entries' flat row-major indices, and their masses."""
-    cells = np.flatnonzero(plan)
-    return cells, plan.reshape(-1)[cells]
+        flow = np.zeros(m + n)
+        flow[node] = self.moves
+        return duals, parent, depth, flow
 
 
 def _support_cost(cells: np.ndarray, masses: np.ndarray, cmat: np.ndarray) -> float:
     """sum masses_k c_k over a support's flat cells k of the cost matrix ``cmat``."""
     return float((masses * cmat[np.divmod(cells, cmat.shape[1])]).sum())
+
+
+def _checked_result(rho: DensityField, g: DensityField, cost: RadialCost, a: np.ndarray,
+                    b: np.ndarray, cmat: np.ndarray, phi: np.ndarray, psi: np.ndarray, *,
+                    cells: np.ndarray | None, masses: np.ndarray, primal: float, solver: str,
+                    meta: dict) -> TransportResult:
+    """A solve's result from flat potentials and its ``_marginals``, validated on ``cmat``."""
+    result = TransportResult(source=rho, target=g, cost=cost, cells=cells, masses=masses,
+                             phi=phi.reshape(rho.grid.shape), psi=psi.reshape(g.grid.shape),
+                             primal=primal, dual=float(phi @ a + psi @ b), solver=solver,
+                             meta=meta)
+    result.validate(cmat)
+    return result
 
 
 def solve_exact_1d(rho: DensityField, g: DensityField, cost: RadialCost,
@@ -561,22 +566,9 @@ def solve_exact_1d(rho: DensityField, g: DensityField, cost: RadialCost,
     dx = rho.grid.spacing[0]
     phi = np.concatenate([[0.0], np.cumsum(0.5 * (dphi[1:] + dphi[:-1]) * dx)])
     psi = _column_min(cmat, phi)
-    dual = float(phi @ a + psi @ b)
-
-    result = TransportResult(
-        source=rho,
-        target=g,
-        cost=cost,
-        cells=cells,
-        masses=masses,
-        phi=phi.reshape(rho.grid.shape),
-        psi=psi.reshape(g.grid.shape),
-        primal=primal,
-        dual=dual,
-        solver="exact1d",
-        meta={"plan_nonzeros": int(cells.size)},
-    )
-    result.validate(cmat)
+    result = _checked_result(rho, g, cost, a, b, cmat, phi, psi, cells=cells, masses=masses,
+                             primal=primal, solver="exact1d",
+                             meta={"plan_nonzeros": int(cells.size)})
 
     threshold = default_mass_threshold(rho.grid) if mass_threshold is None else mass_threshold
     mask = rho.values.reshape(-1) > threshold
@@ -607,19 +599,19 @@ def _largest_abs_cost(cmat: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> float
 
 
 class _TransportationSimplex:
-    """Dense transportation-problem solver: MODI pivoting from a north-west staircase.
+    """Transportation-problem solver: MODI pivoting on a rooted basis tree.
 
     The basis is a spanning tree of the bipartite row/column graph, kept
     rooted: nodes are rows ``0..m-1`` and columns ``m..m+n-1``, the root is
     row 0 with u_0 = 0, and each node stores its parent, depth and dual
-    (``duals[:m]`` is u, ``duals[m:]`` is v). Entering cells are picked by
-    smallest reduced cost index and leaving ties broken by smallest index
-    (Bland's rule, no cycling).
+    (``duals[:m]`` is u, ``duals[m:]`` is v). A basic cell is the arc from
+    a node to its parent and holds its mass as ``flow`` at that lower node,
+    so no m x n plan exists and a cell off the tree holds no mass. Entering
+    cells are picked by smallest reduced cost index and leaving ties broken
+    by smallest index (Bland's rule, no cycling).
 
-    It starts from a ``_Staircase``: ``tree`` is that staircase's
-    ``_Staircase.tree`` (every node's dual, parent and depth), and the
-    dense plan ``x`` is built from its masses. ``solve_lp`` builds a
-    simplex only when the staircase fails its certificate, so there is
+    ``tree`` is the start basis, a ``_Staircase.tree``. ``solve_lp`` builds
+    a simplex only when the staircase fails its certificate, so there is
     always a pivot to make. A pivot climbs parent pointers from the
     entering cell's row and column to find the cycle, cuts the leaving
     cell, hangs the cut-off subtree from the entering cell and re-walks
@@ -630,21 +622,32 @@ class _TransportationSimplex:
     reduced costs that count as negative.
     """
 
-    def __init__(self, cmat: np.ndarray, staircase: _Staircase,
-                 tree: tuple[np.ndarray, np.ndarray, np.ndarray], tol: float):
+    def __init__(self, cmat: np.ndarray,
+                 tree: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], tol: float):
         self.cmat = cmat
         self.m, self.n = cmat.shape
         self.tol = tol
-        self.x = staircase.plan()
-        self.duals, parent, depth = tree
-        self.parent, self.depth = parent.tolist(), depth.tolist()
+        self.duals, parent, depth, flow = tree
+        self.parent, self.depth, self.flow = parent.tolist(), depth.tolist(), flow.tolist()
         self.children = [[] for _ in self.parent]
         for k, up in enumerate(self.parent[1:], 1):
             self.children[up].append(k)
 
+    def _cell(self, k: int) -> int:
+        """The flat row-major index i n + j of the tree arc below node k."""
+        up = self.parent[k]
+        return k * self.n + up - self.m if k < self.m else up * self.n + k - self.m
+
+    def support(self) -> tuple[np.ndarray, np.ndarray]:
+        """The basis's held (nonzero) cells, flat and row-major, and their masses."""
+        # sorted() on the m + n - 1 arcs: np.argsort's first call faults in
+        # about 0.2 MB of numpy's sort code, which shows in the peak RSS
+        held = sorted((self._cell(k), mass) for k, mass in enumerate(self.flow) if k and mass != 0.0)
+        return np.array([k for k, _ in held], dtype=np.intp), np.array([mass for _, mass in held])
+
     def _pivot(self, ei: int, ej: int) -> None:
         """Bring cell (ei, ej) into the basis and drop the leaving cell."""
-        m, n, x = self.m, self.n, self.x
+        m, flow = self.m, self.flow
         parent, depth, children = self.parent, self.depth, self.children
         # the cycle: column ej and row ei climb to the node where they meet
         up_col, up_row = [m + ej], [ei]
@@ -655,34 +658,28 @@ class _TransportationSimplex:
         while up_col[-1] != up_row[-1]:
             up_col.append(parent[up_col[-1]])
             up_row.append(parent[up_row[-1]])
-        nodes = up_col + up_row[-2::-1]  # the tree path from column ej to row ei
-        cells = [(k, l - m) if k < m else (l, k - m) for k, l in zip(nodes, nodes[1:])]
-        # walk order: entering cell, then the path; signs alternate from +,
-        # so the path's even-indexed cells give up mass
-        theta = min(x[c] for c in cells[::2])
-        out = min(
-            (t for t in range(0, len(cells), 2) if x[cells[t]] == theta),
-            key=lambda t: cells[t][0] * n + cells[t][1],
-        )
-        x[ei, ej] += theta
-        for t, c in enumerate(cells):
-            x[c] += -theta if t % 2 == 0 else theta
-        x[cells[out]] = 0.0
-        # cut the leaving cell below its upper node; the cut-off subtree
-        # holds column ej if the cell is on its climb, else row ei
-        if out < len(up_col) - 1:
-            cut, inside, outside = nodes[out], m + ej, ei
-        else:
-            cut, inside, outside = nodes[out + 1], ei, m + ej
-        children[parent[cut]].remove(cut)
-        # re-root the subtree at `inside` (reverse its path up to `cut`)
-        # and hang it from `outside` through the entering cell
-        k, up = inside, outside
+        # the tree path's cells from column ej to row ei, by their lower
+        # nodes; signs alternate from - next to the entering cell, so the
+        # even-indexed cells give up mass
+        lows = up_col[:-1] + up_row[-2::-1]
+        theta = min(flow[k] for k in lows[::2])
+        out = min((k for k in lows[::2] if flow[k] == theta), key=self._cell)
+        for t, k in enumerate(lows):
+            flow[k] += -theta if t % 2 == 0 else theta
+        # cutting the leaving cell below its lower node `out` cuts off the
+        # subtree that holds column ej if the cell is on its climb, else row ei
+        inside, outside = (m + ej, ei) if out in up_col else (ei, m + ej)
+        children[parent[out]].remove(out)
+        # re-root the subtree at `inside` (reverse its path up to `out`) and
+        # hang it from `outside` through the entering cell, which carries
+        # theta; each reversed cell's mass moves to its new lower node
+        k, up, mass = inside, outside, theta
         while True:
             old_up = parent[k]
             parent[k] = up
             children[up].append(k)
-            if k == cut:
+            flow[k], mass = mass, flow[k]
+            if k == out:
                 break
             children[old_up].remove(k)
             k, up = old_up, k
@@ -756,7 +753,8 @@ def solve_lp(rho: DensityField, g: DensityField, cost: RadialCost, *,
     coupling is its support and primal its ``_support_cost``, as in
     ``solve_exact_1d``, and no m x n plan is built. Otherwise a
     ``_TransportationSimplex`` pivots from it to optimality; the coupling
-    is then the support of its dense plan and primal the dense product sum.
+    is its ``support``, and primal the pairwise sum of the dense product
+    with C of that support scattered into m x n, which fixes the 2-d bits.
     Either way psi is the first c-transform of the final u and phi the
     second, so the returned pair is canonical and gradients of phi are safe
     to take. Instances beyond ``_LP_CAPACITY`` cells squared are refused.
@@ -776,35 +774,23 @@ def solve_lp(rho: DensityField, g: DensityField, cost: RadialCost, *,
     if staircase is None:
         staircase = _Staircase(a, b)
     m = len(a)
-    duals, parent, depth = staircase.tree(cmat)
+    tree = staircase.tree(cmat)
+    duals = tree[0]
     tol = 1e-11 * (1.0 + _largest_abs_cost(cmat, xs, ys))
     psi = _column_min(cmat, duals[:m])  # the first c-transform of the staircase's u
     if (psi - duals[m:] < -tol).any():
-        simplex = _TransportationSimplex(cmat, staircase, (duals, parent, depth), tol)
+        simplex = _TransportationSimplex(cmat, tree, tol)
         pivots, psi = simplex.pivot_until_optimal(max_pivots=50 * (m + len(b)))
-        cells, masses = _support(simplex.x)
-        primal = float((simplex.x * cmat).sum())
+        cells, masses = simplex.support()
+        primal = float((np.bincount(cells, masses, cmat.size) * cmat.reshape(-1)).sum())
     else:
         pivots = 0
         cells, masses = staircase.support()
         primal = _support_cost(cells, masses, cmat)
 
     phi = _min_plus(lambda start, stop: cmat[start:stop], psi, m)  # the second c-transform
-    dual = float(phi @ a + psi @ b)
-    result = TransportResult(
-        source=rho,
-        target=g,
-        cost=cost,
-        cells=cells,
-        masses=masses,
-        phi=phi.reshape(rho.grid.shape),
-        psi=psi.reshape(g.grid.shape),
-        primal=primal,
-        dual=dual,
-        solver="lp",
-        meta={"pivots": pivots},
-    )
-    result.validate(cmat)
+    result = _checked_result(rho, g, cost, a, b, cmat, phi, psi, cells=cells, masses=masses,
+                             primal=primal, solver="lp", meta={"pivots": pivots})
     if result.gap > 1e-8 * (1.0 + abs(primal)):
         raise OTLabError(f"LP duality gap {result.gap:.3e} out of tolerance")
     return result
@@ -892,28 +878,14 @@ def solve_entropic(rho: DensityField, g: DensityField, cost: RadialCost,
     plan = _round_to_polytope(np.exp(log_plan(cmat, f, gv, loga, logb, schedule[-1])), a, b)
     primal = float((plan * cmat).sum())
     phi, psi = _canonical_pair_from_matrix(cmat, f)
-    dual = float(phi @ a + psi @ b)
-    result = TransportResult(
-        source=rho,
-        target=g,
-        cost=cost,
-        cells=None,
-        masses=plan.reshape(-1),
-        phi=phi.reshape(rho.grid.shape),
-        psi=psi.reshape(g.grid.shape),
-        primal=primal,
-        dual=dual,
-        solver="entropic",
-        meta={
-            "eps_final": float(eps_final),
-            "schedule": list(schedule),
-            "iterations": iterations,
-            "kernel": kernel,
-            "raw_marginal_residual": residual,
-        },
-    )
-    result.validate(cmat)
-    return result
+    return _checked_result(rho, g, cost, a, b, cmat, phi, psi, cells=None,
+                           masses=plan.reshape(-1), primal=primal, solver="entropic", meta={
+                               "eps_final": float(eps_final),
+                               "schedule": list(schedule),
+                               "iterations": iterations,
+                               "kernel": kernel,
+                               "raw_marginal_residual": residual,
+                           })
 
 
 def _clamped_gradient(phi, cost: RadialCost, grid: Grid):
@@ -1025,7 +997,8 @@ def write_result_dir(path, result: TransportResult, map_field: MapField | None =
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
 
-    cells, masses = _support(result.masses) if result.cells is None else (result.cells, result.masses)
+    cells = np.flatnonzero(result.masses) if result.cells is None else result.cells
+    masses = result.masses[cells] if result.cells is None else result.masses
     ii, jj = np.divmod(cells, result.target.grid.num_cells)
     write_rows(out / "coupling.csv", [("i", "j", "mass"), *zip(ii.tolist(), jj.tolist(), masses.tolist())])
 

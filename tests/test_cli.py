@@ -33,6 +33,7 @@ from otlab.ot_core import c_transform, read_meta
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = REPO_ROOT / "configs"
 GOLDEN = Path(__file__).resolve().parent / "golden"
+NAN, INF = float("nan"), float("inf")
 
 
 def write_config(tmp_path: Path, payload: dict, name: str = "config.json") -> Path:
@@ -60,7 +61,8 @@ def solve_config(**overrides) -> dict:
 
 def base_config(command: str) -> dict:
     return {"solve-ot": solve_config, "jko": TestJKO().jko_config,
-            "mollify-study": TestMollifyStudy().moll_config}[command]()
+            "mollify-study": TestMollifyStudy().moll_config,
+            "verify-5g": TestVerify5G().batch_config}[command]()
 
 
 def with_value(payload: dict, path: str, value) -> dict:
@@ -382,6 +384,29 @@ class TestConfigErrors:
         assert run_cli(command, "--config", cfg, "--out", tmp_path / "out") == 2
         assert word in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, path, value, where", [
+        ("solve-ot", "cost", {"family": "tabulated", "radii": [0.0, NAN, 1.0, 2.0],
+                              "values": [0.0, 0.5, 2.0, 4.5]}, "cost.radii"),
+        ("jko", "compare_pde.dt", NAN, "compare_pde.dt"),
+        ("solve-ot", "grid.upper", INF, "grid.upper"),
+        ("solve-ot", "cost.p", INF, "cost.p"),
+        ("solve-ot", "cost.p", 10**400, "cost.p"),  # an integer beyond the float range
+        ("solve-ot", "rho", {"kind": "bump", "floor": NAN}, "rho.floor"),
+        ("solve-ot", "rho", {"kind": "bump", "sharpness": NAN}, "rho.sharpness"),
+        ("solve-ot", "rho", {"kind": "bump", "center": NAN}, "rho.center"),
+        ("verify-5g", "batch.floor", INF, "batch.floor"),
+        ("verify-5g", "batch.bounds", [[0.0, INF]], "batch.bounds"),
+        ("jko", "scheme.tau", INF, "scheme.tau"),
+    ], ids=["radius-nan", "dt-nan", "upper-inf", "p-inf", "p-int-overflow", "floor-nan",
+            "sharpness-nan", "center-nan", "batch-floor-inf", "bounds-inf", "tau-inf"])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, command, path, value, where):
+        # Python's JSON reader takes NaN and Infinity; the schema refuses them as numbers
+        cfg = write_config(tmp_path, with_value(base_config(command), path, value))
+        assert run_cli(command, "--config", cfg, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"at '{where}'" in err
+        assert not (tmp_path / "out").exists()
+
     def test_error_names_nested_key_path(self, tmp_path, capsys):
         cfg = write_config(tmp_path, solve_config(rho={"kind": "random", "floor": "x"}))
         assert run_cli("solve-ot", "--config", cfg, "--out", tmp_path / "out") == 2
@@ -603,12 +628,24 @@ class TestJKO:
         assert len(rows) == 6
         assert float(rows[1].split(",")[1]) == 0.0
 
-    def test_misaligned_pde_dt_exits_3(self, tmp_path, capsys):
-        payload = self.jko_config(steps=4)
-        payload["compare_pde"] = {"dt": 0.003}
+    @pytest.mark.parametrize("tau, compare, word", [
+        (0.004, {"dt": 0.003}, "divide"),
+        (1e-3, {"dt": 7e-4}, "divide"),
+        (1e-3, {"dt": 1e-3 / 3, "refine": True}, "even"),
+        (1e-3, {"dt": 0}, "positive"),
+    ], ids=["tau4e-3-dt3e-3", "tau1e-3-dt7e-4", "odd-refined", "dt0"])
+    def test_misaligned_pde_dt_exits_2(self, tmp_path, capsys, monkeypatch, tau, compare, word):
+        def no_flow(*args, **kwargs):
+            raise AssertionError("the flow ran before compare_pde.dt was checked")
+
+        monkeypatch.setattr(cli, "run_jko", no_flow)
+        payload = self.jko_config(tau=tau, steps=4)
+        payload["compare_pde"] = compare
         cfg = write_config(tmp_path, payload)
-        assert run_cli("jko", "--config", cfg, "--out", tmp_path / "out") == 3
-        assert "divide" in capsys.readouterr().err
+        assert run_cli("jko", "--config", cfg, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "compare_pde" in err and word in err
+        assert not (tmp_path / "out").exists()
 
     def test_invalid_scheme_value_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, self.jko_config(tau=-0.1))

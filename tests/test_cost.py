@@ -26,6 +26,11 @@ class TestPowerCost:
         with pytest.raises(ParameterError):
             power_cost(0.5, radius=2.0)
 
+    @pytest.mark.parametrize("p", [np.inf, np.nan])
+    def test_rejects_non_finite_exponent(self, p):
+        with pytest.raises(ParameterError):
+            power_cost(p, radius=2.0)
+
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ParameterError):
             power_cost(2.0, radius=0.0)

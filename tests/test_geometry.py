@@ -53,6 +53,13 @@ class TestGrid:
         with pytest.raises(ParameterError):
             Grid(1, 0.0, 1.0, 3)
 
+    @pytest.mark.parametrize("lower, upper", [
+        (0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0), ((0.0, 0.0), (1.0, np.inf)),
+    ])
+    def test_non_finite_bounds_rejected(self, lower, upper):
+        with pytest.raises(ParameterError, match="finite"):
+            Grid(np.ndim(upper) + 1, lower, upper, 8)
+
     def test_cell_centers_row_major(self):
         g = Grid(2, (0.0, 0.0), (1.0, 2.0), (4, 4))
         pts = g.cell_centers()

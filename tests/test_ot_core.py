@@ -289,7 +289,7 @@ def _numpy_tree_duals(cmat, cells):
 def _simplex(cmat, staircase):
     """A transportation simplex started from ``staircase``, its tolerance from the two-pass max |c_ij|."""
     tol = 1e-11 * (1.0 + max(float(cmat.max()), -float(cmat.min())))
-    return oc._TransportationSimplex(cmat, staircase, staircase.tree(cmat), tol)
+    return oc._TransportationSimplex(cmat, staircase.tree(cmat), tol)
 
 
 def _basis_cells(simplex):
@@ -345,7 +345,7 @@ class TestStaircaseDuals:
         cmat, a, b = instance
         staircase = oc._Staircase(a, b)
         want_duals, want_parent, want_depth = _sequential_tree(cmat, staircase.path)
-        duals, parent, depth = staircase.tree(cmat)
+        duals, parent, depth, _ = staircase.tree(cmat)
         assert duals.tobytes() == want_duals.tobytes()
         assert parent.tolist() == want_parent and depth.tolist() == want_depth
         simplex = _simplex(cmat, staircase)
@@ -353,7 +353,10 @@ class TestStaircaseDuals:
         assert (simplex.parent, simplex.depth) == (want_parent, want_depth)
         assert simplex.children == [[k for k, up in enumerate(want_parent) if up == node]
                                     for node in range(len(want_parent))]
-        assert np.array_equal(simplex.x, staircase.plan())
+        # each staircase cell's mass sits on the lower node of its tree arc
+        cells, masses = simplex.support()
+        want_cells, want_masses = staircase.support()
+        assert np.array_equal(cells, want_cells) and np.array_equal(masses, want_masses)
 
     @staticmethod
     def check(cost, source, target, a, b):
@@ -410,9 +413,7 @@ class TestLPRegression:
             u, v = _numpy_tree_duals(simplex.cmat, cells)
             assert not (np.isnan(u).any() or np.isnan(v).any())  # the basis spans
             assert np.array_equal(simplex.duals[:m], u) and np.array_equal(simplex.duals[m:], v)
-            basis = np.zeros((m, n), dtype=bool)
-            basis[tuple(np.array(cells).T)] = True
-            assert not (simplex.x > 0)[~basis].any()
+            assert min(simplex.flow) >= 0.0
             checked.append(1)
 
         monkeypatch.setattr(oc._TransportationSimplex, "_rewalk", checked_rewalk)
@@ -584,7 +585,9 @@ class TestSolveLP1D:
         held = staircase.moves != 0.0
         assert np.array_equal(result.cells, staircase.cells[held])
         assert np.array_equal(result.masses, staircase.moves[held])
-        assert np.array_equal(result.coupling, staircase.plan())
+        plan = np.zeros((m, n))
+        plan[tuple(np.array(staircase.path).T)] = staircase.moves
+        assert np.array_equal(result.coupling, plan)
         assert result.primal == oc.solve_exact_1d(rho, g, cost)[0].primal
         # both read the held cells' costs off C: the profile at |x - y| has the same bits
         ii, jj = np.divmod(result.cells, n)
@@ -597,6 +600,15 @@ class TestSolveLP1D:
         rng = np.random.default_rng(seed)
         shifted = v + shift * tol * (rng.random(n) < 0.5)
         assert _column_verdict(cmat, u, shifted, tol) == _dense_verdict(cmat, u, shifted, tol)
+
+    @settings(max_examples=60, deadline=None)
+    @given(instance=lp_1d_unequal_instances())
+    def test_matches_highs(self, instance):
+        # an oracle that shares no code with the staircase, which both
+        # solve_lp and solve_exact_1d sum
+        rho, g, cost = instance
+        highs = _highs_primal(rho, g, cost)
+        assert abs(oc.solve_lp(rho, g, cost).primal - highs) <= 1e-9 * abs(highs)
 
     def test_concave_cost_falls_back_to_pivoting(self, monkeypatch):
         # for the concave profile sqrt(r) the monotone staircase is not optimal
@@ -615,7 +627,7 @@ class TestSolveLP1D:
         result = oc.solve_lp(rho, g, cost)
         assert len(built) == 1
         assert result.meta["pivots"] > 0
-        staircase_cost = float((staircase.plan() * cmat).sum())
+        staircase_cost = oc._support_cost(*staircase.support(), cmat)
         highs = _highs_primal(rho, g, cost)
         assert abs(result.primal - highs) <= 1e-9 * abs(highs)
         assert result.primal < staircase_cost - 1e-9 * staircase_cost
