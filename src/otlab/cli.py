@@ -41,7 +41,7 @@ import numpy as np
 
 from . import __version__
 from .cost import RadialCost, check_mollify_width, power_cost, tabulated_cost
-from .errors import ConfigError, OTLabError, ParameterError
+from .errors import ConfigError, DomainError, OTLabError, ParameterError
 from .fivegrad import (
     BatchSpec,
     mollification_convergence_experiment,
@@ -63,6 +63,7 @@ from .jko import (
     Energy,
     JKOConfig,
     aligned_dt,
+    check_pde_comparable,
     entropy_energy,
     jko_vs_pde_report,
     pde_substeps,
@@ -382,13 +383,8 @@ def cmd_solve_ot(config: dict, out: Path, base_dir: Path, seed) -> int:
 
 
 def cmd_verify_5g(config: dict, out: Path, base_dir: Path, seed) -> int:
-    batch = config["batch"]
-    kwargs = {key: tuple(value) if type(value) is list else value
-              for key, value in batch.items()}
-    if batch.get("bounds") is not None:
-        kwargs["bounds"] = tuple(map(tuple, batch["bounds"]))
     try:
-        spec = BatchSpec(**kwargs)
+        spec = BatchSpec(**config["batch"])
     except OTLabError as exc:
         raise ConfigError(f"invalid batch spec: {exc}") from exc
 
@@ -414,10 +410,11 @@ def cmd_jko(config: dict, out: Path, base_dir: Path, seed) -> int:
     compare = config.get("compare_pde")
     if compare is not None:
         refine = compare.get("refine", False)
-        dt = aligned_dt(rho0, jko_config) if compare.get("dt") is None else compare["dt"]
         try:
+            check_pde_comparable(jko_config, grid.d)
+            dt = aligned_dt(rho0, jko_config) if compare.get("dt") is None else compare["dt"]
             pde_substeps(jko_config, dt, refine)
-        except ParameterError as exc:
+        except (DomainError, ParameterError) as exc:
             raise ConfigError(f"invalid compare_pde spec: {exc}") from exc
 
     trajectory = run_jko(rho0, jko_config)

@@ -25,7 +25,7 @@ the mollification width shrinks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -183,6 +183,8 @@ class BatchSpec:
     def __post_init__(self):
         if len(self.seeds) == 0:
             raise ParameterError("batch needs at least one seed")
+        if min(self.seeds) < 0:
+            raise ParameterError(f"batch seeds must be nonnegative, got {min(self.seeds)}")
         for name in ("p_values", "q_values", "n_values"):
             if len(getattr(self, name)) == 0:
                 raise ParameterError(f"batch {name} must not be empty")
@@ -213,6 +215,9 @@ class BatchSpec:
         object.__setattr__(self, "p_values", tuple(float(p) for p in self.p_values))
         object.__setattr__(self, "q_values", tuple(float(q) for q in self.q_values))
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
+        if self.bounds is not None:
+            object.__setattr__(self, "bounds",
+                               tuple((float(lo), float(hi)) for lo, hi in self.bounds))
 
 
 @dataclass(frozen=True)
@@ -438,7 +443,8 @@ def mollification_convergence_experiment(rho: DensityField, g: DensityField,
     may return a steep one whose map differs from the monotone map at order
     one even though both are optimal. The marginals, and so their
     ``_Staircase``, are the same for every cost: one serves the reference
-    solve and every width.
+    solve and every width, and each width solves through the batch's
+    ``_solve_for_batch``.
     """
     grid = rho.grid
     if grid.d != 1:
@@ -465,10 +471,8 @@ def mollification_convergence_experiment(rho: DensityField, g: DensityField,
     distances = []
     for e in eps:
         smooth = mollify(base_cost, e, dim=1)
-        if solver == "lp":
-            result = solve_lp(rho, g, smooth, staircase=staircase)
-        else:
-            result, _ = solve_exact_1d(rho, g, smooth, staircase=staircase)
+        # entropic_eps is unused by the lp and exact1d solvers
+        result = _solve_for_batch(rho, g, smooth, solver, None, None, staircase)
         t_eps = transport_map_from_potential(result.phi, smooth, rho)
         mask = t_eps.mask & ref_map.mask
         dev = np.abs(t_eps.points[:, 0] - ref_map.points[:, 0])
@@ -513,13 +517,6 @@ def instance_densities(spec: BatchSpec, seed: int, n: int) -> tuple[DensityField
     return rho, g
 
 
-def _instance_pair(spec: BatchSpec, seed: int,
-                   n: int) -> tuple[DensityField, DensityField, float, float]:
-    """(rho, g, TV(rho), TV(g)) of one (seed, n); every p shares them."""
-    rho, g = instance_densities(spec, seed, n)
-    return rho, g, rho.tv(), g.tv()
-
-
 def _batch_solver(spec: BatchSpec) -> str:
     """The spec's solver with ``auto`` resolved: the LP in 1-d, entropic in 2-d."""
     if spec.solver != "auto":
@@ -562,72 +559,58 @@ def _shared_staircase(rho: DensityField, g: DensityField, solver: str) -> _Stair
         return None
 
 
-def _evaluate(spec: BatchSpec, seed: int, p: float, n: int, q_values, pair, cost: RadialCost,
-              cmat: np.ndarray | None = None,
-              staircase: _Staircase | None = None) -> list[InequalityReport]:
-    """Solve the (seed, p, n) problem once and report the inequality for each q.
-
-    ``pair`` is the (seed, n) density pair with its TVs (``_instance_pair``)
-    and ``cost`` the power cost of (p, n); the batch builds those and the
-    pair's ``staircase`` once, and the cost matrix ``cmat`` once per (p, n).
-    Built here, per instance, are the tolerance, the H functions, the solve
-    and its five-gradients terms.
-    The potentials do not depend on H, so one solve serves every q; a failed
-    solve gives one error report per q, naming the solver that failed.
-    """
-    rho, g, tv_rho, tv_g = pair
-    grid = rho.grid
-    tol = tolerance_for(n, tv_rho, tv_g)
-    delta0 = _H_DELTA0_FRACTION * 2.0 * grid.enclosing_radius
-    hfuns = [power_h_function(q, delta0=delta0) for q in q_values]
-    solver = _batch_solver(spec)
-    error = ""
-    try:
-        result = _solve_for_batch(rho, g, cost, solver, spec.entropic_eps, cmat, staircase)
-        terms = _five_gradients(rho, g, result.phi, result.psi, hfuns)
-    except OTLabError as exc:
-        error = f"{type(exc).__name__}: {exc}"
-        terms = [(None, float("nan"), float("nan"))] * len(hfuns)
-    return [
-        InequalityReport(seed=seed, p=p, q=q, n=n, d=spec.d, solver=solver, lhs=lhs,
-                         flux=flux, tv_rho=tv_rho, tv_g=tv_g, tolerance=tol,
-                         passed=bool(lhs >= -tol), error=error)
-        for q, (_, lhs, flux) in zip(q_values, terms)
-    ]
-
-
 def run_instance(spec: BatchSpec, seed: int, p: float, q: float, n: int) -> InequalityReport:
-    """Solve one instance and evaluate the inequality against its tolerance."""
-    pair = _instance_pair(spec, seed, n)
-    return _evaluate(spec, seed, p, n, (q,), pair, power_cost(p, pair[0].grid.cost_radius))[0]
+    """The report of one (seed, p, q, n) instance: a one-point ``verify_batch`` of the spec."""
+    point = replace(spec, seeds=(seed,), p_values=(p,), q_values=(q,), n_values=(n,))
+    return verify_batch(point)[0]
 
 
 def verify_batch(spec: BatchSpec) -> list[InequalityReport]:
     """Run every (seed, p, q, n) instance of the spec, in lattice order.
 
-    The loops run n first: each seed's density pair, its TVs and, for the
-    ``lp`` and ``exact1d`` solvers, its ``_Staircase`` (the monotone plan
-    and LP start basis, which no cost changes) are built once per (seed, n)
-    and shared by every p. Then the cost and its read-only matrix are built
-    once per (p, n), shared by every seed's solve and dropped before the
-    next one is built.
-    Each (seed, p, n) problem is solved once for all q. Solver failures are
-    captured per instance (as reports with an ``error`` field) so one bad
-    instance cannot abort the batch; the reports come out in the fixed
-    (seed, p, q, n) order, so reruns reproduce the report list exactly.
+    The loops run n first: the H functions, one per q, are built once per n
+    (their zero threshold depends only on the grid); each seed's density
+    pair, its TVs and, for the ``lp`` and ``exact1d`` solvers, its
+    ``_Staircase`` (the monotone plan and LP start basis, which no cost
+    changes) once per (seed, n) and shared by every p. Then the cost and its
+    read-only matrix are built once per (p, n), shared by every seed's solve
+    and dropped before the next one is built.
+    Each (seed, p, n) problem is solved once for all q, since the potentials
+    do not depend on H. Solver failures are captured per instance, as one
+    report per q whose ``error`` names the failure and whose ``solver`` names
+    the solver that failed, so one bad instance cannot abort the batch; the
+    reports come out in the fixed (seed, p, q, n) order, so reruns reproduce
+    the report list exactly. ``run_instance`` is this loop on one point.
     """
     solver = _batch_solver(spec)
     solved = {}
     for k, n in enumerate(spec.n_values):
-        pairs = [_instance_pair(spec, seed, n) for seed in spec.seeds]
-        staircases = [_shared_staircase(rho, g, solver) for rho, g, _, _ in pairs]
+        pairs = [instance_densities(spec, seed, n) for seed in spec.seeds]
+        tvs = [(rho.tv(), g.tv()) for rho, g in pairs]
+        staircases = [_shared_staircase(rho, g, solver) for rho, g in pairs]
         grid = pairs[0][0].grid
+        delta0 = _H_DELTA0_FRACTION * 2.0 * grid.enclosing_radius
+        hfuns = [power_h_function(q, delta0=delta0) for q in spec.q_values]
         for j, p in enumerate(spec.p_values):
             cost = power_cost(p, grid.cost_radius)
             cmat = _shared_cost_matrix(cost, grid, solver)
-            for i, (seed, pair, staircase) in enumerate(zip(spec.seeds, pairs, staircases)):
-                solved[i, j, k] = _evaluate(spec, seed, p, n, spec.q_values, pair, cost, cmat,
-                                            staircase)
+            for i, (seed, (rho, g), (tv_rho, tv_g), staircase) in enumerate(
+                    zip(spec.seeds, pairs, tvs, staircases)):
+                tol = tolerance_for(n, tv_rho, tv_g)
+                error = ""
+                try:
+                    result = _solve_for_batch(rho, g, cost, solver, spec.entropic_eps, cmat,
+                                              staircase)
+                    terms = _five_gradients(rho, g, result.phi, result.psi, hfuns)
+                except OTLabError as exc:
+                    error = f"{type(exc).__name__}: {exc}"
+                    terms = [(None, float("nan"), float("nan"))] * len(hfuns)
+                solved[i, j, k] = [
+                    InequalityReport(seed=seed, p=p, q=q, n=n, d=spec.d, solver=solver,
+                                     lhs=lhs, flux=flux, tv_rho=tv_rho, tv_g=tv_g,
+                                     tolerance=tol, passed=bool(lhs >= -tol), error=error)
+                    for q, (_, lhs, flux) in zip(spec.q_values, terms)
+                ]
             cmat = None  # one matrix alive at a time
     return [report
             for i in range(len(spec.seeds)) for j in range(len(spec.p_values))

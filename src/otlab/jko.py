@@ -634,6 +634,18 @@ def _l1_distance(a: DensityField, b: DensityField) -> float:
     return float(np.abs(a.values - b.values).sum() * a.grid.cell_volume)
 
 
+def check_pde_comparable(config: JKOConfig, d: int) -> None:
+    """Raise unless ``jko_vs_pde_report`` can compare a ``d``-dimensional run of ``config``.
+
+    The reference runs on 1-d grids and the comparison needs at least one
+    step; like ``pde_substeps``, this needs no run of the flow.
+    """
+    if d != 1:
+        raise DomainError("the comparison runs on 1-d grids")
+    if config.steps < 1:
+        raise ParameterError("need at least one step to compare")
+
+
 def pde_substeps(config: JKOConfig, dt: float, refine: bool) -> int:
     """The reference steps tau / dt per scheme step of ``jko_vs_pde_report``.
 
@@ -656,15 +668,13 @@ def jko_vs_pde_report(trajectory: Trajectory, config: JKOConfig, dt: float,
     """Compare a completed scheme run against the PDE reference at 5 shared checkpoints.
 
     ``trajectory`` is the ``run_jko`` result for ``config``; the reference
-    starts from its first state, and ``dt`` must pass ``pde_substeps``. The
+    starts from its first state; ``config`` and the grid must pass
+    ``check_pde_comparable``, and ``dt`` must pass ``pde_substeps``. The
     refined pass reruns the scheme at tau/2 over the same horizon and must
     not increase the final-checkpoint distance.
     """
     rho_0 = trajectory.densities[0]
-    if rho_0.grid.d != 1:
-        raise DomainError("the comparison runs on 1-d grids")
-    if config.steps < 1:
-        raise ParameterError("need at least one step to compare")
+    check_pde_comparable(config, rho_0.grid.d)
     substeps = pde_substeps(config, dt, refine)
     if trajectory.error:
         raise StepError(f"scheme run failed: {trajectory.error}", residual=float("nan"))

@@ -413,6 +413,14 @@ class TestConfigErrors:
         assert "random rho spec key 'floor' at 'rho.floor' must be a real number" \
             in capsys.readouterr().err
 
+    def test_negative_batch_seed_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"batch": {"seeds": [-1], "n_values": [16],
+                                                "solver": "lp"}})
+        assert run_cli("verify-5g", "--config", cfg, "--out", tmp_path / "out") == 2
+        assert "config error: invalid batch spec: batch seeds must be nonnegative" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_negative_density_seed_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, solve_config(rho={"kind": "random", "seed": -1}))
         assert run_cli("solve-ot", "--config", cfg, "--out", tmp_path / "out") == 2
@@ -483,6 +491,13 @@ class TestVerify5G:
         assert run_cli("verify-5g", "--config", CONFIGS / "verify_5g_lp_example.json",
                        "--out", out) == 0
         want = (GOLDEN / "verify_5g_lp_example_reports.csv").read_bytes()
+        assert (out / "reports.csv").read_bytes() == want
+
+    def test_shipped_exact1d_batch_matches_golden_reports(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("verify-5g", "--config", CONFIGS / "verify_5g_example.json",
+                       "--out", out) == 0
+        want = (GOLDEN / "verify_5g_example_reports.csv").read_bytes()
         assert (out / "reports.csv").read_bytes() == want
 
     def test_passing_batch_exits_0(self, tmp_path, capsys):
@@ -628,18 +643,24 @@ class TestJKO:
         assert len(rows) == 6
         assert float(rows[1].split(",")[1]) == 0.0
 
-    @pytest.mark.parametrize("tau, compare, word", [
-        (0.004, {"dt": 0.003}, "divide"),
-        (1e-3, {"dt": 7e-4}, "divide"),
-        (1e-3, {"dt": 1e-3 / 3, "refine": True}, "even"),
-        (1e-3, {"dt": 0}, "positive"),
-    ], ids=["tau4e-3-dt3e-3", "tau1e-3-dt7e-4", "odd-refined", "dt0"])
-    def test_misaligned_pde_dt_exits_2(self, tmp_path, capsys, monkeypatch, tau, compare, word):
+    @pytest.mark.parametrize("scheme, d, compare, word", [
+        ({"tau": 0.004}, 1, {"dt": 0.003}, "divide"),
+        ({"tau": 1e-3}, 1, {"dt": 7e-4}, "divide"),
+        ({"tau": 1e-3}, 1, {"dt": 1e-3 / 3, "refine": True}, "even"),
+        ({"tau": 1e-3}, 1, {"dt": 0}, "positive"),
+        ({"steps": 0}, 1, {"dt": None}, "at least one step"),
+        ({}, 2, {"dt": None}, "1-d"),
+        ({}, 2, {"dt": 1e-3}, "1-d"),
+    ], ids=["tau4e-3-dt3e-3", "tau1e-3-dt7e-4", "odd-refined", "dt0", "steps0",
+            "2d-dt-null", "2d-dt-given"])
+    def test_misaligned_pde_dt_exits_2(self, tmp_path, capsys, monkeypatch, scheme, d,
+                                       compare, word):
         def no_flow(*args, **kwargs):
-            raise AssertionError("the flow ran before compare_pde.dt was checked")
+            raise AssertionError("the flow ran before compare_pde was checked")
 
         monkeypatch.setattr(cli, "run_jko", no_flow)
-        payload = self.jko_config(tau=tau, steps=4)
+        payload = self.jko_config(**{"steps": 4, **scheme})
+        payload["grid"] = {"d": d, "lower": 0.0, "upper": 1.0, "n": 8 if d == 2 else 48}
         payload["compare_pde"] = compare
         cfg = write_config(tmp_path, payload)
         assert run_cli("jko", "--config", cfg, "--out", tmp_path / "out") == 2
@@ -714,6 +735,13 @@ class TestMollifyStudy:
         assert rows[0] == "epsilon,deviation_measure,lp_distance"
         assert len(rows) == 4
         assert "PASS" in capsys.readouterr().out
+
+    def test_shipped_example_matches_golden(self, tmp_path):
+        out = tmp_path / "out"
+        assert run_cli("mollify-study", "--config", CONFIGS / "mollify_example.json",
+                       "--out", out) == 0
+        want = (GOLDEN / "mollify_example_mollify.csv").read_bytes()
+        assert (out / "mollify.csv").read_bytes() == want
 
     def test_empty_eps_sequence_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, self.moll_config(eps_sequence=[]))

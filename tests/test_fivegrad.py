@@ -353,6 +353,16 @@ class TestBatch:
             BatchSpec(seeds=(1,), mode_count=0)
         with pytest.raises(ParameterError):
             BatchSpec(seeds=(1,), entropic_eps=0.0)
+        with pytest.raises(ParameterError, match="nonnegative"):
+            BatchSpec(seeds=(0, -1))
+
+    def test_spec_types_its_fields(self):
+        # a checked config section passes straight in, JSON lists and all
+        spec = BatchSpec(seeds=[0, 1], p_values=[2], q_values=[1.5], n_values=[16],
+                         bounds=[[0, 2]])
+        assert spec.seeds == (0, 1) and spec.p_values == (2.0,)
+        assert spec.bounds == ((0.0, 2.0),)
+        assert all(type(v) is float for v in spec.bounds[0])
 
     def test_exact1d_solver_agrees_with_lp(self):
         spec_lp = BatchSpec(seeds=(2,), p_values=(2.0,), q_values=(2.0,), solver="lp")
@@ -523,6 +533,19 @@ class TestSharedBatchInputs:
                 assert fields[:6] + fields[8:11] == clean_fields[:6] + clean_fields[8:11]
             else:
                 assert report_fields(got) == report_fields(want)
+
+    def test_h_functions_built_once_per_n(self, monkeypatch):
+        built = []
+        real = fivegrad.power_h_function
+
+        def counting(q, delta0=0.0):
+            built.append(q)
+            return real(q, delta0=delta0)
+
+        monkeypatch.setattr(fivegrad, "power_h_function", counting)
+        spec = BatchSpec(solver="lp", **self.SPEC)
+        assert len(verify_batch(spec)) == 36
+        assert built == list(spec.q_values) * len(spec.n_values)
 
 
 class TestSharedStaircase:
