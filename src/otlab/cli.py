@@ -64,6 +64,7 @@ from .jko import (
     JKOConfig,
     aligned_dt,
     check_pde_comparable,
+    check_scheme_grid,
     entropy_energy,
     jko_vs_pde_report,
     pde_substeps,
@@ -416,6 +417,10 @@ def cmd_jko(config: dict, out: Path, base_dir: Path, seed) -> int:
             pde_substeps(jko_config, dt, refine)
         except (DomainError, ParameterError) as exc:
             raise ConfigError(f"invalid compare_pde spec: {exc}") from exc
+    try:
+        check_scheme_grid(grid.d)
+    except DomainError as exc:
+        raise ConfigError(f"invalid grid spec: {exc}") from exc
 
     trajectory = run_jko(rho0, jko_config)
     write_trajectory_dir(out, trajectory, densities=config.get("write_densities", True))

@@ -22,7 +22,8 @@ The step and the pinned evaluation run ``ot_core._scaling``, the entropic
 solver's loop, with their own row updates; the self-transport runs its
 symmetric map through ``ot_core._over_widths``, the width ladder under that
 loop. Cold starts walk the widths of ``ot_core._eps_ladder``; every solve
-stops at ``_INNER_TOL`` within ``_MAX_INNER`` sweeps at eps.
+stops at ``_INNER_TOL`` within ``_MAX_INNER`` sweeps at eps. All of them
+sweep through one ``ot_core._AnchoredKernel`` per flow.
 
 The tilt is the blur correction: smoothing at width eps inflates every
 transport value by a self-transport cost that depends on the density, so
@@ -62,7 +63,6 @@ import dataclasses
 import math
 import os
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -76,7 +76,7 @@ from .errors import (
     StepError,
 )
 from .geometry import DensityField, Grid, write_field_csv, write_rows
-from .ot_core import _cost_matrix, _eps_ladder, _over_widths, _scaling, log_plan, softmin
+from .ot_core import _cost_matrix, _eps_ladder, _over_widths, _scaling, _sweep_kernel, log_plan
 
 # s log s at s = 0 is the limit 0; the floor keeps the evaluation finite
 # without moving the value at any density above it.
@@ -254,7 +254,7 @@ def _power_log_mass(M: np.ndarray, eps: float, T: float, m: float, vol: float) -
     return 0.5 * (lo + hi)
 
 
-def _scaling_solve(b_log: np.ndarray, r_log: np.ndarray, cmat: np.ndarray, levels: list,
+def _scaling_solve(b_log: np.ndarray, r_log: np.ndarray, kernel, levels: list,
                    T: float, energy: Energy, vol: float, tilt: np.ndarray, f: np.ndarray):
     """Block dual ascent on min <C,P> + eps KL(P | r x b) + T sum f(row mass / vol) vol - tilt . a.
 
@@ -268,10 +268,11 @@ def _scaling_solve(b_log: np.ndarray, r_log: np.ndarray, cmat: np.ndarray, level
     The floor keeps rows outside the anchor's support reachable (their
     prior handicap eps log(_PRIOR_FLOOR) vanishes with eps).
 
-    ``_scaling`` runs over the widths ``levels``, its row prox f_i = tilt_i -
-    T f'(a_i / vol) closed-form for entropy and bisected for power energies.
-    Returns (row masses a, f, g, residual, sweeps), the residual being the
-    L1 gap between the row masses of the plan (f, g) and a.
+    ``_scaling`` runs the sweep kernel ``kernel`` over the widths
+    ``levels``, its row prox f_i = tilt_i - T f'(a_i / vol) closed-form for
+    entropy and bisected for power energies. Returns (row masses a, f, g,
+    residual, sweeps), the residual being the L1 gap between the row masses
+    of the plan (f, g) and a.
     """
     log_vol = math.log(vol)
 
@@ -283,8 +284,8 @@ def _scaling_solve(b_log: np.ndarray, r_log: np.ndarray, cmat: np.ndarray, level
             u = _power_log_mass(M + tilt + eps * r_log, eps, T, energy.m, vol)
         return eps * (u - r_log) - M, np.exp(u)
 
-    f, g, a, residual, sweeps = _scaling(partial(softmin, cmat), f, r_log, b_log, levels,
-                                         energy_prox, _INNER_TOL, _MAX_INNER)
+    f, g, a, residual, sweeps = _scaling(kernel, f, r_log, b_log, levels, energy_prox,
+                                         _INNER_TOL, _MAX_INNER)
     if not np.isfinite(a).all():
         raise StepError("inner solver produced non-finite masses", residual=residual)
     return a, f, g, residual, sweeps
@@ -312,10 +313,11 @@ def _dual_value(cmat: np.ndarray, f: np.ndarray, g: np.ndarray, x: np.ndarray, y
 
 
 def _pinned_value(a_log: np.ndarray, b_log: np.ndarray, r_log: np.ndarray,
-                  cmat: np.ndarray, eps: float, f: np.ndarray):
+                  cmat: np.ndarray, eps: float, f: np.ndarray, kernel):
     """Entropic transport between pinned marginals, against the r x b reference.
 
-    ``_scaling`` fits f for min <C,P> + eps KL(P | r x b) with marginals
+    ``_scaling`` on ``kernel``, the sweep kernel of the cost matrix
+    ``cmat``, fits f for min <C,P> + eps KL(P | r x b) with marginals
     a = exp(a_log), b = exp(b_log) to a row-mass L1 gap of ``_INNER_TOL``.
     Returns (dual value, plan cost <C,P>, f, g, residual, sweeps). The dual
     value f.a + g.b + eps (sum r - mass(P)) is what descent comparisons use;
@@ -324,7 +326,7 @@ def _pinned_value(a_log: np.ndarray, b_log: np.ndarray, r_log: np.ndarray,
     a = np.exp(a_log)
     # rows without mass carry f = -inf and no marginal error
     f, g, _, residual, sweeps = _scaling(
-        partial(softmin, cmat), np.where(a > 0, f, -np.inf), r_log, b_log, [eps],
+        kernel, np.where(a > 0, f, -np.inf), r_log, b_log, [eps],
         lambda s, eps: (eps * (a_log - r_log) + s, a), _INNER_TOL, _MAX_INNER)
     value, plan_cost = _dual_value(cmat, f, g, a, np.exp(b_log), r_log, b_log, eps,
                                    float(np.exp(r_log).sum()))
@@ -335,7 +337,7 @@ def _pinned_value(a_log: np.ndarray, b_log: np.ndarray, r_log: np.ndarray,
 
 
 def _sym_solve(a_log: np.ndarray, r_log: np.ndarray, cmat: np.ndarray, levels: list,
-               u: np.ndarray):
+               u: np.ndarray, kernel):
     """Self-transport potential and value for marginal a against the r x r reference.
 
     ``_over_widths`` iterates the map u <- F(u) of the symmetric marginal
@@ -344,14 +346,15 @@ def _sym_solve(a_log: np.ndarray, r_log: np.ndarray, cmat: np.ndarray, levels: l
     mass-weighted |F(u) - u| / eps of ``_INNER_TOL``; the mixing damps the
     plain map's oscillation. The minimizer's potential is the gradient of
     a |-> OT_eps(a, a) / 2, which the blur correction and the debiased
-    descent comparison need. Returns (dual value, u, residual, sweeps); the
+    descent comparison need. ``kernel`` is the sweep kernel of the cost
+    matrix ``cmat``. Returns (dual value, u, residual, sweeps); the
     dual value at the last width is 2 u.a + eps (mass(r x r) - mass(Q)).
     """
     a = np.exp(a_log)
     live = a > 0
 
     def sweep(u, eps):
-        fu = eps * (a_log - r_log) + softmin(cmat, u, r_log, eps, 1)
+        fu = eps * (a_log - r_log) + kernel(u, r_log, eps, 1)
         return fu, float((np.abs(fu - u)[live] * a[live]).sum() / eps), None
 
     u, residual, sweeps, _ = _over_widths(sweep, np.where(live, u, -np.inf), levels,
@@ -364,17 +367,37 @@ def _sym_solve(a_log: np.ndarray, r_log: np.ndarray, cmat: np.ndarray, levels: l
     return value, u, residual, sweeps
 
 
-def _jko_step_full(rho_k: DensityField, config: JKOConfig,
-                   warm: tuple | None = None) -> tuple[DensityField, _StepInfo, tuple | None]:
-    grid = rho_k.grid
-    if grid.d != 1:
+def check_scheme_grid(d: int) -> None:
+    """Raise unless the scheme runs on a ``d``-dimensional grid; needs no run of the flow."""
+    if d != 1:
         raise DomainError("the scheme runs on 1-d grids")
-    _check_probability(rho_k)
+
+
+def _step_operators(grid: Grid, config: JKOConfig) -> tuple:
+    """(cost matrix, sweep kernel) of the steps of ``config`` on ``grid``.
+
+    The grid never changes along a flow, so ``run_jko`` builds them once
+    and every step's solves share them.
+    """
+    check_scheme_grid(grid.d)
     cost = power_cost(config.p, grid.cost_radius)
+    cmat = _cost_matrix(cost, grid.cell_centers(), grid.cell_centers())
+    return cmat, _sweep_kernel(cost, grid, grid, cmat)[1]
+
+
+def _jko_step_full(rho_k: DensityField, config: JKOConfig, warm: tuple | None = None,
+                   operators: tuple | None = None) -> tuple[DensityField, _StepInfo, tuple | None]:
+    """One step from rho_k with its diagnostics and the next step's warm start.
+
+    ``operators`` are the ``_step_operators`` of rho_k's grid, built here
+    when not given.
+    """
+    grid = rho_k.grid
+    cmat, kernel = operators or _step_operators(grid, config)
+    _check_probability(rho_k)
     tau_pow = config.tau ** (config.p - 1.0)
     vol = grid.cell_volume
 
-    cmat = _cost_matrix(cost, grid.cell_centers(), grid.cell_centers())
     b = rho_k.values.reshape(-1) * vol
     with np.errstate(divide="ignore"):
         b_log = np.log(b)
@@ -390,7 +413,7 @@ def _jko_step_full(rho_k: DensityField, config: JKOConfig,
 
     # anchor self-potential at the working width; its negative gradient is
     # the blur each transport solve at this width would otherwise inject
-    sym_anchor, u, sym_res, iterations = _sym_solve(b_log, r_log, cmat, levels, u)
+    sym_anchor, u, sym_res, iterations = _sym_solve(b_log, r_log, cmat, levels, u, kernel)
     if not sym_res <= _INNER_TOL:
         raise StepError(
             f"self-potential iteration did not converge at width {config.eps:g}",
@@ -401,7 +424,7 @@ def _jko_step_full(rho_k: DensityField, config: JKOConfig,
     # coarse warm-up widths only seed the potentials; the last width is the
     # one whose minimizer becomes the candidate
     a, f, g, residual, sweeps = _scaling_solve(
-        b_log, r_log, cmat, levels, tau_pow, config.energy, vol, tilt, f)
+        b_log, r_log, kernel, levels, tau_pow, config.energy, vol, tilt, f)
     iterations += sweeps
     if not residual <= _INNER_TOL:
         raise StepError(
@@ -442,10 +465,11 @@ def _jko_step_full(rho_k: DensityField, config: JKOConfig,
                                              r_log, b_log, config.eps, r_mass)
         else:
             g_trial, plan_cost, f_a, _, _, sw = _pinned_value(
-                a_log_trial, b_log, r_log, cmat, config.eps, f_a)
+                a_log_trial, b_log, r_log, cmat, config.eps, f_a, kernel)
             iterations += sw
         if trial != 1:
-            sym_trial, u_trial, _, sw = _sym_solve(a_log_trial, r_log, cmat, [config.eps], u)
+            sym_trial, u_trial, _, sw = _sym_solve(a_log_trial, r_log, cmat, [config.eps], u,
+                                                   kernel)
             iterations += sw
         g_trial += tau_pow * energy_value(trial_field, config.energy) - 0.5 * sym_trial
         if g_trial <= g_anchor + _DESCENT_SLACK * tau_pow:
@@ -477,7 +501,8 @@ def run_jko(rho_0: DensityField, config: JKOConfig) -> Trajectory:
 
     A step failure stops the run and returns the trajectory up to the last
     good state with the failure recorded in ``error``; partial trajectories
-    still satisfy all per-state invariants.
+    still satisfy all per-state invariants. Every step shares one cost
+    matrix and one sweep kernel, built before the first.
     """
     _check_probability(rho_0)
     densities = [rho_0]
@@ -488,9 +513,10 @@ def run_jko(rho_0: DensityField, config: JKOConfig) -> Trajectory:
     residuals = [0.0]
     error = ""
     warm = None
+    operators = _step_operators(rho_0.grid, config) if config.steps else None
     for k in range(config.steps):
         try:
-            state, info, warm = _jko_step_full(densities[-1], config, warm)
+            state, info, warm = _jko_step_full(densities[-1], config, warm, operators)
         except StepError as exc:
             error = f"step {k + 1}: {exc}"
             break

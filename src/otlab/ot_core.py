@@ -62,6 +62,11 @@ _ANDERSON_DEPTH = 5
 # log-sum-exp: shifted exponents are raised to this; numpy's vectorized exp
 # leaves its fast path for inputs whose result is subnormal (below about -708)
 _EXP_FLOOR = -700.0
+# ``_AnchoredKernel``: an output sum below _ANCHOR_FLOOR re-anchors; kernel
+# entries below _KERNEL_FLOOR are dropped, so that a product of a kept entry
+# with a weight above 1e-28 is no subnormal, which BLAS multiplies slowly
+_ANCHOR_FLOOR = 1e-250
+_KERNEL_FLOOR = 1e-280
 # entries per row block of ``_row_blocks``: 256 KB of float64, which fits in L2
 _BLOCK_ENTRIES = 2**15
 
@@ -133,8 +138,15 @@ class TransportResult:
         if cmat is None:
             cmat = _cost_matrix(self.cost, self.source.grid.cell_centers(), self.target.grid.cell_centers())
         phi, psi = self.phi.reshape(-1), self.psi.reshape(-1)
-        worst = np.array([(phi[start:stop, None] + psi - cmat[start:stop]).max()
-                          for start, stop in _row_blocks(*cmat.shape)]).max()
+        ranges = _row_blocks(*cmat.shape)
+        slack = np.empty((ranges[0][1], cmat.shape[1]))  # the first block is a largest one
+        block_max = []
+        for start, stop in ranges:
+            block = slack[:stop - start]
+            np.add(phi[start:stop, None], psi, out=block)
+            block -= cmat[start:stop]  # (phi + psi) - C, in one buffer
+            block_max.append(block.max())
+        worst = np.array(block_max).max()
         if worst > _FEASIBILITY_SLACK:
             raise OTLabError(f"potentials violate phi + psi <= h by {worst:.3e}")
 
@@ -207,16 +219,104 @@ def _log_sum_exp(z: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
+def _softmin_exps(cmat: np.ndarray, pot: np.ndarray, logw: np.ndarray, eps: float,
+                  axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """``softmin``'s value and its exponent buffer, which ``_log_sum_exp`` left as shifted exps."""
+    shape = (-1, 1) if axis == 0 else (1, -1)
+    z = np.subtract(pot.reshape(shape), cmat)  # (pot - C)/eps + logw, in one buffer
+    z /= eps
+    z += logw.reshape(shape)
+    return -eps * _log_sum_exp(z, axis), z
+
+
 def softmin(cmat: np.ndarray, pot: np.ndarray, logw: np.ndarray, eps: float,
             axis: int) -> np.ndarray:
     """Softmin -eps log sum_k exp((pot_k - C)/eps + logw_k) along ``axis`` of C.
 
-    The update of every Sinkhorn-type loop here. Slices are shifted by their
+    The exact form of every Sinkhorn-type sweep here, which
+    ``_AnchoredKernel`` runs at its re-anchors. Slices are shifted by their
     maximum unless it is infinite, so zero weights (``logw = -inf``) add
     nothing and an all ``-inf`` slice gives +inf.
     """
-    shape = (-1, 1) if axis == 0 else (1, -1)
-    return -eps * _log_sum_exp((pot.reshape(shape) - cmat) / eps + logw.reshape(shape), axis)
+    return _softmin_exps(cmat, pot, logw, eps, axis)[0]
+
+
+def _normalized(exps: np.ndarray, axis: int) -> np.ndarray:
+    """``exps`` divided in place by its sums along ``axis``, once its entries below ``_KERNEL_FLOOR`` are 0."""
+    for start, stop in _row_blocks(*exps.shape):
+        block = exps[start:stop]
+        np.copyto(block, 0.0, where=block < _KERNEL_FLOOR)
+    exps /= exps.sum(axis=axis, keepdims=True)
+    return exps
+
+
+class _AnchoredKernel:
+    """``softmin`` on a dense cost matrix by one matrix-vector product per sweep.
+
+    Stabilized scaling with absorption (Schmitzer, SIAM J. Sci. Comput.
+    2019). The kernel holds an anchor, alpha on the rows and beta on the
+    columns at width eps, and K = exp((alpha_i + beta_j - C_ij)/eps) in
+    [0, 1]. A call takes ``softmin``'s arguments after the cost; with
+    (anchor_in, anchor_out) = (alpha, beta) for axis 0, else (beta, alpha),
+    d = (pot - anchor_in)/eps + logw and s = max d, it returns
+    anchor_out - eps (log(K_op @ exp(d - s)) + s), K_op = K^T for axis 0
+    and K for axis 1: ``softmin``'s value in exact arithmetic.
+
+    It re-anchors when eps changes, when some d is NaN or +inf, when no d
+    is finite, or when some output sum falls below ``_ANCHOR_FLOOR``, the
+    one case in which the entries of K lost to ``_EXP_FLOOR``, underflow or
+    ``_KERNEL_FLOOR`` could matter. A re-anchor is one exact ``softmin``,
+    whose bits it returns: the new anchor is pot + eps logw on the input
+    side and that value on the output side, and the softmin's exp buffer
+    divided by its sums is the new K. An input entry without mass gets the
+    softmin of the output side's anchor over its slice, so every anchor is
+    finite; a value or fill that is not finite leaves no K. ``sweeps``
+    counts calls, ``reanchors`` re-anchors.
+    """
+
+    def __init__(self, cmat: np.ndarray):
+        self.cmat = cmat
+        self.eps = self.alpha = self.beta = self.kmat = None
+        self.sweeps = self.reanchors = 0
+
+    def __call__(self, pot: np.ndarray, logw: np.ndarray, eps: float, axis: int) -> np.ndarray:
+        self.sweeps += 1
+        if self.kmat is not None and eps == self.eps:
+            anchor_in, anchor_out = (self.alpha, self.beta) if axis == 0 else (self.beta, self.alpha)
+            d = (pot - anchor_in) / eps + logw
+            s = d.max()
+            if -np.inf < s < np.inf:
+                e = np.exp(d - s)
+                sums = e @ self.kmat if axis == 0 else self.kmat @ e
+                if sums.min() >= _ANCHOR_FLOOR:
+                    return anchor_out - eps * (np.log(sums) + s)
+        return self._reanchor(pot, logw, eps, axis)
+
+    def _reanchor(self, pot: np.ndarray, logw: np.ndarray, eps: float, axis: int) -> np.ndarray:
+        self.reanchors += 1
+        self.kmat = None  # freed before the softmin allocates its buffer
+        out, exps = _softmin_exps(self.cmat, pot, logw, eps, axis)
+        if not np.isfinite(out).all():
+            return out
+        anchor_in = pot + eps * logw
+        kmat = _normalized(exps, axis)
+        empty = np.flatnonzero(~np.isfinite(anchor_in))
+        if empty.size:
+            # each empty entry's slice of C against the output side's anchor
+            other = 1 - axis
+            slices = np.take(self.cmat, empty, axis=axis)
+            fill, fill_exps = _softmin_exps(slices, out, np.zeros_like(out), eps, other)
+            if not np.isfinite(fill).all():
+                return out
+            anchor_in[empty] = fill
+            if axis == 0:
+                kmat[empty] = _normalized(fill_exps, other)
+            else:
+                kmat[:, empty] = _normalized(fill_exps, other)
+        self.eps, self.kmat = eps, kmat
+        kept = out.copy()  # the caller owns the returned array
+        self.alpha, self.beta = (anchor_in, kept) if axis == 0 else (kept, anchor_in)
+        return out
 
 
 def _axis_factors(source: Grid, target: Grid) -> list[np.ndarray]:
@@ -240,6 +340,20 @@ def _separable_softmin(factors: list[np.ndarray], pot: np.ndarray, logw: np.ndar
     z = (pot.reshape(p1, p2, 1) - f1) / eps + logw.reshape(p1, p2, 1)
     w = _log_sum_exp(z, 1)  # (p1, q2)
     return -eps * _log_sum_exp(w[:, None, :] - f0[:, :, None] / eps, 0).reshape(-1)
+
+
+def _sweep_kernel(cost: RadialCost, source: Grid, target: Grid, cmat: np.ndarray):
+    """(name, kernel) of the softmin sweeps of a solve from ``source`` to ``target``.
+
+    2-d grids with the power cost p = 2 sweep axis by axis, by
+    ``_separable_softmin`` on the per-axis factors of |x - y|^2 / 2
+    ("separable"); every other pair gets an ``_AnchoredKernel`` on the cost
+    matrix ``cmat`` ("dense"). Either takes ``softmin``'s arguments after
+    the cost.
+    """
+    if source.d == target.d == 2 and cost.family == "power" and cost.exponent == 2.0:
+        return "separable", partial(_separable_softmin, _axis_factors(source, target))
+    return "dense", _AnchoredKernel(cmat)
 
 
 def log_plan(cmat: np.ndarray, f: np.ndarray, g: np.ndarray, x_log: np.ndarray,
@@ -844,12 +958,12 @@ def solve_entropic(rho: DensityField, g: DensityField, cost: RadialCost,
     double c-transform, so they satisfy the same feasibility contract as the
     exact solvers while the coupling keeps its entropic blur.
 
-    On 2-d grids with the power cost p = 2 the sweeps run axis by axis
-    (``_separable_softmin`` on the per-axis factors of |x - y|^2 / 2);
-    every other solve uses the dense ``softmin``. The plan, the
-    c-transforms and ``validate`` use the dense cost matrix either way, and
-    ``meta["kernel"]`` records the path taken ("separable" or "dense").
-    ``cmat`` is the source-by-target cost matrix, built here when not given.
+    ``_sweep_kernel`` picks the sweeps: axis by axis on 2-d grids with the
+    power cost p = 2, else an ``_AnchoredKernel`` on the dense cost matrix.
+    The plan, the c-transforms and ``validate`` use the dense cost matrix
+    either way, and ``meta["kernel"]`` records the path taken ("separable"
+    or "dense"). ``cmat`` is the source-by-target cost matrix, built here
+    when not given.
     """
     if not eps_final > 0:
         raise ParameterError("eps_final must be positive")
@@ -862,15 +976,11 @@ def solve_entropic(rho: DensityField, g: DensityField, cost: RadialCost,
         loga = np.log(a)
         logb = np.log(b)
 
-    if rho.grid.d == g.grid.d == 2 and cost.family == "power" and cost.exponent == 2.0:
-        factors = _axis_factors(rho.grid, g.grid)
-        kernel, sweep_softmin = "separable", partial(_separable_softmin, factors)
-    else:
-        kernel, sweep_softmin = "dense", partial(softmin, cmat)
-
+    kernel, sweep_softmin = _sweep_kernel(cost, rho.grid, g.grid, cmat)
     f, gv, _, residual, iterations = _scaling(
         sweep_softmin, np.zeros_like(a), loga, logb, schedule, lambda s, eps: (s, a),
         _RAW_MARGINAL_TOL, _MAX_SWEEPS)
+    del sweep_softmin  # a dense kernel's K goes before the plan is built
     if not residual <= _RAW_MARGINAL_TOL:
         raise ConvergenceError(f"entropic solver residual {residual:.3e} after {iterations} "
                                "iterations", residual=residual)

@@ -220,8 +220,11 @@ class TestSolveOT:
         assert key in capsys.readouterr().err
 
     def test_shipped_2d_entropic_example_matches_golden_meta(self, tmp_path):
-        # sweep counts swing with the last bits of the Anderson mix, so the
-        # golden values are compared to rtol 1e-9 and the counts not at all
+        # this pins the separable path's Anderson trajectory, not only its
+        # optimum: one ulp more on every log-sum-exp output moves this primal
+        # by 1.6e-7 relative (963 sweeps become 738), far beyond rtol 1e-9,
+        # so any change to the bits of the separable sweep fails here; the
+        # sweep counts are not compared
         out = tmp_path / "out"
         assert run_cli("solve-ot", "--config", CONFIGS / "solve_ot_2d_entropic_example.json",
                        "--out", out) == 0
@@ -666,6 +669,21 @@ class TestJKO:
         assert run_cli("jko", "--config", cfg, "--out", tmp_path / "out") == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "compare_pde" in err and word in err
+        assert not (tmp_path / "out").exists()
+
+    def test_2d_grid_without_compare_pde_exits_2(self, tmp_path, capsys, monkeypatch):
+        # the scheme's grid refusal needs only the grid spec: exit 2 before
+        # the flow, and no output directory left behind
+        def no_flow(*args, **kwargs):
+            raise AssertionError("the flow ran before the grid was checked")
+
+        monkeypatch.setattr(cli, "run_jko", no_flow)
+        payload = self.jko_config()
+        payload["grid"] = {"d": 2, "lower": 0.0, "upper": 1.0, "n": 8}
+        cfg = write_config(tmp_path, payload)
+        assert run_cli("jko", "--config", cfg, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "grid" in err and "1-d" in err
         assert not (tmp_path / "out").exists()
 
     def test_invalid_scheme_value_exits_2(self, tmp_path):

@@ -3,11 +3,12 @@
 import math
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from otlab import jko
+from otlab import cli, jko
 from otlab.cost import power_cost
 from otlab.errors import (
     DomainError,
@@ -17,6 +18,8 @@ from otlab.errors import (
 )
 from otlab.geometry import DensityField, Grid, normalize, random_smooth_density
 from otlab.ot_core import log_plan, solve_exact_1d
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def bump_density(n=128, floor=0.05, sharpness=80.0):
@@ -212,10 +215,10 @@ class TestDescentCheck:
         assert len(evaluations) == jko._DESCENT_TRIALS - 1
 
         # the shortcut is the dual value read off the converged step potentials
-        (b_log, r_log, cmat, levels), (a, f, g, _, _) = solves[-1][0][:4], solves[-1][1]
+        (b_log, r_log, kernel, levels), (a, f, g, _, _) = solves[-1][0][:4], solves[-1][1]
         eps = levels[-1]
         a_mass = a / a.sum()
-        plan = np.exp(log_plan(cmat, f, g, r_log, b_log, eps))
+        plan = np.exp(log_plan(kernel.cmat, f, g, r_log, b_log, eps))
         shortcut = float(f @ a_mass + g @ np.exp(b_log)
                          + eps * (np.exp(r_log).sum() - plan.sum()))
         (a_log, *_), (value, *_) = evaluations[0]
@@ -242,7 +245,7 @@ class TestDescentCheck:
         # one sweep from zero potentials: a gap far above rounding, matched
         # to 1e-12 relative
         monkeypatch.setattr(jko, "_MAX_INNER", 1)
-        *_, f, g, residual, _ = jko._pinned_value(*args[:5], np.zeros_like(args[5]))
+        *_, f, g, residual, _ = jko._pinned_value(*args[:5], np.zeros_like(args[5]), args[6])
         assert residual > 1e-3
         assert row_gap(f, g) == pytest.approx(residual, rel=1e-12)
 
@@ -345,6 +348,28 @@ class TestRunJKO:
         for state in traj.densities:
             assert abs(state.mass - 1.0) <= 1e-10
             assert state.values.min() >= 0.0
+
+    def test_heat_example_shares_one_kernel_and_rarely_reanchors(self, tmp_path, monkeypatch):
+        # the shipped heat flow builds its cost matrix and sweep kernel once;
+        # each re-anchor is an exact softmin over C, each other sweep a matvec
+        kernels, matrices = [], []
+        real_kernel, real_matrix = jko._sweep_kernel, jko._cost_matrix
+
+        def kernel_spy(*args):
+            name, kernel = real_kernel(*args)
+            kernels.append(kernel)
+            return name, kernel
+
+        def matrix_spy(*args):
+            matrices.append(real_matrix(*args))
+            return matrices[-1]
+
+        monkeypatch.setattr(jko, "_sweep_kernel", kernel_spy)
+        monkeypatch.setattr(jko, "_cost_matrix", matrix_spy)
+        assert cli.main(["jko", "--config", str(CONFIGS / "jko_heat_example.json"),
+                         "--out", str(tmp_path / "out")]) == 0
+        assert len(kernels) == len(matrices) == 1
+        assert kernels[0].reanchors <= 0.05 * kernels[0].sweeps
 
     def test_step_failure_returns_partial_trajectory(self, monkeypatch):
         monkeypatch.setattr(jko, "_MAX_INNER", 2)

@@ -966,23 +966,128 @@ class TestExpFloor:
             assert np.array_equal(out[~nan], ref[~nan])
 
 
+class TestAnchoredKernel:
+    """The anchored dense kernel against the exact ``softmin``, call by call.
+
+    Costs lie in [0, 1], potentials start in [-1, 1] and widths in
+    [1e-3, 1], so a drift of 1000 eps leaves output sums far below
+    ``_ANCHOR_FLOOR`` and forces a re-anchor.
+    """
+
+    @staticmethod
+    def check(got, want, eps):
+        finite = np.isfinite(want)
+        np.testing.assert_array_equal(got[~finite], want[~finite])
+        error = np.abs(got[finite] - want[finite])
+        assert (error <= 1e-12 * (np.abs(want[finite]) + eps)).all(), error.max()
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_matches_softmin(self, data):
+        m, n = data.draw(st.integers(1, 8), "m"), data.draw(st.integers(1, 8), "n")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+        cmat = rng.uniform(0.0, 1.0, (m, n))
+        if data.draw(st.integers(0, 3), "inf column") == 0:
+            cmat[:, rng.integers(n)] = np.inf  # an all -inf slice: +inf out of axis 0
+        eps = 10.0 ** data.draw(st.floats(-3.0, 0.0), "log10 eps")
+        pots = [rng.uniform(-1.0, 1.0, m), rng.uniform(-1.0, 1.0, n)]
+        with np.errstate(divide="ignore"):
+            logws = [np.log(rng.integers(0, 4, size) / 3.0) for size in (m, n)]  # -inf: no mass
+        kernel = oc._AnchoredKernel(cmat)
+        for _ in range(data.draw(st.integers(1, 12), "calls")):
+            axis = data.draw(st.integers(0, 1), "axis")
+            drift = data.draw(st.sampled_from([0.0, 1.0, 30.0, 1000.0]), "drift / eps")
+            pot = pots[axis] + drift * eps * rng.standard_normal(pots[axis].size)
+            dead = data.draw(st.sampled_from(["none", "one", "all"]), "-inf potentials")
+            if dead == "one":
+                pot[rng.integers(pot.size)] = -np.inf
+            elif dead == "all":
+                pot[:] = -np.inf
+            width = eps * data.draw(st.sampled_from([1.0, 1.0, 2.0]), "width / eps")
+            want = oc.softmin(cmat, pot, logws[axis], width, axis)
+            self.check(kernel(pot, logws[axis], width, axis), want, width)
+            pots[axis] = pot
+            pots[1 - axis] = np.where(np.isfinite(want), want, 0.0)  # the next sweep's input
+
+    @staticmethod
+    def quadratic(n):
+        grid = Grid(1, 0.0, 1.0, n)
+        centers = grid.cell_centers()
+        return oc._cost_matrix(power_cost(2.0, grid.cost_radius), centers, centers)
+
+    def test_reanchors_on_a_new_width_and_on_a_large_drift(self):
+        cmat = self.quadratic(64)
+        pot, logw = np.zeros(64), np.full(64, -np.log(64))
+        kernel = oc._AnchoredKernel(cmat)
+        g = kernel(pot, logw, 1e-3, 0)
+        for _ in range(3):  # a Sinkhorn loop keeps its anchor
+            pot = kernel(g, logw, 1e-3, 1)
+            g = kernel(pot, logw, 1e-3, 0)
+        assert (kernel.sweeps, kernel.reanchors) == (7, 1)
+        kernel(pot, logw, 1e-4, 0)
+        assert kernel.reanchors == 2
+        # a tilt of 1000 eps across the grid: the far rows that now dominate
+        # column 0 meet entries of K far below exp(-575) there
+        tilted = pot + 0.1 * np.linspace(0.0, 1.0, 64)
+        self.check(kernel(tilted, logw, 1e-4, 0), oc.softmin(cmat, tilted, logw, 1e-4, 0), 1e-4)
+        assert kernel.reanchors == 3
+
+    def test_empty_entries_keep_the_anchor(self):
+        # cells without mass get a finite anchor from the other side, so a
+        # Sinkhorn loop with zero weights on both sides re-anchors once
+        cmat = self.quadratic(48)
+        weights = np.ones(48)
+        weights[[0, 7, 30]] = 0.0
+        with np.errstate(divide="ignore"):
+            logw = np.log(weights / weights.sum())
+        kernel = oc._AnchoredKernel(cmat)
+        f = np.where(weights > 0, 0.0, -np.inf)
+        for _ in range(5):
+            g = kernel(f, logw, 1e-3, 0)
+            self.check(g, oc.softmin(cmat, f, logw, 1e-3, 0), 1e-3)
+            f_next = kernel(g, logw[::-1], 1e-3, 1)
+            self.check(f_next, oc.softmin(cmat, g, logw[::-1], 1e-3, 1), 1e-3)
+            f = np.where(weights > 0, f_next, -np.inf)
+        assert kernel.reanchors == 1
+        assert np.isfinite(kernel.alpha).all() and np.isfinite(kernel.beta).all()
+
+    def test_holds_one_matrix(self):
+        # C is 512 KB. A re-anchor's softmin buffer becomes K, and the old K
+        # is freed before the next re-anchor allocates; a sweep's
+        # temporaries are vectors
+        cmat = self.quadratic(256)
+        pot, logw = np.zeros(256), np.full(256, -np.log(256))
+        kernel = oc._AnchoredKernel(cmat)
+
+        def two_anchors():
+            kernel(pot, logw, 1e-3, 0)
+            return kernel(pot, logw, 2e-3, 0)
+
+        assert _traced_peak(two_anchors) <= 1.25 * cmat.nbytes
+        g = kernel(pot, logw, 2e-3, 0)
+        assert _traced_peak(lambda: kernel(g, logw, 2e-3, 1)) <= cmat.nbytes / 16
+        assert kernel.reanchors == 2
+
+
 class TestEntropicKernelDispatch:
-    """2-d p = 2 solves sweep axis by axis; every other solve uses the dense kernel."""
+    """2-d p = 2 solves sweep axis by axis; every other solve sweeps the anchored dense kernel."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
+        # the dense count is of sweeps on the kernel, whose exact softmin
+        # runs only at its re-anchors
         calls = {"dense": 0, "separable": 0}
-        dense, separable = oc.softmin, oc._separable_softmin
+        dense, separable = oc._AnchoredKernel.__call__, oc._separable_softmin
 
-        def counted_dense(*args):
+        def counted_dense(kernel, *args):
             calls["dense"] += 1
-            return dense(*args)
+            return dense(kernel, *args)
 
         def counted_separable(*args):
             calls["separable"] += 1
             return separable(*args)
 
-        monkeypatch.setattr(oc, "softmin", counted_dense)
+        monkeypatch.setattr(oc._AnchoredKernel, "__call__", counted_dense)
         monkeypatch.setattr(oc, "_separable_softmin", counted_separable)
         return calls
 
@@ -1100,16 +1205,18 @@ class TestSolveEntropicProperties:
         phi, _ = oc.canonical_pair(cost, result.phi, rho.grid, g.grid)
         np.testing.assert_allclose(phi, result.phi, rtol=0.0, atol=1e-12)
 
-    @pytest.mark.xfail(raises=ConvergenceError, strict=True,
-                       reason="zero-mass cells and tied costs: the mixed iterates drift "
-                              "along the (f + c, g - c) gauge until f loses its precision")
     def test_degenerate_integer_weights(self):
+        # zero-mass cells and tied costs. With exact softmin sweeps the mixed
+        # iterates drifted along the (f + c, g - c) gauge until f lost its
+        # precision (ConvergenceError). On the anchored kernel's rounding the
+        # solve converges in 6491 sweeps; the drift itself is not mended, and
+        # Anderson paths swing with the last bits of a sweep.
         grid = Grid(2, 0.0, 1.0, (5, 5))
         rho = DensityField(grid, np.array([[0, 5, 4, 5, 6], [5, 0, 1, 4, 4], [6, 2, 3, 1, 1],
                                          [2, 6, 3, 3, 0], [1, 5, 3, 0, 3]], float)).normalized()
         g = DensityField(grid, np.array([[0, 5, 4, 5, 6], [5, 0, 1, 1, 2], [3, 4, 4, 6, 1],
                                        [2, 6, 1, 3, 3], [0, 5, 3, 0, 2]], float)).normalized()
-        oc.solve_entropic(rho, g, power_cost(1.5, grid.cost_radius), 1e-3)
+        _check_entropic(oc.solve_entropic(rho, g, power_cost(1.5, grid.cost_radius), 1e-3))
 
 
 class TestFixedPoint:
