@@ -76,7 +76,7 @@ from .errors import (
     StepError,
 )
 from .geometry import DensityField, Grid, write_field_csv, write_rows
-from .ot_core import _cost_matrix, _eps_ladder, _over_widths, _scaling, _sweep_kernel, log_plan
+from .ot_core import _AnchoredKernel, _cost_matrix, _eps_ladder, _over_widths, _scaling, log_plan
 
 # s log s at s = 0 is the limit 0; the floor keeps the evaluation finite
 # without moving the value at any density above it.
@@ -382,7 +382,7 @@ def _step_operators(grid: Grid, config: JKOConfig) -> tuple:
     check_scheme_grid(grid.d)
     cost = power_cost(config.p, grid.cost_radius)
     cmat = _cost_matrix(cost, grid.cell_centers(), grid.cell_centers())
-    return cmat, _sweep_kernel(cost, grid, grid, cmat)[1]
+    return cmat, _AnchoredKernel(cmat)
 
 
 def _jko_step_full(rho_k: DensityField, config: JKOConfig, warm: tuple | None = None,

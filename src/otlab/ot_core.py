@@ -125,15 +125,15 @@ class TransportResult:
             ii, jj = np.divmod(self.cells, b.size)
             rows = np.bincount(ii, weights=self.masses, minlength=a.size)
             cols = np.bincount(jj, weights=self.masses, minlength=b.size)
-        if np.abs(rows - a).max() > _MARGINAL_TOL:
+        if not np.abs(rows - a).max() <= _MARGINAL_TOL:
             raise OTLabError(
                 f"coupling row sums violate the source marginal by {np.abs(rows - a).max():.3e}"
             )
-        if np.abs(cols - b).max() > _MARGINAL_TOL:
+        if not np.abs(cols - b).max() <= _MARGINAL_TOL:
             raise OTLabError(
                 f"coupling column sums violate the target marginal by {np.abs(cols - b).max():.3e}"
             )
-        if self.gap < _GAP_FLOOR:
+        if not self.gap >= _GAP_FLOOR:
             raise OTLabError(f"duality gap {self.gap:.3e} is below {_GAP_FLOOR}")
         if cmat is None:
             cmat = _cost_matrix(self.cost, self.source.grid.cell_centers(), self.target.grid.cell_centers())
@@ -147,7 +147,7 @@ class TransportResult:
             block -= cmat[start:stop]  # (phi + psi) - C, in one buffer
             block_max.append(block.max())
         worst = np.array(block_max).max()
-        if worst > _FEASIBILITY_SLACK:
+        if not worst <= _FEASIBILITY_SLACK:
             raise OTLabError(f"potentials violate phi + psi <= h by {worst:.3e}")
 
 
@@ -317,43 +317,6 @@ class _AnchoredKernel:
         kept = out.copy()  # the caller owns the returned array
         self.alpha, self.beta = (anchor_in, kept) if axis == 0 else (kept, anchor_in)
         return out
-
-
-def _axis_factors(source: Grid, target: Grid) -> list[np.ndarray]:
-    """Per-axis matrices (x_a,i - y_a,j)^2 / 2; on the product grids they sum to |x - y|^2 / 2."""
-    return [(source.axis_centers(a)[:, None] - target.axis_centers(a)[None, :]) ** 2 / 2.0
-            for a in range(source.d)]
-
-
-def _separable_softmin(factors: list[np.ndarray], pot: np.ndarray, logw: np.ndarray,
-                       eps: float, axis: int) -> np.ndarray:
-    """``softmin`` for the 2-d cost C = F_0 (+) F_1 given by its ``_axis_factors``.
-
-    The sum over the 2-d index runs as two batched 1-d sums, the last grid
-    axis first: p1 q2 (p2 + q1) terms in place of p1 p2 q1 q2. Each stage
-    keeps ``softmin``'s shift, so zero weights add nothing and an all
-    ``-inf`` slice gives +inf. ``axis`` is the axis of C summed over, as in
-    ``softmin``; for axis 1 the factors are transposed.
-    """
-    f0, f1 = factors if axis == 0 else (factors[0].T, factors[1].T)
-    p1, p2 = f0.shape[0], f1.shape[0]
-    z = (pot.reshape(p1, p2, 1) - f1) / eps + logw.reshape(p1, p2, 1)
-    w = _log_sum_exp(z, 1)  # (p1, q2)
-    return -eps * _log_sum_exp(w[:, None, :] - f0[:, :, None] / eps, 0).reshape(-1)
-
-
-def _sweep_kernel(cost: RadialCost, source: Grid, target: Grid, cmat: np.ndarray):
-    """(name, kernel) of the softmin sweeps of a solve from ``source`` to ``target``.
-
-    2-d grids with the power cost p = 2 sweep axis by axis, by
-    ``_separable_softmin`` on the per-axis factors of |x - y|^2 / 2
-    ("separable"); every other pair gets an ``_AnchoredKernel`` on the cost
-    matrix ``cmat`` ("dense"). Either takes ``softmin``'s arguments after
-    the cost.
-    """
-    if source.d == target.d == 2 and cost.family == "power" and cost.exponent == 2.0:
-        return "separable", partial(_separable_softmin, _axis_factors(source, target))
-    return "dense", _AnchoredKernel(cmat)
 
 
 def log_plan(cmat: np.ndarray, f: np.ndarray, g: np.ndarray, x_log: np.ndarray,
@@ -958,12 +921,11 @@ def solve_entropic(rho: DensityField, g: DensityField, cost: RadialCost,
     double c-transform, so they satisfy the same feasibility contract as the
     exact solvers while the coupling keeps its entropic blur.
 
-    ``_sweep_kernel`` picks the sweeps: axis by axis on 2-d grids with the
-    power cost p = 2, else an ``_AnchoredKernel`` on the dense cost matrix.
-    The plan, the c-transforms and ``validate`` use the dense cost matrix
-    either way, and ``meta["kernel"]`` records the path taken ("separable"
-    or "dense"). ``cmat`` is the source-by-target cost matrix, built here
-    when not given.
+    Every sweep is one call of an ``_AnchoredKernel`` on the cost matrix,
+    which the plan, the c-transforms and ``validate`` use too;
+    ``meta["reanchors"]`` counts its re-anchors, the sweeps that ran an
+    exact ``softmin``. ``cmat`` is the source-by-target cost matrix, built
+    here when not given.
     """
     if not eps_final > 0:
         raise ParameterError("eps_final must be positive")
@@ -976,11 +938,12 @@ def solve_entropic(rho: DensityField, g: DensityField, cost: RadialCost,
         loga = np.log(a)
         logb = np.log(b)
 
-    kernel, sweep_softmin = _sweep_kernel(cost, rho.grid, g.grid, cmat)
+    kernel = _AnchoredKernel(cmat)
     f, gv, _, residual, iterations = _scaling(
-        sweep_softmin, np.zeros_like(a), loga, logb, schedule, lambda s, eps: (s, a),
+        kernel, np.zeros_like(a), loga, logb, schedule, lambda s, eps: (s, a),
         _RAW_MARGINAL_TOL, _MAX_SWEEPS)
-    del sweep_softmin  # a dense kernel's K goes before the plan is built
+    reanchors = kernel.reanchors
+    del kernel  # its K goes before the plan is built
     if not residual <= _RAW_MARGINAL_TOL:
         raise ConvergenceError(f"entropic solver residual {residual:.3e} after {iterations} "
                                "iterations", residual=residual)
@@ -993,8 +956,8 @@ def solve_entropic(rho: DensityField, g: DensityField, cost: RadialCost,
                                "eps_final": float(eps_final),
                                "schedule": list(schedule),
                                "iterations": iterations,
-                               "kernel": kernel,
                                "raw_marginal_residual": residual,
+                               "reanchors": reanchors,
                            })
 
 

@@ -353,18 +353,17 @@ class TestRunJKO:
         # the shipped heat flow builds its cost matrix and sweep kernel once;
         # each re-anchor is an exact softmin over C, each other sweep a matvec
         kernels, matrices = [], []
-        real_kernel, real_matrix = jko._sweep_kernel, jko._cost_matrix
+        real_kernel, real_matrix = jko._AnchoredKernel, jko._cost_matrix
 
         def kernel_spy(*args):
-            name, kernel = real_kernel(*args)
-            kernels.append(kernel)
-            return name, kernel
+            kernels.append(real_kernel(*args))
+            return kernels[-1]
 
         def matrix_spy(*args):
             matrices.append(real_matrix(*args))
             return matrices[-1]
 
-        monkeypatch.setattr(jko, "_sweep_kernel", kernel_spy)
+        monkeypatch.setattr(jko, "_AnchoredKernel", kernel_spy)
         monkeypatch.setattr(jko, "_cost_matrix", matrix_spy)
         assert cli.main(["jko", "--config", str(CONFIGS / "jko_heat_example.json"),
                          "--out", str(tmp_path / "out")]) == 0

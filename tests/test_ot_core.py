@@ -1,5 +1,6 @@
 """Tests for the transport solvers, c-transforms, and map assembly."""
 
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -18,6 +19,7 @@ from otlab.errors import (
     ConvergenceError,
     DomainError,
     InputError,
+    OTLabError,
     ParameterError,
     RangeError,
     ShapeError,
@@ -334,6 +336,29 @@ def staircase_instances(draw):
         entries = st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False)
     cmat = np.array(draw(st.lists(entries, min_size=m * n, max_size=m * n))).reshape(m, n) + 0.0
     return cmat, a, b * (a.sum() / b.sum())
+
+
+class TestValidateRejectsNaN:
+    """Every check of ``validate`` raises on NaN, which fails every comparison."""
+
+    @pytest.mark.parametrize("name, match", [
+        ("phi", "potentials violate"),
+        ("psi", "potentials violate"),
+        ("masses", "row sums"),
+        ("dual", "duality gap"),
+    ], ids=["phi", "psi", "masses", "dual"])
+    def test_nan_raises(self, name, match):
+        grid, rho, g = random_pair(n=16)
+        result = oc.solve_lp(rho, g, power_cost(2.0, grid.cost_radius))
+        result.validate()
+        value = getattr(result, name)
+        if isinstance(value, np.ndarray):
+            value = value.copy()
+            value.flat[value.size // 2] = np.nan
+        else:
+            value = np.nan
+        with pytest.raises(OTLabError, match=match):
+            dataclasses.replace(result, **{name: value}).validate()
 
 
 class TestStaircaseDuals:
@@ -827,7 +852,7 @@ class TestSoftmin:
 
 
 class TestSeparableSoftmin:
-    """The axis-by-axis sweep of the 2-d quadratic cost against the dense ``softmin``."""
+    """Sweeps of ``_AnchoredKernel`` on the separable 2-d quadratic cost against the dense ``softmin``."""
 
     @pytest.mark.parametrize("axis", [0, 1])
     @pytest.mark.parametrize("source, target", [
@@ -837,35 +862,44 @@ class TestSeparableSoftmin:
     def test_matches_dense_kernel(self, source, target, axis):
         cost = power_cost(2.0, 4.0)
         cmat = oc._cost_matrix(cost, source.cell_centers(), target.cell_centers())
-        factors = oc._axis_factors(source, target)
         summed = source if axis == 0 else target
         rng = np.random.default_rng(summed.num_cells + axis)
         eps = 1e-4  # (pot - C) / eps overflows exp without the shift
         pot = rng.normal(scale=0.1, size=summed.num_cells)
         logw = np.log(rng.uniform(0.5, 1.0, size=summed.shape))
-        logw[1, :] = -np.inf  # a zero-weight slice of the first stage
+        logw[1, :] = -np.inf  # a zero-weight slice
         logw[3, 2] = -np.inf
-        # an infinite cost slice on the last axis: every output it reaches is +inf
+        logw = logw.reshape(-1)
+        # an infinite cost slice on the last output axis: every output it
+        # reaches is +inf, so each sweep is the exact softmin and keeps no K
+        dead_cmat = cmat.copy()
         if axis == 0:
-            factors[1][:, 4] = np.inf
-            cmat.reshape(*source.shape, *target.shape)[:, :, :, 4] = np.inf
+            dead_cmat.reshape(*source.shape, *target.shape)[:, :, :, 4] = np.inf
         else:
-            factors[1][4, :] = np.inf
-            cmat.reshape(*source.shape, *target.shape)[:, 4, :, :] = np.inf
-        want = oc.softmin(cmat, pot, logw.reshape(-1), eps, axis)
-        got = oc._separable_softmin(factors, pot, logw.reshape(-1), eps, axis)
-        dead = want == np.inf
-        assert got.shape == want.shape
-        assert dead.any() and np.array_equal(got == np.inf, dead)
-        assert np.isfinite(want[~dead]).all()
-        np.testing.assert_allclose(got[~dead], want[~dead], rtol=0.0, atol=1e-15)
+            dead_cmat.reshape(*source.shape, *target.shape)[:, 4, :, :] = np.inf
+        drifts = [0.0, 1.0, 30.0, 1.0, 1000.0, 0.0]  # in units of eps
+        for c in (cmat, dead_cmat):
+            kernel = oc._AnchoredKernel(c)
+            for drift in drifts:
+                swept = pot + drift * eps * rng.standard_normal(pot.size)
+                want = oc.softmin(c, swept, logw, eps, axis)
+                TestAnchoredKernel.check(kernel(swept, logw, eps, axis), want, eps)
+            dead = want == np.inf
+            if c is cmat:
+                assert not dead.any() and kernel.reanchors < kernel.sweeps
+            else:
+                assert dead.any() and np.isfinite(want[~dead]).all()
+                assert kernel.reanchors == kernel.sweeps == len(drifts)
 
     @pytest.mark.parametrize("axis", [0, 1])
     def test_all_zero_weights_give_inf(self, axis):
         grid = Grid(2, 0.0, 1.0, (6, 5))
-        factors = oc._axis_factors(grid, grid)
-        logw = np.full(grid.num_cells, -np.inf)
-        got = oc._separable_softmin(factors, np.zeros(grid.num_cells), logw, 1e-3, axis)
+        centers = grid.cell_centers()
+        kernel = oc._AnchoredKernel(oc._cost_matrix(power_cost(2.0, grid.cost_radius),
+                                                    centers, centers))
+        pot, logw = np.zeros(grid.num_cells), np.full(grid.num_cells, -np.log(grid.num_cells))
+        assert np.isfinite(kernel(pot, logw, 1e-3, axis)).all()  # an anchor with a K
+        got = kernel(pot, np.full(grid.num_cells, -np.inf), 1e-3, axis)
         assert np.array_equal(got, np.full(grid.num_cells, np.inf))
 
 
@@ -879,7 +913,7 @@ def unfloored_log_sum_exp(z, axis):
 
 
 class TestExpFloor:
-    """The floored log-sum-exp kernel and both softmins against the unfloored form, bit for bit.
+    """The floored log-sum-exp kernel and ``softmin`` against the unfloored form, bit for bit.
 
     Every input sits at eps = 1e-4, where most shifted exponents fall far
     below the floor, and carries -inf weights, an all -inf slice and a NaN.
@@ -927,43 +961,22 @@ class TestExpFloor:
         assert np.array_equal(got, want, equal_nan=True)
 
     @pytest.mark.parametrize("axis", [0, 1])
-    def test_separable_softmin(self, axis, monkeypatch):
-        grid = Grid(2, 0.0, 1.0, 16)
-        factors = oc._axis_factors(grid, grid)
-        rng = np.random.default_rng(10 + axis)
-        pot = rng.normal(scale=0.1, size=grid.num_cells)
-        logw = np.log(rng.uniform(0.5, 1.0, size=grid.shape))
-        logw[1, :] = -np.inf  # an all -inf slice of the first stage
-        logw[3, 2] = -np.inf
-        factors[1][2, 5] = np.nan
-        got = oc._separable_softmin(factors, pot, logw.reshape(-1), 1e-4, axis)
-        monkeypatch.setattr(oc, "_log_sum_exp", unfloored_log_sum_exp)
-        with np.errstate(over="ignore"):  # the reference does not shift a NaN slice
-            want = oc._separable_softmin(factors, pot, logw.reshape(-1), 1e-4, axis)
-        assert np.isnan(got).any() and np.isfinite(got).any()
-        assert np.array_equal(got, want, equal_nan=True)
-
-    @pytest.mark.parametrize("axis", [0, 1])
     def test_nan_cell_gives_nan_without_overflow(self, axis):
         # potentials of 1 at eps = 1e-3 put exponents near 1000 next to the
         # NaN: an unshifted slice would overflow exp
         grid = Grid(2, 0.0, 1.0, 4)
-        factors = oc._axis_factors(grid, grid)
-        cmat = (factors[0][:, None, :, None] + factors[1][None, :, None, :]).reshape(16, 16)
+        centers = grid.cell_centers()
+        cmat = oc._cost_matrix(power_cost(2.0, grid.cost_radius), centers, centers)
         pot = np.linspace(0.5, 1.0, 16)
         logw = np.full(16, np.log(1.0 / 16))
-        clean = (oc.softmin(cmat, pot, logw, 1e-3, axis),
-                 oc._separable_softmin(factors, pot, logw, 1e-3, axis))
+        clean = oc.softmin(cmat, pot, logw, 1e-3, axis)
         cmat[5, 9] = np.nan
-        factors[0][1, 2] = np.nan
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = (oc.softmin(cmat, pot, logw, 1e-3, axis),
-                   oc._separable_softmin(factors, pot, logw, 1e-3, axis))
-        for out, ref in zip(got, clean):
-            nan = np.isnan(out)
-            assert nan.any() and not nan.all()
-            assert np.array_equal(out[~nan], ref[~nan])
+            got = oc.softmin(cmat, pot, logw, 1e-3, axis)
+        nan = np.isnan(got)
+        assert nan.any() and not nan.all()
+        assert np.array_equal(got[~nan], clean[~nan])
 
 
 class TestAnchoredKernel:
@@ -1069,40 +1082,29 @@ class TestAnchoredKernel:
         assert kernel.reanchors == 2
 
 
-class TestEntropicKernelDispatch:
-    """2-d p = 2 solves sweep axis by axis; every other solve sweeps the anchored dense kernel."""
+class TestEntropicSweeps:
+    @pytest.mark.parametrize("d, p", [(2, 2.0), (2, 1.5), (1, 2.0)])
+    def test_every_sweep_is_an_anchored_kernel_call(self, monkeypatch, d, p):
+        # the exact softmin runs only at the kernel's re-anchors, which the
+        # meta counts
+        calls = {"sweeps": 0, "reanchors": 0}
+        sweep, reanchor = oc._AnchoredKernel.__call__, oc._AnchoredKernel._reanchor
 
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        # the dense count is of sweeps on the kernel, whose exact softmin
-        # runs only at its re-anchors
-        calls = {"dense": 0, "separable": 0}
-        dense, separable = oc._AnchoredKernel.__call__, oc._separable_softmin
+        def counted_sweep(kernel, *args):
+            calls["sweeps"] += 1
+            return sweep(kernel, *args)
 
-        def counted_dense(kernel, *args):
-            calls["dense"] += 1
-            return dense(kernel, *args)
+        def counted_reanchor(kernel, *args):
+            calls["reanchors"] += 1
+            return reanchor(kernel, *args)
 
-        def counted_separable(*args):
-            calls["separable"] += 1
-            return separable(*args)
-
-        monkeypatch.setattr(oc._AnchoredKernel, "__call__", counted_dense)
-        monkeypatch.setattr(oc, "_separable_softmin", counted_separable)
-        return calls
-
-    @pytest.mark.parametrize("d, p, kernel", [
-        (2, 2.0, "separable"),
-        (2, 1.5, "dense"),
-        (1, 2.0, "dense"),
-    ])
-    def test_kernel_calls(self, calls, d, p, kernel):
+        monkeypatch.setattr(oc._AnchoredKernel, "__call__", counted_sweep)
+        monkeypatch.setattr(oc._AnchoredKernel, "_reanchor", counted_reanchor)
         grid = Grid(d, 0.0, 1.0, 6 if d == 2 else 32)
         rho, g = random_smooth_density(grid, 1), random_smooth_density(grid, 2)
         result = oc.solve_entropic(rho, g, power_cost(p, grid.cost_radius), 1e-2)
-        assert result.meta["kernel"] == kernel
-        other = "dense" if kernel == "separable" else "separable"
-        assert calls == {kernel: 2 * result.meta["iterations"], other: 0}
+        assert calls == {"sweeps": 2 * result.meta["iterations"],
+                         "reanchors": result.meta["reanchors"]}
 
 
 class TestSolveEntropic:
