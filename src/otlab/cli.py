@@ -367,6 +367,8 @@ def cmd_solve_ot(config: dict, out: Path, base_dir: Path, seed) -> int:
         raise ConfigError(f"solver mass_threshold must be >= 0, got {threshold!r}")
     if not eps_final > 0:
         raise ConfigError(f"solver eps_final must be > 0, got {eps_final!r}")
+    if method == "exact1d" and grid.d != 1:
+        raise ConfigError(f"solver exact1d runs on 1-d grids, not {grid.d}-d")
     map_field = None
     if method == "exact1d":
         result, map_field = solve_exact_1d(rho, g, cost, mass_threshold=threshold)
@@ -446,6 +448,8 @@ def cmd_jko(config: dict, out: Path, base_dir: Path, seed) -> int:
 
 def cmd_mollify_study(config: dict, out: Path, base_dir: Path, seed) -> int:
     grid = _grid_from_spec(config["grid"])
+    if grid.d != 1:
+        raise ConfigError(f"the mollification experiment runs on 1-d grids, not {grid.d}-d")
     cost = _cost_from_spec(config["cost"], grid.cost_radius)
     rho = _density_from_spec(config["rho"], grid, base_dir, seed, "rho")
     g = _density_from_spec(config["g"], grid, base_dir,

@@ -23,7 +23,9 @@ solver's loop, with their own row updates; the self-transport runs its
 symmetric map through ``ot_core._over_widths``, the width ladder under that
 loop. Cold starts walk the widths of ``ot_core._eps_ladder``; every solve
 stops at ``_INNER_TOL`` within ``_MAX_INNER`` sweeps at eps. All of them
-sweep through one ``ot_core._AnchoredKernel`` per flow.
+sweep through one ``ot_core._AnchoredKernel`` per flow, whose ``cmat`` is the
+flow's cost matrix. Dual values take their plan's mass from the last sweep
+(``ot_core._plan_mass``), so a step builds one plan: the accepted trial's.
 
 The tilt is the blur correction: smoothing at width eps inflates every
 transport value by a self-transport cost that depends on the density, so
@@ -76,7 +78,8 @@ from .errors import (
     StepError,
 )
 from .geometry import DensityField, Grid, write_field_csv, write_rows
-from .ot_core import _AnchoredKernel, _cost_matrix, _eps_ladder, _over_widths, _scaling, log_plan
+from .ot_core import (_AnchoredKernel, _cost_matrix, _eps_ladder, _over_widths, _plan_mass,
+                      _scaling, log_plan)
 
 # s log s at s = 0 is the limit 0; the floor keeps the evaluation finite
 # without moving the value at any density above it.
@@ -271,8 +274,8 @@ def _scaling_solve(b_log: np.ndarray, r_log: np.ndarray, kernel, levels: list,
     ``_scaling`` runs the sweep kernel ``kernel`` over the widths
     ``levels``, its row prox f_i = tilt_i - T f'(a_i / vol) closed-form for
     entropy and bisected for power energies. Returns (row masses a, f, g,
-    residual, sweeps), the residual being the L1 gap between the row masses
-    of the plan (f, g) and a.
+    residual, sweeps, mass of the plan (f, g)), the residual being the L1 gap
+    between the row masses of that plan and a.
     """
     log_vol = math.log(vol)
 
@@ -284,11 +287,11 @@ def _scaling_solve(b_log: np.ndarray, r_log: np.ndarray, kernel, levels: list,
             u = _power_log_mass(M + tilt + eps * r_log, eps, T, energy.m, vol)
         return eps * (u - r_log) - M, np.exp(u)
 
-    f, g, a, residual, sweeps = _scaling(kernel, f, r_log, b_log, levels, energy_prox,
-                                         _INNER_TOL, _MAX_INNER)
+    f, g, a, residual, sweeps, plan_mass = _scaling(kernel, f, r_log, b_log, levels,
+                                                    energy_prox, _INNER_TOL, _MAX_INNER)
     if not np.isfinite(a).all():
         raise StepError("inner solver produced non-finite masses", residual=residual)
-    return a, f, g, residual, sweeps
+    return a, f, g, residual, sweeps, plan_mass
 
 
 def _candidate_field(a: np.ndarray, grid: Grid) -> np.ndarray:
@@ -299,45 +302,42 @@ def _candidate_field(a: np.ndarray, grid: Grid) -> np.ndarray:
     return (a / (total * grid.cell_volume)).reshape(grid.shape)
 
 
-def _dual_value(cmat: np.ndarray, f: np.ndarray, g: np.ndarray, x: np.ndarray, y: np.ndarray,
-                x_log: np.ndarray, y_log: np.ndarray, eps: float, ref_mass: float):
-    """Dual value f.x + g.y + eps (ref_mass - mass(P)) over cells with mass, and <C,P>.
+def _dual_value(f: np.ndarray, g: np.ndarray, x: np.ndarray, y: np.ndarray,
+                plan_mass: float, eps: float, ref_mass: float) -> float:
+    """Dual value f.x + g.y + eps (ref_mass - plan_mass) over cells with mass.
 
-    P is the plan of (f, g) against the reference exp(x_log) x exp(y_log).
+    ``plan_mass`` is the mass of the plan of (f, g), which the sweep that
+    ended the solve of (f, g) measured.
     """
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        plan = np.exp(log_plan(cmat, f, g, x_log, y_log, eps))
-    value = (float((f[x > 0] * x[x > 0]).sum()) + float((g[y > 0] * y[y > 0]).sum())
-             + eps * (ref_mass - float(plan.sum())))
-    return value, float((plan * cmat).sum())
+    return (float((f[x > 0] * x[x > 0]).sum()) + float((g[y > 0] * y[y > 0]).sum())
+            + eps * (ref_mass - plan_mass))
 
 
-def _pinned_value(a_log: np.ndarray, b_log: np.ndarray, r_log: np.ndarray,
-                  cmat: np.ndarray, eps: float, f: np.ndarray, kernel):
+def _pinned_value(a_log: np.ndarray, b_log: np.ndarray, r_log: np.ndarray, eps: float,
+                  f: np.ndarray, kernel):
     """Entropic transport between pinned marginals, against the r x b reference.
 
-    ``_scaling`` on ``kernel``, the sweep kernel of the cost matrix
-    ``cmat``, fits f for min <C,P> + eps KL(P | r x b) with marginals
-    a = exp(a_log), b = exp(b_log) to a row-mass L1 gap of ``_INNER_TOL``.
-    Returns (dual value, plan cost <C,P>, f, g, residual, sweeps). The dual
-    value f.a + g.b + eps (sum r - mass(P)) is what descent comparisons use;
-    one evaluator on both sides cancels its bias.
+    ``_scaling`` on the sweep kernel ``kernel`` fits f for
+    min <C,P> + eps KL(P | r x b) with marginals a = exp(a_log),
+    b = exp(b_log) to a row-mass L1 gap of ``_INNER_TOL``. Returns
+    (dual value, f, g, residual, sweeps). The dual value
+    f.a + g.b + eps (sum r - mass(P)) is what descent comparisons use; one
+    evaluator on both sides cancels its bias. mass(P) is the row sums of
+    the last sweep, so no plan is built.
     """
     a = np.exp(a_log)
     # rows without mass carry f = -inf and no marginal error
-    f, g, _, residual, sweeps = _scaling(
+    f, g, _, residual, sweeps, plan_mass = _scaling(
         kernel, np.where(a > 0, f, -np.inf), r_log, b_log, [eps],
         lambda s, eps: (eps * (a_log - r_log) + s, a), _INNER_TOL, _MAX_INNER)
-    value, plan_cost = _dual_value(cmat, f, g, a, np.exp(b_log), r_log, b_log, eps,
-                                   float(np.exp(r_log).sum()))
+    value = _dual_value(f, g, a, np.exp(b_log), plan_mass, eps, float(np.exp(r_log).sum()))
     if not math.isfinite(value):
         raise StepError("transport evaluation produced a non-finite value",
                         residual=residual)
-    return value, plan_cost, f, g, residual, sweeps
+    return value, f, g, residual, sweeps
 
 
-def _sym_solve(a_log: np.ndarray, r_log: np.ndarray, cmat: np.ndarray, levels: list,
-               u: np.ndarray, kernel):
+def _sym_solve(a_log: np.ndarray, r_log: np.ndarray, levels: list, u: np.ndarray, kernel):
     """Self-transport potential and value for marginal a against the r x r reference.
 
     ``_over_widths`` iterates the map u <- F(u) of the symmetric marginal
@@ -346,21 +346,22 @@ def _sym_solve(a_log: np.ndarray, r_log: np.ndarray, cmat: np.ndarray, levels: l
     mass-weighted |F(u) - u| / eps of ``_INNER_TOL``; the mixing damps the
     plain map's oscillation. The minimizer's potential is the gradient of
     a |-> OT_eps(a, a) / 2, which the blur correction and the debiased
-    descent comparison need. ``kernel`` is the sweep kernel of the cost
-    matrix ``cmat``. Returns (dual value, u, residual, sweeps); the
-    dual value at the last width is 2 u.a + eps (mass(r x r) - mass(Q)).
+    descent comparison need. ``kernel`` is the sweep kernel. Returns
+    (dual value, u, residual, sweeps); the dual value at the last width is
+    2 u.a + eps (mass(r x r) - mass(Q)), where Q, the plan of (u, u), has
+    row sums a exp((u - F(u))/eps) at the last sweep.
     """
     a = np.exp(a_log)
     live = a > 0
 
     def sweep(u, eps):
         fu = eps * (a_log - r_log) + kernel(u, r_log, eps, 1)
-        return fu, float((np.abs(fu - u)[live] * a[live]).sum() / eps), None
+        return fu, float((np.abs(fu - u)[live] * a[live]).sum() / eps), fu
 
-    u, residual, sweeps, _ = _over_widths(sweep, np.where(live, u, -np.inf), levels,
-                                          _INNER_TOL, _MAX_INNER)
+    u, residual, sweeps, fu = _over_widths(sweep, np.where(live, u, -np.inf), levels,
+                                           _INNER_TOL, _MAX_INNER)
     r_mass = float(np.exp(r_log).sum())
-    value, _ = _dual_value(cmat, u, u, a, a, r_log, r_log, levels[-1], r_mass * r_mass)
+    value = _dual_value(u, u, a, a, _plan_mass(a, u, fu, levels[-1]), levels[-1], r_mass * r_mass)
     if not math.isfinite(value):
         raise StepError("self-transport evaluation produced a non-finite value",
                         residual=residual)
@@ -373,27 +374,26 @@ def check_scheme_grid(d: int) -> None:
         raise DomainError("the scheme runs on 1-d grids")
 
 
-def _step_operators(grid: Grid, config: JKOConfig) -> tuple:
-    """(cost matrix, sweep kernel) of the steps of ``config`` on ``grid``.
+def _step_kernel(grid: Grid, config: JKOConfig) -> _AnchoredKernel:
+    """Sweep kernel of the steps of ``config`` on ``grid``; its ``cmat`` is their cost matrix.
 
-    The grid never changes along a flow, so ``run_jko`` builds them once
-    and every step's solves share them.
+    The grid never changes along a flow, so ``run_jko`` builds it once and
+    every step's solves share it.
     """
     check_scheme_grid(grid.d)
     cost = power_cost(config.p, grid.cost_radius)
-    cmat = _cost_matrix(cost, grid.cell_centers(), grid.cell_centers())
-    return cmat, _AnchoredKernel(cmat)
+    return _AnchoredKernel(_cost_matrix(cost, grid.cell_centers(), grid.cell_centers()))
 
 
 def _jko_step_full(rho_k: DensityField, config: JKOConfig, warm: tuple | None = None,
-                   operators: tuple | None = None) -> tuple[DensityField, _StepInfo, tuple | None]:
+                   kernel=None) -> tuple[DensityField, _StepInfo, tuple | None]:
     """One step from rho_k with its diagnostics and the next step's warm start.
 
-    ``operators`` are the ``_step_operators`` of rho_k's grid, built here
-    when not given.
+    ``kernel`` is the ``_step_kernel`` of rho_k's grid, built here when not
+    given. Only the accepted trial's plan is built, for its transport cost.
     """
     grid = rho_k.grid
-    cmat, kernel = operators or _step_operators(grid, config)
+    kernel = kernel or _step_kernel(grid, config)
     _check_probability(rho_k)
     tau_pow = config.tau ** (config.p - 1.0)
     vol = grid.cell_volume
@@ -409,11 +409,11 @@ def _jko_step_full(rho_k: DensityField, config: JKOConfig, warm: tuple | None = 
         levels = [config.eps]
     else:
         f = u = np.zeros(grid.num_cells)
-        levels = _eps_ladder(config.eps, float(cmat.max()))
+        levels = _eps_ladder(config.eps, float(kernel.cmat.max()))
 
     # anchor self-potential at the working width; its negative gradient is
     # the blur each transport solve at this width would otherwise inject
-    sym_anchor, u, sym_res, iterations = _sym_solve(b_log, r_log, cmat, levels, u, kernel)
+    sym_anchor, u, sym_res, iterations = _sym_solve(b_log, r_log, levels, u, kernel)
     if not sym_res <= _INNER_TOL:
         raise StepError(
             f"self-potential iteration did not converge at width {config.eps:g}",
@@ -423,7 +423,7 @@ def _jko_step_full(rho_k: DensityField, config: JKOConfig, warm: tuple | None = 
 
     # coarse warm-up widths only seed the potentials; the last width is the
     # one whose minimizer becomes the candidate
-    a, f, g, residual, sweeps = _scaling_solve(
+    a, f, g, residual, sweeps, plan_mass = _scaling_solve(
         b_log, r_log, kernel, levels, tau_pow, config.energy, vol, tilt, f)
     iterations += sweeps
     if not residual <= _INNER_TOL:
@@ -453,7 +453,7 @@ def _jko_step_full(rho_k: DensityField, config: JKOConfig, warm: tuple | None = 
     g_anchor = 0.5 * sym_anchor + offset + tau_pow * energy_value(rho_k, config.energy)
 
     current, transport_current, objective_current, u_next = rho_k, 0.0, g_anchor, u
-    f_a = f
+    f_a, g_a = f, g
     for trial in range(_DESCENT_TRIALS):
         theta = 0.5 ** max(trial - 1, 0)  # 1 gives the candidate's own bits
         trial_vals = (1.0 - theta) * rho_k.values + theta * candidate
@@ -461,22 +461,21 @@ def _jko_step_full(rho_k: DensityField, config: JKOConfig, warm: tuple | None = 
         with np.errstate(divide="ignore"):
             a_log_trial = np.log(trial_vals.reshape(-1) * vol)
         if trial == 0:
-            g_trial, plan_cost = _dual_value(cmat, f, g, candidate.reshape(-1) * vol, b,
-                                             r_log, b_log, config.eps, r_mass)
+            g_trial = _dual_value(f, g, candidate.reshape(-1) * vol, b, plan_mass, config.eps,
+                                  r_mass)
         else:
-            g_trial, plan_cost, f_a, _, _, sw = _pinned_value(
-                a_log_trial, b_log, r_log, cmat, config.eps, f_a, kernel)
+            g_trial, f_a, g_a, _, sw = _pinned_value(
+                a_log_trial, b_log, r_log, config.eps, f_a, kernel)
             iterations += sw
         if trial != 1:
-            sym_trial, u_trial, _, sw = _sym_solve(a_log_trial, r_log, cmat, [config.eps], u,
-                                                   kernel)
+            sym_trial, u_trial, _, sw = _sym_solve(a_log_trial, r_log, [config.eps], u, kernel)
             iterations += sw
         g_trial += tau_pow * energy_value(trial_field, config.energy) - 0.5 * sym_trial
         if g_trial <= g_anchor + _DESCENT_SLACK * tau_pow:
-            current = trial_field
-            transport_current = plan_cost / tau_pow
-            objective_current = g_trial
-            u_next = u_trial
+            current, objective_current, u_next = trial_field, g_trial, u_trial
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                plan = np.exp(log_plan(kernel.cmat, f_a, g_a, r_log, b_log, config.eps))
+            transport_current = float((plan * kernel.cmat).sum()) / tau_pow
             break
 
     return current, _StepInfo(transport_current, residual,
@@ -501,8 +500,8 @@ def run_jko(rho_0: DensityField, config: JKOConfig) -> Trajectory:
 
     A step failure stops the run and returns the trajectory up to the last
     good state with the failure recorded in ``error``; partial trajectories
-    still satisfy all per-state invariants. Every step shares one cost
-    matrix and one sweep kernel, built before the first.
+    still satisfy all per-state invariants. Every step shares one sweep
+    kernel and its cost matrix, built before the first.
     """
     _check_probability(rho_0)
     densities = [rho_0]
@@ -513,10 +512,10 @@ def run_jko(rho_0: DensityField, config: JKOConfig) -> Trajectory:
     residuals = [0.0]
     error = ""
     warm = None
-    operators = _step_operators(rho_0.grid, config) if config.steps else None
+    kernel = _step_kernel(rho_0.grid, config) if config.steps else None
     for k in range(config.steps):
         try:
-            state, info, warm = _jko_step_full(densities[-1], config, warm, operators)
+            state, info, warm = _jko_step_full(densities[-1], config, warm, kernel)
         except StepError as exc:
             error = f"step {k + 1}: {exc}"
             break

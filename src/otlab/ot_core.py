@@ -331,6 +331,13 @@ def _row_gap(mass: np.ndarray, f: np.ndarray, f_next: np.ndarray, eps: float) ->
     return float(np.abs(mass[live] * np.expm1((f[live] - f_next[live]) / eps)).sum())
 
 
+def _plan_mass(mass: np.ndarray, f: np.ndarray, f_next: np.ndarray, eps: float) -> float:
+    """Mass sum mass exp((f - f_next)/eps) of the plan, over the rows ``_row_gap`` checks."""
+    live = mass > 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float((mass[live] * np.exp((f[live] - f_next[live]) / eps)).sum())
+
+
 def _fixed_point(step, x0: np.ndarray, tol: float, cap: int):
     """Iterate x <- step(x) with type-II Anderson mixing until the residual is at most tol.
 
@@ -393,15 +400,15 @@ def _scaling(kernel, f: np.ndarray, x_log: np.ndarray, y_log: np.ndarray, levels
     fits the columns, (f_next, masses) = row_update(kernel(g, y_log, eps, 1), eps) is the
     row prox, and the residual is the ``_row_gap`` of masses. ``kernel`` takes ``softmin``'s
     arguments after the cost; ``cap`` bounds the sweeps at the last width. Returns
-    (f, g, masses, residual, sweeps summed over widths).
+    (f, g, masses, residual, sweeps summed over widths, ``_plan_mass`` of the plan (f, g)).
     """
     def step(f, eps):
         g = kernel(f, x_log, eps, 0)
         f_next, masses = row_update(kernel(g, y_log, eps, 1), eps)
-        return f_next, _row_gap(masses, f, f_next, eps), (g, masses)
+        return f_next, _row_gap(masses, f, f_next, eps), (g, masses, f_next)
 
-    f, residual, sweeps, (g, masses) = _over_widths(step, f, levels, tol, cap)
-    return f, g, masses, residual, sweeps
+    f, residual, sweeps, (g, masses, f_next) = _over_widths(step, f, levels, tol, cap)
+    return f, g, masses, residual, sweeps, _plan_mass(masses, f, f_next, levels[-1])
 
 
 def _row_blocks(m: int, n: int) -> list[tuple[int, int]]:
@@ -939,7 +946,7 @@ def solve_entropic(rho: DensityField, g: DensityField, cost: RadialCost,
         logb = np.log(b)
 
     kernel = _AnchoredKernel(cmat)
-    f, gv, _, residual, iterations = _scaling(
+    f, gv, _, residual, iterations, _ = _scaling(
         kernel, np.zeros_like(a), loga, logb, schedule, lambda s, eps: (s, a),
         _RAW_MARGINAL_TOL, _MAX_SWEEPS)
     reanchors = kernel.reanchors

@@ -213,6 +213,25 @@ class TestSolveOT:
         key = "mass_threshold" if "mass_threshold" in solver else "eps_final"
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("solver", [None, {"method": "exact1d"}], ids=["default", "explicit"])
+    def test_exact1d_on_2d_grid_exits_2(self, tmp_path, capsys, monkeypatch, solver):
+        # the exact 1-d solver's grid refusal needs only the config: exit 2
+        # before any solve, and no output directory left behind
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the grid was checked")
+
+        monkeypatch.setattr(cli, "solve_exact_1d", no_solve)
+        payload = solve_config(grid={"d": 2, "lower": 0.0, "upper": 1.0, "n": 8})
+        if solver is None:
+            del payload["solver"]
+        else:
+            payload["solver"] = solver
+        cfg = write_config(tmp_path, payload)
+        assert run_cli("solve-ot", "--config", cfg, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "1-d" in err
+        assert not (tmp_path / "out").exists()
+
     def test_shipped_2d_entropic_example_matches_golden_meta(self, tmp_path):
         # this pins the anchored kernel's Anderson trajectory, not only its
         # optimum: one ulp more on every kernel output moves this primal by
@@ -755,6 +774,20 @@ class TestMollifyStudy:
         want = (GOLDEN / "mollify_example_mollify.csv").read_bytes()
         assert (out / "mollify.csv").read_bytes() == want
 
+    def test_2d_grid_exits_2(self, tmp_path, capsys, monkeypatch):
+        # the experiment's grid refusal needs only the config: exit 2 before
+        # any solve, and no output directory left behind
+        def no_study(*args, **kwargs):
+            raise AssertionError("the study ran before the grid was checked")
+
+        monkeypatch.setattr(cli, "mollification_convergence_experiment", no_study)
+        cfg = write_config(tmp_path, self.moll_config(
+            grid={"d": 2, "lower": 0.0, "upper": 1.0, "n": 8}))
+        assert run_cli("mollify-study", "--config", cfg, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "1-d" in err
+        assert not (tmp_path / "out").exists()
+
     def test_empty_eps_sequence_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, self.moll_config(eps_sequence=[]))
         assert run_cli("mollify-study", "--config", cfg, "--out",
@@ -850,6 +883,14 @@ class TestCTransform:
         })
         assert run_cli("ctransform", "--config", cfg, "--out", tmp_path / "out") == 2
         assert "grid spec key 'n'" in capsys.readouterr().err
+
+    def test_shipped_example_matches_golden(self, tmp_path):
+        # pins the blocked min-plus c-transform's bits
+        out = tmp_path / "out"
+        assert run_cli("ctransform", "--config", CONFIGS / "ctransform_example.json",
+                       "--out", out) == 0
+        want = (GOLDEN / "ctransform_example_transform.csv").read_bytes()
+        assert (out / "transform.csv").read_bytes() == want
 
     def test_separate_eval_grid(self, tmp_path):
         grid = Grid(1, 0.0, 1.0, 32)

@@ -1,5 +1,6 @@
 """Tests for the minimizing-movement scheme and its PDE reference."""
 
+import json
 import math
 import os
 import re
@@ -215,7 +216,7 @@ class TestDescentCheck:
         assert len(evaluations) == jko._DESCENT_TRIALS - 1
 
         # the shortcut is the dual value read off the converged step potentials
-        (b_log, r_log, kernel, levels), (a, f, g, _, _) = solves[-1][0][:4], solves[-1][1]
+        (b_log, r_log, kernel, levels), (a, f, g, *_) = solves[-1][0][:4], solves[-1][1]
         eps = levels[-1]
         a_mass = a / a.sum()
         plan = np.exp(log_plan(kernel.cmat, f, g, r_log, b_log, eps))
@@ -231,8 +232,9 @@ class TestDescentCheck:
     def test_pinned_value_stops_on_row_mass_gap(self, rejected_step, monkeypatch):
         # the plan (f, g) has row sums a exp((f - f_next)/eps), so the returned
         # residual is their L1 gap to the pinned masses a = exp(a_log)
-        args, (*_, f, g, residual, _) = rejected_step[4][0]
-        a_log, b_log, r_log, cmat, eps = args[:5]
+        args, (_, f, g, residual, _) = rejected_step[4][0]
+        a_log, b_log, r_log, eps = args[:4]
+        cmat = args[5].cmat
 
         def row_gap(f, g):
             plan = np.exp(log_plan(cmat, f, g, r_log, b_log, eps))
@@ -245,7 +247,7 @@ class TestDescentCheck:
         # one sweep from zero potentials: a gap far above rounding, matched
         # to 1e-12 relative
         monkeypatch.setattr(jko, "_MAX_INNER", 1)
-        *_, f, g, residual, _ = jko._pinned_value(*args[:5], np.zeros_like(args[5]), args[6])
+        _, f, g, residual, _ = jko._pinned_value(*args[:4], np.zeros_like(args[4]), args[5])
         assert residual > 1e-3
         assert row_gap(f, g) == pytest.approx(residual, rel=1e-12)
 
@@ -260,7 +262,7 @@ class TestSelfSolves:
         real_sym, real_dual = jko._sym_solve, jko._dual_value
 
         def sym(*args):
-            sym_levels.append(np.atleast_1d(args[3]).tolist())
+            sym_levels.append(np.atleast_1d(args[2]).tolist())
             inside.append(sym_levels[-1])
             try:
                 return real_sym(*args)
@@ -268,7 +270,7 @@ class TestSelfSolves:
                 inside.pop()
 
         def dual(*args):
-            evaluations.append((args[7], inside[-1] if inside else None))
+            evaluations.append((args[5], inside[-1] if inside else None))
             return real_dual(*args)
 
         monkeypatch.setattr(jko, "_sym_solve", sym)
@@ -297,6 +299,96 @@ class TestSelfSolves:
         monkeypatch.setattr(jko, "_DESCENT_SLACK", -1.0)
         sym_levels, _ = self.spied_step(monkeypatch)
         assert len(sym_levels) == 1 + (jko._DESCENT_TRIALS - 1)
+
+
+def dense_dual_value(cmat, f, g, x, y, x_log, y_log, eps, ref_mass):
+    """f.x + g.y + eps (ref_mass - mass(P)) over cells with mass, P built in full.
+
+    P is the plan of (f, g) against the reference exp(x_log) x exp(y_log).
+    """
+    plan = np.exp(log_plan(cmat, f, g, x_log, y_log, eps))
+    return float(f[x > 0] @ x[x > 0] + g[y > 0] @ y[y > 0] + eps * (ref_mass - plan.sum()))
+
+
+def step_logs(rho):
+    """The step problem's log masses b_log of rho and its floored prior r_log."""
+    with np.errstate(divide="ignore"):
+        b_log = np.log(rho.values.reshape(-1) * rho.grid.cell_volume)
+    return b_log, np.maximum(b_log, math.log(jko._PRIOR_FLOOR))
+
+
+class TestDualValueIdentity:
+    # the self and pinned values read mass(P) off the row sums of their last
+    # sweep; the plan built in full must give the same value
+
+    @staticmethod
+    def assert_sym_identity(a_log, r_log, levels, kernel):
+        """Checks the self value from zero potentials; returns the solve's residual."""
+        value, u, residual, _ = jko._sym_solve(a_log, r_log, levels, np.zeros_like(a_log),
+                                               kernel)
+        a, r_mass = np.exp(a_log), np.exp(r_log).sum()
+        want = dense_dual_value(kernel.cmat, u, u, a, a, r_log, r_log, levels[-1],
+                                r_mass * r_mass)
+        assert value == pytest.approx(want, rel=1e-12)
+        return residual
+
+    @staticmethod
+    def assert_pinned_identity(a_log, b_log, r_log, eps, f, kernel):
+        """Checks the pinned value from potentials f; returns the solve's residual."""
+        value, f, g, residual, _ = jko._pinned_value(a_log, b_log, r_log, eps, f, kernel)
+        want = dense_dual_value(kernel.cmat, f, g, np.exp(a_log), np.exp(b_log), r_log, b_log,
+                                eps, np.exp(r_log).sum())
+        assert value == pytest.approx(want, rel=1e-12)
+        return residual
+
+    def test_heat_example_first_step(self, monkeypatch):
+        # the anchor's self problem over the cold ladder, and the candidate's
+        # pinned problem warm-started from the step potentials
+        spec = json.loads((CONFIGS / "jko_heat_example.json").read_text())
+        grid = cli._grid_from_spec(spec["grid"])
+        rho0 = cli._density_from_spec(spec["rho0"], grid, CONFIGS, None, "rho0")
+        config = jko.JKOConfig(**{**spec["scheme"], "energy": jko.entropy_energy()})
+        kernel = jko._step_kernel(grid, config)
+        b_log, r_log = step_logs(rho0)
+        levels = jko._eps_ladder(config.eps, float(kernel.cmat.max()))
+        self.assert_sym_identity(b_log, r_log, levels, kernel)
+
+        solves, real = [], jko._scaling_solve
+
+        def spy(*args):
+            solves.append(real(*args))
+            return solves[-1]
+
+        monkeypatch.setattr(jko, "_scaling_solve", spy)
+        jko._jko_step_full(rho0, config, kernel=kernel)
+        a, f = solves[0][:2]
+        self.assert_pinned_identity(np.log(a / a.sum()), b_log, r_log, config.eps, f, kernel)
+
+    def test_zero_mass_rows(self):
+        # rows without mass carry -inf potentials and add nothing to either value
+        rho = bump_density(n=32)
+        vals = rho.values.copy()
+        vals[:6] = vals[-3:] = 0.0
+        a_log, a_prior = step_logs(normalize(DensityField(rho.grid, vals)))
+        assert np.isneginf(a_log).sum() == 9
+        b_log, r_log = step_logs(rho)
+        eps = 1e-3
+        kernel = jko._step_kernel(rho.grid, heat_config(1, eps=eps))
+        self.assert_pinned_identity(a_log, b_log, r_log, eps, np.zeros_like(a_log), kernel)
+        self.assert_sym_identity(a_log, a_prior, [eps], kernel)
+
+    def test_unconverged_solves(self, monkeypatch):
+        # the identity holds at every sweep: two sweeps from zero potentials
+        # leave row-mass gaps far above rounding
+        monkeypatch.setattr(jko, "_MAX_INNER", 2)
+        rho = bump_density(n=32)
+        b_log, r_log = step_logs(rho)
+        a_log, _ = step_logs(bump_density(n=32, sharpness=20.0))
+        eps = heat_config(1).eps
+        kernel = jko._step_kernel(rho.grid, heat_config(1))
+        assert self.assert_pinned_identity(a_log, b_log, r_log, eps, np.zeros_like(a_log),
+                                           kernel) > 1e-3
+        assert self.assert_sym_identity(b_log, r_log, [eps], kernel) > 1e-3
 
 
 class TestRunJKO:
@@ -351,9 +443,11 @@ class TestRunJKO:
 
     def test_heat_example_shares_one_kernel_and_rarely_reanchors(self, tmp_path, monkeypatch):
         # the shipped heat flow builds its cost matrix and sweep kernel once;
-        # each re-anchor is an exact softmin over C, each other sweep a matvec
-        kernels, matrices = [], []
-        real_kernel, real_matrix = jko._AnchoredKernel, jko._cost_matrix
+        # each re-anchor is an exact softmin over C, each other sweep a matvec,
+        # and each of its 20 accepted steps builds one plan at the working
+        # width, for its cost
+        kernels, matrices, plans = [], [], []
+        real_kernel, real_matrix, real_plan = jko._AnchoredKernel, jko._cost_matrix, jko.log_plan
 
         def kernel_spy(*args):
             kernels.append(real_kernel(*args))
@@ -363,12 +457,18 @@ class TestRunJKO:
             matrices.append(real_matrix(*args))
             return matrices[-1]
 
+        def plan_spy(*args):
+            plans.append(args[-1])
+            return real_plan(*args)
+
         monkeypatch.setattr(jko, "_AnchoredKernel", kernel_spy)
         monkeypatch.setattr(jko, "_cost_matrix", matrix_spy)
+        monkeypatch.setattr(jko, "log_plan", plan_spy)
         assert cli.main(["jko", "--config", str(CONFIGS / "jko_heat_example.json"),
                          "--out", str(tmp_path / "out")]) == 0
         assert len(kernels) == len(matrices) == 1
         assert kernels[0].reanchors <= 0.05 * kernels[0].sweeps
+        assert plans == [1e-4] * 20
 
     def test_step_failure_returns_partial_trajectory(self, monkeypatch):
         monkeypatch.setattr(jko, "_MAX_INNER", 2)
