@@ -40,10 +40,11 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .cost import RadialCost, check_mollify_width, power_cost, tabulated_cost
+from .cost import RadialCost, power_cost, tabulated_cost
 from .errors import ConfigError, DomainError, OTLabError, ParameterError
 from .fivegrad import (
     BatchSpec,
+    check_mollification,
     mollification_convergence_experiment,
     summarize,
     verify_batch,
@@ -65,6 +66,7 @@ from .jko import (
     aligned_dt,
     check_pde_comparable,
     check_scheme_grid,
+    check_stable_dt,
     entropy_energy,
     jko_vs_pde_report,
     pde_substeps,
@@ -417,6 +419,7 @@ def cmd_jko(config: dict, out: Path, base_dir: Path, seed) -> int:
             check_pde_comparable(jko_config, grid.d)
             dt = aligned_dt(rho0, jko_config) if compare.get("dt") is None else compare["dt"]
             pde_substeps(jko_config, dt, refine)
+            check_stable_dt(rho0, jko_config.p, jko_config.energy, dt)
         except (DomainError, ParameterError) as exc:
             raise ConfigError(f"invalid compare_pde spec: {exc}") from exc
     try:
@@ -448,25 +451,16 @@ def cmd_jko(config: dict, out: Path, base_dir: Path, seed) -> int:
 
 def cmd_mollify_study(config: dict, out: Path, base_dir: Path, seed) -> int:
     grid = _grid_from_spec(config["grid"])
-    if grid.d != 1:
-        raise ConfigError(f"the mollification experiment runs on 1-d grids, not {grid.d}-d")
     cost = _cost_from_spec(config["cost"], grid.cost_radius)
+    widths = config["eps_sequence"]
+    solver = config.get("solver", "exact1d")
+    try:
+        check_mollification(grid.d, cost, widths, solver)
+    except (DomainError, ParameterError) as exc:
+        raise ConfigError(str(exc)) from exc
     rho = _density_from_spec(config["rho"], grid, base_dir, seed, "rho")
     g = _density_from_spec(config["g"], grid, base_dir,
                            None if seed is None else seed + 1, "g")
-    widths = config["eps_sequence"]
-    if not widths:
-        raise ConfigError("eps_sequence must be a non-empty list of widths")
-    if any(e2 >= e1 for e1, e2 in zip(widths, widths[1:])):
-        raise ConfigError("eps_sequence must decrease strictly")
-    try:
-        for width in widths:
-            check_mollify_width(cost, width)
-    except ParameterError as exc:
-        raise ConfigError(f"invalid eps_sequence width: {exc}") from exc
-    solver = config.get("solver", "exact1d")
-    if solver not in ("lp", "exact1d"):
-        raise ConfigError(f"unknown mollify-study solver {solver!r}")
 
     report = mollification_convergence_experiment(rho, g, cost, widths,
                                                   solver=solver)

@@ -3,8 +3,8 @@
 A cost h(z) = p(|z|) is represented by its radial profile p and derivative p'
 on [0, R]; strict convexity along rays (p' strictly increasing, p'(0) = 0)
 makes every d-dimensional question 1-dimensional: gradients point along z,
-the conjugate gradient inverts p' by bisection, and smoothing by convolution
-with a radial bump reduces to quadrature of the profile.
+the conjugate gradient inverts p' by bisection, and smoothing is a 1-d
+convolution of the profile with a bump, computed by quadrature.
 
 The radial convex weights H used by the inequality checks carry an explicit
 zero threshold so that grad_H vanishes on (numerically) critical gradients.
@@ -37,6 +37,7 @@ __all__ = [
 
 _BISECTION_ITERS = 80
 _REL_SLACK = 1e-9
+_MOLLIFY_ORDER = 32  # Gauss-Legendre points of the mollifier's quadrature
 
 
 @dataclass(frozen=True)
@@ -275,60 +276,28 @@ def check_mollify_width(cost: RadialCost, epsilon: float) -> None:
         )
 
 
-def mollify(cost: RadialCost, epsilon: float, quadrature_order: int = 32, dim: int = 1) -> RadialCost:
-    """Smooth the cost by convolution with a radial bump of support radius epsilon.
+def mollify(cost: RadialCost, epsilon: float) -> RadialCost:
+    """Smooth the cost by convolution with a bump of support radius epsilon.
 
-    The convolution is computed by fixed-order quadrature over the bump
-    support: a Gauss-Legendre rule on [-eps, eps] in dimension 1, a tensor
-    Gauss x uniform-angle rule in polar coordinates in dimension 2 (keeping
-    the result radial to quadrature accuracy). The base profile is evaluated
-    beyond R by its own formula, so the result is valid on all of [0, R].
+    The 1-d convolution of the profile is a fixed ``_MOLLIFY_ORDER``-point
+    Gauss-Legendre rule on [-eps, eps], with the bump's mass normalized
+    numerically. The base profile is evaluated beyond R by its own formula,
+    so the result is valid on all of [0, R].
     """
     check_mollify_width(cost, epsilon)
-    if quadrature_order < 4:
-        raise ParameterError("quadrature_order must be at least 4")
-    if dim not in (1, 2):
-        raise ParameterError("mollification dimension must be 1 or 2")
+    nodes, weights = np.polynomial.legendre.leggauss(_MOLLIFY_ORDER)
+    u = nodes * epsilon
+    w = weights * epsilon * _bump(u, epsilon)
+    w = w / w.sum()
 
-    nodes, weights = np.polynomial.legendre.leggauss(quadrature_order)
-    if dim == 1:
-        u = nodes * epsilon
-        w = weights * epsilon * _bump(u, epsilon)
-        w = w / w.sum()  # normalize the mollifier mass numerically
+    def profile(r):
+        r = np.asarray(r, dtype=float)
+        return (w * cost.profile(np.abs(r[..., None] - u))).sum(axis=-1)
 
-        def profile(r):
-            r = np.asarray(r, dtype=float)
-            return (w * cost.profile(np.abs(r[..., None] - u))).sum(axis=-1)
-
-        def dprofile(r):
-            r = np.asarray(r, dtype=float)
-            diff = r[..., None] - u
-            return (w * np.sign(diff) * cost.dprofile(np.abs(diff))).sum(axis=-1)
-
-    else:
-        s = 0.5 * epsilon * (nodes + 1.0)  # radial nodes on [0, eps]
-        ws = 0.5 * epsilon * weights * s * _bump(s, epsilon)
-        m_ang = max(8, quadrature_order)
-        theta = 2.0 * np.pi * np.arange(m_ang) / m_ang
-        ct = np.cos(theta)
-        w2 = (ws[:, None] * np.full(m_ang, 1.0 / m_ang)[None, :]).reshape(-1)
-        w2 = w2 / w2.sum()
-        sc = (s[:, None] * ct[None, :]).reshape(-1)  # s cos(theta) per node
-        ss = np.repeat(s, m_ang)  # |u| per node
-
-        def profile(r):
-            r = np.asarray(r, dtype=float)
-            m = np.sqrt(np.maximum(r[..., None] ** 2 - 2.0 * r[..., None] * sc + ss**2, 0.0))
-            return (w2 * cost.profile(m)).sum(axis=-1)
-
-        def dprofile(r):
-            r = np.asarray(r, dtype=float)
-            m = np.sqrt(np.maximum(r[..., None] ** 2 - 2.0 * r[..., None] * sc + ss**2, 0.0))
-            radial = np.zeros_like(m)
-            nz = m > 0
-            dp = np.asarray(cost.dprofile(m), dtype=float)
-            radial[nz] = dp[nz] * (r[..., None] - sc)[nz] / m[nz]
-            return (w2 * radial).sum(axis=-1)
+    def dprofile(r):
+        r = np.asarray(r, dtype=float)
+        diff = r[..., None] - u
+        return (w * np.sign(diff) * cost.dprofile(np.abs(diff))).sum(axis=-1)
 
     smoothed = RadialCost(
         profile,

@@ -34,6 +34,7 @@ from .cost import (
     HFunction,
     RadialCost,
     SemiconcavityBound,
+    check_mollify_width,
     grad_H,
     grad_h_star,
     mollify,
@@ -259,20 +260,19 @@ def _five_gradients(rho: DensityField, g: DensityField, phi, psi,
     grid, phi, psi = _checked_fields(rho, g, phi, psi)
     d_rho, d_g = rho.gradient().components, g.gradient().components
     d_phi, d_psi = gradient(phi, grid).components, gradient(psi, grid).components
+    cells, normals, areas = boundary_cells_and_normals(grid)
+    rho_b, g_b = rho.values.reshape(-1)[cells], g.values.reshape(-1)[cells]
     out = []
     for hfun in hfuns:
         h_phi, h_psi = (grad_H(hfun, d.reshape(-1, grid.d)).reshape(d.shape)
                         for d in (d_phi, d_psi))
         integrand = (d_rho * h_phi).sum(axis=-1)
         integrand += (d_g * h_psi).sum(axis=-1)
-        flux = 0.0
-        for facet in boundary_cells_and_normals(grid):
-            i = facet.index
-            flux += facet.area * (
-                rho.values[i] * float(h_phi[i] @ facet.normal)
-                + g.values[i] * float(h_psi[i] @ facet.normal)
-            )
-        out.append((integrand, float(integrand.sum() * grid.cell_volume), float(flux)))
+        terms = areas * (rho_b * (h_phi.reshape(-1, grid.d)[cells] * normals).sum(axis=-1)
+                         + g_b * (h_psi.reshape(-1, grid.d)[cells] * normals).sum(axis=-1))
+        # summed in facet order from 0.0: a pairwise np.sum moves the last bits in 2-d
+        flux = sum(terms.tolist(), 0.0)
+        out.append((integrand, float(integrand.sum() * grid.cell_volume), flux))
     return out
 
 
@@ -310,17 +310,15 @@ def semiconcavity_check(phi, bound: SemiconcavityBound, grid: Grid) -> Semiconca
     Potentials of a twice-differentiable cost are semiconcave with the same
     constant C as the cost, so every centered second difference along a grid
     axis must stay at or below C up to discretization slack 10 * spacing * C.
+    A potential with a non-finite entry reports NaN and fails.
     """
     phi = np.asarray(phi, dtype=float)
     if phi.shape != grid.shape:
         raise ShapeError(f"potential shape {phi.shape} does not match the grid {grid.shape}")
-    worst = -np.inf
-    for axis in range(grid.d):
-        second = np.diff(phi, n=2, axis=axis) / grid.spacing[axis] ** 2
-        if second.size:
-            worst = max(worst, float(second.max()))
-    if not np.isfinite(worst):
-        worst = 0.0
+    if np.all(np.isfinite(phi)):
+        worst = float(max(f.max() for f in _second_difference_fields(phi, grid)[:grid.d]))
+    else:
+        worst = float("nan")
     tol = 10.0 * max(grid.spacing) * bound.constant
     return SemiconcavityReport(
         max_curvature=worst,
@@ -410,21 +408,38 @@ def boundary_conjugate_check(rho: DensityField, phi, cost: RadialCost,
     if phi.shape != grid.shape:
         raise ShapeError(f"potential shape {phi.shape} does not match the grid {grid.shape}")
     comp, _, _ = _clamped_gradient(phi, cost, grid)
-
-    worst = np.inf
-    count = 0
-    cut = 0.5 * floor
-    for facet in boundary_cells_and_normals(grid):
-        if rho.values[facet.index] <= cut:
-            continue
-        flat = int(np.ravel_multi_index(facet.index, grid.shape))
-        step = grad_h_star(cost, comp[flat])
-        worst = min(worst, float(step @ facet.normal))
-        count += 1
+    cells, normals, _ = boundary_cells_and_normals(grid)
+    massy = rho.values.reshape(-1)[cells] > 0.5 * floor
     tol = 10.0 * max(grid.spacing)
-    if count == 0:
+    if not massy.any():
         return BoundaryConjugateReport(float("nan"), tol, 0, False)
-    return BoundaryConjugateReport(worst, tol, count, worst >= -tol)
+    steps = grad_h_star(cost, comp[cells[massy]])
+    # Python's min keeps the first of equal values (0.0, -0.0) in facet order; np.min the last
+    worst = min((steps * normals[massy]).sum(axis=-1).tolist())
+    return BoundaryConjugateReport(worst, tol, int(massy.sum()), worst >= -tol)
+
+
+def check_mollification(d: int, cost: RadialCost, widths, solver: str) -> None:
+    """Raise unless ``mollification_convergence_experiment`` accepts these inputs.
+
+    The experiment runs on 1-d grids (DomainError); it needs a nonempty,
+    strictly decreasing sequence of widths, each accepted by
+    ``check_mollify_width``, and the ``lp`` or ``exact1d`` solver
+    (ParameterError). Needs no solve.
+    """
+    if d != 1:
+        raise DomainError(f"the mollification experiment runs on 1-d grids, not {d}-d")
+    if len(widths) == 0:
+        raise ParameterError("eps_sequence must be a non-empty list of widths")
+    if any(e2 >= e1 for e1, e2 in zip(widths, widths[1:])):
+        raise ParameterError("eps_sequence must decrease strictly")
+    for width in widths:
+        try:
+            check_mollify_width(cost, width)
+        except ParameterError as exc:
+            raise ParameterError(f"invalid eps_sequence width: {exc}") from exc
+    if solver not in ("lp", "exact1d"):
+        raise ParameterError(f"the mollification solver must be 'lp' or 'exact1d', got {solver!r}")
 
 
 def mollification_convergence_experiment(rho: DensityField, g: DensityField,
@@ -447,17 +462,10 @@ def mollification_convergence_experiment(rho: DensityField, g: DensityField,
     ``_solve_for_batch``.
     """
     grid = rho.grid
-    if grid.d != 1:
-        raise DomainError("the mollification experiment runs in 1-d only")
+    eps = tuple(float(e) for e in eps_sequence)
+    check_mollification(grid.d, base_cost, eps, solver)
     if g.grid != grid:
         raise ShapeError("rho and g must live on the same grid")
-    eps = tuple(float(e) for e in eps_sequence)
-    if len(eps) == 0:
-        raise ParameterError("need at least one mollification width")
-    if any(e2 >= e1 for e1, e2 in zip(eps, eps[1:])):
-        raise ParameterError("mollification widths must decrease strictly")
-    if solver not in ("lp", "exact1d"):
-        raise ParameterError(f"unknown solver {solver!r}")
 
     staircase = _Staircase(*_marginals(rho, g))
     _, ref_map = solve_exact_1d(rho, g, base_cost, staircase=staircase)
@@ -470,7 +478,7 @@ def mollification_convergence_experiment(rho: DensityField, g: DensityField,
     measures = []
     distances = []
     for e in eps:
-        smooth = mollify(base_cost, e, dim=1)
+        smooth = mollify(base_cost, e)
         # entropic_eps is unused by the lp and exact1d solvers
         result = _solve_for_batch(rho, g, smooth, solver, None, None, staircase)
         t_eps = transport_map_from_potential(result.phi, smooth, rho)

@@ -20,7 +20,6 @@ __all__ = [
     "Grid",
     "DensityField",
     "VectorField",
-    "BoundaryFacet",
     "gradient",
     "tv_norm",
     "normalize",
@@ -201,15 +200,6 @@ class VectorField:
         return np.sqrt((self.components**2).sum(axis=-1))
 
 
-@dataclass(frozen=True)
-class BoundaryFacet:
-    """One boundary facet: owning cell index, outward unit normal, facet area."""
-
-    index: tuple
-    normal: np.ndarray
-    area: float
-
-
 def _field_values(field_like, grid: Grid | None = None) -> tuple[Grid, np.ndarray]:
     if isinstance(field_like, DensityField):
         return field_like.grid, field_like.values
@@ -296,28 +286,27 @@ def random_smooth_density(
     return normalize(raw)
 
 
-def boundary_cells_and_normals(grid: Grid) -> list[BoundaryFacet]:
-    """Boundary facets of the box with outward unit normals and facet areas.
+def boundary_cells_and_normals(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Boundary facets of the box as (cells, normals, areas), one entry per facet.
 
-    Corner cells contribute one facet per touching side; facet areas add up
-    to the boundary measure of the box (2 endpoints with weight 1 in 1D,
-    the perimeter in 2D).
+    ``cells`` are the owning cells' flat row-major indices, ``normals`` the
+    outward unit normals, shape (k, d), and ``areas`` the facet areas. In 1-d
+    the facets are the left then the right endpoint, each of area 1; in 2-d
+    the left and right facet of each row j, then the bottom and top facet of
+    each column i. Corner cells contribute one facet per touching side, so
+    in 2-d the areas add up to the perimeter.
     """
-    facets: list[BoundaryFacet] = []
     if grid.d == 1:
-        n = grid.n[0]
-        facets.append(BoundaryFacet((0,), _freeze(np.array([-1.0])), 1.0))
-        facets.append(BoundaryFacet((n - 1,), _freeze(np.array([1.0])), 1.0))
-        return facets
+        return np.array([0, grid.n[0] - 1]), np.array([[-1.0], [1.0]]), np.ones(2)
     nx, ny = grid.n
     hx, hy = grid.spacing
-    for j in range(ny):
-        facets.append(BoundaryFacet((0, j), _freeze(np.array([-1.0, 0.0])), hy))
-        facets.append(BoundaryFacet((nx - 1, j), _freeze(np.array([1.0, 0.0])), hy))
-    for i in range(nx):
-        facets.append(BoundaryFacet((i, 0), _freeze(np.array([0.0, -1.0])), hx))
-        facets.append(BoundaryFacet((i, ny - 1), _freeze(np.array([0.0, 1.0])), hx))
-    return facets
+    j, i = np.arange(ny), np.arange(nx)
+    cells = np.concatenate([np.stack([j, (nx - 1) * ny + j], axis=1).reshape(-1),
+                            np.stack([i * ny, i * ny + ny - 1], axis=1).reshape(-1)])
+    normals = np.concatenate([np.tile([[-1.0, 0.0], [1.0, 0.0]], (ny, 1)),
+                              np.tile([[0.0, -1.0], [0.0, 1.0]], (nx, 1))])
+    areas = np.repeat([hy, hx], [2 * ny, 2 * nx])
+    return cells, normals, areas
 
 
 def interp_multilinear(grid: Grid, values: np.ndarray, points: np.ndarray) -> np.ndarray:

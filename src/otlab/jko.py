@@ -564,6 +564,19 @@ def stable_dt(rho: DensityField, p: float, energy: Energy) -> float:
     return 0.2 * spacing**q / peak
 
 
+def check_stable_dt(rho_0: DensityField, p: float, energy: Energy, dt: float) -> None:
+    """Raise ParameterError if dt exceeds ``stable_dt`` at the initial data.
+
+    ``reference_pde_solve`` calls this before its first step; it needs no
+    run of the flow, so a comparison can be refused before the scheme runs.
+    """
+    bound = stable_dt(rho_0, p, energy)
+    if dt > bound * (1.0 + 1e-12):
+        raise ParameterError(
+            f"dt = {dt:.3e} violates the stability bound {bound:.3e}"
+        )
+
+
 def reference_pde_solve(rho_0: DensityField, p: float, energy: Energy,
                         dt: float, steps: int, record_every: int = 1) -> Trajectory:
     """Explicit flux-form finite differences for ∂_t u = (|w_x|^(q-2) w_x)_x, w = g(u).
@@ -584,11 +597,7 @@ def reference_pde_solve(rho_0: DensityField, p: float, energy: Energy,
     if record_every < 1 or steps % record_every != 0:
         raise ParameterError(
             f"record_every = {record_every} must be a positive divisor of steps = {steps}")
-    bound = stable_dt(rho_0, p, energy)
-    if dt > bound * (1.0 + 1e-12):
-        raise ParameterError(
-            f"dt = {dt:.3e} violates the stability bound {bound:.3e}"
-        )
+    check_stable_dt(rho_0, p, energy, dt)
     q = p / (p - 1.0)
     spacing = grid.spacing[0]
     mass_0 = rho_0.mass

@@ -481,15 +481,12 @@ def canonical_pair(cost: RadialCost, phi, source_grid: Grid, target_grid: Grid):
 
     The result is a feasible c-concave pair and a fixed point of the
     transform; applied to feasible dual variables it never lowers the dual
-    objective. Both transforms share one source-by-target cost matrix; the
-    solvers hand theirs to ``_canonical_pair_from_matrix`` directly.
+    objective. Each transform is one blocked ``c_transform``, so no full
+    cost matrix is built; the solvers, which hold one, hand it to
+    ``_canonical_pair_from_matrix`` instead.
     """
-    vals = np.asarray(phi, dtype=float).reshape(-1)
-    if vals.size != source_grid.num_cells:
-        raise OTLabError("values do not match the value grid")
-    cmat = _cost_matrix(cost, source_grid.cell_centers(), target_grid.cell_centers())
-    phi_c, psi = _canonical_pair_from_matrix(cmat, vals)
-    return phi_c.reshape(source_grid.shape), psi.reshape(target_grid.shape)
+    psi = c_transform(cost, phi, source_grid, target_grid)
+    return c_transform(cost, psi, target_grid, source_grid), psi
 
 
 def _marginals(rho: DensityField, g: DensityField) -> tuple[np.ndarray, np.ndarray]:

@@ -667,8 +667,9 @@ class TestJKO:
         ({"steps": 0}, 1, {"dt": None}, "at least one step"),
         ({}, 2, {"dt": None}, "1-d"),
         ({}, 2, {"dt": 1e-3}, "1-d"),
+        ({"tau": 0.004}, 1, {"dt": 1e-3}, "stability bound"),
     ], ids=["tau4e-3-dt3e-3", "tau1e-3-dt7e-4", "odd-refined", "dt0", "steps0",
-            "2d-dt-null", "2d-dt-given"])
+            "2d-dt-null", "2d-dt-given", "dt-unstable"])
     def test_misaligned_pde_dt_exits_2(self, tmp_path, capsys, monkeypatch, scheme, d,
                                        compare, word):
         def no_flow(*args, **kwargs):
@@ -788,15 +789,19 @@ class TestMollifyStudy:
         assert err.startswith("config error:") and "1-d" in err
         assert not (tmp_path / "out").exists()
 
-    def test_empty_eps_sequence_exits_2(self, tmp_path):
+    def test_empty_eps_sequence_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, self.moll_config(eps_sequence=[]))
         assert run_cli("mollify-study", "--config", cfg, "--out",
                        tmp_path / "out") == 2
+        assert "non-empty" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
-    def test_nondecreasing_eps_sequence_exits_2(self, tmp_path):
+    def test_nondecreasing_eps_sequence_exits_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, self.moll_config(eps_sequence=[0.05, 0.1]))
         assert run_cli("mollify-study", "--config", cfg, "--out",
                        tmp_path / "out") == 2
+        assert "decrease strictly" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("widths", [[1, 0.5], [0.1, 0.0]])
     def test_width_outside_quarter_radius_exits_2(self, tmp_path, capsys, widths):
@@ -804,6 +809,15 @@ class TestMollifyStudy:
         assert run_cli("mollify-study", "--config", cfg, "--out",
                        tmp_path / "out") == 2
         assert "config error: invalid eps_sequence width" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_solver_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, self.moll_config(solver="entropic"))
+        assert run_cli("mollify-study", "--config", cfg, "--out",
+                       tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "'entropic'" in err
+        assert not (tmp_path / "out").exists()
 
     def test_failed_report_exits_4(self, tmp_path, monkeypatch, capsys):
         real = cli.mollification_convergence_experiment

@@ -134,17 +134,12 @@ class TestMollify:
             mollify(cost, 0.3)  # eps >= R/4
         with pytest.raises(ParameterError):
             mollify(cost, 0.0)
-        with pytest.raises(ParameterError):
-            mollify(cost, 0.1, quadrature_order=2)
-        with pytest.raises(ParameterError):
-            mollify(cost, 0.1, dim=3)
 
-    @pytest.mark.parametrize("dim", [1, 2])
-    def test_quadratic_gradient_invariant(self, dim):
+    def test_quadratic_gradient_invariant(self):
         # smoothing a quadratic leaves its derivative unchanged: the bump is
         # even, so the linear term integrates exactly under symmetric rules
         cost = power_cost(2.0, radius=4.0)
-        smoothed = mollify(cost, 0.2, quadrature_order=32, dim=dim)
+        smoothed = mollify(cost, 0.2)
         r = np.linspace(0.0, 4.0, 313)
         dev = np.abs(smoothed.dprofile(r) - cost.dprofile(r)).max()
         assert dev <= 1e-8
@@ -154,20 +149,19 @@ class TestMollify:
         r = np.linspace(0.0, 4.0, 1001)
         devs = []
         for eps in (0.2, 0.1, 0.05):
-            smoothed = mollify(cost, eps, quadrature_order=48, dim=1)
+            smoothed = mollify(cost, eps)
             devs.append(np.abs(smoothed.dprofile(r) - cost.dprofile(r)).max())
         assert devs[0] > devs[1] > devs[2]
         assert devs[2] < 0.05
 
-    @pytest.mark.parametrize("dim", [1, 2])
-    def test_smoothed_derivative_vanishes_at_origin(self, dim):
-        # odd/angular cancellation is exact in the symmetric quadrature
+    def test_smoothed_derivative_vanishes_at_origin(self):
+        # odd cancellation is exact in the symmetric quadrature
         cost = power_cost(1.5, radius=4.0)
-        smoothed = mollify(cost, 0.1, dim=dim)
+        smoothed = mollify(cost, 0.1)
         assert abs(float(smoothed.dprofile(np.array([0.0]))[0])) < 1e-12
 
     def test_smoothed_cost_supports_conjugate_round_trip(self):
-        cost = mollify(power_cost(1.5, radius=4.0), 0.1, dim=1)
+        cost = mollify(power_cost(1.5, radius=4.0), 0.1)
         w = np.array([[0.5, 0.0], [0.0, 1.2], [0.3, 0.4]])
         back = grad_h(cost, grad_h_star(cost, w))
         np.testing.assert_allclose(back, w, rtol=1e-8, atol=1e-12)
@@ -184,7 +178,7 @@ class TestSemiconcavity:
         assert bound.constant == pytest.approx(1.1, rel=1e-9)
 
     def test_smoothed_kinked_cost_is_finite(self):
-        cost = mollify(power_cost(1.5, radius=4.0), 0.1, dim=1)
+        cost = mollify(power_cost(1.5, radius=4.0), 0.1)
         bound = semiconcavity_constant(cost)
         assert np.isfinite(bound.constant) and bound.constant > 0
 

@@ -8,6 +8,9 @@ import numpy as np
 import pytest
 
 from otlab.cost import (
+    SemiconcavityBound,
+    grad_H,
+    grad_h_star,
     mollify,
     power_cost,
     power_h_function,
@@ -36,7 +39,7 @@ from otlab.fivegrad import (
     verify_batch,
     write_reports_csv,
 )
-from otlab.geometry import Grid, gradient, random_smooth_density
+from otlab.geometry import DensityField, Grid, gradient, random_smooth_density
 from otlab.ot_core import solve_exact_1d, solve_lp, transport_map_from_potential
 
 
@@ -130,6 +133,75 @@ class TestBoundaryFlux:
         assert flux == pytest.approx(direct, rel=1e-12, abs=1e-15)
 
 
+def _facet_loop(grid):
+    """Boundary facets as a list of (cell index tuple, outward normal, area), in facet order."""
+    if grid.d == 1:
+        return [((0,), np.array([-1.0]), 1.0), ((grid.n[0] - 1,), np.array([1.0]), 1.0)]
+    (nx, ny), (hx, hy) = grid.n, grid.spacing
+    facets = []
+    for j in range(ny):
+        facets += [((0, j), np.array([-1.0, 0.0]), hy), ((nx - 1, j), np.array([1.0, 0.0]), hy)]
+    for i in range(nx):
+        facets += [((i, 0), np.array([0.0, -1.0]), hx), ((i, ny - 1), np.array([0.0, 1.0]), hx)]
+    return facets
+
+
+def _loop_flux(rho, g, phi, psi, hfun):
+    """The boundary flux summed facet by facet."""
+    grid = rho.grid
+    h_phi, h_psi = (grad_H(hfun, gradient(f, grid).components.reshape(-1, grid.d))
+                    .reshape(grid.shape + (grid.d,)) for f in (phi, psi))
+    flux = 0.0
+    for index, normal, area in _facet_loop(grid):
+        flux += area * (rho.values[index] * float(h_phi[index] @ normal)
+                        + g.values[index] * float(h_psi[index] @ normal))
+    return float(flux)
+
+
+def _loop_conjugate(rho, phi, cost, floor):
+    """The worst outward step and the massy cell count, facet by facet."""
+    grid = rho.grid
+    comp, _, _ = oc._clamped_gradient(phi, cost, grid)
+    worst, count = np.inf, 0
+    for index, normal, _ in _facet_loop(grid):
+        if rho.values[index] <= 0.5 * floor:
+            continue
+        step = grad_h_star(cost, comp[np.ravel_multi_index(index, grid.shape)])
+        worst = min(worst, float(step @ normal))
+        count += 1
+    return (worst, count) if count else (float("nan"), 0)
+
+
+class TestBoundaryArrays:
+    """The array forms of the flux and the conjugate check equal a facet-by-facet loop."""
+
+    @pytest.mark.parametrize("grid", [
+        Grid(1, 0.0, 1.0, 16),
+        Grid(1, -0.5, 2.0, 9),
+        Grid(2, (-1.0, 0.5), (1.5, 2.0), (5, 7)),
+        Grid(2, (-1.0, 0.5), (1.5, 2.0), (7, 5)),
+        Grid(2, (0.0, -2.0), (3.0, 1.0), (4, 9)),
+    ], ids=["1d-16", "1d-9", "2d-5x7", "2d-7x5", "2d-4x9"])
+    @pytest.mark.parametrize("zero", [False, True], ids=["random", "zero"])
+    def test_equals_facet_loop(self, grid, zero):
+        rng = np.random.default_rng(grid.num_cells)
+        for _ in range(4):
+            rho = DensityField(grid, rng.uniform(0.0, 1.0, grid.shape))
+            g = DensityField(grid, rng.uniform(0.0, 1.0, grid.shape))
+            phi, psi = (np.zeros(grid.shape) if zero else rng.normal(size=grid.shape)
+                        for _ in range(2))
+            for q, delta0 in itertools.product((1.5, 2.0, 4.0), (0.0, 0.3)):
+                hfun = power_h_function(q, delta0=delta0)
+                got = boundary_flux(rho, g, phi, psi, hfun)
+                assert repr(got) == repr(_loop_flux(rho, g, phi, psi, hfun))
+            for p, floor in itertools.product((1.5, 2.0, 3.0), (0.0, 1.0, 4.0)):
+                cost = power_cost(p, grid.cost_radius)
+                rep = boundary_conjugate_check(rho, phi, cost, floor)
+                worst, count = _loop_conjugate(rho, phi, cost, floor)
+                assert repr(rep.min_normal_component) == repr(worst)
+                assert rep.cell_count == count
+
+
 class TestSemiconcavity:
     def test_constant_potential(self):
         grid = unit_grid(64)
@@ -139,8 +211,6 @@ class TestSemiconcavity:
         assert rep.passed
 
     def test_concave_kink_passes_any_constant(self):
-        from otlab.cost import SemiconcavityBound
-
         grid = unit_grid(128)
         x = grid.cell_centers()[:, 0]
         phi = -np.abs(x - 0.5)
@@ -148,11 +218,24 @@ class TestSemiconcavity:
         assert rep.max_curvature <= 0.0
         assert rep.passed
 
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_potential_fails(self, d, bad):
+        # a potential that fails the bound must not pass once one cell is non-finite
+        grid = Grid(d, 0.0, 1.0, 16)
+        phi = 100.0 * (grid.cell_centers() ** 2).sum(axis=1).reshape(grid.shape)
+        bound = SemiconcavityBound(1.0, 1.0)
+        assert not semiconcavity_check(phi, bound, grid).passed
+        phi[(5,) * d] = bad
+        rep = semiconcavity_check(phi, bound, grid)
+        assert np.isnan(rep.max_curvature)
+        assert not rep.passed
+
     def test_mollified_instance_respects_bound(self):
         grid = unit_grid(256)
         rho = random_smooth_density(grid, 2)
         g = random_smooth_density(grid, 12)
-        smooth = mollify(power_cost(2.0, grid.cost_radius), 0.1, dim=1)
+        smooth = mollify(power_cost(2.0, grid.cost_radius), 0.1)
         res = solve_lp(rho, g, smooth)
         bound = semiconcavity_constant(smooth)
         rep = semiconcavity_check(res.phi, bound, grid)
@@ -272,6 +355,22 @@ class TestMollificationExperiment:
         alone = mollification_convergence_experiment(rho, g, cost, (0.2, 0.1, 0.05), solver)
         assert len(staircase_fills) == 1 + 1 + 4  # the shared ones and one per solve
         assert shared == alone
+
+    @pytest.mark.parametrize("widths, solver", [
+        ((0.2, 0.1, 0.0), "exact1d"), ((0.2, 0.1, 0.0), "lp"), ((0.1, 0.2), "exact1d"),
+        ((0.2, 0.1), "entropic"),
+    ], ids=["last-width-zero-exact1d", "last-width-zero-lp", "increasing", "solver"])
+    def test_refuses_before_any_solve(self, monkeypatch, widths, solver):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the inputs were checked")
+
+        for name in ("solve_exact_1d", "solve_lp"):
+            monkeypatch.setattr(fivegrad, name, no_solve)
+        grid = unit_grid(32)
+        rho = random_smooth_density(grid, 5)
+        with pytest.raises(ParameterError):
+            mollification_convergence_experiment(
+                rho, rho, power_cost(2.0, grid.cost_radius), widths, solver)
 
     def test_parameter_validation(self):
         grid = unit_grid()

@@ -3,7 +3,6 @@ import pytest
 
 from otlab.errors import DegenerateInputError, ParameterError, ShapeError
 from otlab.geometry import (
-    BoundaryFacet,
     DensityField,
     Grid,
     boundary_cells_and_normals,
@@ -203,23 +202,25 @@ class TestRandomSmoothDensity:
 
 class TestBoundary:
     def test_1d_two_endpoints(self):
-        facets = boundary_cells_and_normals(unit_grid(8))
-        assert len(facets) == 2
-        assert facets[0].normal[0] == -1.0 and facets[1].normal[0] == 1.0
-        assert sum(f.area for f in facets) == pytest.approx(2.0)
+        cells, normals, areas = boundary_cells_and_normals(unit_grid(8))
+        assert cells.tolist() == [0, 7]
+        assert normals.tolist() == [[-1.0], [1.0]]
+        assert areas.sum() == pytest.approx(2.0)
 
     def test_2d_unit_square_perimeter(self):
         g = Grid(2, (0.0, 0.0), (1.0, 1.0), (4, 4))
-        facets = boundary_cells_and_normals(g)
-        assert len(facets) == 16
-        assert sum(f.area for f in facets) == pytest.approx(4.0)
-        for f in facets:
-            assert np.linalg.norm(f.normal) == pytest.approx(1.0)
+        cells, normals, areas = boundary_cells_and_normals(g)
+        assert cells.shape == (16,) and normals.shape == (16, 2) and areas.shape == (16,)
+        assert areas.sum() == pytest.approx(4.0)
+        np.testing.assert_allclose(np.linalg.norm(normals, axis=1), 1.0)
+        # outward: each normal points from the box center towards its cell
+        centers = g.cell_centers()[cells] - 0.5
+        assert np.all((centers * normals).sum(axis=1) > 0)
 
     def test_2d_bigger_box(self):
         g = Grid(2, (0.0, 0.0), (2.0, 2.0), (8, 8))
-        facets = boundary_cells_and_normals(g)
-        assert sum(f.area for f in facets) == pytest.approx(8.0)
+        _, _, areas = boundary_cells_and_normals(g)
+        assert areas.sum() == pytest.approx(8.0)
 
 
 class TestCSV:

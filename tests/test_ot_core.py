@@ -104,16 +104,17 @@ class TestCanonicalPairMatrixForm:
 
 
 class TestCostMatrixCount:
-    """Each solve and each canonical pair builds its cost matrix exactly once."""
+    """Each solve builds its cost matrix exactly once; a canonical pair builds only blocks."""
 
     @pytest.fixture
     def count(self, monkeypatch):
+        """The entry count of every ``_cost_matrix`` build, in build order."""
         calls = []
         build = oc._cost_matrix
 
-        def counted(*args):
-            calls.append(1)
-            return build(*args)
+        def counted(cost, xs, ys):
+            calls.append(len(xs) * len(ys))
+            return build(cost, xs, ys)
 
         monkeypatch.setattr(oc, "_cost_matrix", counted)
         return calls
@@ -122,12 +123,23 @@ class TestCostMatrixCount:
         lambda rho, g, cost: oc.solve_lp(rho, g, cost),
         lambda rho, g, cost: oc.solve_entropic(rho, g, cost, eps_final=1e-2),
         lambda rho, g, cost: oc.solve_exact_1d(rho, g, cost),
-        lambda rho, g, cost: oc.canonical_pair(cost, np.zeros(rho.grid.shape), rho.grid, g.grid),
-    ], ids=["solve_lp", "solve_entropic", "solve_exact_1d", "canonical_pair"])
+    ], ids=["solve_lp", "solve_entropic", "solve_exact_1d"])
     def test_one_matrix_1d(self, count, solve):
         grid, rho, g = random_pair(n=32)
         solve(rho, g, power_cost(1.5, grid.cost_radius))
         assert len(count) == 1
+
+    def test_canonical_pair_builds_blocks_only(self, count):
+        # two blocked c-transforms of a 256 x 256 pair: two row blocks each,
+        # and the same bits as the double transform on the full matrix
+        grid = Grid(1, 0.0, 1.0, 256)
+        cost = power_cost(1.5, grid.cost_radius)
+        raw = np.random.default_rng(4).normal(size=grid.shape)
+        phi, psi = oc.canonical_pair(cost, raw, grid, grid)
+        assert count == [oc._BLOCK_ENTRIES] * 4
+        cmat = oc._cost_matrix(cost, grid.cell_centers(), grid.cell_centers())
+        want_phi, want_psi = oc._canonical_pair_from_matrix(cmat, raw)
+        assert np.array_equal(phi, want_phi) and np.array_equal(psi, want_psi)
 
     def test_one_matrix_lp_2d(self, count):
         grid = Grid(2, 0.0, 1.0, 5)
@@ -480,6 +492,14 @@ class TestLPRegression:
         # the most negative reduced cost lies outside the block the pass stopped in
         assert worst_row // 5 != entering_row // 5
         assert info.value.residual == float(-reduced.min())
+
+    @pytest.mark.xfail(strict=True, raises=ConvergenceError,
+                       reason="Bland's rule exceeds the pivot budget of 50(m + n)")
+    def test_batch_pair_p3_finishes(self):
+        # the 2-d batch pair of seed 5 at 8x8: p = 1.5 and p = 2 take 4818 and
+        # 2571 pivots; p = 3 stops after 6400 at residual 0.147
+        rho, g = fivegrad.instance_densities(fivegrad.BatchSpec(seeds=(5,), d=2), 5, 8)
+        _check_lp(oc.solve_lp(rho, g, power_cost(3.0, rho.grid.cost_radius)))
 
 
 def _weights(size):
