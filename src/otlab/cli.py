@@ -63,13 +63,10 @@ from .geometry import (
 from .jko import (
     Energy,
     JKOConfig,
-    aligned_dt,
-    check_pde_comparable,
     check_scheme_grid,
-    check_stable_dt,
+    comparison_steps,
     entropy_energy,
     jko_vs_pde_report,
-    pde_substeps,
     power_energy,
     run_jko,
     write_trajectory_dir,
@@ -303,7 +300,10 @@ def _density_from_spec(spec: dict, grid: Grid, base_dir: Path,
             raise ConfigError(f"bump {label} center must have {grid.d} coordinates")
         sq = ((grid.cell_centers() - center[None, :]) ** 2).sum(axis=1)
         vals = floor + np.exp(-sharpness * sq)
-        return normalize(DensityField(grid, vals.reshape(grid.shape)))
+        try:
+            return normalize(DensityField(grid, vals.reshape(grid.shape)))
+        except OTLabError as exc:
+            raise ConfigError(f"invalid bump {label} spec: {exc}") from exc
     path = base_dir / spec["path"]
     try:
         density = density_from_csv(path)
@@ -416,10 +416,7 @@ def cmd_jko(config: dict, out: Path, base_dir: Path, seed) -> int:
     if compare is not None:
         refine = compare.get("refine", False)
         try:
-            check_pde_comparable(jko_config, grid.d)
-            dt = aligned_dt(rho0, jko_config) if compare.get("dt") is None else compare["dt"]
-            pde_substeps(jko_config, dt, refine)
-            check_stable_dt(rho0, jko_config.p, jko_config.energy, dt)
+            dt, _ = comparison_steps(rho0, jko_config, compare.get("dt"), refine)
         except (DomainError, ParameterError) as exc:
             raise ConfigError(f"invalid compare_pde spec: {exc}") from exc
     try:

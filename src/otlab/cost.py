@@ -38,6 +38,8 @@ __all__ = [
 _BISECTION_ITERS = 80
 _REL_SLACK = 1e-9
 _MOLLIFY_ORDER = 32  # Gauss-Legendre points of the mollifier's quadrature
+_MONOTONE_SAMPLES = 64  # intervals of the strict-convexity sampling check
+_CURVATURE_SAMPLES = 128  # radii of the semiconcavity estimate
 
 
 @dataclass(frozen=True)
@@ -53,6 +55,10 @@ class RadialCost:
     radius: float
     family: str = "custom"
     exponent: float | None = None
+
+    def __post_init__(self):
+        if not self.radius > 0:
+            raise ParameterError("radius must be positive")
 
     def h(self, z) -> np.ndarray:
         """Evaluate the cost at one point (d,) or a batch (N, d)."""
@@ -77,11 +83,10 @@ class HFunction:
     profile: Callable = field(repr=False)
     dprofile: Callable = field(repr=False)
     delta0: float = 0.0
-    label: str = "custom"
 
     def __post_init__(self):
-        if self.delta0 < 0:
-            raise ParameterError("delta0 must be nonnegative")
+        if not 0 <= self.delta0 < np.inf:
+            raise ParameterError(f"delta0 must be finite and nonnegative, got {self.delta0}")
 
 
 @dataclass(frozen=True)
@@ -96,9 +101,9 @@ class SemiconcavityBound:
             raise ParameterError("semiconcavity constant must be finite and >= 0")
 
 
-def _validate_monotone_derivative(cost: RadialCost, samples: int = 64) -> None:
+def _validate_monotone_derivative(cost: RadialCost) -> None:
     """Sampling check of strict convexity along rays and p'(0) = 0."""
-    r = np.linspace(0.0, cost.radius, samples + 1)
+    r = np.linspace(0.0, cost.radius, _MONOTONE_SAMPLES + 1)
     dp = np.asarray(cost.dprofile(r), dtype=float)
     if not np.all(np.isfinite(dp)):
         raise ParameterError("profile derivative is not finite on [0, R]")
@@ -113,8 +118,6 @@ def power_cost(p: float, radius: float) -> RadialCost:
     """Cost |z|^p / p for an exponent p > 1."""
     if not 1 < p < np.inf:
         raise ParameterError(f"power-family exponent must be finite and exceed 1, got {p}")
-    if not radius > 0:
-        raise ParameterError("radius must be positive")
 
     def profile(r):
         return np.asarray(r, dtype=float) ** p / p
@@ -149,8 +152,8 @@ def tabulated_cost(radii, values, radius: float | None = None) -> RadialCost:
 
 def power_h_function(q: float, delta0: float = 0.0) -> HFunction:
     """Radial convex weight r^q / q for q > 1 with the zero-threshold rule."""
-    if not q > 1:
-        raise ParameterError(f"weight exponent must exceed 1, got {q}")
+    if not 1 < q < np.inf:
+        raise ParameterError(f"weight exponent must be finite and exceed 1, got {q}")
 
     def profile(r):
         return np.asarray(r, dtype=float) ** q / q
@@ -158,7 +161,7 @@ def power_h_function(q: float, delta0: float = 0.0) -> HFunction:
     def dprofile(r):
         return np.asarray(r, dtype=float) ** (q - 1.0)
 
-    return HFunction(profile, dprofile, float(delta0), label=f"power[q={q}]")
+    return HFunction(profile, dprofile, float(delta0))
 
 
 def scale_h_function(hfun: HFunction, factor: float) -> HFunction:
@@ -169,12 +172,27 @@ def scale_h_function(hfun: HFunction, factor: float) -> HFunction:
         lambda r: factor * np.asarray(hfun.profile(r), dtype=float),
         lambda r: factor * np.asarray(hfun.dprofile(r), dtype=float),
         hfun.delta0,
-        label=f"{hfun.label}*{factor}",
     )
 
 
-def _radii(z: np.ndarray) -> np.ndarray:
-    return np.sqrt((z**2).sum(axis=-1))
+def _radial_map(z, scale: Callable, floor: float = 0.0, bound: float = np.inf,
+                out_of_bound: Callable | None = None) -> np.ndarray:
+    """scale(|z|) z on rows with |z| > floor, exact zeros on the others.
+
+    The one path of every radial gradient here. Accepts one point of shape
+    (d,) or a batch (N, d). If some |z| exceeds ``bound`` beyond round-off
+    slack, raises ``out_of_bound(max |z|)``. ``scale`` gets the norms above
+    ``floor`` and 1.0 in place of the others, whose products are discarded,
+    so a profile derivative defined for r > 0 is never called at 0.
+    """
+    z = np.asarray(z, dtype=float)
+    pts = np.atleast_2d(z)
+    r = np.sqrt((pts**2).sum(axis=-1))
+    if np.any(r > bound * (1.0 + _REL_SLACK)):
+        raise out_of_bound(r.max())
+    live = r > floor
+    out = np.where(live[:, None], pts * scale(np.where(live, r, 1.0))[:, None], 0.0)
+    return out[0] if z.ndim == 1 else out
 
 
 def grad_h(cost: RadialCost, z) -> np.ndarray:
@@ -182,20 +200,11 @@ def grad_h(cost: RadialCost, z) -> np.ndarray:
 
     Accepts one point of shape (d,) or a batch (N, d); raises outside the ball.
     """
-    z = np.asarray(z, dtype=float)
-    single = z.ndim == 1
-    pts = np.atleast_2d(z)
-    r = _radii(pts)
-    if np.any(r > cost.radius * (1.0 + _REL_SLACK)):
-        raise DomainError(
-            f"|z| = {r.max():.6g} exceeds the cost radius {cost.radius:.6g}"
-        )
-    out = np.zeros_like(pts)
-    nz = r > 0
-    if np.any(nz):
-        scale = np.asarray(cost.dprofile(r[nz]), dtype=float) / r[nz]
-        out[nz] = pts[nz] * scale[:, None]
-    return out[0] if single else out
+    return _radial_map(
+        z, lambda r: np.asarray(cost.dprofile(r), dtype=float) / r, bound=cost.radius,
+        out_of_bound=lambda r: DomainError(
+            f"|z| = {r:.6g} exceeds the cost radius {cost.radius:.6g}"),
+    )
 
 
 def _invert_dprofile(cost: RadialCost, w_norm: np.ndarray) -> np.ndarray:
@@ -223,22 +232,12 @@ def grad_h_star(cost: RadialCost, w) -> np.ndarray:
     Finds r with p'(r) = |w| by bisection and returns r w / |w|; arguments
     beyond p'(R) (the range of grad_h) raise.
     """
-    w = np.asarray(w, dtype=float)
-    single = w.ndim == 1
-    pts = np.atleast_2d(w)
-    wn = _radii(pts)
     wmax = cost.grad_range()
-    if np.any(wn > wmax * (1.0 + _REL_SLACK)):
-        raise RangeError(
-            f"|w| = {wn.max():.6g} exceeds the gradient range p'(R) = {wmax:.6g}"
-        )
-    wn_clipped = np.minimum(wn, wmax)
-    out = np.zeros_like(pts)
-    nz = wn > 0
-    if np.any(nz):
-        r = _invert_dprofile(cost, wn_clipped[nz])
-        out[nz] = pts[nz] * (r / wn[nz])[:, None]
-    return out[0] if single else out
+    return _radial_map(
+        w, lambda wn: _invert_dprofile(cost, np.minimum(wn, wmax)) / wn, bound=wmax,
+        out_of_bound=lambda wn: RangeError(
+            f"|w| = {wn:.6g} exceeds the gradient range p'(R) = {wmax:.6g}"),
+    )
 
 
 def grad_H(hfun: HFunction, z) -> np.ndarray:
@@ -247,16 +246,8 @@ def grad_H(hfun: HFunction, z) -> np.ndarray:
     Returns 0 where |z| <= delta0, else p_H'(|z|) z / |z|; always a
     nonnegative multiple of z.
     """
-    z = np.asarray(z, dtype=float)
-    single = z.ndim == 1
-    pts = np.atleast_2d(z)
-    r = _radii(pts)
-    out = np.zeros_like(pts)
-    active = r > hfun.delta0
-    if np.any(active):
-        scale = np.asarray(hfun.dprofile(r[active]), dtype=float) / r[active]
-        out[active] = pts[active] * scale[:, None]
-    return out[0] if single else out
+    return _radial_map(z, lambda r: np.asarray(hfun.dprofile(r), dtype=float) / r,
+                       floor=hfun.delta0)
 
 
 def _bump(u: np.ndarray, eps: float) -> np.ndarray:
@@ -310,19 +301,17 @@ def mollify(cost: RadialCost, epsilon: float) -> RadialCost:
     return smoothed
 
 
-def semiconcavity_constant(cost: RadialCost, radius: float | None = None, samples: int = 128) -> SemiconcavityBound:
-    """Bound the largest eigenvalue of the cost Hessian on the ball.
+def semiconcavity_constant(cost: RadialCost) -> SemiconcavityBound:
+    """Bound the largest eigenvalue of the cost Hessian on the cost's ball.
 
     For a radial cost those eigenvalues are p''(r) along the ray and p'(r)/r
     across it; p'' is estimated by central differences of p' at sampled radii
     and the maximum is returned with a 10% safety margin. Meaningful for
     costs that are twice differentiable away from kinks (smoothed costs).
     """
-    rad = float(radius if radius is not None else cost.radius)
-    if not rad > 0:
-        raise ParameterError("radius must be positive")
-    r = np.linspace(rad / samples, rad, samples)
-    delta = rad / (4.0 * samples)
+    rad = float(cost.radius)
+    r = np.linspace(rad / _CURVATURE_SAMPLES, rad, _CURVATURE_SAMPLES)
+    delta = rad / (4.0 * _CURVATURE_SAMPLES)
     second = (
         np.asarray(cost.dprofile(r + delta), dtype=float)
         - np.asarray(cost.dprofile(np.maximum(r - delta, 0.0)), dtype=float)

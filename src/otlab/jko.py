@@ -564,12 +564,8 @@ def stable_dt(rho: DensityField, p: float, energy: Energy) -> float:
     return 0.2 * spacing**q / peak
 
 
-def check_stable_dt(rho_0: DensityField, p: float, energy: Energy, dt: float) -> None:
-    """Raise ParameterError if dt exceeds ``stable_dt`` at the initial data.
-
-    ``reference_pde_solve`` calls this before its first step; it needs no
-    run of the flow, so a comparison can be refused before the scheme runs.
-    """
+def _check_stable_dt(rho_0: DensityField, p: float, energy: Energy, dt: float) -> None:
+    """Raise ParameterError if dt exceeds ``stable_dt`` at the initial data."""
     bound = stable_dt(rho_0, p, energy)
     if dt > bound * (1.0 + 1e-12):
         raise ParameterError(
@@ -597,7 +593,7 @@ def reference_pde_solve(rho_0: DensityField, p: float, energy: Energy,
     if record_every < 1 or steps % record_every != 0:
         raise ParameterError(
             f"record_every = {record_every} must be a positive divisor of steps = {steps}")
-    check_stable_dt(rho_0, p, energy, dt)
+    _check_stable_dt(rho_0, p, energy, dt)
     q = p / (p - 1.0)
     spacing = grid.spacing[0]
     mass_0 = rho_0.mass
@@ -651,8 +647,6 @@ class JKOPDEReport:
     times: tuple
     distances: tuple
     refined_distances: tuple
-    tau: float
-    dt: float
     refinement_ok: bool
 
     @property
@@ -668,24 +662,22 @@ def _l1_distance(a: DensityField, b: DensityField) -> float:
     return float(np.abs(a.values - b.values).sum() * a.grid.cell_volume)
 
 
-def check_pde_comparable(config: JKOConfig, d: int) -> None:
-    """Raise unless ``jko_vs_pde_report`` can compare a ``d``-dimensional run of ``config``.
+def comparison_steps(rho_0: DensityField, config: JKOConfig, dt: float | None,
+                     refine: bool) -> tuple[float, int]:
+    """The reference step and its count per scheme step of ``jko_vs_pde_report``.
 
-    The reference runs on 1-d grids and the comparison needs at least one
-    step; like ``pde_substeps``, this needs no run of the flow.
+    Every rule of a scheme-vs-PDE comparison of a run of ``config`` from
+    rho_0, checked without running the flow: the grid is 1-d, there is at
+    least one step, and dt (``aligned_dt`` if None) is positive, divides
+    tau, and tau/2 if ``refine`` is set, and is within ``stable_dt`` at
+    rho_0. Raises DomainError or ParameterError; returns (dt, tau / dt).
     """
-    if d != 1:
+    if rho_0.grid.d != 1:
         raise DomainError("the comparison runs on 1-d grids")
     if config.steps < 1:
         raise ParameterError("need at least one step to compare")
-
-
-def pde_substeps(config: JKOConfig, dt: float, refine: bool) -> int:
-    """The reference steps tau / dt per scheme step of ``jko_vs_pde_report``.
-
-    Raises ParameterError unless dt > 0 divides tau, and tau/2 if ``refine``
-    is set; ``aligned_dt`` constructs such a step. Needs no run of the flow.
-    """
+    if dt is None:
+        dt = aligned_dt(rho_0, config)
     if not dt > 0:
         raise ParameterError(f"dt must be positive, got {dt}")
     ratio = config.tau / dt
@@ -694,22 +686,21 @@ def pde_substeps(config: JKOConfig, dt: float, refine: bool) -> int:
         raise ParameterError(f"dt = {dt:.3e} must divide tau = {config.tau:.3e}")
     if refine and substeps % 2 != 0:
         raise ParameterError("refinement needs tau/dt even so tau/2 stays aligned")
-    return substeps
+    _check_stable_dt(rho_0, config.p, config.energy, dt)
+    return dt, substeps
 
 
-def jko_vs_pde_report(trajectory: Trajectory, config: JKOConfig, dt: float,
+def jko_vs_pde_report(trajectory: Trajectory, config: JKOConfig, dt: float | None,
                       refine: bool = True) -> JKOPDEReport:
     """Compare a completed scheme run against the PDE reference at 5 shared checkpoints.
 
     ``trajectory`` is the ``run_jko`` result for ``config``; the reference
-    starts from its first state; ``config`` and the grid must pass
-    ``check_pde_comparable``, and ``dt`` must pass ``pde_substeps``. The
-    refined pass reruns the scheme at tau/2 over the same horizon and must
-    not increase the final-checkpoint distance.
+    starts from its first state, with the step ``comparison_steps`` checks
+    and resolves. The refined pass reruns the scheme at tau/2 over the same
+    horizon and must not increase the final-checkpoint distance.
     """
     rho_0 = trajectory.densities[0]
-    check_pde_comparable(config, rho_0.grid.d)
-    substeps = pde_substeps(config, dt, refine)
+    dt, substeps = comparison_steps(rho_0, config, dt, refine)
     if trajectory.error:
         raise StepError(f"scheme run failed: {trajectory.error}", residual=float("nan"))
     if len(trajectory) != config.steps + 1:
@@ -739,8 +730,6 @@ def jko_vs_pde_report(trajectory: Trajectory, config: JKOConfig, dt: float,
         times=times,
         distances=distances,
         refined_distances=refined_distances,
-        tau=config.tau,
-        dt=dt,
         refinement_ok=refinement_ok,
     )
 

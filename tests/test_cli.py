@@ -34,6 +34,8 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = REPO_ROOT / "configs"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 NAN, INF = float("nan"), float("inf")
+# a bump centered far off the unit box: exp underflows to 0 on every cell
+ZERO_MASS_BUMP = {"kind": "bump", "floor": 0.0, "sharpness": 1e6, "center": 5.0}
 
 
 def write_config(tmp_path: Path, payload: dict, name: str = "config.json") -> Path:
@@ -230,6 +232,15 @@ class TestSolveOT:
         assert run_cli("solve-ot", "--config", cfg, "--out", tmp_path / "out") == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "1-d" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_mass_bump_exits_2(self, tmp_path, capsys):
+        # a bump that vanishes on every cell cannot be normalized: a config
+        # error, not a solver error, and no output directory left behind
+        cfg = write_config(tmp_path, solve_config(rho=ZERO_MASS_BUMP))
+        assert run_cli("solve-ot", "--config", cfg, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: invalid bump rho spec:") and "zero total mass" in err
         assert not (tmp_path / "out").exists()
 
     def test_shipped_2d_entropic_example_matches_golden_meta(self, tmp_path):
@@ -698,6 +709,15 @@ class TestJKO:
         assert run_cli("jko", "--config", cfg, "--out", tmp_path / "out") == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "grid" in err and "1-d" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_mass_bump_exits_2(self, tmp_path, capsys):
+        payload = self.jko_config()
+        payload["rho0"] = ZERO_MASS_BUMP
+        cfg = write_config(tmp_path, payload)
+        assert run_cli("jko", "--config", cfg, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: invalid bump rho0 spec:") and "zero total mass" in err
         assert not (tmp_path / "out").exists()
 
     def test_invalid_scheme_value_exits_2(self, tmp_path):

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otlab.cost import (
+    HFunction,
+    _invert_dprofile,
     grad_h,
     grad_h_star,
     grad_H,
@@ -34,6 +36,10 @@ class TestPowerCost:
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ParameterError):
             power_cost(2.0, radius=0.0)
+        r = np.linspace(0.0, 2.0, 9)
+        for radius in (-1.0, np.nan):
+            with pytest.raises(ParameterError, match="radius must be positive"):
+                tabulated_cost(r, r**2 / 2.0, radius=radius)
 
     def test_evaluates_profile(self):
         cost = power_cost(3.0, radius=8.0)
@@ -182,10 +188,6 @@ class TestSemiconcavity:
         bound = semiconcavity_constant(cost)
         assert np.isfinite(bound.constant) and bound.constant > 0
 
-    def test_rejects_nonpositive_radius(self):
-        with pytest.raises(ParameterError):
-            semiconcavity_constant(power_cost(2.0, 1.0), radius=-1.0)
-
 
 class TestHFunction:
     def test_rejects_exponent_at_most_one(self):
@@ -195,6 +197,21 @@ class TestHFunction:
     def test_rejects_negative_threshold(self):
         with pytest.raises(ParameterError):
             power_h_function(2.0, delta0=-1e-3)
+
+    @pytest.mark.parametrize("q", [np.inf, np.nan])
+    def test_rejects_non_finite_exponent(self, q):
+        # q = inf gave grad_H = [0, inf] at |z| = 0.5 and 2
+        with pytest.raises(ParameterError, match="finite"):
+            power_h_function(q)
+
+    @pytest.mark.parametrize("delta0", [np.inf, np.nan])
+    def test_rejects_non_finite_threshold(self, delta0):
+        # a NaN threshold made grad_H vanish everywhere, so every
+        # five-gradients integrand built on it would read 0 and pass
+        with pytest.raises(ParameterError, match="finite"):
+            power_h_function(2.0, delta0=delta0)
+        with pytest.raises(ParameterError, match="finite"):
+            HFunction(np.abs, np.sign, delta0)
 
     def test_gradient_zero_at_origin_and_below_threshold(self):
         hfun = power_h_function(1.5, delta0=1e-9)
@@ -216,6 +233,73 @@ class TestHFunction:
         doubled = scale_h_function(hfun, 2.0)
         z = np.array([[0.5, 0.1], [0.0, -0.2]])
         np.testing.assert_allclose(grad_H(doubled, z), 2.0 * grad_H(hfun, z))
+
+
+def _radial_batch(d: int, radius: float, delta0: float, seed: int = 3) -> np.ndarray:
+    """Rows of norms 1e-300 .. 0.99 radius, with zero rows and rows of norm exactly delta0."""
+    rng = np.random.default_rng(seed)
+    dirs = rng.normal(size=(600, d))
+    dirs /= np.sqrt((dirs**2).sum(axis=1))[:, None]
+    z = dirs * (10.0 ** rng.uniform(-300, np.log10(0.99 * radius), size=600))[:, None]
+    z[::7] = 0.0
+    z[3::11, 0] = delta0  # axis rows: |z| == delta0 exactly
+    z[3::11, 1:] = 0.0
+    return z
+
+
+def _per_row(z: np.ndarray, scale, floor: float = 0.0) -> np.ndarray:
+    """scale(|z|) z row by row where |z| > floor, zero elsewhere."""
+    out = np.zeros_like(z)
+    for i, row in enumerate(z):
+        r = np.sqrt((row**2).sum())
+        if r > floor:
+            out[i] = row * scale(np.array([r]))[0]
+    return out
+
+
+class TestRadialMap:
+    COSTS = {
+        "power1.5": lambda: power_cost(1.5, 2.0),
+        "power3": lambda: power_cost(3.0, 2.0),
+        "mollified": lambda: mollify(power_cost(1.5, 2.0), 0.1),
+        "tabulated": lambda: tabulated_cost(np.linspace(0.0, 2.0, 17),
+                                            np.linspace(0.0, 2.0, 17) ** 4 / 4.0),
+    }
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("name", sorted(COSTS))
+    def test_gradients_equal_per_row_reference_bits(self, name, d):
+        cost = self.COSTS[name]()
+        z = _radial_batch(d, cost.radius, 1e-4)
+        want = _per_row(z, lambda r: cost.dprofile(r) / r)
+        assert grad_h(cost, z).tobytes() == want.tobytes()
+        wmax = cost.grad_range()
+        w = z * (wmax / cost.radius)
+        want = _per_row(w, lambda r: _invert_dprofile(cost, np.minimum(r, wmax)) / r)
+        assert grad_h_star(cost, w).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("delta0", [0.0, 1e-9, 1e-4])
+    def test_weight_gradient_equals_per_row_reference_bits(self, delta0, d):
+        hfun = scale_h_function(power_h_function(1.5, delta0=delta0), 0.7)
+        z = _radial_batch(d, 2.0, delta0)
+        want = _per_row(z, lambda r: hfun.dprofile(r) / r, floor=delta0)
+        assert grad_H(hfun, z).tobytes() == want.tobytes()
+        assert not grad_H(hfun, z)[3::11].any()
+
+    def test_weight_derivative_never_sees_a_zero_norm(self):
+        def dprofile(r):
+            r = np.asarray(r, dtype=float)
+            if np.any(r <= 0):
+                raise AssertionError(f"dprofile called at r = {r.min()}")
+            return np.sqrt(r)
+
+        hfun = HFunction(lambda r: np.asarray(r) ** 1.5 / 1.5, dprofile)
+        z = np.array([[0.0, 0.0], [3.0, 4.0], [1e-300, 0.0], [-0.0, 0.0], [1e-200, 1e-200]])
+        got = grad_H(hfun, z)
+        np.testing.assert_array_equal(got[[0, 2, 3, 4]], 0.0)
+        np.testing.assert_allclose(got[1], np.array([3.0, 4.0]) / np.sqrt(5.0))
+        np.testing.assert_array_equal(grad_H(hfun, np.zeros(2)), np.zeros(2))
 
 
 class TestTabulatedAndConfig:

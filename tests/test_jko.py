@@ -636,6 +636,15 @@ class TestJKOvsPDEReport:
             jko._l1_distance(traj.densities[k], full.densities[k * substeps])
             for k in (0, 2, 4, 6, 8))
 
+    def test_comparison_steps_resolve_a_null_dt(self, short_run):
+        rho0, config, traj = short_run
+        dt = jko.aligned_dt(rho0, config)
+        substeps = round(config.tau / dt)
+        assert jko.comparison_steps(rho0, config, None, refine=True) == (dt, substeps)
+        assert jko.comparison_steps(rho0, config, dt, refine=False) == (dt, substeps)
+        assert (jko.jko_vs_pde_report(traj, config, None, refine=False)
+                == jko.jko_vs_pde_report(traj, config, dt, refine=False))
+
     def test_unstable_dt_raises(self, short_run):
         _, config, traj = short_run
         with pytest.raises(ParameterError, match="stability bound"):
