@@ -440,7 +440,7 @@ def cmd_jko(config: dict, out: Path, base_dir: Path, seed) -> int:
             header.append("refined_distance")
         write_rows(out / "pde_compare.csv", [header, *zip(*columns)])
         print(f"jko: steps={jko_config.steps} final_tv={trajectory.tv[-1]:.6f} "
-              f"pde_distance={report.final_distance:.6f}")
+              f"pde_distance={report.distances[-1]:.6f}")
     else:
         print(f"jko: steps={jko_config.steps} final_tv={trajectory.tv[-1]:.6f}")
     return _EXIT_OK

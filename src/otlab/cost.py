@@ -22,7 +22,6 @@ from .errors import DomainError, OTLabError, ParameterError, RangeError
 __all__ = [
     "RadialCost",
     "HFunction",
-    "SemiconcavityBound",
     "power_cost",
     "tabulated_cost",
     "power_h_function",
@@ -87,18 +86,6 @@ class HFunction:
     def __post_init__(self):
         if not 0 <= self.delta0 < np.inf:
             raise ParameterError(f"delta0 must be finite and nonnegative, got {self.delta0}")
-
-
-@dataclass(frozen=True)
-class SemiconcavityBound:
-    """Constant C such that z -> h(z) - C|z|^2 is concave on B(radius)."""
-
-    constant: float
-    radius: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.constant) and self.constant >= 0):
-            raise ParameterError("semiconcavity constant must be finite and >= 0")
 
 
 def _validate_monotone_derivative(cost: RadialCost) -> None:
@@ -301,12 +288,13 @@ def mollify(cost: RadialCost, epsilon: float) -> RadialCost:
     return smoothed
 
 
-def semiconcavity_constant(cost: RadialCost) -> SemiconcavityBound:
+def semiconcavity_constant(cost: RadialCost) -> float:
     """Bound the largest eigenvalue of the cost Hessian on the cost's ball.
 
     For a radial cost those eigenvalues are p''(r) along the ray and p'(r)/r
     across it; p'' is estimated by central differences of p' at sampled radii
-    and the maximum is returned with a 10% safety margin. Meaningful for
+    and the maximum, floored at 0, is returned with a 10% safety margin, so
+    z -> h(z) - C|z|^2 / 2 is concave on the ball. Meaningful for
     costs that are twice differentiable away from kinks (smoothed costs).
     """
     rad = float(cost.radius)
@@ -320,4 +308,4 @@ def semiconcavity_constant(cost: RadialCost) -> SemiconcavityBound:
     candidates = np.concatenate([second, tangential])
     if not np.all(np.isfinite(candidates)):
         raise OTLabError("second differences of the cost are not finite")
-    return SemiconcavityBound(1.1 * float(max(candidates.max(), 0.0)), rad)
+    return 1.1 * float(max(candidates.max(), 0.0))

@@ -29,11 +29,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import geometry
 from .cost import (
     HFunction,
     RadialCost,
-    SemiconcavityBound,
     check_mollify_width,
     grad_H,
     grad_h_star,
@@ -93,7 +91,6 @@ class InequalityReport:
     p: float
     q: float
     n: int
-    d: int
     solver: str
     lhs: float
     flux: float
@@ -114,7 +111,6 @@ class SemiconcavityReport:
     """Largest centered second difference of a potential against the cost bound."""
 
     max_curvature: float
-    constant: float
     tolerance: float
     passed: bool
 
@@ -145,16 +141,14 @@ class MollificationReport:
 
     ``deviation_measures[k]`` is the rho-mass of cells where the map of the
     width-epsilon cost differs from the unmollified reference map by more
-    than ``deviation_threshold``; ``lp_distances[k]`` is the rho-weighted
-    L^p distance between the two maps. Both sequences must be nonincreasing
-    up to 10% slack and end below ``final_threshold``.
+    than 2 cells; ``lp_distances[k]`` is the rho-weighted L^p distance
+    between the two maps. Both sequences must be nonincreasing up to 10%
+    slack and end at or below 5 cells.
     """
 
     epsilons: tuple[float, ...]
     deviation_measures: tuple[float, ...]
     lp_distances: tuple[float, ...]
-    deviation_threshold: float
-    final_threshold: float
     monotone_ok: bool
     final_ok: bool
     passed: bool
@@ -195,10 +189,10 @@ class BatchSpec:
             raise ParameterError(f"unknown solver {self.solver!r}")
         if self.solver == "exact1d" and self.d != 1:
             raise DomainError("the exact1d solver only runs in 1-d")
-        if not all(p > 1 for p in self.p_values):
-            raise ParameterError("cost exponents must satisfy p > 1")
-        if not all(q > 1 for q in self.q_values):
-            raise ParameterError("H exponents must satisfy q > 1")
+        if not all(1 < p < np.inf for p in self.p_values):
+            raise ParameterError("cost exponents must be finite and satisfy p > 1")
+        if not all(1 < q < np.inf for q in self.q_values):
+            raise ParameterError("H exponents must be finite and satisfy q > 1")
         if not all(n >= 4 for n in self.n_values):
             raise ParameterError("resolutions must be at least 4")
         if self.bounds is not None and (len(self.bounds) != self.d
@@ -210,8 +204,8 @@ class BatchSpec:
             raise ParameterError("the density floor must be positive")
         if self.mode_count < 1:
             raise ParameterError("mode_count must be at least 1")
-        if not self.entropic_eps > 0:
-            raise ParameterError("entropic_eps must be positive")
+        if not 0 < self.entropic_eps < np.inf:
+            raise ParameterError("entropic_eps must be finite and positive")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         object.__setattr__(self, "p_values", tuple(float(p) for p in self.p_values))
         object.__setattr__(self, "q_values", tuple(float(q) for q in self.q_values))
@@ -258,8 +252,7 @@ def _five_gradients(rho: DensityField, g: DensityField, phi, psi,
     once; per H, the integrand and the flux share one grad_H pass.
     """
     grid, phi, psi = _checked_fields(rho, g, phi, psi)
-    d_rho, d_g = rho.gradient().components, g.gradient().components
-    d_phi, d_psi = gradient(phi, grid).components, gradient(psi, grid).components
+    d_rho, d_g, d_phi, d_psi = (gradient(f, grid) for f in (rho.values, g.values, phi, psi))
     cells, normals, areas = boundary_cells_and_normals(grid)
     rho_b, g_b = rho.values.reshape(-1)[cells], g.values.reshape(-1)[cells]
     out = []
@@ -304,12 +297,13 @@ def boundary_flux(rho: DensityField, g: DensityField, phi, psi,
     return _five_gradients(rho, g, phi, psi, [hfun])[0][2]
 
 
-def semiconcavity_check(phi, bound: SemiconcavityBound, grid: Grid) -> SemiconcavityReport:
+def semiconcavity_check(phi, constant: float, grid: Grid) -> SemiconcavityReport:
     """Check that a potential's axis curvatures respect the cost's bound.
 
     Potentials of a twice-differentiable cost are semiconcave with the same
-    constant C as the cost, so every centered second difference along a grid
-    axis must stay at or below C up to discretization slack 10 * spacing * C.
+    constant C as the cost (``cost.semiconcavity_constant``), so every
+    centered second difference along a grid axis must stay at or below C up
+    to discretization slack 10 * spacing * C.
     A potential with a non-finite entry reports NaN and fails.
     """
     phi = np.asarray(phi, dtype=float)
@@ -319,13 +313,9 @@ def semiconcavity_check(phi, bound: SemiconcavityBound, grid: Grid) -> Semiconca
         worst = float(max(f.max() for f in _second_difference_fields(phi, grid)[:grid.d]))
     else:
         worst = float("nan")
-    tol = 10.0 * max(grid.spacing) * bound.constant
-    return SemiconcavityReport(
-        max_curvature=worst,
-        constant=bound.constant,
-        tolerance=tol,
-        passed=worst <= bound.constant + tol,
-    )
+    tol = 10.0 * max(grid.spacing) * constant
+    return SemiconcavityReport(max_curvature=worst, tolerance=tol,
+                               passed=worst <= constant + tol)
 
 
 def _second_difference_fields(values: np.ndarray, grid: Grid) -> list[np.ndarray]:
@@ -349,7 +339,7 @@ def _second_difference_fields(values: np.ndarray, grid: Grid) -> list[np.ndarray
 
 
 def second_order_check(phi, psi, transport, rho: DensityField,
-                       bound: SemiconcavityBound) -> SecondOrderReport:
+                       constant: float) -> SecondOrderReport:
     """Tail check of the map-level curvature bound D2 phi(x) + D2 psi(T(x)) <= 0.
 
     Both Hessians are centered second differences; the psi terms are
@@ -375,7 +365,7 @@ def second_order_check(phi, psi, transport, rho: DensityField,
 
     eligible = transport.mask & interior.reshape(-1) & target_ok
     count = int(eligible.sum())
-    tol = 20.0 * max(grid.spacing) * bound.constant
+    tol = 20.0 * max(grid.spacing) * constant
     if count == 0:
         return SecondOrderReport(float("nan"), tol, 0, False)
 
@@ -498,8 +488,6 @@ def mollification_convergence_experiment(rho: DensityField, g: DensityField,
         epsilons=eps,
         deviation_measures=tuple(measures),
         lp_distances=tuple(distances),
-        deviation_threshold=dev_threshold,
-        final_threshold=final_threshold,
         monotone_ok=monotone_ok,
         final_ok=final_ok,
         passed=monotone_ok and final_ok,
@@ -614,7 +602,7 @@ def verify_batch(spec: BatchSpec) -> list[InequalityReport]:
                     error = f"{type(exc).__name__}: {exc}"
                     terms = [(None, float("nan"), float("nan"))] * len(hfuns)
                 solved[i, j, k] = [
-                    InequalityReport(seed=seed, p=p, q=q, n=n, d=spec.d, solver=solver,
+                    InequalityReport(seed=seed, p=p, q=q, n=n, solver=solver,
                                      lhs=lhs, flux=flux, tv_rho=tv_rho, tv_g=tv_g,
                                      tolerance=tol, passed=bool(lhs >= -tol), error=error)
                     for q, (_, lhs, flux) in zip(spec.q_values, terms)

@@ -19,7 +19,6 @@ from .errors import DegenerateInputError, ParameterError, ShapeError
 __all__ = [
     "Grid",
     "DensityField",
-    "VectorField",
     "gradient",
     "tv_norm",
     "normalize",
@@ -172,66 +171,33 @@ class DensityField:
     def normalized(self) -> "DensityField":
         return normalize(self)
 
-    def gradient(self) -> "VectorField":
-        return gradient(self)
-
     def tv(self) -> float:
         return tv_norm(self)
 
 
-@dataclass(frozen=True)
-class VectorField:
-    """One d-vector per cell, same layout as the grid."""
-
-    grid: Grid
-    components: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        comp = np.asarray(self.components, dtype=float)
-        expected = self.grid.shape + (self.grid.d,)
-        if comp.shape != expected:
-            raise ShapeError(f"components shape {comp.shape} != {expected}")
-        if not np.all(np.isfinite(comp)):
-            raise ShapeError("vector field entries must be finite")
-        object.__setattr__(self, "components", _freeze(comp))
-
-    @property
-    def magnitude(self) -> np.ndarray:
-        return np.sqrt((self.components**2).sum(axis=-1))
-
-
-def _field_values(field_like, grid: Grid | None = None) -> tuple[Grid, np.ndarray]:
-    if isinstance(field_like, DensityField):
-        return field_like.grid, field_like.values
-    if grid is None:
-        raise ShapeError("a bare array needs an explicit grid")
-    vals = np.asarray(field_like, dtype=float)
-    if vals.shape != grid.shape:
-        raise ShapeError(f"values shape {vals.shape} != grid shape {grid.shape}")
-    return grid, vals
-
-
-def gradient(field_like, grid: Grid | None = None) -> VectorField:
-    """Finite-difference gradient of a scalar grid function.
+def gradient(values, grid: Grid) -> np.ndarray:
+    """Finite-difference gradient of a scalar grid function, shape ``grid.shape + (d,)``.
 
     Central differences at interior cells, first-order one-sided differences
-    at boundary cells; exact for affine data away from the boundary.
-    Accepts a :class:`DensityField` or a bare array plus its grid.
+    at boundary cells; exact for affine data away from the boundary. Raises
+    ShapeError when the values do not match the grid or a gradient entry is
+    not finite.
     """
-    g, vals = _field_values(field_like, grid)
+    vals = np.asarray(values, dtype=float)
+    if vals.shape != grid.shape:
+        raise ShapeError(f"values shape {vals.shape} != grid shape {grid.shape}")
     # np.gradient with edge_order=1 is exactly this stencil.
-    parts = np.gradient(vals, *g.spacing, edge_order=1)
-    if g.d == 1:
-        parts = [parts] if isinstance(parts, np.ndarray) else parts
-    comp = np.stack(parts, axis=-1)
-    return VectorField(g, comp)
+    parts = np.gradient(vals, *grid.spacing, edge_order=1)
+    comp = np.stack([parts] if grid.d == 1 else parts, axis=-1)
+    if not np.all(np.isfinite(comp)):
+        raise ShapeError("gradient entries must be finite")
+    return comp
 
 
-def tv_norm(field_like, grid: Grid | None = None) -> float:
+def tv_norm(density: DensityField) -> float:
     """Discrete total variation: sum of |gradient| times cell volume."""
-    g, _ = _field_values(field_like, grid)
-    vf = gradient(field_like, grid)
-    return float(vf.magnitude.sum() * g.cell_volume)
+    comp = gradient(density.values, density.grid)
+    return float(np.sqrt((comp**2).sum(axis=-1)).sum() * density.grid.cell_volume)
 
 
 def normalize(density: DensityField) -> DensityField:

@@ -173,16 +173,16 @@ class JKOConfig:
     eps: float = 1e-4
 
     def __post_init__(self):
-        if not self.p > 1:
-            raise ParameterError(f"cost exponent must exceed 1, got {self.p}")
-        if not self.tau > 0:
-            raise ParameterError(f"time step must be positive, got {self.tau}")
+        if not 1 < self.p < np.inf:
+            raise ParameterError(f"cost exponent must be finite and exceed 1, got {self.p}")
+        if not 0 < self.tau < np.inf:
+            raise ParameterError(f"time step must be finite and positive, got {self.tau}")
         if self.steps < 0:
             raise ParameterError(f"step count must be nonnegative, got {self.steps}")
         if not isinstance(self.energy, Energy):
             raise ParameterError("energy must be an Energy descriptor")
-        if not self.eps > 0:
-            raise ParameterError("entropic width must be positive")
+        if not 0 < self.eps < np.inf:
+            raise ParameterError(f"entropic width must be finite and positive, got {self.eps}")
 
 
 @dataclass(frozen=True)
@@ -648,14 +648,6 @@ class JKOPDEReport:
     distances: tuple
     refined_distances: tuple
     refinement_ok: bool
-
-    @property
-    def final_distance(self) -> float:
-        return self.distances[-1]
-
-    @property
-    def refined_final_distance(self) -> float:
-        return self.refined_distances[-1]
 
 
 def _l1_distance(a: DensityField, b: DensityField) -> float:

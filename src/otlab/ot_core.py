@@ -931,8 +931,8 @@ def solve_entropic(rho: DensityField, g: DensityField, cost: RadialCost,
     exact ``softmin``. ``cmat`` is the source-by-target cost matrix, built
     here when not given.
     """
-    if not eps_final > 0:
-        raise ParameterError("eps_final must be positive")
+    if not 0 < eps_final < np.inf:
+        raise ParameterError(f"eps_final must be finite and positive, got {eps_final}")
     a, b = _marginals(rho, g)
     if cmat is None:
         cmat = _cost_matrix(cost, rho.grid.cell_centers(), g.grid.cell_centers())
@@ -967,7 +967,7 @@ def solve_entropic(rho: DensityField, g: DensityField, cost: RadialCost,
 
 def _clamped_gradient(phi, cost: RadialCost, grid: Grid):
     """Per-cell grad phi scaled into the cost's gradient range, with the raw norms and the range."""
-    grad_phi = geometry.gradient(np.asarray(phi, dtype=float), grid).components.reshape(-1, grid.d)
+    grad_phi = geometry.gradient(phi, grid).reshape(-1, grid.d)
     norms = np.sqrt((grad_phi**2).sum(axis=1))
     wmax = cost.grad_range()
     return grad_phi * (wmax / np.maximum(norms, wmax))[:, None], norms, wmax
@@ -1010,11 +1010,8 @@ class MapConsistencyReport:
 
     residual_psi: np.ndarray = field(repr=False)
     residual_phi: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
     median_psi: float
     median_phi: float
-    q95_psi: float
-    q95_phi: float
 
 
 def weighted_quantile(values: np.ndarray, weights: np.ndarray, q: float) -> float:
@@ -1033,8 +1030,8 @@ def map_consistency_check(phi, psi, map_field: MapField, cost: RadialCost,
     """Check -grad psi(T(x)) = grad h(x - T(x)) = grad phi(x) in the discrete setting.
 
     grad psi is interpolated multilinearly at the mapped points; both
-    residual families are summarized by rho-weighted medians and 95th
-    percentiles, which must shrink under grid refinement.
+    residual families are summarized by rho-weighted medians, which must
+    shrink under grid refinement.
     """
     grid = rho.grid
     tgrid = target_grid or grid
@@ -1044,9 +1041,8 @@ def map_consistency_check(phi, psi, map_field: MapField, cost: RadialCost,
     diff = xs - ts
     gh = grad_h(cost, diff)
 
-    grad_phi = geometry.gradient(np.asarray(phi, dtype=float), grid).components.reshape(-1, grid.d)[mask]
-    psi_arr = np.asarray(psi, dtype=float).reshape(tgrid.shape)
-    grad_psi_field = geometry.gradient(psi_arr, tgrid).components
+    grad_phi = geometry.gradient(phi, grid).reshape(-1, grid.d)[mask]
+    grad_psi_field = geometry.gradient(np.reshape(psi, tgrid.shape), tgrid)
     grad_psi_at_t = np.stack(
         [
             geometry.interp_multilinear(tgrid, grad_psi_field[..., axis], ts)
@@ -1061,11 +1057,8 @@ def map_consistency_check(phi, psi, map_field: MapField, cost: RadialCost,
     return MapConsistencyReport(
         residual_psi=res_psi,
         residual_phi=res_phi,
-        weights=weights,
         median_psi=weighted_quantile(res_psi, weights, 0.5),
         median_phi=weighted_quantile(res_phi, weights, 0.5),
-        q95_psi=weighted_quantile(res_psi, weights, 0.95),
-        q95_phi=weighted_quantile(res_phi, weights, 0.95),
     )
 
 

@@ -272,7 +272,7 @@ def test_criterion_07_boundary_flux():
 
 def test_criterion_08_heat_benchmark(heat_benchmark):
     _, config, trajectory, report, elapsed, _ = heat_benchmark
-    final_ok = report.final_distance <= 0.05
+    final_ok = report.distances[-1] <= 0.05
     refine_ok = report.refinement_ok
     tv = trajectory.tv
     tv_slack = 1e-3 * tv[0]
@@ -283,8 +283,8 @@ def test_criterion_08_heat_benchmark(heat_benchmark):
           and descent_ok and elapsed <= HEAT_BUDGET_SECONDS)
     verdict(8, ok,
             f"heat flow n=128 tau=1e-3 t=0.05: final L1="
-            f"{report.final_distance:.4f} (cap 0.05), halved-tau L1="
-            f"{report.refined_final_distance:.4f} nonincreasing={refine_ok}, "
+            f"{report.distances[-1]:.4f} (cap 0.05), halved-tau L1="
+            f"{report.refined_distances[-1]:.4f} nonincreasing={refine_ok}, "
             f"tv nonincreasing={tv_ok}, descent every step={descent_ok}, "
             f"runtime={elapsed:.1f}s")
 

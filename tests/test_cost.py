@@ -177,16 +177,16 @@ class TestSemiconcavity:
     def test_quartic_cost_on_unit_ball(self):
         # max p'' = 3 r^2 = 3 at r = 1, times the 10% margin
         bound = semiconcavity_constant(power_cost(4.0, 1.0))
-        assert bound.constant == pytest.approx(3.3, rel=1e-3)
+        assert bound == pytest.approx(3.3, rel=1e-3)
 
     def test_quadratic_cost(self):
         bound = semiconcavity_constant(power_cost(2.0, 1.0))
-        assert bound.constant == pytest.approx(1.1, rel=1e-9)
+        assert bound == pytest.approx(1.1, rel=1e-9)
 
     def test_smoothed_kinked_cost_is_finite(self):
         cost = mollify(power_cost(1.5, radius=4.0), 0.1)
         bound = semiconcavity_constant(cost)
-        assert np.isfinite(bound.constant) and bound.constant > 0
+        assert np.isfinite(bound) and bound > 0
 
 
 class TestHFunction:
@@ -308,6 +308,14 @@ class TestTabulatedAndConfig:
         cost = tabulated_cost(r, r**2 / 2.0, radius=2.0)
         probe = np.linspace(0.05, 1.95, 41)
         np.testing.assert_allclose(cost.dprofile(probe), probe, atol=5e-3)
+
+    @pytest.mark.parametrize("p, samples", [(1.5, 9), (1.5, 65), (1.5, 513), (1.99, 9)])
+    def test_tabulated_refuses_sub_quadratic_profiles(self, p, samples):
+        # r^p/p with p < 2: the PCHIP end derivative at 0 is positive, and a
+        # cubic with p'(0) = 0 on the first interval would have a dipping p'
+        r = np.linspace(0.0, 2.0, samples)
+        with pytest.raises(ParameterError):
+            tabulated_cost(r, r**p / p)
 
     def test_tabulated_rejects_nonconvex_profile(self):
         r = np.linspace(0.0, 2.0, 32)

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from otlab.cost import (
-    SemiconcavityBound,
     grad_H,
     grad_h_star,
     mollify,
@@ -89,7 +88,7 @@ class TestLHS:
     def test_grad_h_parallelism_on_instance(self):
         grid, rho, g, cost, res = solved_pair(seed=5)
         hf = power_h_function(1.5, delta0=1e-9)
-        gphi = gradient(np.asarray(res.phi), grid).components.reshape(-1)
+        gphi = gradient(np.asarray(res.phi), grid).reshape(-1)
         from otlab.cost import grad_H
 
         hvals = grad_H(hf, gphi.reshape(-1, 1)).reshape(-1)
@@ -124,8 +123,8 @@ class TestBoundaryFlux:
         grid, rho, g, cost, res = solved_pair(seed=9)
         hf = power_h_function(2.0, delta0=0.0)
         flux = boundary_flux(rho, g, res.phi, res.psi, hf)
-        gphi = gradient(np.asarray(res.phi), grid).components[..., 0]
-        gpsi = gradient(np.asarray(res.psi), grid).components[..., 0]
+        gphi = gradient(np.asarray(res.phi), grid)[..., 0]
+        gpsi = gradient(np.asarray(res.psi), grid)[..., 0]
         direct = (
             -(rho.values[0] * gphi[0] + g.values[0] * gpsi[0])
             + (rho.values[-1] * gphi[-1] + g.values[-1] * gpsi[-1])
@@ -149,7 +148,7 @@ def _facet_loop(grid):
 def _loop_flux(rho, g, phi, psi, hfun):
     """The boundary flux summed facet by facet."""
     grid = rho.grid
-    h_phi, h_psi = (grad_H(hfun, gradient(f, grid).components.reshape(-1, grid.d))
+    h_phi, h_psi = (grad_H(hfun, gradient(f, grid).reshape(-1, grid.d))
                     .reshape(grid.shape + (grid.d,)) for f in (phi, psi))
     flux = 0.0
     for index, normal, area in _facet_loop(grid):
@@ -214,7 +213,7 @@ class TestSemiconcavity:
         grid = unit_grid(128)
         x = grid.cell_centers()[:, 0]
         phi = -np.abs(x - 0.5)
-        rep = semiconcavity_check(phi, SemiconcavityBound(0.0, 1.0), grid)
+        rep = semiconcavity_check(phi, 0.0, grid)
         assert rep.max_curvature <= 0.0
         assert rep.passed
 
@@ -224,7 +223,7 @@ class TestSemiconcavity:
         # a potential that fails the bound must not pass once one cell is non-finite
         grid = Grid(d, 0.0, 1.0, 16)
         phi = 100.0 * (grid.cell_centers() ** 2).sum(axis=1).reshape(grid.shape)
-        bound = SemiconcavityBound(1.0, 1.0)
+        bound = 1.0
         assert not semiconcavity_check(phi, bound, grid).passed
         phi[(5,) * d] = bad
         rep = semiconcavity_check(phi, bound, grid)
@@ -240,7 +239,7 @@ class TestSemiconcavity:
         bound = semiconcavity_constant(smooth)
         rep = semiconcavity_check(res.phi, bound, grid)
         assert rep.passed
-        assert rep.max_curvature <= bound.constant + rep.tolerance
+        assert rep.max_curvature <= bound + rep.tolerance
 
 
 class TestSecondOrder:
@@ -287,7 +286,7 @@ class TestBoundaryConjugate:
         grid, rho, g, cost, res = solved_pair(seed=10)
         rep = boundary_conjugate_check(rho, res.phi, cost)
         assert rep.cell_count == 2
-        gphi = gradient(np.asarray(res.phi), grid).components[..., 0]
+        gphi = gradient(np.asarray(res.phi), grid)[..., 0]
         direct = min(-gphi[0], gphi[-1])
         assert rep.min_normal_component == pytest.approx(direct, rel=1e-12, abs=1e-15)
 
@@ -454,6 +453,12 @@ class TestBatch:
             BatchSpec(seeds=(1,), entropic_eps=0.0)
         with pytest.raises(ParameterError, match="nonnegative"):
             BatchSpec(seeds=(0, -1))
+        # refused here, not by the per-(p, n) loop of verify_batch, which would abort the batch
+        for overrides in ({"p_values": (2.0, np.inf)}, {"q_values": (np.inf,)},
+                          {"p_values": (np.nan,)}, {"entropic_eps": np.inf},
+                          {"entropic_eps": np.nan}):
+            with pytest.raises(ParameterError, match="finite"):
+                BatchSpec(seeds=(1,), **overrides)
 
     def test_spec_types_its_fields(self):
         # a checked config section passes straight in, JSON lists and all
@@ -628,10 +633,37 @@ class TestSharedBatchInputs:
                 assert got.error == "DomainError: no matrix for p = 3"
                 assert np.isnan(got.lhs) and np.isnan(got.flux) and not got.passed
                 fields, clean_fields = report_fields(got), report_fields(want)
-                # seed, p, q, n, d, solver, tv_rho, tv_g and tolerance are kept
-                assert fields[:6] + fields[8:11] == clean_fields[:6] + clean_fields[8:11]
+                # seed, p, q, n, solver, tv_rho, tv_g and tolerance are kept
+                assert fields[:5] + fields[7:10] == clean_fields[:5] + clean_fields[7:10]
             else:
                 assert report_fields(got) == report_fields(want)
+
+    def test_nan_potential_errors_only_its_instance(self, monkeypatch):
+        spec = BatchSpec(solver="lp", **self.SPEC)
+        clean = verify_batch(spec)
+        bad_rho = instance_densities(spec, 1, 32)[0]
+        real = fivegrad._solve_for_batch
+
+        def poisoned(rho, g, cost, solver, entropic_eps, cmat, staircase):
+            result = real(rho, g, cost, solver, entropic_eps, cmat, staircase)
+            if np.array_equal(rho.values, bad_rho.values) and cost.exponent == 3.0:
+                phi = result.phi.copy()
+                phi[5] = np.nan
+                result = dataclasses.replace(result, phi=phi)
+            return result
+
+        monkeypatch.setattr(fivegrad, "_solve_for_batch", poisoned)
+        reports = verify_batch(spec)
+        assert [r[:4] for r in map(report_fields, reports)] == list(lattice(spec))
+        hit = 0
+        for got, want in zip(reports, clean):
+            if (got.seed, got.p, got.n) == (1, 3.0, 32):
+                hit += 1
+                assert got.error == "ShapeError: gradient entries must be finite"
+                assert np.isnan(got.lhs) and not got.passed
+            else:
+                assert report_fields(got) == report_fields(want)
+        assert hit == len(spec.q_values)
 
     def test_h_functions_built_once_per_n(self, monkeypatch):
         built = []

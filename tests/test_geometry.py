@@ -74,34 +74,34 @@ class TestGradient:
         x = g.axis_centers(0)
         vf = gradient(x, g)
         # interior central differences are exact for affine data
-        assert vf.components[1:-1, 0] == pytest.approx(np.ones(6), abs=1e-14)
+        assert vf[1:-1, 0] == pytest.approx(np.ones(6), abs=1e-14)
 
     def test_constant_is_zero(self):
         g = unit_grid(8)
         vf = gradient(np.full(8, 3.7), g)
-        assert np.all(vf.components == 0.0)
+        assert np.all(vf == 0.0)
 
     def test_quadratic_interior_error(self):
         # oracle: d/dx x^2 = 2x; frozen bound from the analytic derivative
         g = unit_grid(256)
         x = g.axis_centers(0)
         vf = gradient(x**2, g)
-        err = np.abs(vf.components[1:-1, 0] - 2.0 * x[1:-1])
+        err = np.abs(vf[1:-1, 0] - 2.0 * x[1:-1])
         assert err.max() <= 1e-3
 
     def test_linearity(self):
         g = unit_grid(16)
         rng = np.random.default_rng(0)
         f1, f2 = rng.standard_normal((2, 16))
-        lhs = gradient(2.0 * f1 - 3.0 * f2, g).components
-        rhs = 2.0 * gradient(f1, g).components - 3.0 * gradient(f2, g).components
+        lhs = gradient(2.0 * f1 - 3.0 * f2, g)
+        rhs = 2.0 * gradient(f1, g) - 3.0 * gradient(f2, g)
         assert lhs == pytest.approx(rhs, abs=1e-13)
 
     def test_2d_affine(self):
         g = Grid(2, (0.0, 0.0), (1.0, 1.0), (8, 8))
         pts = g.cell_centers().reshape(8, 8, 2)
         f = 2.0 * pts[..., 0] - 1.5 * pts[..., 1]
-        comp = gradient(f, g).components
+        comp = gradient(f, g)
         assert comp[1:-1, 1:-1, 0] == pytest.approx(np.full((6, 6), 2.0), abs=1e-13)
         assert comp[1:-1, 1:-1, 1] == pytest.approx(np.full((6, 6), -1.5), abs=1e-13)
 
@@ -109,6 +109,20 @@ class TestGradient:
         g = unit_grid(8)
         with pytest.raises(ShapeError):
             gradient(np.zeros(9), g)
+
+    @pytest.mark.parametrize("grid", [unit_grid(8), Grid(2, (0.0, 0.0), (1.0, 2.0), (5, 6))])
+    def test_returns_plain_array_of_grid_shape_plus_d(self, grid):
+        comp = gradient(np.zeros(grid.shape), grid)
+        assert type(comp) is np.ndarray
+        assert comp.shape == grid.shape + (grid.d,)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("grid", [unit_grid(8), Grid(2, (0.0, 0.0), (1.0, 1.0), (6, 6))])
+    def test_non_finite_value_raises(self, grid, bad):
+        vals = np.zeros(grid.shape)
+        vals[(2,) * grid.d] = bad
+        with pytest.raises(ShapeError, match="gradient entries must be finite"):
+            gradient(vals, grid)
 
 
 class TestTVNorm:

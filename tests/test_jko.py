@@ -101,6 +101,9 @@ class TestConfigValidation:
             {"eps": 0.0},
             {"eps": -1e-3},
             {"tau": float("nan")},
+            {"p": np.inf},
+            {"tau": np.inf},
+            {"eps": np.inf},
             {"energy": "entropy"},
         ],
     )
@@ -616,7 +619,7 @@ class TestJKOvsPDEReport:
         assert report.times[0] == 0.0
         assert report.distances[0] == 0.0
         assert len(report.times) == 5
-        assert report.final_distance < 0.05
+        assert report.distances[-1] < 0.05
 
     def test_compared_states_are_the_full_reference_states(self, short_run):
         rho0, config, traj = short_run

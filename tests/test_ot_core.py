@@ -1174,6 +1174,9 @@ class TestSolveEntropic:
         cost = power_cost(2.0, grid.cost_radius)
         with pytest.raises(ParameterError):
             oc.solve_entropic(rho, g, cost, eps_final=0.0)
+        for width in (np.inf, np.nan):
+            with pytest.raises(ParameterError, match="finite"):
+                oc.solve_entropic(rho, g, cost, eps_final=width)
 
     def test_schedule_is_the_shared_ladder(self):
         grid, rho, g = random_pair()
@@ -1382,7 +1385,7 @@ class TestTransportMap:
         x = grid.cell_centers()[:, 0]
         phi = np.where(x < 0.5, -0.25 * x, -0.125 - 4.0 * (x - 0.5))
         clamped, norms, wmax = oc._clamped_gradient(phi.reshape(grid.shape), cost, grid)
-        raw = gradient(phi.reshape(grid.shape), grid).components.reshape(-1, 1)
+        raw = gradient(phi.reshape(grid.shape), grid).reshape(-1, 1)
         assert wmax == cost.grad_range()
         np.testing.assert_array_equal(norms, np.abs(raw[:, 0]))
         inside = norms <= wmax
