@@ -10,6 +10,7 @@ T(x) = x - grad_h_star(grad phi(x)).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -547,8 +548,8 @@ class _Staircase:
         """The staircase cells (i, j) in fill order."""
         return [divmod(k, self.n) for k in self.cells.tolist()]
 
-    def tree(self, cmat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(duals, parent, depth, flow) of the staircase basis rooted at row 0, where u_0 = 0.
+    def tree(self, cmat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(duals, parent, flow) of the staircase basis rooted at row 0, where u_0 = 0.
 
         Nodes are rows 0..m-1 and columns m..m+n-1, and u_i + v_j = c_ij on
         every staircase cell. The first cell adds column 0 and each step
@@ -556,7 +557,7 @@ class _Staircase:
         that lower node to its parent, and ``flow`` holds the cell's mass
         on its lower node (the root's entry is 0). A run of steps of one kind
         hangs from the last node of the run before it, and run 0 from row 0,
-        so a node of run r has depth r + 1 and dual c - e_(r-1), where e_r
+        so a node of run r has dual c - e_(r-1), where e_r
         is the dual of run r's last node and e_(-1) = u_0 = 0. Those satisfy
         e_r = c_end(r) - e_(r-1): with s = (-1)^r, s e_r is a left fold of
         s c_end, and as negation is exact and rounding to nearest is
@@ -582,11 +583,9 @@ class _Staircase:
         duals[node] = costs - np.concatenate(([0.0], run_duals))[run]
         parent = np.full(m + n, -1, dtype=np.intp)
         parent[node] = np.concatenate(([0], node[ends]))[run]
-        depth = np.zeros(m + n, dtype=np.intp)
-        depth[node] = run + 1
         flow = np.zeros(m + n)
         flow[node] = self.moves
-        return duals, parent, depth, flow
+        return duals, parent, flow
 
 
 def _support_cost(cells: np.ndarray, masses: np.ndarray, cmat: np.ndarray) -> float:
@@ -680,39 +679,64 @@ def _largest_abs_cost(cmat: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> float
 
 
 class _TransportationSimplex:
-    """Transportation-problem solver: MODI pivoting on a rooted basis tree.
+    """Transportation-problem solver: MODI pivoting on a strongly feasible rooted basis tree.
 
     The basis is a spanning tree of the bipartite row/column graph, kept
     rooted: nodes are rows ``0..m-1`` and columns ``m..m+n-1``, the root is
-    row 0 with u_0 = 0, and each node stores its parent, depth and dual
-    (``duals[:m]`` is u, ``duals[m:]`` is v). A basic cell is the arc from
-    a node to its parent and holds its mass as ``flow`` at that lower node,
-    so no m x n plan exists and a cell off the tree holds no mass. Entering
-    cells are picked by smallest reduced cost index and leaving ties broken
-    by smallest index (Bland's rule, no cycling).
+    column 0, and each node stores its parent, depth and dual (``duals[:m]``
+    is u, ``duals[m:]`` is v). A basic cell is the arc from a node to its
+    parent and holds its mass as ``flow`` at that lower node, so no m x n
+    plan exists and a cell off the tree holds no mass.
 
-    ``tree`` is the start basis, a ``_Staircase.tree``. ``solve_lp`` builds
-    a simplex only when the staircase fails its certificate, so there is
-    always a pivot to make. A pivot climbs parent pointers from the
-    entering cell's row and column to find the cycle, cuts the leaving
-    cell, hangs the cut-off subtree from the entering cell and re-walks
-    only that subtree. A dual is computed along its unique path from row 0,
-    parent first, as ``c_ij - dual[parent]``, so every node gets the bits a
-    full walk of the tree from row 0 would give it: re-walked nodes redo
-    that arithmetic and the others keep their path. ``tol`` bounds the
-    reduced costs that count as negative.
+    The tree stays strongly feasible (Cunningham, Math. Programming 1976):
+    every row can send flow to the root along its path, so a cell of zero
+    flow hangs a row, or a column with nothing below it. This is then the
+    simplex of a perturbed problem where each row supplies (m + n) eps more
+    and each column but the root demands eps more: a cell's flow changes by
+    +-((m + n) R - C) eps for the R rows and C columns below it, never 0, so
+    no basis is degenerate or repeats, whatever cell enters. Its ratio test
+    takes the last cell of least flow to give up mass on a walk of the cycle
+    from its apex that crosses the entering cell from row to column.
+
+    ``tree`` is the start basis, a ``_Staircase.tree``, re-rooted at column
+    0 (no tree rooted at row 0 is strongly feasible when row 0 holds no
+    mass); v_0 = c_00 keeps the staircase's start gauge u_0 = 0. There a
+    step down hangs a row, and a step right of zero mass hangs a leaf: it
+    reaches a zero-mass column from a row that still holds mass, and the
+    fill steps right again, or it runs along the last row. The exception is
+    a zero-mass last column reached while rounding leaves mass in a row:
+    the rows after it hang from it by zero flow, so they are hung from
+    column 0. ``solve_lp`` builds a simplex only when the staircase fails
+    its certificate, so there is always a pivot to make.
+
+    A pivot climbs parent pointers from the entering cell's row and column
+    to find the cycle, cuts the leaving cell, hangs the cut-off subtree
+    from the entering cell and re-walks only that subtree. A dual is
+    computed along its unique path from the root, parent first, as
+    ``c_ij - dual[parent]``, so every node gets the bits a full walk of the
+    tree would give it: re-walked nodes redo that arithmetic and the others
+    keep their path. ``tol`` bounds the reduced costs that count as
+    negative.
     """
 
-    def __init__(self, cmat: np.ndarray,
-                 tree: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], tol: float):
+    def __init__(self, cmat: np.ndarray, tree: tuple[np.ndarray, np.ndarray, np.ndarray],
+                 tol: float):
         self.cmat = cmat
-        self.m, self.n = cmat.shape
+        m, n = self.m, self.n = cmat.shape
         self.tol = tol
-        self.duals, parent, depth, flow = tree
-        self.parent, self.depth, self.flow = parent.tolist(), depth.tolist(), flow.tolist()
-        self.children = [[] for _ in self.parent]
-        for k, up in enumerate(self.parent[1:], 1):
-            self.children[up].append(k)
+        self.duals, parent, flow = tree
+        parent, flow = parent.tolist(), flow.tolist()
+        parent[0], parent[m] = m, -1
+        flow[0], flow[m] = flow[m], 0.0
+        for k in range(1, m):
+            if parent[k] != m and flow[parent[k]] == 0.0:
+                parent[k] = m  # a row below the zero-mass last column
+        self.parent, self.flow, self.depth = parent, flow, [0] * (m + n)
+        self.children = [[] for _ in parent]
+        for k, up in enumerate(parent):
+            if up >= 0:
+                self.children[up].append(k)
+        self._rewalk(*self.children[m])
 
     def _cell(self, k: int) -> int:
         """The flat row-major index i n + j of the tree arc below node k."""
@@ -723,7 +747,7 @@ class _TransportationSimplex:
         """The basis's held (nonzero) cells, flat and row-major, and their masses."""
         # sorted() on the m + n - 1 arcs: np.argsort's first call faults in
         # about 0.2 MB of numpy's sort code, which shows in the peak RSS
-        held = sorted((self._cell(k), mass) for k, mass in enumerate(self.flow) if k and mass != 0.0)
+        held = sorted((self._cell(k), mass) for k, mass in enumerate(self.flow) if mass != 0.0)
         return np.array([k for k, _ in held], dtype=np.intp), np.array([mass for _, mass in held])
 
     def _pivot(self, ei: int, ej: int) -> None:
@@ -743,8 +767,11 @@ class _TransportationSimplex:
         # nodes; signs alternate from - next to the entering cell, so the
         # even-indexed cells give up mass
         lows = up_col[:-1] + up_row[-2::-1]
-        theta = min(flow[k] for k in lows[::2])
-        out = min((k for k in lows[::2] if flow[k] == theta), key=self._cell)
+        # those cells from the apex down to column ej, then from row ei up:
+        # the ratio test's last cell of least flow is the first here
+        gives = up_col[:-1:2][::-1] + up_row[:-1:2]
+        theta = min(flow[k] for k in gives)
+        out = next(k for k in gives if flow[k] == theta)
         for t, k in enumerate(lows):
             flow[k] += -theta if t % 2 == 0 else theta
         # cutting the leaving cell below its lower node `out` cuts off the
@@ -766,11 +793,11 @@ class _TransportationSimplex:
             k, up = old_up, k
         self._rewalk(inside)
 
-    def _rewalk(self, top: int) -> None:
-        """Depths and duals of the subtree under ``top``, parents first."""
+    def _rewalk(self, *tops: int) -> None:
+        """Depths and duals of the subtrees under ``tops``, parents first."""
         m, parent, depth, children = self.m, self.parent, self.depth, self.children
         duals, dual, cost = self.duals, self.duals.item, self.cmat.item
-        stack = [top]
+        stack = list(tops)
         while stack:
             k = stack.pop()
             up = parent[k]
@@ -781,43 +808,53 @@ class _TransportationSimplex:
     def pivot_until_optimal(self, max_pivots: int) -> tuple[int, np.ndarray]:
         """Pivot to optimality; returns the pivot count and psi, the first c-transform of the final u.
 
-        Each pass walks C in the row blocks of ``_row_blocks``, taking
-        t = C - u into one block-sized buffer allocated once, and tests the
-        block cell by cell: its first reduced cost t - v below -tol in
-        row-major order enters (Bland's rule). A block without one folds its
-        column minima into psi, so the pass that finds none leaves
+        Pricing is block search (Grigoriadis, Math. Prog. Study 1986; the
+        rule of LEMON's network simplex). C is cut into pricing blocks of
+        isqrt(m) rows. A pass scans them cyclically from the block after the
+        one the last entering cell came from, and the first block holding a
+        reduced cost t - v below -tol enters its least one, the first in
+        row-major order on ties. A block is read in the pieces of its own
+        ``_row_blocks``, each taking t = C - u into a buffer allocated once;
+        a block is cut only beyond ``_BLOCK_ENTRIES``, and the pieces change
+        no pivot. A block without a negative reduced cost folds its column
+        minima into psi, so the pass that finds none leaves
         psi_j = min_i (c_ij - u_i) bit for bit ``_column_min(cmat, u)``.
-        Block-search pricing would change only the rule that picks the
-        entering cell here.
         """
         cmat, m, n, limit = self.cmat, self.m, self.n, -self.tol
         u, v = self.duals[:m], self.duals[m:]  # views of ``duals``, which each pivot updates in place
-        ranges = _row_blocks(m, n)
-        t = np.empty((ranges[0][1], n))  # the first block is a largest one
-        blocks = [(start, cmat[start:stop], u[start:stop, None], t[:stop - start])
-                  for start, stop in ranges]
-        psi, block_min = np.empty(n), np.empty(n)
-        pivots = 0
+        rows = math.isqrt(m)
+        spans = [[(start + lo, start + hi) for lo, hi in _row_blocks(min(rows, m - start), n)]
+                 for start in range(0, m, rows)]
+        t = np.empty((spans[0][0][1], n))  # the first piece is the tallest
+        reduced = np.empty_like(t)
+        blocks = [[(lo, cmat[lo:hi], u[lo:hi, None], t[:hi - lo], reduced[:hi - lo])
+                   for lo, hi in pieces] for pieces in spans]
+        psi = np.empty(n)
+        pivots = first = 0
         while True:
-            for start, c_b, u_b, t_b in blocks:
-                np.subtract(c_b, u_b, out=t_b)
-                negative = t_b - v < limit
-                k = int(negative.argmax())  # the first True in row-major order
-                if negative.flat[k]:
+            psi.fill(np.inf)
+            for block in range(first, first + len(blocks)):
+                least, at = limit, -1
+                for start, c_b, u_b, t_b, r_b in blocks[block % len(blocks)]:
+                    np.subtract(c_b, u_b, out=t_b)
+                    np.subtract(t_b, v, out=r_b)
+                    k = int(r_b.argmin())
+                    if r_b.item(k) < least:
+                        least, at = r_b.item(k), start * n + k
+                    elif at < 0:
+                        np.minimum(psi, t_b.min(axis=0), out=psi)
+                if at >= 0:
                     break
-                mins = t_b.min(axis=0, out=block_min if start else psi)
-                if start:
-                    np.minimum(psi, mins, out=psi)
             else:
                 return pivots, psi
             if pivots >= max_pivots:
                 # the most negative reduced cost over all of C, not only this pass's blocks
                 worst = min(float((np.subtract(c_b, u_b, out=t_b) - v).min())
-                            for _, c_b, u_b, t_b in blocks)
+                            for pieces in blocks for _, c_b, u_b, t_b, _ in pieces)
                 raise ConvergenceError("transportation simplex exceeded its pivot budget",
                                        residual=-worst)
-            i, j = divmod(k, n)
-            self._pivot(start + i, j)
+            first = block % len(blocks) + 1
+            self._pivot(*divmod(at, n))
             pivots += 1
 
 

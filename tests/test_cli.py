@@ -186,7 +186,7 @@ class TestSolveOT:
                 == (GOLDEN / "solve_ot_example_coupling.csv").read_bytes())
 
     def test_shipped_2d_lp_example_matches_golden_meta(self, tmp_path):
-        # the one shipped pivoting LP (1783 pivots): its meta and the support
+        # the shipped 8x8 pivoting LP (342 pivots): its meta and the support
         # of its pivoted plan must not change by a bit
         out = tmp_path / "out"
         assert run_cli("solve-ot", "--config", CONFIGS / "solve_ot_2d_lp_example.json",
@@ -194,6 +194,14 @@ class TestSolveOT:
         assert (out / "meta").read_bytes() == (GOLDEN / "solve_ot_2d_lp_example_meta").read_bytes()
         assert ((out / "coupling.csv").read_bytes()
                 == (GOLDEN / "solve_ot_2d_lp_example_coupling.csv").read_bytes())
+
+    def test_shipped_2d_lp_16_example_matches_golden_meta(self, tmp_path):
+        # the same pair at 16x16 (2732 pivots), past where Bland's rule ran out of its budget
+        out = tmp_path / "out"
+        assert run_cli("solve-ot", "--config", CONFIGS / "solve_ot_2d_lp_16_example.json",
+                       "--out", out) == 0
+        assert ((out / "meta").read_bytes()
+                == (GOLDEN / "solve_ot_2d_lp_16_example_meta").read_bytes())
 
     @pytest.mark.parametrize("solver", [
         {"method": "exact1d", "mass_threshold": float("nan")},
