@@ -53,7 +53,6 @@ from .fivegrad import (
 from .geometry import (
     DensityField,
     Grid,
-    density_from_csv,
     normalize,
     random_smooth_density,
     read_field_csv,
@@ -306,7 +305,7 @@ def _density_from_spec(spec: dict, grid: Grid, base_dir: Path,
             raise ConfigError(f"invalid bump {label} spec: {exc}") from exc
     path = base_dir / spec["path"]
     try:
-        density = density_from_csv(path)
+        density = DensityField(*read_field_csv(path))
     except (OSError, OTLabError) as exc:
         raise ConfigError(f"cannot read {label} file {path}: {exc}") from exc
     if not _grids_compatible(density.grid, grid):

@@ -394,10 +394,7 @@ def boundary_conjugate_check(rho: DensityField, phi, cost: RadialCost,
     clamped into the invertible range of the cost before inversion.
     """
     grid = rho.grid
-    phi = np.asarray(phi, dtype=float)
-    if phi.shape != grid.shape:
-        raise ShapeError(f"potential shape {phi.shape} does not match the grid {grid.shape}")
-    comp, _, _ = _clamped_gradient(phi, cost, grid)
+    comp, _, _ = _clamped_gradient(phi, cost, grid)  # raises ShapeError on a potential off the grid
     cells, normals, _ = boundary_cells_and_normals(grid)
     massy = rho.values.reshape(-1)[cells] > 0.5 * floor
     tol = 10.0 * max(grid.spacing)

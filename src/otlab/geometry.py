@@ -29,8 +29,6 @@ __all__ = [
     "write_rows",
     "write_field_csv",
     "read_field_csv",
-    "density_to_csv",
-    "density_from_csv",
 ]
 
 
@@ -167,9 +165,6 @@ class DensityField:
     @property
     def mass(self) -> float:
         return float(self.values.sum() * self.grid.cell_volume)
-
-    def normalized(self) -> "DensityField":
-        return normalize(self)
 
     def tv(self) -> float:
         return tv_norm(self)
@@ -380,12 +375,3 @@ def read_field_csv(path) -> tuple[Grid, np.ndarray]:
             np.abs(grid.cell_centers() - centers) > 1e-9 * box):
         raise ParameterError("CSV centers do not form a uniform row-major grid")
     return grid, data[:, d].reshape(grid.shape).copy()
-
-
-def density_to_csv(path, density: DensityField) -> None:
-    write_field_csv(path, density.grid, density.values)
-
-
-def density_from_csv(path) -> DensityField:
-    grid, values = read_field_csv(path)
-    return DensityField(grid, values)

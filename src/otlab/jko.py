@@ -79,7 +79,7 @@ from .errors import (
 )
 from .geometry import DensityField, Grid, write_field_csv, write_rows
 from .ot_core import (_AnchoredKernel, _cost_matrix, _eps_ladder, _over_widths, _plan_mass,
-                      _scaling, log_plan)
+                      _row_blocks, _scaling, log_plan)
 
 # s log s at s = 0 is the limit 0; the floor keeps the evaluation finite
 # without moving the value at any density above it.
@@ -385,12 +385,29 @@ def _step_kernel(grid: Grid, config: JKOConfig) -> _AnchoredKernel:
     return _AnchoredKernel(_cost_matrix(cost, grid.cell_centers(), grid.cell_centers()))
 
 
+def _plan_cost(cmat: np.ndarray, f: np.ndarray, g: np.ndarray, x_log: np.ndarray,
+               y_log: np.ndarray, eps: float) -> float:
+    """<C, P> of the ``log_plan`` P of (f, g), summed over the row blocks of C.
+
+    No m x n plan is built. Up to ``_BLOCK_ENTRIES`` entries there is one
+    block, whose sum is the dense product's sum bit for bit.
+    """
+    total = 0.0
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for start, stop in _row_blocks(*cmat.shape):
+            rows = slice(start, stop)
+            plan = np.exp(log_plan(cmat[rows], f[rows], g, x_log[rows], y_log, eps))
+            total += float((plan * cmat[rows]).sum())
+    return total
+
+
 def _jko_step_full(rho_k: DensityField, config: JKOConfig, warm: tuple | None = None,
                    kernel=None) -> tuple[DensityField, _StepInfo, tuple | None]:
     """One step from rho_k with its diagnostics and the next step's warm start.
 
     ``kernel`` is the ``_step_kernel`` of rho_k's grid, built here when not
-    given. Only the accepted trial's plan is built, for its transport cost.
+    given. Only the accepted trial's plan is evaluated, for its transport
+    cost, by ``_plan_cost``.
     """
     grid = rho_k.grid
     kernel = kernel or _step_kernel(grid, config)
@@ -473,9 +490,8 @@ def _jko_step_full(rho_k: DensityField, config: JKOConfig, warm: tuple | None = 
         g_trial += tau_pow * energy_value(trial_field, config.energy) - 0.5 * sym_trial
         if g_trial <= g_anchor + _DESCENT_SLACK * tau_pow:
             current, objective_current, u_next = trial_field, g_trial, u_trial
-            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-                plan = np.exp(log_plan(kernel.cmat, f_a, g_a, r_log, b_log, config.eps))
-            transport_current = float((plan * kernel.cmat).sum()) / tau_pow
+            transport_current = _plan_cost(kernel.cmat, f_a, g_a, r_log, b_log,
+                                           config.eps) / tau_pow
             break
 
     return current, _StepInfo(transport_current, residual,
@@ -586,8 +602,6 @@ def reference_pde_solve(rho_0: DensityField, p: float, energy: Energy,
     step is checked for blow-up and negative density either way.
     """
     grid = rho_0.grid
-    if grid.d != 1:
-        raise DomainError("the reference solver runs on 1-d grids")
     if not dt > 0 or steps < 0:
         raise ParameterError("need dt > 0 and steps >= 0")
     if record_every < 1 or steps % record_every != 0:

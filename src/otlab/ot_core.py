@@ -76,11 +76,11 @@ _BLOCK_ENTRIES = 2**15
 class TransportResult:
     """Optimal coupling between two grid densities plus dual potentials.
 
-    An exact solve holds its coupling as its support: ``cells`` are the
-    flat row-major indices i n + j of its nonzero entries, increasing, at
-    most m + n - 1 of them, and ``masses`` their masses. The entropic plan
-    is dense: its ``cells`` is None and ``masses`` holds all m n entries in
-    row-major order. ``coupling`` gives the dense m x n array either way.
+    Every solve holds its coupling as its support: ``cells`` are the flat
+    row-major indices i n + j of its nonzero entries, increasing, and
+    ``masses`` their masses. An exact support has at most m + n - 1 cells;
+    an entropic one is the rounded plan's nonzero entries. ``coupling``
+    builds the dense m x n array.
     phi lives on the source grid, psi on the target grid, both in cost
     units. The duality gap is primal - dual.
     """
@@ -88,7 +88,7 @@ class TransportResult:
     source: DensityField
     target: DensityField
     cost: RadialCost = field(repr=False)
-    cells: np.ndarray | None = field(repr=False)
+    cells: np.ndarray = field(repr=False)
     masses: np.ndarray = field(repr=False)
     phi: np.ndarray = field(repr=False)
     psi: np.ndarray = field(repr=False)
@@ -103,10 +103,8 @@ class TransportResult:
 
     @property
     def coupling(self) -> np.ndarray:
-        """The dense source-by-target coupling; built anew from a support."""
+        """The dense source-by-target coupling, built anew from the support."""
         m, n = self.source.grid.num_cells, self.target.grid.num_cells
-        if self.cells is None:
-            return self.masses.reshape(m, n)
         plan = np.zeros(m * n)
         plan[self.cells] = self.masses
         return plan.reshape(m, n)
@@ -119,13 +117,9 @@ class TransportResult:
         """
         a = self.source.values.reshape(-1) * self.source.grid.cell_volume
         b = self.target.values.reshape(-1) * self.target.grid.cell_volume
-        if self.cells is None:
-            plan = self.coupling
-            rows, cols = plan.sum(axis=1), plan.sum(axis=0)
-        else:
-            ii, jj = np.divmod(self.cells, b.size)
-            rows = np.bincount(ii, weights=self.masses, minlength=a.size)
-            cols = np.bincount(jj, weights=self.masses, minlength=b.size)
+        # one axis at a time, so that one index array of the support's size is alive
+        rows = np.bincount(self.cells // b.size, weights=self.masses, minlength=a.size)
+        cols = np.bincount(self.cells % b.size, weights=self.masses, minlength=b.size)
         if not np.abs(rows - a).max() <= _MARGINAL_TOL:
             raise OTLabError(
                 f"coupling row sums violate the source marginal by {np.abs(rows - a).max():.3e}"
@@ -158,7 +152,8 @@ class MapField:
 
     ``points`` has one target point per source cell (row-major); entries off
     the mask carry the cell center itself and are meaningless. Map values are
-    clipped to the box; the largest clip distance is kept for diagnostics.
+    clipped to the box; the largest clip distance over the masked cells is
+    kept for diagnostics. ``_map_field`` builds every instance.
     """
 
     grid: Grid
@@ -543,11 +538,6 @@ class _Staircase:
         held = self.moves != 0.0
         return self.cells[held], self.moves[held]
 
-    @property
-    def path(self) -> list[tuple[int, int]]:
-        """The staircase cells (i, j) in fill order."""
-        return [divmod(k, self.n) for k in self.cells.tolist()]
-
     def tree(self, cmat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(duals, parent, flow) of the staircase basis rooted at row 0, where u_0 = 0.
 
@@ -595,7 +585,7 @@ def _support_cost(cells: np.ndarray, masses: np.ndarray, cmat: np.ndarray) -> fl
 
 def _checked_result(rho: DensityField, g: DensityField, cost: RadialCost, a: np.ndarray,
                     b: np.ndarray, cmat: np.ndarray, phi: np.ndarray, psi: np.ndarray, *,
-                    cells: np.ndarray | None, masses: np.ndarray, primal: float, solver: str,
+                    cells: np.ndarray, masses: np.ndarray, primal: float, solver: str,
                     meta: dict) -> TransportResult:
     """A solve's result from flat potentials and its ``_marginals``, validated on ``cmat``."""
     result = TransportResult(source=rho, target=g, cost=cost, cells=cells, masses=masses,
@@ -650,13 +640,7 @@ def solve_exact_1d(rho: DensityField, g: DensityField, cost: RadialCost,
                              primal=primal, solver="exact1d",
                              meta={"plan_nonzeros": int(cells.size)})
 
-    threshold = default_mass_threshold(rho.grid) if mass_threshold is None else mass_threshold
-    mask = rho.values.reshape(-1) > threshold
-    points = t_vals[:, None]
-    clipped = rho.grid.clip(points)
-    max_clip = float(np.abs(clipped - points).max()) if points.size else 0.0
-    map_field = MapField(rho.grid, clipped, mask, max_clip)
-    return result, map_field
+    return result, _map_field(rho, t_vals[:, None], mass_threshold)
 
 
 def _largest_abs_cost(cmat: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> float:
@@ -991,15 +975,35 @@ def solve_entropic(rho: DensityField, g: DensityField, cost: RadialCost,
 
     plan = _round_to_polytope(np.exp(log_plan(cmat, f, gv, loga, logb, schedule[-1])), a, b)
     primal = float((plan * cmat).sum())
+    cells = np.flatnonzero(plan)
+    masses = plan.reshape(-1)[cells]
+    del plan  # only the support is kept
     phi, psi = _canonical_pair_from_matrix(cmat, f)
-    return _checked_result(rho, g, cost, a, b, cmat, phi, psi, cells=None,
-                           masses=plan.reshape(-1), primal=primal, solver="entropic", meta={
+    return _checked_result(rho, g, cost, a, b, cmat, phi, psi, cells=cells,
+                           masses=masses, primal=primal, solver="entropic", meta={
                                "eps_final": float(eps_final),
                                "schedule": list(schedule),
                                "iterations": iterations,
                                "raw_marginal_residual": residual,
                                "reanchors": reanchors,
                            })
+
+
+def _map_field(rho: DensityField, points: np.ndarray, mass_threshold: float | None) -> MapField:
+    """The ``MapField`` of map values ``points``, one row per cell of rho's grid.
+
+    The mask holds the cells whose density exceeds ``mass_threshold``
+    (default: ``default_mass_threshold``). Cells off it get their own center;
+    every value is clipped to the box, and the largest clip distance is
+    taken over the masked cells.
+    """
+    grid = rho.grid
+    threshold = default_mass_threshold(grid) if mass_threshold is None else mass_threshold
+    mask = rho.values.reshape(-1) > threshold
+    points = np.where(mask[:, None], points, grid.cell_centers())
+    clipped = grid.clip(points)
+    max_clip = float(np.abs(clipped - points)[mask].max()) if mask.any() else 0.0
+    return MapField(grid, clipped, mask, max_clip)
 
 
 def _clamped_gradient(phi, cost: RadialCost, grid: Grid):
@@ -1022,19 +1026,14 @@ def transport_map_from_potential(phi, cost: RadialCost, rho: DensityField,
     """
     grid = rho.grid
     grad_phi, norms, wmax = _clamped_gradient(phi, cost, grid)
-    threshold = default_mass_threshold(grid) if mass_threshold is None else mass_threshold
-    mask = rho.values.reshape(-1) > threshold
-    if norms[mask].size and norms[mask].max() > wmax * (1.0 + 1e-3):
+    map_field = _map_field(rho, grid.cell_centers() - grad_h_star(cost, grad_phi), mass_threshold)
+    norms = norms[map_field.mask]
+    if norms.size and norms.max() > wmax * (1.0 + 1e-3):
         raise RangeError(
-            f"|grad phi| = {norms[mask].max():.6g} exceeds the gradient range "
+            f"|grad phi| = {norms.max():.6g} exceeds the gradient range "
             f"{wmax:.6g}; the potential is not c-concave on this grid"
         )
-    displacement = grad_h_star(cost, grad_phi)
-    points = grid.cell_centers() - displacement
-    points[~mask] = grid.cell_centers()[~mask]
-    clipped = grid.clip(points)
-    max_clip = float(np.abs(clipped - points)[mask].max()) if mask.any() else 0.0
-    return MapField(grid, clipped, mask, max_clip)
+    return map_field
 
 
 @dataclass(frozen=True)
@@ -1104,10 +1103,9 @@ def write_result_dir(path, result: TransportResult, map_field: MapField | None =
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
 
-    cells = np.flatnonzero(result.masses) if result.cells is None else result.cells
-    masses = result.masses[cells] if result.cells is None else result.masses
-    ii, jj = np.divmod(cells, result.target.grid.num_cells)
-    write_rows(out / "coupling.csv", [("i", "j", "mass"), *zip(ii.tolist(), jj.tolist(), masses.tolist())])
+    ii, jj = np.divmod(result.cells, result.target.grid.num_cells)
+    write_rows(out / "coupling.csv",
+               [("i", "j", "mass"), *zip(ii.tolist(), jj.tolist(), result.masses.tolist())])
 
     geometry.write_field_csv(out / "phi.csv", result.source.grid, result.phi, "phi")
     geometry.write_field_csv(out / "psi.csv", result.target.grid, result.psi, "psi")

@@ -17,12 +17,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from otlab import cli
+from otlab import cli, jko
 from otlab.cost import power_cost
+from otlab.errors import StepError
 from otlab.geometry import (
+    DensityField,
     Grid,
-    density_from_csv,
-    density_to_csv,
     random_smooth_density,
     read_field_csv,
     write_field_csv,
@@ -155,14 +155,14 @@ class TestSolveOT:
 
     def test_rho_from_density_file(self, tmp_path):
         grid = Grid(1, 0.0, 1.0, 48)
-        density_to_csv(tmp_path / "rho.csv", random_smooth_density(grid, 5))
+        write_field_csv(tmp_path / "rho.csv", grid, random_smooth_density(grid, 5).values)
         cfg = write_config(tmp_path, solve_config(
             rho={"kind": "file", "path": "rho.csv"}))
         assert run_cli("solve-ot", "--config", cfg, "--out", tmp_path / "out") == 0
 
     def test_density_file_grid_mismatch_rejected(self, tmp_path, capsys):
         grid = Grid(1, 0.0, 1.0, 32)
-        density_to_csv(tmp_path / "rho.csv", random_smooth_density(grid, 5))
+        write_field_csv(tmp_path / "rho.csv", grid, random_smooth_density(grid, 5).values)
         cfg = write_config(tmp_path, solve_config(
             rho={"kind": "file", "path": "rho.csv"}))
         assert run_cli("solve-ot", "--config", cfg, "--out", tmp_path / "out") == 2
@@ -175,6 +175,44 @@ class TestSolveOT:
             rho={"kind": "file", "path": "rho.csv"}))
         assert run_cli("solve-ot", "--config", cfg, "--out", tmp_path / "out") == 2
         assert "uniform row-major grid" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [
+        None, "x,value\n0.125,1.0\n0.375,-1.0\n0.625,1.0\n0.875,1.0\n"],
+        ids=["missing", "negative"])
+    def test_unreadable_density_file_exits_2(self, tmp_path, capsys, content):
+        # a file that is missing, or whose values are no density, is a config error
+        if content is not None:
+            (tmp_path / "rho.csv").write_text(content)
+        cfg = write_config(tmp_path, solve_config(
+            grid={"d": 1, "lower": 0.0, "upper": 1.0, "n": 4},
+            rho={"kind": "file", "path": "rho.csv"}))
+        assert run_cli("solve-ot", "--config", cfg, "--out", tmp_path / "out") == 2
+        assert "config error: cannot read rho file" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_solver_error_exits_3(self, tmp_path, capsys):
+        # 4097 cells squared is past the LP's capacity: refused before any cost matrix is built
+        cfg = write_config(tmp_path, solve_config(
+            grid={"d": 1, "lower": 0.0, "upper": 1.0, "n": 4097}, solver={"method": "lp"}))
+        assert run_cli("solve-ot", "--config", cfg, "--out", tmp_path / "out") == 3
+        assert capsys.readouterr().err.startswith("solver error: CapacityError:")
+
+    def test_tabulated_cost_matches_power(self, tmp_path):
+        # r^2/2 sampled at 257 radii on [0, 2] solves the p = 2 power LP to its last digits
+        radii = np.linspace(0.0, 2.0, 257)
+        costs = {"power": {"family": "power", "p": 2.0},
+                 "tabulated": {"family": "tabulated", "radii": radii.tolist(),
+                               "values": (radii**2 / 2.0).tolist()}}
+        metas = {}
+        for name, cost in costs.items():
+            cfg = write_config(tmp_path, solve_config(
+                grid={"d": 1, "lower": 0.0, "upper": 1.0, "n": 64}, cost=cost,
+                solver={"method": "lp"}), name=f"{name}.json")
+            assert run_cli("solve-ot", "--config", cfg, "--out", tmp_path / name) == 0
+            metas[name] = read_meta(tmp_path / name / "meta")
+        assert metas["tabulated"]["cost_family"] == "tabulated"
+        assert float(metas["tabulated"]["primal"]) == pytest.approx(
+            float(metas["power"]["primal"]), rel=1e-12)
 
     def test_shipped_example_matches_golden_meta(self, tmp_path):
         # the shipped 1-d exact solve: its meta and its sparse coupling must not change by a bit
@@ -678,6 +716,30 @@ class TestJKO:
         assert len(rows) == 6
         assert float(rows[1].split(",")[1]) == 0.0
 
+    def test_pde_comparison_refined_csv(self, tmp_path):
+        payload = self.jko_config(steps=4)
+        payload["compare_pde"] = {"dt": None, "refine": True}
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert run_cli("jko", "--config", cfg, "--out", out) == 0
+        rows = [row.split(",") for row in (out / "pde_compare.csv").read_text().splitlines()]
+        assert rows[0] == ["time", "distance", "refined_distance"]
+        assert len(rows) == 6 and all(len(row) == 3 for row in rows)
+        assert float(rows[1][1]) == float(rows[1][2]) == 0.0
+
+    def test_failed_step_exits_3_with_error_in_trace(self, tmp_path, capsys, monkeypatch):
+        def failing_step(*args, **kwargs):
+            raise StepError("inner solver did not converge", residual=1.0)
+
+        monkeypatch.setattr(jko, "_jko_step_full", failing_step)
+        cfg = write_config(tmp_path, self.jko_config())
+        out = tmp_path / "out"
+        assert run_cli("jko", "--config", cfg, "--out", out) == 3
+        assert "jko: aborted after 0 steps: step 1:" in capsys.readouterr().err
+        trace = (out / "trace.csv").read_text().splitlines()
+        assert len(trace) == 3  # the header, the initial state and the error
+        assert trace[-1] == "# error: step 1: inner solver did not converge"
+
     @pytest.mark.parametrize("scheme, d, compare, word", [
         ({"tau": 0.004}, 1, {"dt": 0.003}, "divide"),
         ({"tau": 1e-3}, 1, {"dt": 7e-4}, "divide"),
@@ -763,7 +825,8 @@ class TestJKO:
         out = tmp_path / "out"
         assert run_cli("jko", "--config", cfg, "--out", out) == 0
         traced = float((out / "trace.csv").read_text().splitlines()[1].split(",")[3])
-        assert traced == energy_value(density_from_csv(out / "density_0000.csv"), energy)
+        state = DensityField(*read_field_csv(out / "density_0000.csv"))
+        assert traced == energy_value(state, energy)
 
     def test_trace_rerun_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, self.jko_config())

@@ -273,6 +273,37 @@ class TestSecondOrder:
             values.append(rep.percentile95)
         assert values[1] <= values[0] + 1e-12
 
+    def test_2d_eigenvalue_of_constant_hessians(self):
+        # quadratic potentials of constant Hessians A and B under the
+        # identity map: the centered second differences are exact, so every
+        # eligible cell reports the largest eigenvalue of A + B
+        grid = Grid(2, 0.0, 1.0, 12)
+        x, y = grid.cell_centers().T
+        hess_a = np.array([[0.7, 0.3], [0.3, -0.4]])
+        hess_b = np.array([[-0.2, 0.25], [0.25, 0.5]])
+
+        def quadratic(h):
+            values = 0.5 * (h[0, 0] * x * x + 2.0 * h[0, 1] * x * y + h[1, 1] * y * y)
+            return values.reshape(grid.shape)
+
+        identity = oc.MapField(grid, grid.cell_centers(), np.ones(grid.num_cells, dtype=bool))
+        rho = random_smooth_density(grid, 3)
+        rep = second_order_check(quadratic(hess_a), quadratic(hess_b), identity, rho, 1.0)
+        assert rep.sample_count == 8 * 8
+        assert rep.percentile95 == pytest.approx(np.linalg.eigvalsh(hess_a + hess_b).max(),
+                                                 rel=0.0, abs=1e-10)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_2d_lp_batch_pair_passes(self, n, p):
+        rho, g = instance_densities(BatchSpec(seeds=(0,), d=2), 0, n)
+        cost = power_cost(p, rho.grid.cost_radius)
+        res = solve_lp(rho, g, cost)
+        tmap = transport_map_from_potential(res.phi, cost, rho)
+        rep = second_order_check(res.phi, res.psi, tmap, rho, semiconcavity_constant(cost))
+        assert rep.sample_count > 0
+        assert rep.passed
+
 
 class TestBoundaryConjugate:
     def test_smooth_instance_passes(self):
@@ -280,6 +311,11 @@ class TestBoundaryConjugate:
         rep = boundary_conjugate_check(rho, res.phi, cost)
         assert rep.cell_count == 2
         assert rep.passed
+
+    def test_potential_off_the_grid_raises(self):
+        grid, rho, g, cost, res = solved_pair(seed=8)
+        with pytest.raises(ShapeError):
+            boundary_conjugate_check(rho, np.zeros(grid.num_cells + 1), cost)
 
     def test_quadratic_reduction_matches_gradient(self):
         # for the quadratic cost the displacement equals grad phi itself

@@ -6,8 +6,6 @@ from otlab.geometry import (
     DensityField,
     Grid,
     boundary_cells_and_normals,
-    density_from_csv,
-    density_to_csv,
     gradient,
     interp_multilinear,
     normalize,
@@ -242,8 +240,8 @@ class TestCSV:
         g = unit_grid(8)
         f = random_smooth_density(g, seed=5)
         path = tmp_path / "rho.csv"
-        density_to_csv(path, f)
-        back = density_from_csv(path)
+        write_field_csv(path, g, f.values)
+        back = DensityField(*read_field_csv(path))
         assert back.grid == g
         assert np.array_equal(back.values, f.values)
 

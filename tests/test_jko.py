@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -473,6 +474,41 @@ class TestRunJKO:
         assert kernels[0].reanchors <= 0.05 * kernels[0].sweeps
         assert plans == [1e-4] * 20
 
+    @pytest.mark.parametrize("n", [96, 384])
+    def test_plan_cost_sums_row_blocks(self, n):
+        # one row block up to 2**15 entries gives the dense product's bits;
+        # more blocks change only the order of the sum
+        rho = bump_density(n=n)
+        config = heat_config(1)
+        cmat = jko._step_kernel(rho.grid, config).cmat
+        b_log, r_log = step_logs(rho)
+        rng = np.random.default_rng(n)
+        f, g = rng.normal(0.0, 1e-4, (2, n))
+        got = jko._plan_cost(cmat, f, g, r_log, b_log, config.eps)
+        with np.errstate(under="ignore"):
+            want = float((np.exp(log_plan(cmat, f, g, r_log, b_log, config.eps)) * cmat).sum())
+        if len(jko._row_blocks(n, n)) == 1:
+            assert got == want
+        else:
+            assert got == pytest.approx(want, rel=1e-12)
+
+    def test_flow_peak_memory_is_bounded_by_the_cost_matrix(self):
+        # a 3-step two-bump flow at n = 384: no m x n plan is built for the
+        # accepted step's cost, so the traced peak stays within three cost
+        # matrices (4.1 with the dense plan pass)
+        grid = Grid(1, 0.0, 1.0, 384)
+        x = grid.cell_centers()[:, 0]
+        vals = 0.05 + np.exp(-200.0 * (x - 0.3) ** 2) + np.exp(-200.0 * (x - 0.7) ** 2)
+        rho0 = normalize(DensityField(grid, vals))
+        tracemalloc.start()
+        try:
+            traj = jko.run_jko(rho0, heat_config(3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.error == ""
+        assert peak <= 3.0 * grid.num_cells**2 * 8
+
     def test_step_failure_returns_partial_trajectory(self, monkeypatch):
         monkeypatch.setattr(jko, "_MAX_INNER", 2)
         rho0 = bump_density()
@@ -574,10 +610,11 @@ class TestReferencePDE:
         coarse0 = profile(128)
         fine0 = profile(256)
         dt = 1e-5
+        # only the final states are compared, so only they are recorded
         coarse = jko.reference_pde_solve(coarse0, 2.0, jko.entropy_energy(),
-                                         dt, steps=5000)
+                                         dt, steps=5000, record_every=5000)
         fine = jko.reference_pde_solve(fine0, 2.0, jko.entropy_energy(),
-                                       dt / 4.0, steps=20000)
+                                       dt / 4.0, steps=20000, record_every=20000)
         fine_avg = fine.densities[-1].values.reshape(-1, 2).mean(axis=1)
         l1 = float(np.abs(coarse.densities[-1].values - fine_avg).sum() / 128.0)
         assert l1 <= 1e-3

@@ -13,7 +13,7 @@ from scipy.special import logsumexp
 
 from otlab import fivegrad
 from otlab import ot_core as oc
-from otlab.cost import RadialCost, power_cost, tabulated_cost
+from otlab.cost import RadialCost, grad_h_star, power_cost, tabulated_cost
 from otlab.errors import (
     CapacityError,
     ConvergenceError,
@@ -24,7 +24,7 @@ from otlab.errors import (
     RangeError,
     ShapeError,
 )
-from otlab.geometry import DensityField, Grid, gradient, random_smooth_density
+from otlab.geometry import DensityField, Grid, gradient, normalize, random_smooth_density
 
 
 def four_point_grid():
@@ -196,10 +196,10 @@ class TestExact1D:
         target[xs < 0.15] = 0.0
         target[xs > 0.85] = 0.0
         cost = power_cost(2.0, grid.cost_radius)
-        rho1 = DensityField(grid, bump).normalized()
-        g1 = DensityField(grid, target).normalized()
-        rho2 = DensityField(grid, np.roll(bump, 1)).normalized()
-        g2 = DensityField(grid, np.roll(target, 1)).normalized()
+        rho1 = normalize(DensityField(grid, bump))
+        g1 = normalize(DensityField(grid, target))
+        rho2 = normalize(DensityField(grid, np.roll(bump, 1)))
+        g2 = normalize(DensityField(grid, np.roll(target, 1)))
         _, m1 = oc.solve_exact_1d(rho1, g1, cost)
         _, m2 = oc.solve_exact_1d(rho2, g2, cost)
         dx = grid.spacing[0]
@@ -213,7 +213,7 @@ class TestSolveLP:
     def test_identity_uniform_is_diagonal(self):
         grid = four_point_grid()
         cost = power_cost(1.5, grid.cost_radius)
-        uniform = DensityField(grid, np.ones(4)).normalized()
+        uniform = normalize(DensityField(grid, np.ones(4)))
         result = oc.solve_lp(uniform, uniform, cost)
         np.testing.assert_allclose(result.coupling, np.eye(4) * 0.25, atol=1e-12)
         assert result.primal == pytest.approx(0.0, abs=1e-12)
@@ -314,6 +314,11 @@ def _basis(simplex):
             for k, up in enumerate(simplex.parent) if up >= 0}
 
 
+def _fill_path(staircase):
+    """The staircase cells (i, j) in fill order."""
+    return [divmod(k, staircase.n) for k in staircase.cells.tolist()]
+
+
 def _sequential_tree(cmat, path):
     """The staircase walk one cell at a time on plain floats: (duals, parent), rooted at row 0.
 
@@ -403,7 +408,7 @@ class TestStaircaseDuals:
     def test_matches_sequential_walk(self, instance):
         cmat, a, b = instance
         staircase = oc._Staircase(a, b)
-        want_duals, want_parent = _sequential_tree(cmat, staircase.path)
+        want_duals, want_parent = _sequential_tree(cmat, _fill_path(staircase))
         duals, parent, _ = staircase.tree(cmat)
         assert duals.tobytes() == want_duals.tobytes()
         assert parent.tolist() == want_parent
@@ -432,7 +437,7 @@ class TestStaircaseDuals:
         a = a / a.sum() * 0.7
         b = np.array([a.sum(), 0.0])
         staircase = oc._Staircase(a, b)
-        assert staircase.path[-3:] == [(3, 0), (3, 1), (4, 1)]
+        assert _fill_path(staircase)[-3:] == [(3, 0), (3, 1), (4, 1)]
         assert staircase.moves[-2:].tolist() == [0.0, 0.0]
         cmat = np.arange(10.0).reshape(5, 2)
         assert staircase.tree(cmat)[1][4] == 5 + 1
@@ -446,8 +451,8 @@ class TestStaircaseDuals:
         staircase = oc._Staircase(np.asarray(a, float), np.asarray(b, float))
         simplex = _simplex(cmat, staircase)
         u, v = simplex.duals[:simplex.m], simplex.duals[simplex.m:]
-        assert sorted(_basis(simplex)) == sorted(staircase.path)
-        want_u, want_v = _numpy_tree_duals(cmat, staircase.path)
+        assert sorted(_basis(simplex)) == sorted(_fill_path(staircase))
+        want_u, want_v = _numpy_tree_duals(cmat, _fill_path(staircase))
         assert np.array_equal(u, want_u) and np.array_equal(v, want_v)
         return staircase
 
@@ -460,7 +465,7 @@ class TestStaircaseDuals:
     def test_degenerate_staircase(self, a, b):
         source, target = Grid(1, 0.0, 1.0, len(a)), Grid(1, 0.0, 1.0, len(b))
         staircase = self.check(power_cost(1.5, 1.0), source, target, a, b)
-        assert len(staircase.path) == len(a) + len(b) - 1
+        assert staircase.cells.size == len(a) + len(b) - 1
         assert (staircase.moves == 0.0).any()  # a basic cell that holds no mass
 
     @pytest.mark.parametrize("d, n", [(1, 96), (2, 8)])
@@ -564,8 +569,8 @@ def lp_instances(draw, d, axis_cells=(4, 5)):
     axis = st.integers(*axis_cells)
     n = draw(st.integers(4, 24)) if d == 1 else (draw(axis), draw(axis))
     grid = Grid(d, 0.0, 1.0, n)
-    rho = DensityField(grid, np.reshape(draw(_weights(grid.num_cells)), grid.shape)).normalized()
-    g = DensityField(grid, np.reshape(draw(_weights(grid.num_cells)), grid.shape)).normalized()
+    rho = normalize(DensityField(grid, np.reshape(draw(_weights(grid.num_cells)), grid.shape)))
+    g = normalize(DensityField(grid, np.reshape(draw(_weights(grid.num_cells)), grid.shape)))
     cost = power_cost(draw(st.sampled_from([1.5, 2.0, 3.0])), grid.cost_radius)
     return rho, g, cost
 
@@ -608,7 +613,8 @@ class TestSolveLPProperties:
         source = Grid(2, 0.0, 1.0, data.draw(shapes))
         target = Grid(2, 0.0, 1.0,
                       data.draw(shapes.filter(lambda s: s[0] * s[1] != source.num_cells)))
-        rho, g = (DensityField(grid, np.reshape(data.draw(_weights(grid.num_cells)), grid.shape)).normalized()
+        rho, g = (normalize(DensityField(grid, np.reshape(data.draw(_weights(grid.num_cells)),
+                                                          grid.shape)))
                   for grid in (source, target))
         cost = power_cost(data.draw(st.sampled_from([1.5, 2.0, 3.0])),
                           max(source.cost_radius, target.cost_radius))
@@ -632,8 +638,8 @@ class TestProductPairs:
         axis = Grid(1, 0.0, 1.0, n)
         grid = Grid(2, [0.0, 0.0], [1.0, 1.0], [n, n])
         f1, f2, g1, g2 = (random_smooth_density(axis, seed) for seed in (1, 2, 3, 4))
-        rho = DensityField(grid, np.outer(f1.values, f2.values)).normalized()
-        g = DensityField(grid, np.outer(g1.values, g2.values)).normalized()
+        rho = normalize(DensityField(grid, np.outer(f1.values, f2.values)))
+        g = normalize(DensityField(grid, np.outer(g1.values, g2.values)))
         result = oc.solve_lp(rho, g, power_cost(2.0, grid.cost_radius))
         _check_lp(result)
         assert result.meta["pivots"] > 0
@@ -674,7 +680,7 @@ def lp_1d_unequal_instances(draw):
     m, n = draw(st.tuples(st.integers(4, 24), st.integers(4, 24)).filter(lambda s: s[0] != s[1]))
     lower = draw(st.floats(-0.3, 0.3))
     source, target = Grid(1, 0.0, 1.0, m), Grid(1, lower, lower + draw(st.floats(0.5, 1.2)), n)
-    rho, g = (DensityField(grid, np.array(draw(_weights(grid.num_cells)), float)).normalized()
+    rho, g = (normalize(DensityField(grid, np.array(draw(_weights(grid.num_cells)), float)))
               for grid in (source, target))
     return rho, g, draw(convex_costs(2.0))
 
@@ -714,7 +720,7 @@ class TestSolveLP1D:
         assert np.array_equal(result.cells, staircase.cells[held])
         assert np.array_equal(result.masses, staircase.moves[held])
         plan = np.zeros((m, n))
-        plan[tuple(np.array(staircase.path).T)] = staircase.moves
+        plan[np.divmod(staircase.cells, n)] = staircase.moves
         assert np.array_equal(result.coupling, plan)
         assert result.primal == oc.solve_exact_1d(rho, g, cost)[0].primal
         # both read the held cells' costs off C: the profile at |x - y| has the same bits
@@ -1319,6 +1325,18 @@ class TestSolveEntropic:
         assert np.abs(result.coupling.sum(axis=1) - a).sum() <= 1e-12
         assert np.abs(result.coupling.sum(axis=0) - b).sum() <= 1e-12
 
+    def test_coupling_is_the_rounded_plans_support(self):
+        # cells are the plan's nonzero entries in row-major order, and the
+        # dense primal is read off the support's scatter bit for bit
+        grid, rho, g = random_pair(n=64)
+        cost = power_cost(1.5, grid.cost_radius)
+        result = oc.solve_entropic(rho, g, cost, eps_final=1e-4)
+        plan = result.coupling
+        assert np.array_equal(result.cells, np.flatnonzero(plan))
+        assert (result.masses > 0.0).all()
+        cmat = oc._cost_matrix(cost, grid.cell_centers(), grid.cell_centers())
+        assert result.primal == float((plan * cmat).sum())
+
     def test_decreasing_eps_tightens_primal(self):
         grid, rho, g = random_pair(n=128)
         cost = power_cost(1.5, grid.cost_radius)
@@ -1405,10 +1423,10 @@ class TestSolveEntropicProperties:
         # solve converges in 6491 sweeps; the drift itself is not mended, and
         # Anderson paths swing with the last bits of a sweep.
         grid = Grid(2, 0.0, 1.0, (5, 5))
-        rho = DensityField(grid, np.array([[0, 5, 4, 5, 6], [5, 0, 1, 4, 4], [6, 2, 3, 1, 1],
-                                         [2, 6, 3, 3, 0], [1, 5, 3, 0, 3]], float)).normalized()
-        g = DensityField(grid, np.array([[0, 5, 4, 5, 6], [5, 0, 1, 1, 2], [3, 4, 4, 6, 1],
-                                       [2, 6, 1, 3, 3], [0, 5, 3, 0, 2]], float)).normalized()
+        rho = normalize(DensityField(grid, np.array([[0, 5, 4, 5, 6], [5, 0, 1, 4, 4], [6, 2, 3, 1, 1],
+                                                     [2, 6, 3, 3, 0], [1, 5, 3, 0, 3]], float)))
+        g = normalize(DensityField(grid, np.array([[0, 5, 4, 5, 6], [5, 0, 1, 1, 2], [3, 4, 4, 6, 1],
+                                                   [2, 6, 1, 3, 3], [0, 5, 3, 0, 2]], float)))
         _check_entropic(oc.solve_entropic(rho, g, power_cost(1.5, grid.cost_radius), 1e-3))
 
 
@@ -1546,6 +1564,30 @@ class TestTransportMap:
         with pytest.raises(RangeError):
             oc.transport_map_from_potential(steep.reshape(grid.shape), cost, rho)
 
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_off_mask_cells_keep_their_centers(self, p):
+        # zero mass on x < 1/4 and on y < 0, a target box reaching past the
+        # source box: off the mask the exact map's T(x) is y_0 < 0, which the
+        # box would clip by 0.47, but both maps hold the cell center there and
+        # take their largest clip over the masked cells only
+        source, target = Grid(1, 0.0, 1.0, 16), Grid(1, -0.5, 1.0, 24)
+        xs, ys = source.cell_centers()[:, 0], target.cell_centers()[:, 0]
+        rho = normalize(DensityField(source, np.where(xs > 0.25, 1.0 + xs, 0.0)))
+        g = normalize(DensityField(target, np.where(ys > 0.0, 2.0 - ys, 0.0)))
+        cost = power_cost(p, 1.5)
+        result, exact_map = oc.solve_exact_1d(rho, g, cost)
+        lp = oc.solve_lp(rho, g, cost)
+        potential_map = oc.transport_map_from_potential(lp.phi, cost, rho)
+        centers = source.cell_centers()
+        for mf in (exact_map, potential_map):
+            assert mf.mask.tolist() == (xs > 0.25).tolist()
+            assert np.array_equal(mf.points[~mf.mask], centers[~mf.mask])
+        # every masked value of the monotone map lies in [0, 1]: nothing to clip
+        assert exact_map.max_clip_distance == 0.0
+        clamped = oc._clamped_gradient(lp.phi, cost, source)[0]
+        raw = (centers - grad_h_star(cost, clamped))[potential_map.mask]
+        assert potential_map.max_clip_distance == float(np.abs(source.clip(raw) - raw).max()) > 0.0
 
     def test_gradient_clamp_scales_only_overshooting_cells(self):
         grid = Grid(1, 0.0, 1.0, 64)
