@@ -54,9 +54,13 @@ the scale of the squared cell width restores the continuum behavior the
 limit PDE has, which is why eps defaults stay near Delta^2 rather than 0.
 
 The scheme discretizes ∂_t u = Δ_q(g(u)) with q = p/(p-1) and g the
-diffusion transform of the energy; ``reference_pde_solve`` integrates that
-limit PDE with an explicit flux-form finite-difference scheme for
-benchmarking (p = 2 with the entropy energy is the heat equation).
+diffusion transform of the energy. ``jko_vs_pde_report`` benchmarks it
+against that limit PDE. For p = 2 with the entropy energy the PDE is the
+heat equation, linear, and ``exact_heat_solve`` gives its semi-discrete
+solution exactly in time from the cosine eigenbasis of the Neumann
+Laplacian; a comparison there takes no dt. Every other (p, energy) takes
+the explicit flux-form finite-difference steps of ``reference_pde_solve``,
+whose dt must be stable and divide tau.
 """
 
 from __future__ import annotations
@@ -645,6 +649,64 @@ def reference_pde_solve(rho_0: DensityField, p: float, energy: Energy,
     )
 
 
+def _neumann_cosines(n: int, spacing: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenbasis (V, w, lam) of the cell-centred 3-point Neumann Laplacian on one axis.
+
+    V[k, j] = cos(pi k (j + 1/2) / n) is the DCT-II basis, V^T diag(w) V = I
+    with w = 1/n at k = 0 and 2/n above, and the Laplacian is
+    V^T diag(-w lam) V with lam_k = (2 - 2 cos(pi k / n)) / spacing^2.
+    """
+    k = np.arange(n)
+    basis = np.cos(np.pi * np.outer(k, k + 0.5) / n)
+    weights = np.full(n, 2.0 / n)
+    weights[0] = 1.0 / n
+    return basis, weights, (2.0 - 2.0 * np.cos(np.pi * k / n)) / spacing**2
+
+
+def _along_axes(values: np.ndarray, matrices: list) -> np.ndarray:
+    """``values`` with ``matrices[a]`` applied along each axis a."""
+    for axis, matrix in enumerate(matrices):
+        values = np.moveaxis(np.tensordot(matrix, values, axes=(1, axis)), 0, axis)
+    return values
+
+
+def exact_heat_solve(rho_0: DensityField, times) -> tuple:
+    """The states exp(t L) rho_0 of the semi-discrete heat flow at ``times``, exact in time.
+
+    L is the cell-centred 3-point Laplacian with zero-flux walls on every
+    axis, the operator whose explicit steps ``reference_pde_solve`` takes for
+    p = 2 with the entropy energy; this is their dt -> 0 limit. The DCT-II
+    cosines diagonalize it per axis (Strang, "The discrete cosine
+    transform", SIAM Review 1999), so u(t) = V^T (w exp(-lam t) (V u_0)) on
+    each axis with the dense n x n basis of ``_neumann_cosines``. There is
+    no step and no stability bound. A time of 0 gives rho_0 itself; every
+    other state raises on a negative entry below -1e-12, is clamped at 0,
+    and raises on a mass drift above 1e-10.
+    """
+    grid = rho_0.grid
+    axes = [_neumann_cosines(n, h) for n, h in zip(grid.shape, grid.spacing)]
+    coefficients = _along_axes(rho_0.values, [basis for basis, _, _ in axes])
+    states = []
+    for t in times:
+        if not t >= 0:
+            raise ParameterError(f"times must be nonnegative, got {t}")
+        if t == 0:
+            states.append(rho_0)
+            continue
+        decay = np.ones(())
+        for _, weights, lam in axes:
+            decay = np.multiply.outer(decay, weights * np.exp(-lam * t))
+        u = _along_axes(coefficients * decay, [basis.T for basis, _, _ in axes])
+        if u.min() < -1e-12:
+            raise ParameterError(f"negative density {u.min():.3e} at t = {t:.3e}")
+        state = DensityField(grid, np.maximum(u, 0.0))
+        drift = abs(state.mass - rho_0.mass)
+        if drift > 1e-10:
+            raise ParameterError(f"mass drifted by {drift:.3e} at t = {t:.3e}")
+        states.append(state)
+    return tuple(states)
+
+
 def aligned_dt(rho_0: DensityField, config: JKOConfig) -> float:
     """Largest stable dt such that tau and tau/2 are both whole multiples of it."""
     bound = stable_dt(rho_0, config.p, config.energy)
@@ -669,19 +731,28 @@ def _l1_distance(a: DensityField, b: DensityField) -> float:
 
 
 def comparison_steps(rho_0: DensityField, config: JKOConfig, dt: float | None,
-                     refine: bool) -> tuple[float, int]:
+                     refine: bool) -> tuple[float | None, int]:
     """The reference step and its count per scheme step of ``jko_vs_pde_report``.
 
     Every rule of a scheme-vs-PDE comparison of a run of ``config`` from
-    rho_0, checked without running the flow: the grid is 1-d, there is at
-    least one step, and dt (``aligned_dt`` if None) is positive, divides
-    tau, and tau/2 if ``refine`` is set, and is within ``stable_dt`` at
-    rho_0. Raises DomainError or ParameterError; returns (dt, tau / dt).
+    rho_0, checked without running the flow: the grid is 1-d and there is
+    at least one step. For p = 2 with the entropy energy the reference is
+    ``exact_heat_solve``, exact in time: dt must be None, and the result
+    is (None, 0). Otherwise dt (``aligned_dt`` if None) must be positive,
+    divide tau, and tau/2 if ``refine`` is set, and be within ``stable_dt``
+    at rho_0; the result is (dt, tau / dt). Raises DomainError or
+    ParameterError.
     """
     if rho_0.grid.d != 1:
         raise DomainError("the comparison runs on 1-d grids")
     if config.steps < 1:
         raise ParameterError("need at least one step to compare")
+    if config.p == 2.0 and config.energy.kind == "entropy":
+        if dt is not None:
+            raise ParameterError(
+                f"dt must be null: the reference for p = 2 with the entropy energy "
+                f"is exact in time and takes no step, got dt = {dt!r}")
+        return None, 0
     if dt is None:
         dt = aligned_dt(rho_0, config)
     if not dt > 0:
@@ -701,9 +772,11 @@ def jko_vs_pde_report(trajectory: Trajectory, config: JKOConfig, dt: float | Non
     """Compare a completed scheme run against the PDE reference at 5 shared checkpoints.
 
     ``trajectory`` is the ``run_jko`` result for ``config``; the reference
-    starts from its first state, with the step ``comparison_steps`` checks
-    and resolves. The refined pass reruns the scheme at tau/2 over the same
-    horizon and must not increase the final-checkpoint distance.
+    starts from its first state. It is ``exact_heat_solve`` for p = 2 with
+    the entropy energy, and otherwise ``reference_pde_solve`` with the step
+    ``comparison_steps`` checks and resolves. The refined pass reruns the
+    scheme at tau/2 over the same horizon and must not increase the
+    final-checkpoint distance.
     """
     rho_0 = trajectory.densities[0]
     dt, substeps = comparison_steps(rho_0, config, dt, refine)
@@ -715,11 +788,15 @@ def jko_vs_pde_report(trajectory: Trajectory, config: JKOConfig, dt: float | Non
         )
 
     k_checks = sorted({round(j * config.steps / 4.0) for j in range(5)})
-    reference = reference_pde_solve(rho_0, config.p, config.energy, dt,
-                                    steps=config.steps * substeps, record_every=substeps)
     times = tuple(k * config.tau for k in k_checks)
+    if dt is None:
+        reference = exact_heat_solve(rho_0, times)
+    else:
+        explicit = reference_pde_solve(rho_0, config.p, config.energy, dt,
+                                       steps=config.steps * substeps, record_every=substeps)
+        reference = [explicit.densities[k] for k in k_checks]
     distances = tuple(
-        _l1_distance(trajectory.densities[k], reference.densities[k]) for k in k_checks
+        _l1_distance(trajectory.densities[k], state) for k, state in zip(k_checks, reference)
     )
     refined_distances = ()
     refinement_ok = True
@@ -729,7 +806,8 @@ def jko_vs_pde_report(trajectory: Trajectory, config: JKOConfig, dt: float | Non
         if traj_half.error:
             raise StepError(f"refined run failed: {traj_half.error}", residual=float("nan"))
         refined_distances = tuple(
-            _l1_distance(traj_half.densities[2 * k], reference.densities[k]) for k in k_checks
+            _l1_distance(traj_half.densities[2 * k], state)
+            for k, state in zip(k_checks, reference)
         )
         refinement_ok = refined_distances[-1] <= distances[-1] + 1e-12
     return JKOPDEReport(

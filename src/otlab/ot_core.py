@@ -152,20 +152,22 @@ class MapField:
 
     ``points`` has one target point per source cell (row-major); entries off
     the mask carry the cell center itself and are meaningless. Map values are
-    clipped to the box; the largest clip distance over the masked cells is
-    kept for diagnostics. ``_map_field`` builds every instance.
+    clipped to the box of ``target`` (None: ``grid``, the source grid); the
+    largest clip distance over the masked cells is kept for diagnostics.
+    ``_map_field`` builds every instance.
     """
 
     grid: Grid
     points: np.ndarray = field(repr=False)
     mask: np.ndarray = field(repr=False)
     max_clip_distance: float = 0.0
+    target: Grid | None = None
 
     def __post_init__(self):
         if self.points.shape != (self.grid.num_cells, self.grid.d):
             raise OTLabError("map points must be (num_cells, d)")
-        if not np.all(self.grid.contains(self.points[self.mask])):
-            raise OTLabError("masked map values must lie inside the box")
+        if not np.all((self.target or self.grid).contains(self.points[self.mask])):
+            raise OTLabError("masked map values must lie inside the target box")
 
 
 def default_mass_threshold(grid: Grid) -> float:
@@ -640,7 +642,7 @@ def solve_exact_1d(rho: DensityField, g: DensityField, cost: RadialCost,
                              primal=primal, solver="exact1d",
                              meta={"plan_nonzeros": int(cells.size)})
 
-    return result, _map_field(rho, t_vals[:, None], mass_threshold)
+    return result, _map_field(rho, t_vals[:, None], mass_threshold, g.grid)
 
 
 def _largest_abs_cost(cmat: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> float:
@@ -989,21 +991,22 @@ def solve_entropic(rho: DensityField, g: DensityField, cost: RadialCost,
                            })
 
 
-def _map_field(rho: DensityField, points: np.ndarray, mass_threshold: float | None) -> MapField:
+def _map_field(rho: DensityField, points: np.ndarray, mass_threshold: float | None,
+               target: Grid) -> MapField:
     """The ``MapField`` of map values ``points``, one row per cell of rho's grid.
 
     The mask holds the cells whose density exceeds ``mass_threshold``
     (default: ``default_mass_threshold``). Cells off it get their own center;
-    every value is clipped to the box, and the largest clip distance is
-    taken over the masked cells.
+    every value is clipped to the box of ``target``, the grid the map maps
+    into, and the largest clip distance is taken over the masked cells.
     """
     grid = rho.grid
     threshold = default_mass_threshold(grid) if mass_threshold is None else mass_threshold
     mask = rho.values.reshape(-1) > threshold
     points = np.where(mask[:, None], points, grid.cell_centers())
-    clipped = grid.clip(points)
+    clipped = target.clip(points)
     max_clip = float(np.abs(clipped - points)[mask].max()) if mask.any() else 0.0
-    return MapField(grid, clipped, mask, max_clip)
+    return MapField(grid, clipped, mask, max_clip, target)
 
 
 def _clamped_gradient(phi, cost: RadialCost, grid: Grid):
@@ -1018,15 +1021,17 @@ def transport_map_from_potential(phi, cost: RadialCost, rho: DensityField,
                                  mass_threshold: float | None = None) -> MapField:
     """Assemble T(x) = x - grad_h_star(grad phi(x)) on cells carrying mass.
 
-    Finite-difference gradients of a canonical potential stay inside the
-    gradient range of the cost up to discretization error; a relative
+    The map is taken into rho's own grid, which every caller's target
+    shares. Finite-difference gradients of a canonical potential stay inside
+    the gradient range of the cost up to discretization error; a relative
     overshoot beyond 0.1% signals a non-c-concave input and raises instead
     of being clipped silently. Map values are clipped to the box and the
     worst clip distance is recorded.
     """
     grid = rho.grid
     grad_phi, norms, wmax = _clamped_gradient(phi, cost, grid)
-    map_field = _map_field(rho, grid.cell_centers() - grad_h_star(cost, grad_phi), mass_threshold)
+    map_field = _map_field(rho, grid.cell_centers() - grad_h_star(cost, grad_phi),
+                           mass_threshold, grid)
     norms = norms[map_field.mask]
     if norms.size and norms.max() > wmax * (1.0 + 1e-3):
         raise RangeError(

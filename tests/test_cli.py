@@ -757,13 +757,31 @@ class TestJKO:
             raise AssertionError("the flow ran before compare_pde was checked")
 
         monkeypatch.setattr(cli, "run_jko", no_flow)
-        payload = self.jko_config(**{"steps": 4, **scheme})
+        # a nonlinear limit PDE, so the explicit reference and its dt rules apply
+        payload = self.jko_config(**{"steps": 4, "energy": {"kind": "power", "m": 2.0},
+                                     **scheme})
         payload["grid"] = {"d": d, "lower": 0.0, "upper": 1.0, "n": 8 if d == 2 else 48}
         payload["compare_pde"] = compare
         cfg = write_config(tmp_path, payload)
         assert run_cli("jko", "--config", cfg, "--out", tmp_path / "out") == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "compare_pde" in err and word in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("refine", [False, True])
+    def test_heat_pde_dt_exits_2(self, tmp_path, capsys, monkeypatch, refine):
+        # p = 2 with entropy compares against the exact-in-time reference,
+        # which has no time step: a numeric dt is refused, not ignored
+        def no_flow(*args, **kwargs):
+            raise AssertionError("the flow ran before compare_pde was checked")
+
+        monkeypatch.setattr(cli, "run_jko", no_flow)
+        payload = self.jko_config(steps=4)
+        payload["compare_pde"] = {"dt": 0.0001, "refine": refine}
+        cfg = write_config(tmp_path, payload)
+        assert run_cli("jko", "--config", cfg, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: invalid compare_pde spec: dt must be null")
         assert not (tmp_path / "out").exists()
 
     def test_2d_grid_without_compare_pde_exits_2(self, tmp_path, capsys, monkeypatch):

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from otlab import cli, jko
 from otlab.cost import power_cost
@@ -640,6 +641,74 @@ class TestReferencePDE:
                                     dt=1e-6, steps=10, record_every=record_every)
 
 
+def neumann_laplacian(n, spacing):
+    """The cell-centred 3-point Laplacian with zero-flux walls, as a dense matrix."""
+    lap = np.diag(np.full(n - 1, 1.0), -1) + np.diag(np.full(n - 1, 1.0), 1)
+    lap -= np.diag(lap.sum(axis=1))
+    return lap / spacing**2
+
+
+class TestExactHeatSolve:
+    @pytest.mark.parametrize("n", [16, 96])
+    def test_matches_expm_of_neumann_laplacian(self, n):
+        rho0 = bump_density(n=n)
+        lap = neumann_laplacian(n, rho0.grid.spacing[0])
+        times = (0.002, 0.02, 0.04)
+        states = jko.exact_heat_solve(rho0, times)
+        assert len(states) == len(times)
+        for t, state in zip(times, states):
+            oracle = expm(t * lap) @ rho0.values
+            np.testing.assert_allclose(state.values, oracle, rtol=0.0, atol=1e-12)
+
+    def test_two_dimensional_grid_is_the_product_of_its_axes(self):
+        # the transform runs per axis: on a 6 x 8 grid the flow is the
+        # exponential of the Kronecker sum of the two axis Laplacians
+        grid = Grid(2, (0.0, 0.0), (1.0, 2.0), (6, 8))
+        rho0 = random_smooth_density(grid, 5)
+        lap = (np.kron(neumann_laplacian(6, grid.spacing[0]), np.eye(8))
+               + np.kron(np.eye(6), neumann_laplacian(8, grid.spacing[1])))
+        (state,) = jko.exact_heat_solve(rho0, (0.01,))
+        oracle = expm(0.01 * lap) @ rho0.values.reshape(-1)
+        np.testing.assert_allclose(state.values.reshape(-1), oracle, rtol=0.0, atol=1e-12)
+
+    def test_explicit_reference_converges_at_first_order(self):
+        # the explicit scheme's gap to its dt -> 0 limit shrinks 4x when dt does
+        rho0 = bump_density(n=96)
+        config = heat_config(10, tau=0.002)
+        exact = jko.exact_heat_solve(rho0, (0.002, 0.01, 0.02))
+        dt = jko.aligned_dt(rho0, config)
+
+        def gaps(refinement):
+            substeps = refinement * round(config.tau / dt)
+            explicit = jko.reference_pde_solve(rho0, 2.0, config.energy, dt / refinement,
+                                               config.steps * substeps, record_every=substeps)
+            return np.array([jko._l1_distance(explicit.densities[k], state)
+                             for k, state in zip((1, 5, 10), exact)])
+
+        ratio = gaps(4) / gaps(1)
+        assert np.all((0.2 <= ratio) & (ratio <= 0.3)), ratio
+
+    def test_mass_is_conserved(self):
+        rho0 = bump_density(n=96)
+        for state in jko.exact_heat_solve(rho0, (1e-4, 0.01, 0.04, 1.0)):
+            assert abs(state.mass - rho0.mass) <= 1e-12
+            assert state.values.min() >= 0.0
+
+    def test_uniform_density_stays_put(self):
+        grid = Grid(1, 0.0, 1.0, 96)
+        uniform = DensityField(grid, np.ones(grid.shape))
+        for state in jko.exact_heat_solve(uniform, (0.002, 0.04, 1.0)):
+            np.testing.assert_allclose(state.values, 1.0, rtol=0.0, atol=1e-14)
+
+    def test_time_zero_is_the_initial_state(self):
+        rho0 = bump_density(n=16)
+        assert jko.exact_heat_solve(rho0, (0.0,))[0] is rho0
+
+    def test_negative_time_rejected(self):
+        with pytest.raises(ParameterError, match="nonnegative"):
+            jko.exact_heat_solve(bump_density(n=16), (0.01, -0.01))
+
+
 @pytest.fixture(scope="module")
 def short_run():
     """An 8-step flow from the sharp bump, shared by the comparison tests."""
@@ -648,18 +717,44 @@ def short_run():
     return rho0, config, jko.run_jko(rho0, config)
 
 
+@pytest.fixture(scope="module")
+def porous_run():
+    """An 8-step p = 2 flow of the power energy m = 2, whose reference is explicit."""
+    config = heat_config(8, energy=jko.power_energy(2.0))
+    rho0 = bump_density(n=64)
+    return rho0, config, jko.run_jko(rho0, config)
+
+
 class TestJKOvsPDEReport:
     def test_initial_checkpoint_distance_is_zero(self, short_run):
-        rho0, config, traj = short_run
-        dt = jko.aligned_dt(rho0, config)
-        report = jko.jko_vs_pde_report(traj, config, dt, refine=False)
+        _, config, traj = short_run
+        report = jko.jko_vs_pde_report(traj, config, None, refine=False)
         assert report.times[0] == 0.0
         assert report.distances[0] == 0.0
         assert len(report.times) == 5
         assert report.distances[-1] < 0.05
 
-    def test_compared_states_are_the_full_reference_states(self, short_run):
+    def test_heat_comparison_takes_the_exact_reference(self, short_run):
         rho0, config, traj = short_run
+        assert jko.comparison_steps(rho0, config, None, refine=True) == (None, 0)
+        times = tuple(k * config.tau for k in (0, 2, 4, 6, 8))
+        report = jko.jko_vs_pde_report(traj, config, None, refine=False)
+        assert report.times == times
+        assert report.distances == tuple(
+            jko._l1_distance(traj.densities[k], state)
+            for k, state in zip((0, 2, 4, 6, 8), jko.exact_heat_solve(rho0, times)))
+
+    @pytest.mark.parametrize("dt", [1e-4, 1e-3 / 8, 0.0])
+    def test_heat_comparison_refuses_a_dt(self, short_run, dt):
+        # the exact reference has no time step, so a given dt is never silently ignored
+        rho0, config, traj = short_run
+        with pytest.raises(ParameterError, match="dt must be null"):
+            jko.comparison_steps(rho0, config, dt, refine=False)
+        with pytest.raises(ParameterError, match="dt must be null"):
+            jko.jko_vs_pde_report(traj, config, dt, refine=False)
+
+    def test_compared_states_are_the_full_reference_states(self, porous_run):
+        rho0, config, traj = porous_run
         dt = jko.aligned_dt(rho0, config)
         substeps = round(config.tau / dt)
         args = (rho0, config.p, config.energy, dt, config.steps * substeps)
@@ -676,8 +771,8 @@ class TestJKOvsPDEReport:
             jko._l1_distance(traj.densities[k], full.densities[k * substeps])
             for k in (0, 2, 4, 6, 8))
 
-    def test_comparison_steps_resolve_a_null_dt(self, short_run):
-        rho0, config, traj = short_run
+    def test_comparison_steps_resolve_a_null_dt(self, porous_run):
+        rho0, config, traj = porous_run
         dt = jko.aligned_dt(rho0, config)
         substeps = round(config.tau / dt)
         assert jko.comparison_steps(rho0, config, None, refine=True) == (dt, substeps)
@@ -685,28 +780,28 @@ class TestJKOvsPDEReport:
         assert (jko.jko_vs_pde_report(traj, config, None, refine=False)
                 == jko.jko_vs_pde_report(traj, config, dt, refine=False))
 
-    def test_unstable_dt_raises(self, short_run):
-        _, config, traj = short_run
+    def test_unstable_dt_raises(self, porous_run):
+        _, config, traj = porous_run
         with pytest.raises(ParameterError, match="stability bound"):
             jko.jko_vs_pde_report(traj, config, dt=config.tau / 10, refine=False)
 
-    def test_negative_density_between_recorded_states_raises(self, short_run, monkeypatch):
+    def test_negative_density_between_recorded_states_raises(self, porous_run, monkeypatch):
         # past the stability bound the explicit scheme oscillates; the state
         # that turns negative is not one the report records
-        _, config, traj = short_run
+        _, config, traj = porous_run
         monkeypatch.setattr(jko, "stable_dt", lambda *args: np.inf)
         with pytest.raises(ParameterError, match="negative density") as failure:
             jko.jko_vs_pde_report(traj, config, dt=config.tau / 10, refine=False)
         assert int(re.search(r"at step (\d+)", str(failure.value)).group(1)) % 10 != 0
 
-    def test_misaligned_dt_rejected(self, short_run):
-        _, config, traj = short_run
+    def test_misaligned_dt_rejected(self, porous_run):
+        _, config, traj = porous_run
         with pytest.raises(ParameterError):
             jko.jko_vs_pde_report(traj, config, dt=config.tau / 2.5, refine=False)
 
     def test_refinement_needs_even_substepping(self):
         rho0 = bump_density(n=16)
-        config = heat_config(4)
+        config = heat_config(4, energy=jko.power_energy(2.0))
         traj = jko.run_jko(rho0, config)
         with pytest.raises(ParameterError):
             jko.jko_vs_pde_report(traj, config, dt=config.tau / 81.0, refine=True)
@@ -718,10 +813,10 @@ class TestJKOvsPDEReport:
             jko.jko_vs_pde_report(jko.run_jko(rho0, config), config, dt=1e-5)
 
     def test_trajectory_of_another_config_rejected(self, short_run):
-        rho0, _, traj = short_run
+        _, _, traj = short_run
         config = heat_config(4)
         with pytest.raises(ParameterError):
-            jko.jko_vs_pde_report(traj, config, jko.aligned_dt(rho0, config), refine=False)
+            jko.jko_vs_pde_report(traj, config, None, refine=False)
 
     def test_aborted_trajectory_rejected(self, monkeypatch):
         monkeypatch.setattr(jko, "_MAX_INNER", 2)
@@ -730,7 +825,7 @@ class TestJKOvsPDEReport:
         traj = jko.run_jko(rho0, config)
         assert traj.error
         with pytest.raises(StepError):
-            jko.jko_vs_pde_report(traj, config, jko.aligned_dt(rho0, config), refine=False)
+            jko.jko_vs_pde_report(traj, config, None, refine=False)
 
 
 class TestTrajectoryWriter:

@@ -1589,6 +1589,20 @@ class TestTransportMap:
         raw = (centers - grad_h_star(cost, clamped))[potential_map.mask]
         assert potential_map.max_clip_distance == float(np.abs(source.clip(raw) - raw).max()) > 0.0
 
+    def test_exact_map_is_clipped_to_the_target_box(self):
+        # T maps into the target's box: with the target on [-0.5, 1] the
+        # monotone map sends the first source cells below 0, where the
+        # source's box [0, 1] used to clip them to 0 (by up to 0.42)
+        source, target = Grid(1, 0.0, 1.0, 16), Grid(1, -0.5, 1.0, 24)
+        rho, g = random_smooth_density(source, 3), random_smooth_density(target, 4)
+        cost = power_cost(2.0, 1.5)
+        _, exact_map = oc.solve_exact_1d(rho, g, cost)
+        values = exact_map.points[exact_map.mask, 0]
+        assert exact_map.mask.all()
+        assert exact_map.max_clip_distance == 0.0
+        assert np.all(values != 0.0) and values.min() < -0.4
+        assert exact_map.target is target
+
     def test_gradient_clamp_scales_only_overshooting_cells(self):
         grid = Grid(1, 0.0, 1.0, 64)
         cost = power_cost(2.0, 1.0)  # gradient range [0, 1]
