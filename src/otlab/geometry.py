@@ -331,12 +331,16 @@ def write_rows(path, rows) -> None:
 
 
 def write_field_csv(path, grid: Grid, values: np.ndarray, value_header: str = "value") -> None:
+    """One row per cell, its center's coordinates then its value, under a header; the text of
+    ``write_rows``, the floats of the body formatted by ``repr`` as ``format_cell`` does."""
     vals = np.asarray(values, dtype=float)
     if vals.shape != grid.shape:
         raise ShapeError(f"values shape {vals.shape} != grid shape {grid.shape}")
     header = ["x", "y"][: grid.d] + [value_header]
-    cells = zip(grid.cell_centers().tolist(), vals.reshape(-1).tolist())
-    write_rows(path, [header, *([*center, v] for center, v in cells)])
+    body = np.column_stack((grid.cell_centers(), vals.reshape(-1))).tolist()
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(map(format_cell, header)) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in body)
 
 
 def _grid_from_axis(centers: np.ndarray) -> tuple[float, float, int]:

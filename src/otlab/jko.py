@@ -15,8 +15,8 @@ of the anchor masses b with the floored prior r, by alternating an exact
 column fit of the dual potential (a Sinkhorn half-step) with a pointwise
 update of the row potential from the first-order condition
 f_i = tilt_i - tau^(p-1) f'(rho_i), closed-form for the entropy energy and
-a safeguarded bisection for power energies. The row marginal of the
-converged plan is the next iterate.
+by Newton's method on the Wright omega equation for power energies. The
+row marginal of the converged plan is the next iterate.
 
 The step and the pinned evaluation run ``ot_core._scaling``, the entropic
 solver's loop, with their own row updates; the self-transport runs its
@@ -100,6 +100,13 @@ _PRIOR_FLOOR = 1e-30
 # inner solves: the residual that ends them, their sweep cap at the working width
 _INNER_TOL = 1e-8
 _MAX_INNER = 4000
+
+# power-energy prox: below _OMEGA_TAIL the Wright omega function is e^z to
+# double precision; Newton's method stops on a step of _NEWTON_STEP_TOL
+# relative, which leaves an error below its square, or fails after _NEWTON_CAP
+_OMEGA_TAIL = -30.0
+_NEWTON_STEP_TOL = 1e-10
+_NEWTON_CAP = 50
 
 
 @dataclass(frozen=True)
@@ -234,31 +241,35 @@ def _power_log_mass(M: np.ndarray, eps: float, T: float, m: float, vol: float) -
     """Per-cell root u of eps u + A exp((m-1) u) = M, A = T m / ((m-1) vol^(m-1)).
 
     u is the log cell mass of the power-energy first-order condition
-    f_i = -T f'(a_i / vol); the left side is strictly increasing in u, so a
-    sign-safe bisection suffices. Vacuum cells drive u far negative and
-    exp(u) underflows to an exact zero.
+    f_i = -T f'(a_i / vol). With k = m - 1 and c = log(A k / eps), the root
+    is u = (s - c) / k where s solves e^s + s = z, z = c + k M / eps: e^s is
+    the Wright omega function of z (Corless et al., Adv. Comput. Math.
+    1996). g(s) = e^s + s - z is convex and increasing, so Newton's method
+    from s = log(softplus(z)), which is at least the root, falls to it
+    monotonically; below z = _OMEGA_TAIL, omega(z) = e^z to double precision
+    and s starts at z. It stops once every step is at most _NEWTON_STEP_TOL
+    relative to max(1, |s|), and raises StepError after _NEWTON_CAP steps.
+    Vacuum cells drive u far negative and exp(u) underflows to an exact
+    zero; a non-finite z passes through.
     """
-    A = T * m / ((m - 1.0) * vol ** (m - 1.0))
     k = m - 1.0
-
-    def shifted(u):
-        return eps * u + A * np.exp(k * u) - M
-
-    # M/eps always bounds the root from above (the exponential term is
-    # positive there, overflow to +inf keeps the sign usable)
-    hi = M / eps
-    lo = np.minimum(hi - 1.0, -1.0)
-    for _ in range(130):
-        low_side = shifted(lo) < 0.0
-        if low_side.all():
+    c = math.log(T * m / eps) - k * math.log(vol)
+    z = c + k * (M / eps)
+    s = z.copy()
+    live = np.isfinite(z)
+    zl = z[live]
+    sl = np.where(zl < _OMEGA_TAIL, zl, np.log(np.logaddexp(0.0, np.maximum(zl, _OMEGA_TAIL))))
+    for _ in range(_NEWTON_CAP):
+        es = np.exp(sl)
+        step = (es + sl - zl) / (es + 1.0)
+        sl -= step
+        if (np.abs(step) <= _NEWTON_STEP_TOL * np.maximum(1.0, np.abs(sl))).all():
             break
-        lo = np.where(low_side, lo, 2.0 * lo - 1.0)
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        neg = shifted(mid) < 0.0
-        lo = np.where(neg, mid, lo)
-        hi = np.where(neg, hi, mid)
-    return 0.5 * (lo + hi)
+    else:
+        raise StepError(f"power-energy prox did not converge in {_NEWTON_CAP} Newton steps",
+                        residual=float(np.abs(step).max()))
+    s[live] = sl
+    return (s - c) / k
 
 
 def _scaling_solve(b_log: np.ndarray, r_log: np.ndarray, kernel, levels: list,
@@ -277,9 +288,10 @@ def _scaling_solve(b_log: np.ndarray, r_log: np.ndarray, kernel, levels: list,
 
     ``_scaling`` runs the sweep kernel ``kernel`` over the widths
     ``levels``, its row prox f_i = tilt_i - T f'(a_i / vol) closed-form for
-    entropy and bisected for power energies. Returns (row masses a, f, g,
-    residual, sweeps, mass of the plan (f, g)), the residual being the L1 gap
-    between the row masses of that plan and a.
+    entropy and by the Newton iteration of ``_power_log_mass`` for power
+    energies. Returns (row masses a, f, g, residual, sweeps, mass of the plan
+    (f, g)), the residual being the L1 gap between the row masses of that
+    plan and a.
     """
     log_vol = math.log(vol)
 
@@ -620,9 +632,11 @@ def reference_pde_solve(rho_0: DensityField, p: float, energy: Energy,
     states = [rho_0]
     for step in range(steps):
         dw = np.diff(energy.g(u, p))
-        s = dw / spacing
-        flux = np.abs(s) ** (q - 2.0) * s if q != 2.0 else s
-        flux[dw == 0.0] = 0.0
+        # the power runs on moving faces only: |0|^(q-2) divides by zero for q < 2
+        moving = dw != 0.0
+        s = dw[moving] / spacing
+        flux = np.zeros_like(dw)
+        flux[moving] = np.abs(s) ** (q - 2.0) * s if q != 2.0 else s
         div = np.zeros_like(u)
         div[:-1] += flux
         div[1:] -= flux

@@ -348,9 +348,14 @@ def _fixed_point(step, x0: np.ndarray, tol: float, cap: int):
     was mixed from, or its own (Zhang, O'Donoghue and Boyd 2020). Returns
     (x, residual, sweeps, extra) of the last point evaluated, so the
     residual is x's own; above tol it means the cap was hit.
+
+    The history is two depth-by-live-entries buffers of differences,
+    oldest row first: each sweep writes one row, and a full buffer shifts
+    its rows up by one. Their leading rows, transposed, are the
+    column-major matrices that differencing the stacked history gives, so
+    the least squares and the mix see the same values in the same layout.
     """
     x, plain, live = x0, None, None  # plain: the plain update x was mixed from
-    updates, residuals = [], []
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         for sweeps in range(1, cap + 1):
             fx, residual, extra = step(x)
@@ -360,19 +365,33 @@ def _fixed_point(step, x0: np.ndarray, tol: float, cap: int):
                 x, plain, live = fx if plain is None else plain, None, None
                 continue
             now_live = np.isfinite(x) & np.isfinite(fx)
-            if live is None or not np.array_equal(now_live, live):
-                live, updates, residuals = now_live, [], []
-            updates.append(fx[live])
-            residuals.append(fx[live] - x[live])
-            del updates[:-_ANDERSON_DEPTH - 1], residuals[:-_ANDERSON_DEPTH - 1]
+            if live is None or not (now_live == live).all():
+                live, every = now_live, bool(now_live.all())
+                d_upd = np.empty((_ANDERSON_DEPTH, np.count_nonzero(live)))
+                d_res = np.empty_like(d_upd)
+                rows, last_upd = 0, None  # no earlier point in this history yet
+            upd = fx if every else fx[live]
+            res = upd - (x if every else x[live])
+            if last_upd is not None:
+                if rows == _ANDERSON_DEPTH:
+                    d_upd[:-1] = d_upd[1:]
+                    d_res[:-1] = d_res[1:]
+                else:
+                    rows += 1
+                np.subtract(upd, last_upd, out=d_upd[rows - 1])
+                np.subtract(res, last_res, out=d_res[rows - 1])
+            last_upd, last_res = upd, res
             x, plain = fx, None
-            d_res = np.diff(residuals, axis=0).T
-            if d_res.size and np.isfinite(d_res).all():
-                gamma = np.linalg.lstsq(d_res, residuals[-1], rcond=None)[0]
-                mixed = updates[-1] - np.diff(updates, axis=0).T @ gamma
+            if rows and upd.size and np.isfinite(d_res[:rows]).all():
+                gamma = np.linalg.lstsq(d_res[:rows].T, res, rcond=None)[0]
+                mixed = upd - d_upd[:rows].T @ gamma
                 if np.isfinite(mixed).all():
-                    x, plain = fx.copy(), fx
-                    x[live] = mixed
+                    plain = fx
+                    if every:
+                        x = mixed
+                    else:
+                        x = fx.copy()
+                        x[live] = mixed
     return x, residual, sweeps, extra
 
 

@@ -294,13 +294,14 @@ class TestSolveOT:
         # optimum: one ulp more on every kernel output moves this primal by
         # 1.9e-7 relative (1021 sweeps become 816), far beyond rtol 1e-9, so
         # any change to the bits of ``_AnchoredKernel`` or ``_fixed_point``
-        # fails here; the sweep and re-anchor counts are not compared
+        # fails here; the sweep and re-anchor counts must match as well
         out = tmp_path / "out"
         assert run_cli("solve-ot", "--config", CONFIGS / "solve_ot_2d_entropic_example.json",
                        "--out", out) == 0
         got = read_meta(out / "meta")
         want = read_meta(GOLDEN / "solve_ot_2d_entropic_example_meta")
-        assert got["schedule"] == want["schedule"]
+        for key in ("schedule", "iterations", "reanchors"):
+            assert got[key] == want[key]
         for key in ("primal", "dual"):
             assert float(got[key]) == pytest.approx(float(want[key]), rel=1e-9)
 

@@ -264,6 +264,19 @@ class TestCSV:
         first = path.read_text().splitlines()[0]
         assert first == "x,y,value"
 
+    @pytest.mark.parametrize("grid", [Grid(1, -0.3, 0.7, 9), Grid(2, (0.0, -1.0), (1.0, 1.0), (4, 6))],
+                             ids=["1d", "2d"])
+    def test_same_bytes_as_write_rows(self, tmp_path, grid):
+        specials = [-0.0, 5e-324, 1e-300, 1.7976931348623157e308, float("nan"), float("inf"), 0.1]
+        vals = np.random.default_rng(1).standard_normal(grid.num_cells)
+        vals[:len(specials)] = specials
+        vals = vals.reshape(grid.shape)
+        write_field_csv(tmp_path / "field.csv", grid, vals, value_header="rho")
+        header = ["x", "y"][:grid.d] + ["rho"]
+        rows = ([*c, v] for c, v in zip(grid.cell_centers().tolist(), vals.reshape(-1).tolist()))
+        write_rows(tmp_path / "rows.csv", [header, *rows])
+        assert (tmp_path / "field.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
     @pytest.mark.parametrize("rows, error", [
         ([("x", "value"), (0.125, 1.0), (0.375, "abc"), (0.625, 1.0), (0.875, 1.0)],
          ParameterError),

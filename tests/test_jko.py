@@ -5,6 +5,8 @@ import math
 import os
 import re
 import tracemalloc
+import warnings
+from decimal import MAX_EMAX, MIN_EMIN, Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -85,6 +87,58 @@ class TestEnergy:
         energy = jko.power_energy(m)
         s = np.linspace(0.0, 2.0, 9)
         np.testing.assert_allclose(energy.g(s, p), m * s ** (p + m - 2.0) / (p + m - 2.0))
+
+
+def decimal_log_mass(M, eps, T, m, vol):
+    """Root u of eps u + A exp((m-1) u) = M by bisection in 40-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec, ctx.Emax, ctx.Emin = 40, MAX_EMAX, MIN_EMIN
+        M, eps, T, m, vol = map(Decimal, (M, eps, T, m, vol))
+        k = m - 1
+        A = T * m / (k * (k * vol.ln()).exp())
+
+        def excess(u):
+            return eps * u + A * (k * u).exp() - M
+
+        hi = M / eps  # the exponential term is positive, so the root lies below
+        lo = min(hi - 1, Decimal(-1))
+        while excess(lo) >= 0:
+            lo = 2 * lo - 1
+        while hi - lo > Decimal("1e-30") * max(1, abs(lo)):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if excess(mid) < 0 else (lo, mid)
+        return float((lo + hi) / 2)
+
+
+class TestPowerProx:
+    def test_matches_high_precision_bisection(self):
+        # random (eps, T, m, vol) with M/eps over 12 decades of either sign:
+        # the lattice reaches z < -30 (the e^z tail) and M/eps > 1e4
+        rng = np.random.default_rng(17)
+        tails = bigs = 0
+        for _ in range(12):
+            eps, T = 10 ** rng.uniform(-8, -1), 10 ** rng.uniform(-4, -1)
+            m, vol = rng.uniform(1.2, 4.0), 10 ** rng.uniform(-3, -1)
+            ratios = np.array([-1e6, -1e3, -40.0, -1.0, 0.0, 0.5, 3.0, 40.0, 2e4, 1e6])
+            M = ratios * rng.uniform(0.5, 2.0) * eps
+            z = math.log(T * m / eps) - (m - 1) * math.log(vol) + (m - 1) * M / eps
+            tails += int((z < jko._OMEGA_TAIL).sum())
+            bigs += int((M / eps > 1e4).sum())
+            u = jko._power_log_mass(M, eps, T, m, vol)
+            want = np.array([decimal_log_mass(x, eps, T, m, vol) for x in M])
+            np.testing.assert_allclose(u, want, rtol=1e-14, atol=1e-14)
+            np.testing.assert_allclose(np.exp(u), np.exp(want), rtol=1e-13, atol=0.0)
+        assert tails and bigs
+
+    def test_non_finite_entries_pass_through(self):
+        u = jko._power_log_mass(np.array([-np.inf, 0.5, np.nan, np.inf]), 1e-4, 1e-3, 2.0, 1e-2)
+        assert u[0] == -np.inf and math.isfinite(u[1]) and math.isnan(u[2]) and u[3] == np.inf
+
+    def test_iteration_cap_raises_step_error(self, monkeypatch):
+        monkeypatch.setattr(jko, "_NEWTON_CAP", 1)
+        with pytest.raises(StepError, match="Newton") as excinfo:
+            jko._power_log_mass(np.array([0.0, 1e-3]), 1e-4, 1e-3, 2.0, 1e-2)
+        assert excinfo.value.residual > jko._NEWTON_STEP_TOL
 
 
 class TestConfigValidation:
@@ -619,6 +673,21 @@ class TestReferencePDE:
         fine_avg = fine.densities[-1].values.reshape(-1, 2).mean(axis=1)
         l1 = float(np.abs(coarse.densities[-1].values - fine_avg).sum() / 128.0)
         assert l1 <= 1e-3
+
+    def test_flat_faces_below_q_2_do_not_divide_by_zero(self):
+        # p = 3 (q = 3/2): |w_x|^(q-2) is singular where w_x = 0, which is
+        # every face of a piecewise-constant density but the middle one
+        grid = Grid(1, 0.0, 1.0, 32)
+        rho0 = DensityField(grid, np.where(np.arange(32) < 16, 1.5, 0.5))
+        energy = jko.entropy_energy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            traj = jko.reference_pde_solve(rho0, 3.0, energy, jko.stable_dt(rho0, 3.0, energy), 1)
+        # one step moves mass across the middle face only
+        after = traj.densities[-1].values
+        np.testing.assert_array_equal(np.delete(after, [15, 16]), np.delete(rho0.values, [15, 16]))
+        assert after[15] < 1.5 and after[16] > 0.5
+        assert after[15] + after[16] == pytest.approx(2.0, rel=1e-15)
 
     def test_dt_beyond_stability_bound_rejected(self):
         rho0 = bump_density()

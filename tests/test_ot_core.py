@@ -1500,6 +1500,117 @@ class TestFixedPoint:
             np.testing.assert_array_equal(calls[k + 1], updates[k - 1])
 
 
+def list_fixed_point(step, x0, tol, cap):
+    """The Anderson loop with its history kept as lists of points, re-differenced each sweep."""
+    x, plain, live = x0, None, None
+    updates, residuals = [], []
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for sweeps in range(1, cap + 1):
+            fx, residual, extra = step(x)
+            if residual <= tol or sweeps == cap:
+                break
+            if not np.isfinite(residual):
+                x, plain, live = fx if plain is None else plain, None, None
+                continue
+            now_live = np.isfinite(x) & np.isfinite(fx)
+            if live is None or not np.array_equal(now_live, live):
+                live, updates, residuals = now_live, [], []
+            updates.append(fx[live])
+            residuals.append(fx[live] - x[live])
+            del updates[:-oc._ANDERSON_DEPTH - 1], residuals[:-oc._ANDERSON_DEPTH - 1]
+            x, plain = fx, None
+            d_res = np.diff(residuals, axis=0).T
+            if d_res.size and np.isfinite(d_res).all():
+                gamma = np.linalg.lstsq(d_res, residuals[-1], rcond=None)[0]
+                mixed = updates[-1] - np.diff(updates, axis=0).T @ gamma
+                if np.isfinite(mixed).all():
+                    x, plain = fx.copy(), fx
+                    x[live] = mixed
+    return x, residual, sweeps, extra
+
+
+class TestFixedPointOracle:
+    """``_fixed_point`` against the list-based loop: the same x bits, residual and sweeps."""
+
+    @staticmethod
+    def random_map(seed, n=12, dead=(), nan_at=(), spikes=()):
+        # x <- tanh(A x) + c, which the plain iteration takes 70-180 sweeps
+        # to solve to 1e-13 on seeds 0-5, so the mixing does the work;
+        # ``dead`` holds (first, last, entries) that are -inf in the updates
+        # of sweeps first..last, ``nan_at`` the sweeps that report a NaN
+        # residual, and ``spikes`` (sweep, value) pairs that set entry 0 of
+        # that sweep's update, which the residual then does not see
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        A = 1.5 * q @ np.diag(rng.uniform(-0.98, 0.98, n)) @ q.T
+        c = rng.standard_normal(n)
+        sweep = [0]
+
+        def step(x):
+            sweep[0] += 1
+            fx = np.tanh(A @ np.where(np.isfinite(x), x, 0.0)) + c
+            for first, last, entries in dead:
+                if first <= sweep[0] <= last:
+                    fx[list(entries)] = -np.inf
+            fx[0] = dict(spikes).get(sweep[0], fx[0])
+            both = np.isfinite(fx) & np.isfinite(x)
+            both[0] &= not spikes
+            residual = math.nan if sweep[0] in nan_at else float(np.abs(fx - x)[both].sum())
+            return fx, residual, sweep[0]
+        return step
+
+    @staticmethod
+    def assert_same_run(make_step, x0, tol, cap):
+        want = list_fixed_point(make_step(), x0.copy(), tol, cap)
+        got = oc._fixed_point(make_step(), x0.copy(), tol, cap)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1] == want[1] or (math.isnan(got[1]) and math.isnan(want[1]))
+        assert got[2:] == want[2:]
+        return got
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_every_entry_live(self, seed):
+        x, residual, sweeps, _ = self.assert_same_run(
+            lambda: self.random_map(seed), np.zeros(12), 1e-13, 400)
+        assert residual <= 1e-13 and sweeps > 2 * oc._ANDERSON_DEPTH
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_minus_inf_in_x_and_in_its_updates(self, seed):
+        x0 = np.zeros(12)
+        x0[[1, 7]] = -np.inf
+        x, _, _, _ = self.assert_same_run(
+            lambda: self.random_map(seed, dead=[(1, 10**6, (3, 7))]), x0, 1e-13, 400)
+        assert np.isneginf(x[[3, 7]]).all() and np.isfinite(x[1])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_live_set_changes_mid_run(self, seed):
+        dead = [(4, 11, (0, 5)), (9, 20, (2,)), (26, 30, (5, 6, 11))]
+        self.assert_same_run(lambda: self.random_map(seed, dead=dead), np.zeros(12), 1e-13, 400)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_nan_residual_restarts(self, seed):
+        self.assert_same_run(lambda: self.random_map(seed, nan_at=(3, 9, 10, 17)),
+                             np.zeros(12), 1e-13, 400)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_overflowing_differences_skip_the_mix(self, seed):
+        # a jump of entry 0 from 1e308 to -1e308 overflows its difference;
+        # the mix waits until that difference has left the history
+        self.assert_same_run(lambda: self.random_map(seed, spikes=[(5, 1e308), (6, -1e308)]),
+                             np.zeros(12), 1e-13, 400)
+
+    @pytest.mark.parametrize("cap", [1, 2, 6, 7, 13])
+    def test_cap_hit(self, cap):
+        dead = [(5, 8, (4,))]
+        _, residual, sweeps, _ = self.assert_same_run(
+            lambda: self.random_map(cap, dead=dead, nan_at=(3,)), np.zeros(12), 1e-13, cap)
+        assert sweeps == cap and residual > 1e-13
+
+    def test_no_live_entry(self):
+        self.assert_same_run(lambda: self.random_map(0, n=3, dead=[(1, 4, (0, 1, 2))]),
+                             np.zeros(3), 1e-13, 50)
+
+
 class TestOverWidths:
     def test_warm_caps_then_the_last_cap_each_width_seeding_the_next(self, monkeypatch):
         calls = []
