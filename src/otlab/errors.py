@@ -53,9 +53,5 @@ class StepError(OTLabError):
         self.residual = residual
 
 
-class ProjectionError(OTLabError):
-    """A step's candidate density carries no mass, so it cannot be normalized."""
-
-
 class ConfigError(OTLabError):
     """Invalid or unparsable experiment configuration."""

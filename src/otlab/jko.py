@@ -18,14 +18,14 @@ f_i = tilt_i - tau^(p-1) f'(rho_i), closed-form for the entropy energy and
 by Newton's method on the Wright omega equation for power energies. The
 row marginal of the converged plan is the next iterate.
 
-The step and the pinned evaluation run ``ot_core._scaling``, the entropic
-solver's loop, with their own row updates; the self-transport runs its
-symmetric map through ``ot_core._over_widths``, the width ladder under that
-loop. Cold starts walk the widths of ``ot_core._eps_ladder``; every solve
+The step runs ``ot_core._scaling``, the entropic solver's loop, with its
+own row update; the self-transport runs its symmetric map through
+``ot_core._over_widths``, the width ladder under that loop. Cold starts walk the widths of ``ot_core._eps_ladder``; every solve
 stops at ``_INNER_TOL`` within ``_MAX_INNER`` sweeps at eps. All of them
 sweep through one ``ot_core._AnchoredKernel`` per flow, whose ``cmat`` is the
 flow's cost matrix. Dual values take their plan's mass from the last sweep
-(``ot_core._plan_mass``), so a step builds one plan: the accepted trial's.
+(``ot_core._plan_mass``), so a step builds one plan: the accepted
+candidate's.
 
 The tilt is the blur correction: smoothing at width eps inflates every
 transport value by a self-transport cost that depends on the density, so
@@ -41,9 +41,10 @@ walls) and even exact fixed points of the flow drift by O(eps); with it
 the anchor's blur cancels identically and a stationary density stays put
 to solver tolerance. Linearizing a concave term also gives an exact
 descent argument: the converged candidate cannot lie above the anchor in
-G, which the step verifies explicitly through matched dual evaluations,
-damping the move whenever solver tolerance leaves the comparison
-ambiguous and returning the anchor when nothing helps.
+G. The step verifies that once, through matched dual evaluations, and a
+candidate above the anchor beyond ``_DESCENT_SLACK`` tau^(p-1) is an
+inexact solve: the step raises StepError with that margin instead of
+moving.
 
 The smoothing width is a modeling parameter, not only a solver tolerance:
 transport between densities on a common grid cannot move mass more cheaply
@@ -74,13 +75,7 @@ from typing import Callable
 import numpy as np
 
 from .cost import power_cost
-from .errors import (
-    DomainError,
-    InputError,
-    ParameterError,
-    ProjectionError,
-    StepError,
-)
+from .errors import DomainError, InputError, ParameterError, StepError
 from .geometry import DensityField, Grid, write_field_csv, write_rows
 from .ot_core import (_AnchoredKernel, _cost_matrix, _eps_ladder, _over_widths, _plan_mass,
                       _row_blocks, _scaling, log_plan)
@@ -89,10 +84,8 @@ from .ot_core import (_AnchoredKernel, _cost_matrix, _eps_ladder, _over_widths, 
 # without moving the value at any density above it.
 _ENTROPY_FLOOR = 1e-12
 
+# a step's objective may exceed its anchor's by this times tau^(p-1)
 _DESCENT_SLACK = 1e-10
-
-# descent-check trials; each rejected damped trial halves the move
-_DESCENT_TRIALS = 40
 
 # floor of the step problem's reference prior r = max(b, _PRIOR_FLOOR)
 _PRIOR_FLOOR = 1e-30
@@ -172,9 +165,9 @@ class JKOConfig:
     ``eps`` is the entropic width of the inner step problem, whose
     ``ot_core._scaling`` solve takes at most ``_MAX_INNER`` sweeps at that
     width and stops once the L1 gap between its plan's row masses and the
-    candidate masses is at most ``_INNER_TOL``. A failed descent comparison
-    halves the move toward the candidate on each rejected trial; a step
-    that cannot help returns the previous iterate unchanged.
+    candidate masses is at most ``_INNER_TOL``. A candidate that fails the
+    descent comparison raises StepError; a step never returns the previous
+    iterate in its place.
     """
 
     p: float
@@ -227,8 +220,6 @@ class Trajectory:
 class _StepInfo:
     transport_cost: float
     residual: float
-    objective: float
-    anchor_objective: float
     inner_iterations: int
 
 
@@ -310,14 +301,6 @@ def _scaling_solve(b_log: np.ndarray, r_log: np.ndarray, kernel, levels: list,
     return a, f, g, residual, sweeps, plan_mass
 
 
-def _candidate_field(a: np.ndarray, grid: Grid) -> np.ndarray:
-    """Row masses to a unit-mass density (the simplex projection)."""
-    total = a.sum()
-    if not total > 0:
-        raise ProjectionError("inner solver produced an empty density")
-    return (a / (total * grid.cell_volume)).reshape(grid.shape)
-
-
 def _dual_value(f: np.ndarray, g: np.ndarray, x: np.ndarray, y: np.ndarray,
                 plan_mass: float, eps: float, ref_mass: float) -> float:
     """Dual value f.x + g.y + eps (ref_mass - plan_mass) over cells with mass.
@@ -336,10 +319,12 @@ def _pinned_value(a_log: np.ndarray, b_log: np.ndarray, r_log: np.ndarray, eps: 
     ``_scaling`` on the sweep kernel ``kernel`` fits f for
     min <C,P> + eps KL(P | r x b) with marginals a = exp(a_log),
     b = exp(b_log) to a row-mass L1 gap of ``_INNER_TOL``. Returns
-    (dual value, f, g, residual, sweeps). The dual value
-    f.a + g.b + eps (sum r - mass(P)) is what descent comparisons use; one
-    evaluator on both sides cancels its bias. mass(P) is the row sums of
-    the last sweep, so no plan is built.
+    (dual value, f, g, residual, sweeps). The dual value is
+    f.a + g.b + eps (sum r - mass(P)), with mass(P) the row sums of the
+    last sweep, so no plan is built. No step calls it: the step's descent
+    check reads the candidate's value off the converged step potentials,
+    and this full evaluator is the reference the tests hold that shortcut
+    against.
     """
     a = np.exp(a_log)
     # rows without mass carry f = -inf and no marginal error
@@ -422,8 +407,11 @@ def _jko_step_full(rho_k: DensityField, config: JKOConfig, warm: tuple | None = 
     """One step from rho_k with its diagnostics and the next step's warm start.
 
     ``kernel`` is the ``_step_kernel`` of rho_k's grid, built here when not
-    given. Only the accepted trial's plan is evaluated, for its transport
-    cost, by ``_plan_cost``.
+    given. The candidate is accepted when its blur-corrected step objective
+    is at most the anchor's plus ``_DESCENT_SLACK`` tau^(p-1); otherwise
+    StepError carries the margin (candidate - anchor) / tau^(p-1) as its
+    residual. Only the accepted candidate's plan is evaluated, for its
+    transport cost, by ``_plan_cost``.
     """
     grid = rho_k.grid
     kernel = kernel or _step_kernel(grid, config)
@@ -464,64 +452,54 @@ def _jko_step_full(rho_k: DensityField, config: JKOConfig, warm: tuple | None = 
             f"inner solver did not converge within {_MAX_INNER} sweeps at width {config.eps:g}",
             residual=residual,
         )
-    candidate = _candidate_field(a, grid)
+    total = a.sum()
+    if not total > 0:
+        raise StepError("inner solver produced an empty density", residual=residual)
+    candidate = DensityField(grid, (a / (total * vol)).reshape(grid.shape))
+    a_cand = candidate.values.reshape(-1) * vol
 
     # descent check for the blur-corrected step objective
     # G(rho) = OT(rho, anchor) - OT(rho, rho)/2 + tau^(p-1) E(rho) at the
     # working width: the anchor's tilt is the linearization of the
-    # subtracted self term, so the accepted candidate cannot lie above the
-    # anchor (convexity of both transport values); matching evaluators on
-    # both sides cancel their biases in the comparison. Two shortcuts keep
-    # the fast path at one extra solve: with equal marginals the pinned and
-    # self problems share their optimal plan, so the anchor's transport
-    # value follows from the self value by a closed-form offset, and the
-    # converged step potentials are already optimal for the candidate's
-    # pinned problem, so its value reads off them directly. Trial 0 takes
-    # that shortcut, trial 1 re-checks the candidate with the full evaluator
-    # (same self solve), and trial k >= 2 moves 2^-(k-1) of the way; a step
-    # that cannot help returns the anchor itself.
+    # subtracted self term, so the converged candidate cannot lie above the
+    # anchor (convexity of both transport values), and a miss beyond the
+    # slack means an inexact solve, raised with its margin. Matching
+    # evaluators on both sides cancel their biases in the comparison. Two
+    # shortcuts keep the check at one extra solve, the candidate's self
+    # solve: with equal marginals the pinned and self problems share their
+    # optimal plan, so the anchor's transport value follows from the self
+    # value by a closed-form offset, and the converged step potentials are
+    # already optimal for the candidate's pinned problem, so its value
+    # reads off them directly.
     live = b > 0
     offset = config.eps * (r_mass - r_mass * r_mass
                            + float((b[live] * (r_log[live] - b_log[live])).sum()))
     g_anchor = 0.5 * sym_anchor + offset + tau_pow * energy_value(rho_k, config.energy)
-
-    current, transport_current, objective_current, u_next = rho_k, 0.0, g_anchor, u
-    f_a, g_a = f, g
-    for trial in range(_DESCENT_TRIALS):
-        theta = 0.5 ** max(trial - 1, 0)  # 1 gives the candidate's own bits
-        trial_vals = (1.0 - theta) * rho_k.values + theta * candidate
-        trial_field = DensityField(grid, trial_vals)
-        with np.errstate(divide="ignore"):
-            a_log_trial = np.log(trial_vals.reshape(-1) * vol)
-        if trial == 0:
-            g_trial = _dual_value(f, g, candidate.reshape(-1) * vol, b, plan_mass, config.eps,
-                                  r_mass)
-        else:
-            g_trial, f_a, g_a, _, sw = _pinned_value(
-                a_log_trial, b_log, r_log, config.eps, f_a, kernel)
-            iterations += sw
-        if trial != 1:
-            sym_trial, u_trial, _, sw = _sym_solve(a_log_trial, r_log, [config.eps], u, kernel)
-            iterations += sw
-        g_trial += tau_pow * energy_value(trial_field, config.energy) - 0.5 * sym_trial
-        if g_trial <= g_anchor + _DESCENT_SLACK * tau_pow:
-            current, objective_current, u_next = trial_field, g_trial, u_trial
-            transport_current = _plan_cost(kernel.cmat, f_a, g_a, r_log, b_log,
-                                           config.eps) / tau_pow
-            break
-
-    return current, _StepInfo(transport_current, residual,
-                              objective_current / tau_pow, g_anchor / tau_pow,
-                              iterations), (f, u_next)
+    with np.errstate(divide="ignore"):
+        a_log = np.log(a_cand)
+    sym_cand, u_next, _, sweeps = _sym_solve(a_log, r_log, [config.eps], u, kernel)
+    iterations += sweeps
+    g_cand = (_dual_value(f, g, a_cand, b, plan_mass, config.eps, r_mass)
+              + (tau_pow * energy_value(candidate, config.energy) - 0.5 * sym_cand))
+    if not g_cand <= g_anchor + _DESCENT_SLACK * tau_pow:
+        margin = (g_cand - g_anchor) / tau_pow
+        raise StepError(
+            f"descent check failed: the step objective minus the anchor's is {margin:.3e} "
+            f"tau^(p-1), above the slack {_DESCENT_SLACK:g}; the solves are inexact",
+            residual=margin,
+        )
+    transport = _plan_cost(kernel.cmat, f, g, r_log, b_log, config.eps) / tau_pow
+    return candidate, _StepInfo(transport, residual, iterations), (f, u_next)
 
 
 def jko_step(rho_k: DensityField, config: JKOConfig) -> DensityField:
     """One minimizing-movement step from rho_k.
 
     The returned density has unit mass, is nonnegative, and never increases
-    the step objective beyond solver slack; a step that cannot make progress
-    returns rho_k itself (the objective's minimizer may be the anchor, e.g.
-    at the uniform fixed point of the entropy flow).
+    the step objective beyond solver slack; a candidate that would is an
+    inexact solve and raises StepError with its margin. At a minimizer of
+    the objective, e.g. the uniform fixed point of the entropy flow, the
+    candidate stays at rho_k to solver tolerance.
     """
     state, _, _ = _jko_step_full(rho_k, config)
     return state
@@ -573,7 +551,10 @@ def stable_dt(rho: DensityField, p: float, energy: Energy) -> float:
 
     The slope factor is the face-linearized diffusivity (q-1) |Δw|^(q-2)
     g'(u) with w = g(u) and the larger neighbor value of g'(u) per face;
-    for q = 2 it reduces to the classical 0.2 Δ^2 / max g'(u).
+    for q = 2 it reduces to the classical 0.2 Δ^2 / max g'(u). It reads
+    the slopes of ``rho`` alone. For q < 2 the diffusivity grows as slopes
+    flatten, so a bound taken at initial data need not bind later on
+    (ROADMAP item 13).
     """
     if rho.grid.d != 1:
         raise DomainError("the reference solver runs on 1-d grids")
@@ -610,12 +591,14 @@ def reference_pde_solve(rho_0: DensityField, p: float, energy: Energy,
     """Explicit flux-form finite differences for ∂_t u = (|w_x|^(q-2) w_x)_x, w = g(u).
 
     Zero-flux boundaries conserve mass exactly (telescoping flux sum); the
-    time step must respect the conservative stability bound of ``stable_dt``
-    evaluated at the initial data. Diffusion only shrinks slopes here, so
-    the initial bound is the binding one. ``steps`` explicit steps are
-    taken; the trajectory holds the state after every ``record_every``-th
-    of them (which must divide ``steps``), the initial state first. Every
-    step is checked for blow-up and negative density either way.
+    time step must respect the conservative stability bound of ``stable_dt``,
+    which is checked at rho_0 only. For q < 2 that bound need not bind: the
+    diffusivity (q-1)|w_x|^(q-2) grows as slopes flatten, and a dt at the
+    initial bound can grow a checkerboard that no check here trips (ROADMAP
+    item 13). ``steps`` explicit steps are taken; the trajectory holds the
+    state after every ``record_every``-th of them (which must divide
+    ``steps``), the initial state first. Every step is checked for blow-up
+    and negative density either way.
     """
     grid = rho_0.grid
     if not dt > 0 or steps < 0:

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from otlab import cli, jko
@@ -205,15 +207,13 @@ class TestJKOStep:
         assert after.values.min() >= 0.0
 
     def test_step_objective_never_increases(self):
-        # the descent guarantee of the step functional, checked through the
-        # step's own matched evaluations
-        rho0 = bump_density()
+        # the descent check raises on a candidate above the anchor, so five
+        # warm steps that all return each met it
         config = heat_config(1)
-        state = rho0
-        warm = None
+        state, warm = bump_density(), None
         for _ in range(5):
             state, info, warm = jko._jko_step_full(state, config, warm)
-            assert info.objective <= info.anchor_objective + 1e-10
+            assert info.transport_cost > 0.0
 
     def test_two_dimensional_grid_rejected(self):
         grid = Grid(2, 0.0, 1.0, 8)
@@ -242,56 +242,56 @@ class TestJKOStep:
         assert excinfo.value.residual > jko._INNER_TOL
 
 
+def candidate_evaluation(solves, state):
+    """The full pinned evaluator on an accepted step's candidate, as (arguments, result).
+
+    ``solves`` are the step's spied scaling solves as (arguments, result);
+    the evaluator starts from the last one's potentials at its last width.
+    """
+    (b_log, r_log, kernel, levels), f = solves[-1][0][:4], solves[-1][1][1]
+    args = (np.log(state.values.reshape(-1) * state.grid.cell_volume), b_log, r_log,
+            levels[-1], f, kernel)
+    return args, jko._pinned_value(*args)
+
+
 class TestDescentCheck:
     @pytest.fixture
-    def rejected_step(self, monkeypatch):
-        """One n = 32 bump step under a slack no trial can meet, with its spied solves.
+    def spied_step(self, monkeypatch):
+        """One n = 32 bump step; returns (state, its scaling solves as (arguments, result))."""
+        spies = self.spy(monkeypatch)
+        state, _, _ = jko._jko_step_full(bump_density(n=32), heat_config(1))
+        return state, spies["_scaling_solve"]
 
-        Returns (anchor, state, step info, step solves, pinned evaluations),
-        each solve or evaluation as (arguments, result).
-        """
-        monkeypatch.setattr(jko, "_DESCENT_SLACK", -1.0)
-        solves, evaluations = [], []
+    @staticmethod
+    def spy(monkeypatch):
+        """Records the self and scaling solves of jko as (arguments, result)."""
+        calls = {"_sym_solve": [], "_scaling_solve": []}
+        for name, records in calls.items():
+            def wrapped(*args, real=getattr(jko, name), records=records):
+                records.append((args, real(*args)))
+                return records[-1][1]
+            monkeypatch.setattr(jko, name, wrapped)
+        return calls
 
-        def spy(real, calls):
-            def wrapped(*args):
-                calls.append((args, real(*args)))
-                return calls[-1][1]
-            return wrapped
-
-        monkeypatch.setattr(jko, "_scaling_solve", spy(jko._scaling_solve, solves))
-        monkeypatch.setattr(jko, "_pinned_value", spy(jko._pinned_value, evaluations))
-        rho0 = bump_density(n=32)
-        state, info, _ = jko._jko_step_full(rho0, heat_config(1))
-        return rho0, state, info, solves, evaluations
-
-    def test_full_evaluator_matches_shortcut_then_backtracks(self, rejected_step):
-        # the slack rejects the shortcut, re-checks the candidate with the
-        # full pinned evaluator, then halves the move on every further trial
-        # and returns the anchor
-        rho0, state, info, solves, evaluations = rejected_step
-        assert state is rho0
-        assert info.transport_cost == 0.0
-        assert len(evaluations) == jko._DESCENT_TRIALS - 1
-
-        # the shortcut is the dual value read off the converged step potentials
+    def test_full_evaluator_matches_shortcut(self, spied_step):
+        # the step reads the candidate's pinned value off the converged step
+        # potentials; the full pinned evaluator, from those potentials, agrees
+        state, solves = spied_step
         (b_log, r_log, kernel, levels), (a, f, g, *_) = solves[-1][0][:4], solves[-1][1]
         eps = levels[-1]
         a_mass = a / a.sum()
         plan = np.exp(log_plan(kernel.cmat, f, g, r_log, b_log, eps))
         shortcut = float(f @ a_mass + g @ np.exp(b_log)
                          + eps * (np.exp(r_log).sum() - plan.sum()))
-        (a_log, *_), (value, *_) = evaluations[0]
+        (a_log, *_), (value, *_) = candidate_evaluation(solves, state)
         np.testing.assert_allclose(np.exp(a_log), a_mass, rtol=1e-12)
         assert value == pytest.approx(shortcut, rel=1e-12)
-        # each later trial halves the move away from the anchor
-        moves = [np.abs(np.exp(args[0]) - np.exp(b_log)).sum() for args, _ in evaluations]
-        np.testing.assert_allclose(moves[1:6], moves[0] / 2.0 ** np.arange(1, 6), rtol=1e-9)
 
-    def test_pinned_value_stops_on_row_mass_gap(self, rejected_step, monkeypatch):
+    def test_pinned_value_stops_on_row_mass_gap(self, spied_step, monkeypatch):
         # the plan (f, g) has row sums a exp((f - f_next)/eps), so the returned
         # residual is their L1 gap to the pinned masses a = exp(a_log)
-        args, (_, f, g, residual, _) = rejected_step[4][0]
+        state, solves = spied_step
+        args, (_, f, g, residual, _) = candidate_evaluation(solves, state)
         a_log, b_log, r_log, eps = args[:4]
         cmat = args[5].cmat
 
@@ -309,6 +309,81 @@ class TestDescentCheck:
         _, f, g, residual, _ = jko._pinned_value(*args[:4], np.zeros_like(args[4]), args[5])
         assert residual > 1e-3
         assert row_gap(f, g) == pytest.approx(residual, rel=1e-12)
+
+    def test_descent_miss_raises_with_its_margin(self, monkeypatch):
+        # under a slack no candidate meets, the step raises instead of
+        # moving; its residual is the margin (G(candidate) - G(anchor)) /
+        # tau^(p-1), which full evaluations of both sides reproduce
+        monkeypatch.setattr(jko, "_DESCENT_SLACK", -1.0)
+        spies = self.spy(monkeypatch)
+        rho0, config = bump_density(n=32), heat_config(1)
+        with pytest.raises(StepError, match="descent check failed") as excinfo:
+            jko._jko_step_full(rho0, config)
+        margin = excinfo.value.residual
+        assert math.isfinite(margin) and -1.0 < margin < 0.0
+
+        solves = spies["_scaling_solve"]
+        (b_log, r_log, kernel, levels), a = solves[-1][0][:4], solves[-1][1][0]
+        candidate = normalize(DensityField(rho0.grid, a.reshape(rho0.grid.shape)))
+        anchor_self, candidate_self = (result[0] for _, result in spies["_sym_solve"])
+        _, (candidate_pinned, *_) = candidate_evaluation(solves, candidate)
+        anchor_pinned = jko._pinned_value(b_log, b_log, r_log, levels[-1],
+                                          np.zeros_like(b_log), kernel)[0]
+        tau_pow = config.tau ** (config.p - 1.0)
+        g_candidate = (candidate_pinned - 0.5 * candidate_self
+                       + tau_pow * jko.energy_value(candidate, config.energy))
+        g_anchor = (anchor_pinned - 0.5 * anchor_self
+                    + tau_pow * jko.energy_value(rho0, config.energy))
+        assert margin == pytest.approx((g_candidate - g_anchor) / tau_pow, rel=1e-9)
+
+    def test_descent_miss_ends_the_run(self, monkeypatch):
+        # run_jko keeps the states before the failed step and names the step
+        monkeypatch.setattr(jko, "_DESCENT_SLACK", -1.0)
+        traj = jko.run_jko(bump_density(n=32), heat_config(3))
+        assert len(traj) == 1
+        assert traj.error.startswith("step 1: descent check failed")
+
+    def test_inexact_step_stops_the_run_rather_than_raising_the_energy(self):
+        # in this power flow the second step's scaling solve collapses to
+        # near-zero row mass, and its candidate lies 2.1 tau^(p-1) above the
+        # anchor; a damped move toward it passed the old backtracking check
+        # and raised the energy at steps 2 and 3. A step either descends or
+        # stops the run with its margin.
+        rho0 = bump_density(n=9, floor=0.009287141426659701)
+        config = jko.JKOConfig(p=1.8425334847265427, tau=0.0023706567271403706, steps=3,
+                               energy=jko.power_energy(2.6891678528300313),
+                               eps=0.00011233741995399319)
+        traj = jko.run_jko(rho0, config)
+        assert traj.error == "" or re.match(r"step \d: descent check failed", traj.error)
+        assert all(later < earlier for earlier, later in zip(traj.energy, traj.energy[1:]))
+
+
+def log_uniform(low, high):
+    return st.floats(math.log10(low), math.log10(high)).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=15, deadline=None)
+@given(p=st.floats(1.5, 4.0), n=st.integers(8, 32), tau=log_uniform(5e-4, 1e-2),
+       eps=log_uniform(3e-5, 1e-3), floor=log_uniform(1e-3, 1e-1),
+       m=st.none() | st.floats(1.5, 3.0))
+def test_small_flows_keep_their_invariants(p, n, tau, eps, floor, m):
+    # three steps of an entropy (m None) or power flow from a bump: every
+    # state is a probability density and every step either meets the
+    # descent check and its solve tolerance or stops the run with a
+    # recorded StepError; none escapes run_jko
+    energy = jko.entropy_energy() if m is None else jko.power_energy(m)
+    config = jko.JKOConfig(p=p, tau=tau, steps=3, energy=energy, eps=eps)
+    traj = jko.run_jko(bump_density(n=n, floor=floor), config)
+    taken = len(traj) - 1
+    if taken == config.steps:
+        assert traj.error == ""
+    else:
+        assert traj.error.startswith(f"step {taken + 1}: ")
+    for state in traj.densities:
+        assert abs(state.mass - 1.0) <= 1e-10
+        assert state.values.min() >= 0.0
+    assert all(cost >= 0.0 for cost in traj.cost)
+    assert all(residual <= jko._INNER_TOL for residual in traj.residual)
 
 
 class TestSelfSolves:
@@ -339,7 +414,7 @@ class TestSelfSolves:
 
     def test_accepted_cold_step_solves_each_self_problem_once(self, monkeypatch):
         # the anchor's self solve walks the whole ladder in one call; the
-        # shortcut trial adds one self solve and one dual evaluation
+        # descent check adds one self solve and one dual evaluation
         sym_levels, evaluations = self.spied_step(monkeypatch)
         assert len(sym_levels) == 2
         assert len(sym_levels[0]) > 2 and sym_levels[1] == [heat_config(1).eps]
@@ -351,13 +426,6 @@ class TestSelfSolves:
         inner = [(eps, levels) for eps, levels in evaluations if levels is not None]
         assert len(inner) == 2
         assert all(eps == levels[-1] == heat_config(1).eps for eps, levels in inner)
-
-    def test_rejected_trials_reuse_the_candidate_self_solve(self, monkeypatch):
-        # the full re-check of the candidate shares trial 0's self solve, so
-        # the anchor and every trial but that one solve once each
-        monkeypatch.setattr(jko, "_DESCENT_SLACK", -1.0)
-        sym_levels, _ = self.spied_step(monkeypatch)
-        assert len(sym_levels) == 1 + (jko._DESCENT_TRIALS - 1)
 
 
 def dense_dual_value(cmat, f, g, x, y, x_log, y_log, eps, ref_mass):
