@@ -6,9 +6,11 @@ inequality
 
     integral( grad rho . grad_H(grad phi) + grad g . grad_H(grad psi) ) >= 0
 
-holds, with the convention grad_H(0) = 0. On a grid the integral picks up
-discretization error, so the batch verifier compares the midpoint-rule value
-against a resolution-dependent tolerance
+holds, with the convention grad_H(0) = 0. ``five_gradients`` is the one
+evaluator of the integrand, its midpoint-rule integral and the boundary flux,
+and ``verify_batch`` is the one path that solves and reports instances. On a
+grid the integral picks up discretization error, so the batch verifier
+compares the midpoint-rule value against a resolution-dependent tolerance
 
     tol(n) = KAPPA * (TV(rho) + TV(g)) * n**(-1/2),
 
@@ -30,7 +32,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cost import (
-    HFunction,
     RadialCost,
     check_mollify_width,
     grad_H,
@@ -244,9 +245,19 @@ def _checked_fields(rho: DensityField, g: DensityField, phi, psi):
     return grid, phi, psi
 
 
-def _five_gradients(rho: DensityField, g: DensityField, phi, psi,
-                    hfuns) -> list[tuple[np.ndarray, float, float]]:
-    """Integrand, its midpoint-rule integral and the boundary flux for each H.
+def five_gradients(rho: DensityField, g: DensityField, phi, psi,
+                   hfuns) -> list[tuple[np.ndarray, float, float]]:
+    """Integrand, its integral and the boundary flux of the inequality, one tuple per H.
+
+    The integrand is grad rho . grad_H(grad phi) + grad g . grad_H(grad psi)
+    cell by cell, and the integral is its midpoint-rule value. Gradients are
+    central differences (one-sided at the boundary); cells where the gradient
+    falls at or below the H function's zero threshold ``delta0`` contribute
+    nothing, matching the grad_H(0) = 0 convention. The flux is the discrete
+    boundary integral of rho grad_H(grad phi).n + g grad_H(grad psi).n, the
+    term integration by parts discards when deriving the inequality; it is
+    nonnegative in the continuum because optimal maps do not push mass
+    outward across the boundary, and it is summed in facet order.
 
     The gradients of rho, g, phi and psi do not depend on H and are taken
     once; per H, the integrand and the flux share one grad_H pass.
@@ -267,34 +278,6 @@ def _five_gradients(rho: DensityField, g: DensityField, phi, psi,
         flux = sum(terms.tolist(), 0.0)
         out.append((integrand, float(integrand.sum() * grid.cell_volume), flux))
     return out
-
-
-def five_gradients_integrand(rho: DensityField, g: DensityField, phi, psi,
-                             hfun: HFunction) -> np.ndarray:
-    """Cellwise integrand grad rho . grad_H(grad phi) + grad g . grad_H(grad psi)."""
-    return _five_gradients(rho, g, phi, psi, [hfun])[0][0]
-
-
-def five_gradients_lhs(rho: DensityField, g: DensityField, phi, psi,
-                       hfun: HFunction) -> float:
-    """Midpoint-rule value of the five-gradients integral.
-
-    Gradients are central differences (one-sided at the boundary); cells
-    where |grad phi| falls at or below the H function's zero threshold
-    contribute nothing, matching the grad_H(0) = 0 convention.
-    """
-    return _five_gradients(rho, g, phi, psi, [hfun])[0][1]
-
-
-def boundary_flux(rho: DensityField, g: DensityField, phi, psi,
-                  hfun: HFunction) -> float:
-    """Discrete boundary integral of rho grad_H(grad phi).n + g grad_H(grad psi).n.
-
-    This is the flux term integration by parts discards when deriving the
-    five-gradients inequality; it is nonnegative in the continuum because
-    optimal maps do not push mass outward across the boundary.
-    """
-    return _five_gradients(rho, g, phi, psi, [hfun])[0][2]
 
 
 def semiconcavity_check(phi, constant: float, grid: Grid) -> SemiconcavityReport:
@@ -552,12 +535,6 @@ def _shared_staircase(rho: DensityField, g: DensityField, solver: str) -> _Stair
         return None
 
 
-def run_instance(spec: BatchSpec, seed: int, p: float, q: float, n: int) -> InequalityReport:
-    """The report of one (seed, p, q, n) instance: a one-point ``verify_batch`` of the spec."""
-    point = replace(spec, seeds=(seed,), p_values=(p,), q_values=(q,), n_values=(n,))
-    return verify_batch(point)[0]
-
-
 def verify_batch(spec: BatchSpec) -> list[InequalityReport]:
     """Run every (seed, p, q, n) instance of the spec, in lattice order.
 
@@ -573,7 +550,7 @@ def verify_batch(spec: BatchSpec) -> list[InequalityReport]:
     report per q whose ``error`` names the failure and whose ``solver`` names
     the solver that failed, so one bad instance cannot abort the batch; the
     reports come out in the fixed (seed, p, q, n) order, so reruns reproduce
-    the report list exactly. ``run_instance`` is this loop on one point.
+    the report list exactly.
     """
     solver = _batch_solver(spec)
     solved = {}
@@ -594,7 +571,7 @@ def verify_batch(spec: BatchSpec) -> list[InequalityReport]:
                 try:
                     result = _solve_for_batch(rho, g, cost, solver, spec.entropic_eps, cmat,
                                               staircase)
-                    terms = _five_gradients(rho, g, result.phi, result.psi, hfuns)
+                    terms = five_gradients(rho, g, result.phi, result.psi, hfuns)
                 except OTLabError as exc:
                     error = f"{type(exc).__name__}: {exc}"
                     terms = [(None, float("nan"), float("nan"))] * len(hfuns)
@@ -632,10 +609,15 @@ def refinement_study(spec: BatchSpec, instances, n_values) -> dict:
     """LHS of fixed (seed, p, q) instances across resolutions.
 
     Returns {(seed, p, q): [lhs at each n]}; used to confirm that negative
-    excursions shrink as the grid is refined.
+    excursions shrink as the grid is refined. Each instance is one
+    ``verify_batch`` of the spec over every n.
     """
-    return {(seed, p, q): [run_instance(spec, seed, p, q, int(n)).lhs for n in n_values]
-            for seed, p, q in instances}
+    curves = {}
+    for seed, p, q in instances:
+        point = replace(spec, seeds=(seed,), p_values=(p,), q_values=(q,),
+                        n_values=tuple(n_values))
+        curves[seed, p, q] = [report.lhs for report in verify_batch(point)]
+    return curves
 
 
 _CSV_HEADER = "seed,p,q,n,solver,lhs,flux,tv_rho,tv_g,tolerance,pass".split(",")

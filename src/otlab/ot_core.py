@@ -523,7 +523,9 @@ class _Staircase:
 
     The fill walks the cells of sorted 1-d marginals from (0, 0), moving
     the most mass it can into each and stepping down a row when the row is
-    spent, else right a column. Its m + n - 1 cells, some of zero mass,
+    spent, else right a column. The last column's capacity is unbounded,
+    so it takes whatever rounding leaves in a row and every row keeps its
+    mass. Its m + n - 1 cells, some of zero mass,
     span the bipartite row/column graph. It depends only on (a, b), so one
     staircase serves every cost; for a strictly convex radial cost on the
     line it is optimal (Hoffman 1963). Only two arrays are kept: the flat
@@ -535,6 +537,7 @@ class _Staircase:
         m, n = self.m, self.n = len(a), len(b)
         cells, moves = [], []
         ar, br = a.tolist(), b.tolist()  # plain floats: the same IEEE arithmetic, no numpy scalars
+        br[-1] = math.inf
         i = j = 0
         while True:
             cells.append(i * n + j)
@@ -547,10 +550,8 @@ class _Staircase:
                 break
             if x == 0.0 and i < m - 1:
                 i += 1
-            elif j < n - 1:
-                j += 1
             else:
-                i += 1
+                j += 1
         self.cells = np.array(cells, dtype=np.intp)
         self.moves = np.array(moves)
 
@@ -708,11 +709,11 @@ class _TransportationSimplex:
     mass); v_0 = c_00 keeps the staircase's start gauge u_0 = 0. There a
     step down hangs a row, and a step right of zero mass hangs a leaf: it
     reaches a zero-mass column from a row that still holds mass, and the
-    fill steps right again, or it runs along the last row. The exception is
-    a zero-mass last column reached while rounding leaves mass in a row:
-    the rows after it hang from it by zero flow, so they are hung from
-    column 0. ``solve_lp`` builds a simplex only when the staircase fails
-    its certificate, so there is always a pivot to make.
+    fill steps right again, or it runs along the last row. The last column
+    is reached from a row that still holds mass, which it takes, so it
+    hangs by positive flow or is a leaf. ``solve_lp`` builds a simplex only
+    when the staircase fails its certificate, so there is always a pivot
+    to make.
 
     A pivot climbs parent pointers from the entering cell's row and column
     to find the cycle, cuts the leaving cell, hangs the cut-off subtree
@@ -733,9 +734,6 @@ class _TransportationSimplex:
         parent, flow = parent.tolist(), flow.tolist()
         parent[0], parent[m] = m, -1
         flow[0], flow[m] = flow[m], 0.0
-        for k in range(1, m):
-            if parent[k] != m and flow[parent[k]] == 0.0:
-                parent[k] = m  # a row below the zero-mass last column
         self.parent, self.flow, self.depth = parent, flow, [0] * (m + n)
         self.children = [[] for _ in parent]
         for k, up in enumerate(parent):
@@ -876,8 +874,7 @@ def solve_lp(rho: DensityField, g: DensityField, cost: RadialCost, *,
     coupling is its support and primal its ``_support_cost``, as in
     ``solve_exact_1d``, and no m x n plan is built. Otherwise a
     ``_TransportationSimplex`` pivots from it to optimality; the coupling
-    is its ``support``, and primal the pairwise sum of the dense product
-    with C of that support scattered into m x n, which fixes the 2-d bits.
+    is its ``support`` and primal again its ``_support_cost``.
     Either way psi is the first c-transform of the final u and phi the
     second, so the returned pair is canonical and gradients of phi are safe
     to take. Instances beyond ``_LP_CAPACITY`` cells squared are refused.
@@ -905,11 +902,10 @@ def solve_lp(rho: DensityField, g: DensityField, cost: RadialCost, *,
         simplex = _TransportationSimplex(cmat, tree, tol)
         pivots, psi = simplex.pivot_until_optimal(max_pivots=50 * (m + len(b)))
         cells, masses = simplex.support()
-        primal = float((np.bincount(cells, masses, cmat.size) * cmat.reshape(-1)).sum())
     else:
         pivots = 0
         cells, masses = staircase.support()
-        primal = _support_cost(cells, masses, cmat)
+    primal = _support_cost(cells, masses, cmat)
 
     phi = _min_plus(lambda start, stop: cmat[start:stop], psi, m)  # the second c-transform
     result = _checked_result(rho, g, cost, a, b, cmat, phi, psi, cells=cells, masses=masses,

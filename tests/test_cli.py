@@ -295,11 +295,17 @@ class TestSolveOT:
         # 1.9e-7 relative (1021 sweeps become 816), far beyond rtol 1e-9, so
         # any change to the bits of ``_AnchoredKernel`` or ``_fixed_point``
         # fails here; the sweep and re-anchor counts must match as well
+        self.check_entropic_meta(tmp_path, "solve_ot_2d_entropic_example")
+
+    def test_shipped_1d_entropic_example_matches_golden_meta(self, tmp_path):
+        self.check_entropic_meta(tmp_path, "solve_ot_entropic_example")
+
+    @staticmethod
+    def check_entropic_meta(tmp_path, name):
         out = tmp_path / "out"
-        assert run_cli("solve-ot", "--config", CONFIGS / "solve_ot_2d_entropic_example.json",
-                       "--out", out) == 0
+        assert run_cli("solve-ot", "--config", CONFIGS / f"{name}.json", "--out", out) == 0
         got = read_meta(out / "meta")
-        want = read_meta(GOLDEN / "solve_ot_2d_entropic_example_meta")
+        want = read_meta(GOLDEN / f"{name}_meta")
         for key in ("schedule", "iterations", "reanchors"):
             assert got[key] == want[key]
         for key in ("primal", "dual"):
@@ -573,6 +579,20 @@ class TestVerify5G:
                        "--out", out) == 0
         want = (GOLDEN / "verify_5g_example_reports.csv").read_bytes()
         assert (out / "reports.csv").read_bytes() == want
+
+    def test_shipped_2d_batch_matches_golden_reports(self, tmp_path):
+        # the entropic solves follow an Anderson trajectory, so, as for the
+        # 2-d entropic meta, the floats are held to rtol 1e-9 and the rest exactly
+        out = tmp_path / "out"
+        assert run_cli("verify-5g", "--config", CONFIGS / "verify_5g_2d_example.json",
+                       "--out", out) == 0
+        got, want = ([line.split(",") for line in path.read_text().splitlines()]
+                     for path in (out / "reports.csv", GOLDEN / "verify_5g_2d_example_reports.csv"))
+        assert got[0] == want[0] and len(got) == len(want)
+        for got_row, want_row in zip(got[1:], want[1:]):
+            assert got_row[:5] + got_row[-1:] == want_row[:5] + want_row[-1:]
+            assert [float(v) for v in got_row[5:-1]] == pytest.approx(
+                [float(v) for v in want_row[5:-1]], rel=1e-9)
 
     def test_passing_batch_exits_0(self, tmp_path, capsys):
         cfg = write_config(tmp_path, self.batch_config())

@@ -24,13 +24,10 @@ from otlab.fivegrad import (
     KAPPA,
     BatchSpec,
     boundary_conjugate_check,
-    boundary_flux,
-    five_gradients_integrand,
-    five_gradients_lhs,
+    five_gradients,
     instance_densities,
     mollification_convergence_experiment,
     refinement_study,
-    run_instance,
     second_order_check,
     semiconcavity_check,
     summarize,
@@ -54,6 +51,18 @@ def solved_pair(seed=7, n=128, p=2.0):
     return grid, rho, g, cost, solve_lp(rho, g, cost)
 
 
+def lhs_and_flux(rho, g, phi, psi, hfun):
+    """The integral and the boundary flux of one H."""
+    (_, lhs, flux), = five_gradients(rho, g, phi, psi, [hfun])
+    return lhs, flux
+
+
+def one_point(spec, seed, p, q, n):
+    """The report of one (seed, p, q, n) instance: a one-point ``verify_batch`` of the spec."""
+    point = dataclasses.replace(spec, seeds=(seed,), p_values=(p,), q_values=(q,), n_values=(n,))
+    return verify_batch(point)[0]
+
+
 class TestLHS:
     def test_equal_densities_give_zero(self):
         grid = unit_grid()
@@ -61,28 +70,27 @@ class TestLHS:
         cost = power_cost(2.0, grid.cost_radius)
         res = solve_lp(rho, rho, cost)
         hf = power_h_function(2.0, delta0=1e-9)
-        assert five_gradients_lhs(rho, rho, res.phi, res.psi, hf) == 0.0
-        assert boundary_flux(rho, rho, res.phi, res.psi, hf) == 0.0
+        assert lhs_and_flux(rho, rho, res.phi, res.psi, hf) == (0.0, 0.0)
 
     def test_random_pair_meets_tv_bound(self):
         # reference instance: n=256, p=2, quadratic H, seed 1
         grid, rho, g, cost, res = solved_pair(seed=1, n=256)
         hf = power_h_function(2.0, delta0=1e-9)
-        lhs = five_gradients_lhs(rho, g, res.phi, res.psi, hf)
+        lhs, _ = lhs_and_flux(rho, g, res.phi, res.psi, hf)
         assert lhs >= -1e-2 * (rho.tv() + g.tv())
 
     def test_doubling_h_doubles_lhs(self):
         grid, rho, g, cost, res = solved_pair()
         hf = power_h_function(1.5, delta0=1e-9)
-        lhs = five_gradients_lhs(rho, g, res.phi, res.psi, hf)
-        doubled = five_gradients_lhs(rho, g, res.phi, res.psi, scale_h_function(hf, 2.0))
+        (_, lhs, _), (_, doubled, _) = five_gradients(rho, g, res.phi, res.psi,
+                                                      [hf, scale_h_function(hf, 2.0)])
         assert doubled == pytest.approx(2.0 * lhs, rel=1e-12)
 
     def test_swap_symmetry(self):
         grid, rho, g, cost, res = solved_pair(seed=11)
         hf = power_h_function(2.0, delta0=1e-9)
-        lhs = five_gradients_lhs(rho, g, res.phi, res.psi, hf)
-        swapped = five_gradients_lhs(g, rho, res.psi, res.phi, hf)
+        lhs, _ = lhs_and_flux(rho, g, res.phi, res.psi, hf)
+        swapped, _ = lhs_and_flux(g, rho, res.psi, res.phi, hf)
         assert swapped == pytest.approx(lhs, abs=1e-14)
 
     def test_grad_h_parallelism_on_instance(self):
@@ -99,10 +107,10 @@ class TestLHS:
         rho = random_smooth_density(grid, 1)
         hf = power_h_function(2.0)
         with pytest.raises(ShapeError):
-            five_gradients_lhs(rho, rho, np.zeros(64), np.zeros(128), hf)
+            five_gradients(rho, rho, np.zeros(64), np.zeros(128), [hf])
         other = random_smooth_density(unit_grid(64), 1)
         with pytest.raises(ShapeError):
-            five_gradients_lhs(rho, other, np.zeros(128), np.zeros(128), hf)
+            five_gradients(rho, other, np.zeros(128), np.zeros(128), [hf])
 
 
 class TestBoundaryFlux:
@@ -117,12 +125,13 @@ class TestBoundaryFlux:
         cost = power_cost(2.0, grid.cost_radius)
         res = solve_lp(rho, g, cost)
         hf = power_h_function(2.0, delta0=1e-9)
-        assert boundary_flux(rho, g, res.phi, res.psi, hf) >= -1e-2
+        _, flux = lhs_and_flux(rho, g, res.phi, res.psi, hf)
+        assert flux >= -1e-2
 
     def test_quadratic_h_matches_direct_sum(self):
         grid, rho, g, cost, res = solved_pair(seed=9)
         hf = power_h_function(2.0, delta0=0.0)
-        flux = boundary_flux(rho, g, res.phi, res.psi, hf)
+        _, flux = lhs_and_flux(rho, g, res.phi, res.psi, hf)
         gphi = gradient(np.asarray(res.phi), grid)[..., 0]
         gpsi = gradient(np.asarray(res.psi), grid)[..., 0]
         direct = (
@@ -191,7 +200,7 @@ class TestBoundaryArrays:
                         for _ in range(2))
             for q, delta0 in itertools.product((1.5, 2.0, 4.0), (0.0, 0.3)):
                 hfun = power_h_function(q, delta0=delta0)
-                got = boundary_flux(rho, g, phi, psi, hfun)
+                _, got = lhs_and_flux(rho, g, phi, psi, hfun)
                 assert repr(got) == repr(_loop_flux(rho, g, phi, psi, hfun))
             for p, floor in itertools.product((1.5, 2.0, 3.0), (0.0, 1.0, 4.0)):
                 cost = power_cost(p, grid.cost_radius)
@@ -507,8 +516,8 @@ class TestBatch:
     def test_exact1d_solver_agrees_with_lp(self):
         spec_lp = BatchSpec(seeds=(2,), p_values=(2.0,), q_values=(2.0,), solver="lp")
         spec_ex = BatchSpec(seeds=(2,), p_values=(2.0,), q_values=(2.0,), solver="exact1d")
-        r_lp = run_instance(spec_lp, 2, 2.0, 2.0, 128)
-        r_ex = run_instance(spec_ex, 2, 2.0, 2.0, 128)
+        r_lp, = verify_batch(spec_lp)
+        r_ex, = verify_batch(spec_ex)
         # optimal potentials from the two solvers differ off the plan support
         # at stencil scale, so the integrals agree only to that order
         assert r_ex.lhs == pytest.approx(r_lp.lhs, rel=2e-2, abs=1e-6)
@@ -561,7 +570,7 @@ class TestOneSolvePerProblem:
         spec = BatchSpec(seeds=(0, 1), p_values=(2.0, 3.0), q_values=(1.5, 2.0, 4.0),
                          n_values=n_values, solver=solver)
         batch = [report_fields(r) for r in verify_batch(spec)]
-        single = [report_fields(run_instance(spec, *point)) for point in lattice(spec)]
+        single = [report_fields(one_point(spec, *point)) for point in lattice(spec)]
         assert batch == single
         assert [row[:4] for row in batch] == list(lattice(spec))
 
@@ -577,6 +586,21 @@ class TestOneSolvePerProblem:
         # auto resolves before the solve, so the error row names the LP
         assert all(r.solver == "lp" for r in reports)
 
+    @pytest.mark.parametrize("d, n", [(1, 64), (2, 8)])
+    def test_one_call_on_three_h_equals_three_single_calls(self, d, n):
+        rho, g = instance_densities(BatchSpec(seeds=(3,), n_values=(n,), d=d), 3, n)
+        result = solve_lp(rho, g, power_cost(1.5, rho.grid.cost_radius))
+        delta0 = _H_DELTA0_FRACTION * 2.0 * rho.grid.enclosing_radius
+        hfuns = [power_h_function(q, delta0=delta0) for q in (1.5, 2.0, 4.0)]
+        together = five_gradients(rho, g, result.phi, result.psi, hfuns)
+        assert len(together) == 3
+        for hf, (integrand, lhs, flux) in zip(hfuns, together):
+            (one_integrand, one_lhs, one_flux), = five_gradients(rho, g, result.phi,
+                                                                 result.psi, [hf])
+            assert integrand.tobytes() == one_integrand.tobytes()
+            assert integrand.shape == rho.grid.shape
+            assert repr((lhs, flux)) == repr((one_lhs, one_flux))
+
     def test_lhs_and_flux_match_public_functions_exactly(self, solves):
         spec = BatchSpec(seeds=(3,), p_values=(1.5, 2.0), q_values=(1.5, 2.0, 4.0),
                          n_values=(64,), solver="lp")
@@ -587,9 +611,8 @@ class TestOneSolvePerProblem:
             assert cost.exponent == report.p
             hf = power_h_function(report.q,
                                   delta0=_H_DELTA0_FRACTION * 2.0 * rho.grid.enclosing_radius)
-            assert report.lhs == five_gradients_lhs(rho, g, result.phi, result.psi, hf)
-            assert report.flux == boundary_flux(rho, g, result.phi, result.psi, hf)
-            integrand = five_gradients_integrand(rho, g, result.phi, result.psi, hf)
+            (integrand, lhs, flux), = five_gradients(rho, g, result.phi, result.psi, [hf])
+            assert (report.lhs, report.flux) == (lhs, flux)
             assert report.lhs == float(integrand.sum() * rho.grid.cell_volume)
 
 
@@ -782,7 +805,7 @@ class TestTwoDimensional:
     def test_entropic_instance_passes(self):
         spec = BatchSpec(seeds=(2,), p_values=(2.0,), q_values=(2.0,),
                          n_values=(16,), d=2, entropic_eps=3e-3)
-        report = run_instance(spec, 2, 2.0, 2.0, 16)
+        report, = verify_batch(spec)
         assert report.error == ""
         assert report.solver == "entropic"
         assert report.passed
