@@ -2,9 +2,11 @@
 
 Subcommands (``otlab <name> --config file.json --out dir``):
 
-- ``solve-ot``       one transport solve, serialized result directory
+- ``solve-ot``       one transport solve, serialized result directory (always
+                     with map.csv)
 - ``verify-5g``      gradient-inequality batch, reports CSV + summary line
-- ``jko``            minimizing-movement run, trace.csv + state CSVs
+- ``jko``            minimizing-movement run, trace.csv + every state's
+                     density CSV
 - ``mollify-study``  cost-mollification map convergence, CSV
 - ``ctransform``     c-transform of a potential stored in a field CSV
 
@@ -72,7 +74,6 @@ from .jko import (
 )
 from .ot_core import (
     c_transform,
-    default_mass_threshold,
     solve_entropic,
     solve_exact_1d,
     solve_lp,
@@ -199,20 +200,19 @@ _COST = _tagged("cost spec", "family", {
     "tabulated": ({"radii": _list_of(_REAL), "values": _list_of(_REAL)}, ("radii", "values")),
 })
 _SOLVER = _tagged("solver spec", "method", {
-    "exact1d": ({"mass_threshold": _REAL}, ()),
-    "lp": ({"mass_threshold": _REAL}, ()),
-    "entropic": ({"eps_final": _REAL, "mass_threshold": _REAL}, ()),
+    "exact1d": ({}, ()),
+    "lp": ({}, ()),
+    "entropic": ({"eps_final": _REAL}, ()),
 }, default="exact1d")
 
 _SOLVE_OT_CONFIG = _Section("solve-ot config", {
     "seed": _INT, "grid": _GRID, "cost": _COST, "rho": _density("rho"),
-    "g": _density("g"), "solver": _SOLVER, "write_map": _BOOL,
+    "g": _density("g"), "solver": _SOLVER,
 }, ("grid", "cost", "rho", "g"))
 _BATCH = _Section("batch spec", {
     "seeds": _list_of(_INT), "p_values": _list_of(_REAL), "q_values": _list_of(_REAL),
-    "n_values": _list_of(_INT), "d": _INT, "solver": _STR,
-    "bounds": _Nullable(_list_of(_list_of(_REAL))), "floor": _REAL, "mode_count": _INT,
-    "entropic_eps": _REAL}, ("seeds",))
+    "n_values": _list_of(_INT), "d": _INT, "solver": _STR, "entropic_eps": _REAL},
+    ("seeds",))
 _VERIFY_5G_CONFIG = _Section("verify-5g config", {"seed": _INT, "batch": _BATCH}, ("batch",))
 _JKO_CONFIG = _Section("jko config", {
     "seed": _INT, "grid": _GRID, "rho0": _density("rho0"),
@@ -221,13 +221,12 @@ _JKO_CONFIG = _Section("jko config", {
         "energy": _tagged("energy spec", "kind", {
             "entropy": ({}, ()), "power": ({"m": _REAL}, ("m",))}),
     }, ("p", "tau", "steps", "energy")),
-    "write_densities": _BOOL,
     "compare_pde": _Nullable(_Section("compare_pde spec", {
         "dt": _Nullable(_REAL), "refine": _BOOL})),
 }, ("grid", "rho0", "scheme"))
 _MOLLIFY_STUDY_CONFIG = _Section("mollify-study config", {
     "seed": _INT, "grid": _GRID, "cost": _COST, "rho": _density("rho"),
-    "g": _density("g"), "eps_sequence": _list_of(_REAL), "solver": _STR,
+    "g": _density("g"), "eps_sequence": _list_of(_REAL),
 }, ("grid", "cost", "rho", "g", "eps_sequence"))
 _CTRANSFORM_CONFIG = _Section("ctransform config", {
     "seed": _INT, "cost": _COST, "potential_csv": _STR, "eval_grid": _GRID,
@@ -360,27 +359,18 @@ def cmd_solve_ot(config: dict, out: Path, base_dir: Path, seed) -> int:
                            None if seed is None else seed + 1, "g")
     solver_spec = config.get("solver", {})
     method = solver_spec.get("method", _SOLVER.default)
-    write_map = config.get("write_map", True)
-
-    threshold = solver_spec.get("mass_threshold", default_mass_threshold(grid))
     eps_final = solver_spec.get("eps_final", 1e-4)
-    if not threshold >= 0:
-        raise ConfigError(f"solver mass_threshold must be >= 0, got {threshold!r}")
     if not eps_final > 0:
         raise ConfigError(f"solver eps_final must be > 0, got {eps_final!r}")
     if method == "exact1d" and grid.d != 1:
         raise ConfigError(f"solver exact1d runs on 1-d grids, not {grid.d}-d")
-    map_field = None
     if method == "exact1d":
-        result, map_field = solve_exact_1d(rho, g, cost, mass_threshold=threshold)
-    elif method == "lp":
-        result = solve_lp(rho, g, cost)
+        result, map_field = solve_exact_1d(rho, g, cost)
     else:
-        result = solve_entropic(rho, g, cost, eps_final=eps_final)
-    if map_field is None and write_map:
-        map_field = transport_map_from_potential(result.phi, cost, rho,
-                                                 mass_threshold=threshold)
-    write_result_dir(out, result, map_field if write_map else None)
+        result = (solve_lp(rho, g, cost) if method == "lp"
+                  else solve_entropic(rho, g, cost, eps_final=eps_final))
+        map_field = transport_map_from_potential(result.phi, cost, rho)
+    write_result_dir(out, result, map_field)
     print(f"solve-ot: solver={result.solver} primal={result.primal:.12e} "
           f"gap={result.gap:.3e}")
     return _EXIT_OK
@@ -424,7 +414,7 @@ def cmd_jko(config: dict, out: Path, base_dir: Path, seed) -> int:
         raise ConfigError(f"invalid grid spec: {exc}") from exc
 
     trajectory = run_jko(rho0, jko_config)
-    write_trajectory_dir(out, trajectory, densities=config.get("write_densities", True))
+    write_trajectory_dir(out, trajectory)
     if trajectory.error:
         print(f"jko: aborted after {len(trajectory) - 1} steps: {trajectory.error}",
               file=sys.stderr)
@@ -449,17 +439,15 @@ def cmd_mollify_study(config: dict, out: Path, base_dir: Path, seed) -> int:
     grid = _grid_from_spec(config["grid"])
     cost = _cost_from_spec(config["cost"], grid.cost_radius)
     widths = config["eps_sequence"]
-    solver = config.get("solver", "exact1d")
     try:
-        check_mollification(grid.d, cost, widths, solver)
+        check_mollification(grid.d, cost, widths)
     except (DomainError, ParameterError) as exc:
         raise ConfigError(str(exc)) from exc
     rho = _density_from_spec(config["rho"], grid, base_dir, seed, "rho")
     g = _density_from_spec(config["g"], grid, base_dir,
                            None if seed is None else seed + 1, "g")
 
-    report = mollification_convergence_experiment(rho, g, cost, widths,
-                                                  solver=solver)
+    report = mollification_convergence_experiment(rho, g, cost, widths)
     write_rows(out / "mollify.csv", [
         ("epsilon", "deviation_measure", "lp_distance"),
         *zip(report.epsilons, report.deviation_measures, report.lp_distances),

@@ -72,6 +72,11 @@ KAPPA = 0.05
 # works, it only has to be deterministic.
 _PAIR_SEED_OFFSET = 100003
 
+# Every batch instance draws its densities on the unit box [0, 1]^d with
+# this floor and this many Fourier modes per axis.
+DENSITY_FLOOR = 0.1
+MODE_COUNT = 3
+
 # Cells this close (in cells) to the boundary are dropped from second-order
 # statistics; one-sided stencils pollute second differences.
 _EDGE_EXCLUSION = 2
@@ -160,9 +165,10 @@ class BatchSpec:
     """Instance lattice for the batch verifier.
 
     One solve per (seed, p, n), shared by one report per H exponent q; the
-    two densities are drawn from ``seed`` and ``seed + 100003``. Solver
-    ``auto`` picks the LP solver in 1-d (exact at these sizes) and the
-    entropic solver in 2-d.
+    two densities are drawn from ``seed`` and ``seed + 100003`` on the unit
+    box [0, 1]^d, with floor 0.1 and 3 modes (``DENSITY_FLOOR``,
+    ``MODE_COUNT``). Solver ``auto`` picks the LP solver in 1-d (exact at
+    these sizes) and the entropic solver in 2-d.
     """
 
     seeds: tuple[int, ...]
@@ -171,9 +177,6 @@ class BatchSpec:
     n_values: tuple[int, ...] = (128,)
     d: int = 1
     solver: str = "auto"
-    bounds: tuple[tuple[float, float], ...] | None = None
-    floor: float = 0.1
-    mode_count: int = 3
     entropic_eps: float = 1e-4
 
     def __post_init__(self):
@@ -196,24 +199,12 @@ class BatchSpec:
             raise ParameterError("H exponents must be finite and satisfy q > 1")
         if not all(n >= 4 for n in self.n_values):
             raise ParameterError("resolutions must be at least 4")
-        if self.bounds is not None and (len(self.bounds) != self.d
-                                        or any(len(pair) != 2 for pair in self.bounds)):
-            raise ShapeError("bounds must give one (lo, hi) pair per axis")
-        if self.bounds is not None and not all(lo < hi for lo, hi in self.bounds):
-            raise ParameterError("each bounds pair must satisfy lo < hi")
-        if not self.floor > 0:
-            raise ParameterError("the density floor must be positive")
-        if self.mode_count < 1:
-            raise ParameterError("mode_count must be at least 1")
         if not 0 < self.entropic_eps < np.inf:
             raise ParameterError("entropic_eps must be finite and positive")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         object.__setattr__(self, "p_values", tuple(float(p) for p in self.p_values))
         object.__setattr__(self, "q_values", tuple(float(q) for q in self.q_values))
         object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
-        if self.bounds is not None:
-            object.__setattr__(self, "bounds",
-                               tuple((float(lo), float(hi)) for lo, hi in self.bounds))
 
 
 @dataclass(frozen=True)
@@ -389,13 +380,12 @@ def boundary_conjugate_check(rho: DensityField, phi, cost: RadialCost,
     return BoundaryConjugateReport(worst, tol, int(massy.sum()), worst >= -tol)
 
 
-def check_mollification(d: int, cost: RadialCost, widths, solver: str) -> None:
+def check_mollification(d: int, cost: RadialCost, widths) -> None:
     """Raise unless ``mollification_convergence_experiment`` accepts these inputs.
 
     The experiment runs on 1-d grids (DomainError); it needs a nonempty,
     strictly decreasing sequence of widths, each accepted by
-    ``check_mollify_width``, and the ``lp`` or ``exact1d`` solver
-    (ParameterError). Needs no solve.
+    ``check_mollify_width`` (ParameterError). Needs no solve.
     """
     if d != 1:
         raise DomainError(f"the mollification experiment runs on 1-d grids, not {d}-d")
@@ -408,32 +398,28 @@ def check_mollification(d: int, cost: RadialCost, widths, solver: str) -> None:
             check_mollify_width(cost, width)
         except ParameterError as exc:
             raise ParameterError(f"invalid eps_sequence width: {exc}") from exc
-    if solver not in ("lp", "exact1d"):
-        raise ParameterError(f"the mollification solver must be 'lp' or 'exact1d', got {solver!r}")
 
 
 def mollification_convergence_experiment(rho: DensityField, g: DensityField,
                                          base_cost: RadialCost,
-                                         eps_sequence,
-                                         solver: str = "exact1d") -> MollificationReport:
+                                         eps_sequence) -> MollificationReport:
     """Track the map of the mollified cost back to the unmollified map.
 
     For each width epsilon the instance is re-solved with the mollified cost
     and the map is rebuilt from its potential; the deviation from the exact
     monotone map of the base cost must shrink as epsilon does. Quadratic
     base costs are a fixed point (mollification leaves their gradient
-    unchanged), so deviations reduce to solver and stencil error. The default
-    potential source is the monotone solver: degenerate instances (equal
-    densities, flat stretches) admit many optimal LP duals, and the simplex
-    may return a steep one whose map differs from the monotone map at order
-    one even though both are optimal. The marginals, and so their
-    ``_Staircase``, are the same for every cost: one serves the reference
-    solve and every width, and each width solves through the batch's
-    ``_solve_for_batch``.
+    unchanged), so deviations reduce to solver and stencil error. Every
+    potential comes from the monotone solver ``solve_exact_1d``, not the
+    LP: degenerate instances (equal densities, flat stretches) admit many
+    optimal LP duals, and the simplex may return a steep one whose map
+    differs from the monotone map at order one even though both are
+    optimal. The marginals, and so their ``_Staircase``, are the same for
+    every cost: one serves the reference solve and every width.
     """
     grid = rho.grid
     eps = tuple(float(e) for e in eps_sequence)
-    check_mollification(grid.d, base_cost, eps, solver)
+    check_mollification(grid.d, base_cost, eps)
     if g.grid != grid:
         raise ShapeError("rho and g must live on the same grid")
 
@@ -449,8 +435,7 @@ def mollification_convergence_experiment(rho: DensityField, g: DensityField,
     distances = []
     for e in eps:
         smooth = mollify(base_cost, e)
-        # entropic_eps is unused by the lp and exact1d solvers
-        result = _solve_for_batch(rho, g, smooth, solver, None, None, staircase)
+        result, _ = solve_exact_1d(rho, g, smooth, staircase=staircase)
         t_eps = transport_map_from_potential(result.phi, smooth, rho)
         mask = t_eps.mask & ref_map.mask
         dev = np.abs(t_eps.points[:, 0] - ref_map.points[:, 0])
@@ -486,10 +471,9 @@ def _solve_for_batch(rho: DensityField, g: DensityField, cost: RadialCost, solve
 
 def instance_densities(spec: BatchSpec, seed: int, n: int) -> tuple[DensityField, DensityField]:
     """The deterministic density pair of one batch instance."""
-    lower, upper = zip(*(spec.bounds or ((0.0, 1.0),) * spec.d))
-    grid = Grid(spec.d, lower, upper, (n,) * spec.d)
-    rho = random_smooth_density(grid, seed, spec.mode_count, spec.floor)
-    g = random_smooth_density(grid, seed + _PAIR_SEED_OFFSET, spec.mode_count, spec.floor)
+    grid = Grid(spec.d, (0.0,) * spec.d, (1.0,) * spec.d, (n,) * spec.d)
+    rho = random_smooth_density(grid, seed, MODE_COUNT, DENSITY_FLOOR)
+    g = random_smooth_density(grid, seed + _PAIR_SEED_OFFSET, MODE_COUNT, DENSITY_FLOOR)
     return rho, g
 
 

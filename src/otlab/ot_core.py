@@ -44,7 +44,6 @@ __all__ = [
     "solve_entropic",
     "transport_map_from_potential",
     "map_consistency_check",
-    "default_mass_threshold",
     "write_result_dir",
     "read_meta",
 ]
@@ -168,11 +167,6 @@ class MapField:
             raise OTLabError("map points must be (num_cells, d)")
         if not np.all((self.target or self.grid).contains(self.points[self.mask])):
             raise OTLabError("masked map values must lie inside the target box")
-
-
-def default_mass_threshold(grid: Grid) -> float:
-    """Cells with density at or below this carry negligible mass."""
-    return 1e-10 / grid.cell_volume
 
 
 def _cost_matrix(cost: RadialCost, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
@@ -618,8 +612,8 @@ def _checked_result(rho: DensityField, g: DensityField, cost: RadialCost, a: np.
     return result
 
 
-def solve_exact_1d(rho: DensityField, g: DensityField, cost: RadialCost,
-                   mass_threshold: float | None = None, *, cmat: np.ndarray | None = None,
+def solve_exact_1d(rho: DensityField, g: DensityField, cost: RadialCost, *,
+                   cmat: np.ndarray | None = None,
                    staircase: _Staircase | None = None) -> tuple[TransportResult, MapField]:
     """Exact 1-d transport by monotone rearrangement (quantile matching).
 
@@ -662,7 +656,7 @@ def solve_exact_1d(rho: DensityField, g: DensityField, cost: RadialCost,
                              primal=primal, solver="exact1d",
                              meta={"plan_nonzeros": int(cells.size)})
 
-    return result, _map_field(rho, t_vals[:, None], mass_threshold, g.grid)
+    return result, _map_field(rho, t_vals[:, None], g.grid)
 
 
 def _largest_abs_cost(cmat: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> float:
@@ -1006,18 +1000,16 @@ def solve_entropic(rho: DensityField, g: DensityField, cost: RadialCost,
                            })
 
 
-def _map_field(rho: DensityField, points: np.ndarray, mass_threshold: float | None,
-               target: Grid) -> MapField:
+def _map_field(rho: DensityField, points: np.ndarray, target: Grid) -> MapField:
     """The ``MapField`` of map values ``points``, one row per cell of rho's grid.
 
-    The mask holds the cells whose density exceeds ``mass_threshold``
-    (default: ``default_mass_threshold``). Cells off it get their own center;
+    The mask holds the cells that carry more than a negligible mass, a
+    density above 1e-10 / cell volume. Cells off it get their own center;
     every value is clipped to the box of ``target``, the grid the map maps
     into, and the largest clip distance is taken over the masked cells.
     """
     grid = rho.grid
-    threshold = default_mass_threshold(grid) if mass_threshold is None else mass_threshold
-    mask = rho.values.reshape(-1) > threshold
+    mask = rho.values.reshape(-1) > 1e-10 / grid.cell_volume
     points = np.where(mask[:, None], points, grid.cell_centers())
     clipped = target.clip(points)
     max_clip = float(np.abs(clipped - points)[mask].max()) if mask.any() else 0.0
@@ -1032,8 +1024,7 @@ def _clamped_gradient(phi, cost: RadialCost, grid: Grid):
     return grad_phi * (wmax / np.maximum(norms, wmax))[:, None], norms, wmax
 
 
-def transport_map_from_potential(phi, cost: RadialCost, rho: DensityField,
-                                 mass_threshold: float | None = None) -> MapField:
+def transport_map_from_potential(phi, cost: RadialCost, rho: DensityField) -> MapField:
     """Assemble T(x) = x - grad_h_star(grad phi(x)) on cells carrying mass.
 
     The map is taken into rho's own grid, which every caller's target
@@ -1045,8 +1036,7 @@ def transport_map_from_potential(phi, cost: RadialCost, rho: DensityField,
     """
     grid = rho.grid
     grad_phi, norms, wmax = _clamped_gradient(phi, cost, grid)
-    map_field = _map_field(rho, grid.cell_centers() - grad_h_star(cost, grad_phi),
-                           mass_threshold, grid)
+    map_field = _map_field(rho, grid.cell_centers() - grad_h_star(cost, grad_phi), grid)
     norms = norms[map_field.mask]
     if norms.size and norms.max() > wmax * (1.0 + 1e-3):
         raise RangeError(

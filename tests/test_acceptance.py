@@ -24,6 +24,7 @@ from otlab.cost import (
 )
 from otlab.fivegrad import (
     _H_DELTA0_FRACTION,
+    DENSITY_FLOOR,
     BatchSpec,
     boundary_conjugate_check,
     five_gradients,
@@ -259,7 +260,7 @@ def test_criterion_07_boundary_flux():
         floor_level = -1e-2 * (rho.tv() + g.tv())
         flux_ok.append(flux >= floor_level)
         worst_flux_margin = min(worst_flux_margin, flux - floor_level)
-        check = boundary_conjugate_check(rho, result.phi, cost, floor=spec.floor)
+        check = boundary_conjugate_check(rho, result.phi, cost, floor=DENSITY_FLOOR)
         conjugate_ok.append(check.passed and check.cell_count > 0)
     ok = all(flux_ok) and all(conjugate_ok)
     verdict(7, ok,

@@ -104,12 +104,6 @@ class TestSolveOT:
                      "manifest"):
             assert (out / name).exists(), name
 
-    def test_write_map_false_skips_map(self, tmp_path):
-        cfg = write_config(tmp_path, solve_config(write_map=False))
-        out = tmp_path / "out"
-        assert run_cli("solve-ot", "--config", cfg, "--out", out) == 0
-        assert not (out / "map.csv").exists()
-
     @pytest.mark.parametrize("grid", [
         {"n": 16.5},
         {"n": "16"},
@@ -125,7 +119,6 @@ class TestSolveOT:
         assert "grid spec key" in capsys.readouterr().err
 
     @pytest.mark.parametrize("solver", [
-        {"method": "exact1d", "mass_threshold": "abc"},
         {"method": "entropic", "eps_final": "x"},
         {"method": "entropic", "eps_final": True},
     ])
@@ -328,11 +321,11 @@ class TestSolveOT:
 
 class TestConfigErrors:
     @pytest.mark.parametrize("overrides", [
-        {"solver": {"method": "exact1d", "mass_threshold": float("nan")}},
+        {"solver": {"method": "entropic", "eps_final": float("nan")}},
         {"grid": {"d": 1, "lower": 1.0, "upper": 0.0, "n": 48}},
         {"cost": {"family": "power", "p": 0.5}},
         {"rho": {"kind": "random", "mode_count": 0}},
-    ], ids=["mass_threshold", "grid", "cost", "density"])
+    ], ids=["eps_final", "grid", "cost", "density"])
     def test_config_error_removes_the_out_dir_it_created(self, tmp_path, capsys, overrides):
         cfg = write_config(tmp_path, solve_config(**overrides))
         assert run_cli("solve-ot", "--config", cfg, "--out", tmp_path / "new" / "out") == 2
@@ -344,7 +337,7 @@ class TestConfigErrors:
         out.mkdir()
         (out / "earlier").write_text("kept\n")
         cfg = write_config(tmp_path, solve_config(
-            solver={"method": "exact1d", "mass_threshold": float("nan")}))
+            solver={"method": "entropic", "eps_final": float("nan")}))
         assert run_cli("solve-ot", "--config", cfg, "--out", out) == 2
         assert run_cli("solve-ot", "--config", cfg, "--out", out / "sub") == 2
         assert [p.name for p in out.iterdir()] == ["earlier"]
@@ -420,7 +413,7 @@ class TestConfigErrors:
 
 
     @pytest.mark.parametrize("command, path, value, key", [
-        ("jko", "write_densities", "no", "write_densities"),
+        ("jko", "compare_pde", 5, "compare_pde"),
         ("jko", "compare_pde.refine", "no", "refine"),
         ("jko", "compare_pde.dt", "x", "dt"),
         ("jko", "scheme.energy", {"kind": "power", "m": "x"}, "m"),
@@ -474,11 +467,10 @@ class TestConfigErrors:
         ("solve-ot", "rho", {"kind": "bump", "floor": NAN}, "rho.floor"),
         ("solve-ot", "rho", {"kind": "bump", "sharpness": NAN}, "rho.sharpness"),
         ("solve-ot", "rho", {"kind": "bump", "center": NAN}, "rho.center"),
-        ("verify-5g", "batch.floor", INF, "batch.floor"),
-        ("verify-5g", "batch.bounds", [[0.0, INF]], "batch.bounds"),
+        ("verify-5g", "batch.entropic_eps", INF, "batch.entropic_eps"),
         ("jko", "scheme.tau", INF, "scheme.tau"),
     ], ids=["radius-nan", "dt-nan", "upper-inf", "p-inf", "p-int-overflow", "floor-nan",
-            "sharpness-nan", "center-nan", "batch-floor-inf", "bounds-inf", "tau-inf"])
+            "sharpness-nan", "center-nan", "entropic-eps-inf", "tau-inf"])
     def test_non_finite_number_exits_2(self, tmp_path, capsys, command, path, value, where):
         # Python's JSON reader takes NaN and Infinity; the schema refuses them as numbers
         cfg = write_config(tmp_path, with_value(base_config(command), path, value))
@@ -486,6 +478,26 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and f"at '{where}'" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, path, value", [
+        ("solve-ot", "solver.mass_threshold", 1e-9),
+        ("solve-ot", "write_map", True),
+        ("verify-5g", "batch.bounds", [[0.0, 1.0]]),
+        ("verify-5g", "batch.floor", 0.1),
+        ("verify-5g", "batch.mode_count", 3),
+        ("jko", "write_densities", True),
+        ("mollify-study", "solver", "exact1d"),
+    ], ids=["mass_threshold", "write_map", "bounds", "floor", "mode_count",
+            "write_densities", "solver"])
+    def test_removed_key_is_unknown(self, tmp_path, capsys, command, path, value):
+        # each of these keys once took only the value every run uses; now,
+        # even at that value, it is refused like any other unknown key
+        cfg = write_config(tmp_path, with_value(base_config(command), path, value))
+        assert run_cli(command, "--config", cfg, "--out", tmp_path / "new" / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: unknown keys in")
+        assert f"['{path.split('.')[-1]}']" in err
+        assert not (tmp_path / "new").exists()
 
     def test_error_names_nested_key_path(self, tmp_path, capsys):
         cfg = write_config(tmp_path, solve_config(rho={"kind": "random", "floor": "x"}))
@@ -642,12 +654,6 @@ class TestVerify5G:
         assert "kappa" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [
-        ("bounds", [[1.0, 0.0]]),
-        ("bounds", [[0.5, 0.5]]),
-        ("bounds", [[0.0, 1.0, 2.0]]),
-        ("floor", 0),
-        ("floor", -0.1),
-        ("mode_count", 0),
         ("entropic_eps", 0),
     ])
     def test_bad_batch_value_exits_2(self, tmp_path, capsys, key, value):
@@ -657,10 +663,10 @@ class TestVerify5G:
 
     @pytest.mark.parametrize("batch", [
         {"seeds": 5},
-        {"seeds": [0], "mode_count": "3"},
+        {"seeds": [0], "d": 1.0},
         {"seeds": [0], "n_values": [16.5]},
-        {"seeds": [0], "bounds": 5},
-        {"seeds": [0], "bounds": [[0, "a"]]},
+        {"seeds": [0], "solver": 1},
+        {"seeds": [0], "entropic_eps": "1e-4"},
     ])
     def test_mistyped_batch_value_exits_2(self, tmp_path, capsys, batch):
         cfg = write_config(tmp_path, {"batch": {"n_values": [16], **batch}})
@@ -716,15 +722,6 @@ class TestJKO:
         assert len((out / "trace.csv").read_text().splitlines()) == 2
         assert (out / "density_0000.csv").exists()
         assert not (out / "density_0001.csv").exists()
-
-    def test_write_densities_false(self, tmp_path):
-        payload = self.jko_config()
-        payload["write_densities"] = False
-        cfg = write_config(tmp_path, payload)
-        out = tmp_path / "out"
-        assert run_cli("jko", "--config", cfg, "--out", out) == 0
-        assert (out / "trace.csv").exists()
-        assert not (out / "density_0000.csv").exists()
 
     def test_pde_comparison_csv(self, tmp_path):
         payload = self.jko_config(steps=4)
@@ -939,14 +936,6 @@ class TestMollifyStudy:
         assert run_cli("mollify-study", "--config", cfg, "--out",
                        tmp_path / "out") == 2
         assert "config error: invalid eps_sequence width" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
-
-    def test_unknown_solver_exits_2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, self.moll_config(solver="entropic"))
-        assert run_cli("mollify-study", "--config", cfg, "--out",
-                       tmp_path / "out") == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and "'entropic'" in err
         assert not (tmp_path / "out").exists()
 
     def test_failed_report_exits_4(self, tmp_path, monkeypatch, capsys):

@@ -384,37 +384,32 @@ class TestMollificationExperiment:
         assert rep.monotone_ok
         assert rep.final_ok
 
-    @pytest.mark.parametrize("solver", ["exact1d", "lp"])
-    def test_one_staircase_for_reference_and_widths(self, monkeypatch, staircase_fills, solver):
+    def test_one_staircase_for_reference_and_widths(self, monkeypatch, staircase_fills):
         grid = unit_grid(64)
         rho, g = random_smooth_density(grid, 5), random_smooth_density(grid, 15)
         cost = power_cost(1.5, grid.cost_radius)
-        shared = mollification_convergence_experiment(rho, g, cost, (0.2, 0.1, 0.05), solver)
+        shared = mollification_convergence_experiment(rho, g, cost, (0.2, 0.1, 0.05))
         assert len(staircase_fills) == 1
         # with every solve building its own staircase the report is the same
-        for name in ("solve_exact_1d", "solve_lp"):
-            real = getattr(fivegrad, name)
-            monkeypatch.setattr(fivegrad, name,
-                                lambda *args, real=real, staircase, **kwargs: real(*args, **kwargs))
-        alone = mollification_convergence_experiment(rho, g, cost, (0.2, 0.1, 0.05), solver)
+        real = fivegrad.solve_exact_1d
+        monkeypatch.setattr(fivegrad, "solve_exact_1d",
+                            lambda *args, staircase, **kwargs: real(*args, **kwargs))
+        alone = mollification_convergence_experiment(rho, g, cost, (0.2, 0.1, 0.05))
         assert len(staircase_fills) == 1 + 1 + 4  # the shared ones and one per solve
         assert shared == alone
 
-    @pytest.mark.parametrize("widths, solver", [
-        ((0.2, 0.1, 0.0), "exact1d"), ((0.2, 0.1, 0.0), "lp"), ((0.1, 0.2), "exact1d"),
-        ((0.2, 0.1), "entropic"),
-    ], ids=["last-width-zero-exact1d", "last-width-zero-lp", "increasing", "solver"])
-    def test_refuses_before_any_solve(self, monkeypatch, widths, solver):
+    @pytest.mark.parametrize("widths", [(0.2, 0.1, 0.0), (0.1, 0.2)],
+                             ids=["last-width-zero", "increasing"])
+    def test_refuses_before_any_solve(self, monkeypatch, widths):
         def no_solve(*args, **kwargs):
             raise AssertionError("solved before the inputs were checked")
 
-        for name in ("solve_exact_1d", "solve_lp"):
-            monkeypatch.setattr(fivegrad, name, no_solve)
+        monkeypatch.setattr(fivegrad, "solve_exact_1d", no_solve)
         grid = unit_grid(32)
         rho = random_smooth_density(grid, 5)
         with pytest.raises(ParameterError):
             mollification_convergence_experiment(
-                rho, rho, power_cost(2.0, grid.cost_radius), widths, solver)
+                rho, rho, power_cost(2.0, grid.cost_radius), widths)
 
     def test_parameter_validation(self):
         grid = unit_grid()
@@ -485,16 +480,6 @@ class TestBatch:
         with pytest.raises(DomainError):
             BatchSpec(seeds=(1,), solver="exact1d", d=2)
         with pytest.raises(ParameterError):
-            BatchSpec(seeds=(1,), bounds=((1.0, 0.0),))
-        with pytest.raises(ShapeError):
-            BatchSpec(seeds=(1,), bounds=((0.0, 1.0, 2.0),))
-        with pytest.raises(ParameterError):
-            BatchSpec(seeds=(1,), d=2, bounds=((0.0, 1.0), (0.5, 0.5)))
-        with pytest.raises(ParameterError):
-            BatchSpec(seeds=(1,), floor=0.0)
-        with pytest.raises(ParameterError):
-            BatchSpec(seeds=(1,), mode_count=0)
-        with pytest.raises(ParameterError):
             BatchSpec(seeds=(1,), entropic_eps=0.0)
         with pytest.raises(ParameterError, match="nonnegative"):
             BatchSpec(seeds=(0, -1))
@@ -507,11 +492,10 @@ class TestBatch:
 
     def test_spec_types_its_fields(self):
         # a checked config section passes straight in, JSON lists and all
-        spec = BatchSpec(seeds=[0, 1], p_values=[2], q_values=[1.5], n_values=[16],
-                         bounds=[[0, 2]])
+        spec = BatchSpec(seeds=[0, 1], p_values=[2], q_values=[1.5], n_values=[16])
         assert spec.seeds == (0, 1) and spec.p_values == (2.0,)
-        assert spec.bounds == ((0.0, 2.0),)
-        assert all(type(v) is float for v in spec.bounds[0])
+        assert spec.q_values == (1.5,) and spec.n_values == (16,)
+        assert type(spec.p_values[0]) is float
 
     def test_exact1d_solver_agrees_with_lp(self):
         spec_lp = BatchSpec(seeds=(2,), p_values=(2.0,), q_values=(2.0,), solver="lp")
