@@ -221,8 +221,7 @@ _JKO_CONFIG = _Section("jko config", {
         "energy": _tagged("energy spec", "kind", {
             "entropy": ({}, ()), "power": ({"m": _REAL}, ("m",))}),
     }, ("p", "tau", "steps", "energy")),
-    "compare_pde": _Nullable(_Section("compare_pde spec", {
-        "dt": _Nullable(_REAL), "refine": _BOOL})),
+    "compare_pde": _Nullable(_Section("compare_pde spec", {"refine": _BOOL})),
 }, ("grid", "rho0", "scheme"))
 _MOLLIFY_STUDY_CONFIG = _Section("mollify-study config", {
     "seed": _INT, "grid": _GRID, "cost": _COST, "rho": _density("rho"),
@@ -405,7 +404,7 @@ def cmd_jko(config: dict, out: Path, base_dir: Path, seed) -> int:
     if compare is not None:
         refine = compare.get("refine", False)
         try:
-            dt, _ = comparison_steps(rho0, jko_config, compare.get("dt"), refine)
+            comparison_steps(rho0, jko_config)
         except (DomainError, ParameterError) as exc:
             raise ConfigError(f"invalid compare_pde spec: {exc}") from exc
     try:
@@ -421,7 +420,7 @@ def cmd_jko(config: dict, out: Path, base_dir: Path, seed) -> int:
         return _EXIT_SOLVER
 
     if compare is not None:
-        report = jko_vs_pde_report(trajectory, jko_config, dt, refine=refine)
+        report = jko_vs_pde_report(trajectory, jko_config, refine=refine)
         columns = [report.times, report.distances]
         header = ["time", "distance"]
         if refine:

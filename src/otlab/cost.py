@@ -25,7 +25,6 @@ __all__ = [
     "power_cost",
     "tabulated_cost",
     "power_h_function",
-    "scale_h_function",
     "grad_h",
     "grad_h_star",
     "mollify",
@@ -59,13 +58,6 @@ class RadialCost:
         if not self.radius > 0:
             raise ParameterError("radius must be positive")
 
-    def h(self, z) -> np.ndarray:
-        """Evaluate the cost at one point (d,) or a batch (N, d)."""
-        z = np.asarray(z, dtype=float)
-        r = np.sqrt((np.atleast_2d(z) ** 2).sum(axis=-1))
-        out = self.profile(r)
-        return out if z.ndim > 1 else float(out[0])
-
     def grad_range(self) -> float:
         """Largest |grad h| attained on the ball: p'(R)."""
         return float(self.dprofile(np.asarray([self.radius]))[0])
@@ -73,13 +65,12 @@ class RadialCost:
 
 @dataclass(frozen=True)
 class HFunction:
-    """Radial convex weight with profile derivative defined for r > 0.
+    """Radial convex weight, given by its profile derivative defined for r > 0.
 
     Gradient arguments with |z| <= delta0 map to zero; delta0 > 0 turns the
     measure-zero convention at critical points into a usable discrete rule.
     """
 
-    profile: Callable = field(repr=False)
     dprofile: Callable = field(repr=False)
     delta0: float = 0.0
 
@@ -142,24 +133,10 @@ def power_h_function(q: float, delta0: float = 0.0) -> HFunction:
     if not 1 < q < np.inf:
         raise ParameterError(f"weight exponent must be finite and exceed 1, got {q}")
 
-    def profile(r):
-        return np.asarray(r, dtype=float) ** q / q
-
     def dprofile(r):
         return np.asarray(r, dtype=float) ** (q - 1.0)
 
-    return HFunction(profile, dprofile, float(delta0))
-
-
-def scale_h_function(hfun: HFunction, factor: float) -> HFunction:
-    """Positive rescaling; the resulting gradient is scaled by the same factor."""
-    if not factor > 0:
-        raise ParameterError("scale factor must be positive")
-    return HFunction(
-        lambda r: factor * np.asarray(hfun.profile(r), dtype=float),
-        lambda r: factor * np.asarray(hfun.dprofile(r), dtype=float),
-        hfun.delta0,
-    )
+    return HFunction(dprofile, float(delta0))
 
 
 def _radial_map(z, scale: Callable, floor: float = 0.0, bound: float = np.inf,

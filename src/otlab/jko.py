@@ -60,8 +60,9 @@ against that limit PDE. For p = 2 with the entropy energy the PDE is the
 heat equation, linear, and ``exact_heat_solve`` gives its semi-discrete
 solution exactly in time from the cosine eigenbasis of the Neumann
 Laplacian; a comparison there takes no dt. Every other (p, energy) takes
-the explicit flux-form finite-difference steps of ``reference_pde_solve``,
-whose dt must be stable and divide tau.
+the explicit flux-form finite-difference steps of ``reference_pde_solve``
+at the step of ``aligned_dt``. Both references return the states at the
+checkpoint times.
 """
 
 from __future__ import annotations
@@ -100,6 +101,10 @@ _MAX_INNER = 4000
 _OMEGA_TAIL = -30.0
 _NEWTON_STEP_TOL = 1e-10
 _NEWTON_CAP = 50
+
+# the explicit PDE reference of a comparison takes at most this many steps
+# over the run's horizon, about 2.5 min at 15 us a step (n <= 512, one Xeon core)
+_MAX_REFERENCE_STEPS = 10**7
 
 
 @dataclass(frozen=True)
@@ -590,73 +595,71 @@ def stable_dt(rho: DensityField, p: float, energy: Energy) -> float:
     return 0.2 * spacing**q / peak
 
 
-def _check_stable_dt(rho_0: DensityField, p: float, energy: Energy, dt: float) -> None:
-    """Raise ParameterError if dt exceeds ``stable_dt`` at the initial data."""
-    bound = stable_dt(rho_0, p, energy)
-    if dt > bound * (1.0 + 1e-12):
-        raise ParameterError(
-            f"dt = {dt:.3e} violates the stability bound {bound:.3e}"
-        )
-
-
 def reference_pde_solve(rho_0: DensityField, p: float, energy: Energy,
-                        dt: float, steps: int, record_every: int = 1) -> Trajectory:
+                        dt: float, times) -> tuple:
     """Explicit flux-form finite differences for ∂_t u = (|w_x|^(q-2) w_x)_x, w = g(u).
 
-    Zero-flux boundaries conserve mass exactly (telescoping flux sum); the
-    time step must respect the conservative stability bound of ``stable_dt``,
-    which is checked at rho_0 only. For q < 2 that bound need not bind: the
-    diffusivity (q-1)|w_x|^(q-2) grows as slopes flatten, and a dt at the
-    initial bound can grow a checkerboard that no check here trips (ROADMAP
-    item 13). ``steps`` explicit steps are taken; the trajectory holds the
-    state after every ``record_every``-th of them (which must divide
-    ``steps``), the initial state first. Every step is checked for blow-up
-    and negative density either way.
+    Returns the states at ``times``, which must be whole multiples of dt and
+    must not decrease; a time of 0 gives rho_0 itself. Zero-flux boundaries
+    conserve mass exactly (telescoping flux sum), and every returned state
+    raises on a mass drift above 1e-10. dt must be within the conservative
+    stability bound of ``stable_dt``, which is checked at rho_0 only. For
+    q < 2 that bound need not bind: the diffusivity (q-1)|w_x|^(q-2) grows
+    as slopes flatten, and a dt at the initial bound can grow a checkerboard
+    that no check here trips (ROADMAP item 13). Every step, returned or not,
+    is checked for blow-up and negative density.
     """
     grid = rho_0.grid
-    if not dt > 0 or steps < 0:
-        raise ParameterError("need dt > 0 and steps >= 0")
-    if record_every < 1 or steps % record_every != 0:
-        raise ParameterError(
-            f"record_every = {record_every} must be a positive divisor of steps = {steps}")
-    _check_stable_dt(rho_0, p, energy, dt)
+    if not dt > 0:
+        raise ParameterError(f"need dt > 0, got {dt}")
+    counts = []
+    for t in times:
+        if not t >= 0:
+            raise ParameterError(f"times must be nonnegative, got {t}")
+        ratio = t / dt
+        count = round(ratio)
+        if abs(ratio - count) > 1e-9 * ratio:
+            raise ParameterError(f"time {t:.3e} is not a whole multiple of dt = {dt:.3e}")
+        if counts and count < counts[-1]:
+            raise ParameterError(
+                f"times must not decrease: {t:.3e} follows {counts[-1] * dt:.3e}")
+        counts.append(count)
+    bound = stable_dt(rho_0, p, energy)
+    if dt > bound * (1.0 + 1e-12):
+        raise ParameterError(f"dt = {dt:.3e} violates the stability bound {bound:.3e}")
     q = p / (p - 1.0)
     spacing = grid.spacing[0]
-    mass_0 = rho_0.mass
 
-    u = rho_0.values.copy()
-    states = [rho_0]
-    for step in range(steps):
-        dw = np.diff(energy.g(u, p))
-        # the power runs on moving faces only: |0|^(q-2) divides by zero for q < 2
-        moving = dw != 0.0
-        s = dw[moving] / spacing
-        flux = np.zeros_like(dw)
-        flux[moving] = np.abs(s) ** (q - 2.0) * s if q != 2.0 else s
-        div = np.zeros_like(u)
-        div[:-1] += flux
-        div[1:] -= flux
-        u = u + (dt / spacing) * div
-        if not np.all(np.isfinite(u)):
-            raise ParameterError(f"solution blew up at step {step + 1}; reduce dt")
-        if u.min() < -1e-12:
-            raise ParameterError(
-                f"negative density {u.min():.3e} at step {step + 1}; reduce dt"
-            )
-        u = np.maximum(u, 0.0)
-        if (step + 1) % record_every == 0:
-            states.append(DensityField(grid, u))
-    drift = abs(states[-1].mass - mass_0)
-    if drift > 1e-10:
-        raise ParameterError(f"mass drifted by {drift:.3e} across the run")
-    return Trajectory(
-        densities=tuple(states),
-        times=tuple(k * record_every * dt for k in range(len(states))),
-        tv=tuple(f.tv() for f in states),
-        energy=tuple(energy_value(f, energy) for f in states),
-        cost=(0.0,) * len(states),
-        residual=(0.0,) * len(states),
-    )
+    u = rho_0.values
+    step = 0
+    states = []
+    for count in counts:
+        while step < count:
+            dw = np.diff(energy.g(u, p))
+            # the power runs on moving faces only: |0|^(q-2) divides by zero for q < 2
+            moving = dw != 0.0
+            s = dw[moving] / spacing
+            flux = np.zeros_like(dw)
+            flux[moving] = np.abs(s) ** (q - 2.0) * s if q != 2.0 else s
+            div = np.zeros_like(u)
+            div[:-1] += flux
+            div[1:] -= flux
+            u = u + (dt / spacing) * div
+            step += 1
+            if not np.all(np.isfinite(u)):
+                raise ParameterError(f"solution blew up at step {step}; reduce dt")
+            if u.min() < -1e-12:
+                raise ParameterError(f"negative density {u.min():.3e} at step {step}; reduce dt")
+            u = np.maximum(u, 0.0)
+        if count == 0:
+            states.append(rho_0)
+            continue
+        state = DensityField(grid, u)
+        drift = abs(state.mass - rho_0.mass)
+        if drift > 1e-10:
+            raise ParameterError(f"mass drifted by {drift:.3e} at t = {count * dt:.3e}")
+        states.append(state)
+    return tuple(states)
 
 
 def _neumann_cosines(n: int, spacing: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -740,56 +743,45 @@ def _l1_distance(a: DensityField, b: DensityField) -> float:
     return float(np.abs(a.values - b.values).sum() * a.grid.cell_volume)
 
 
-def comparison_steps(rho_0: DensityField, config: JKOConfig, dt: float | None,
-                     refine: bool) -> tuple[float | None, int]:
-    """The reference step and its count per scheme step of ``jko_vs_pde_report``.
+def comparison_steps(rho_0: DensityField, config: JKOConfig) -> float | None:
+    """The reference step of ``jko_vs_pde_report`` for a run of ``config`` from rho_0.
 
-    Every rule of a scheme-vs-PDE comparison of a run of ``config`` from
-    rho_0, checked without running the flow: the grid is 1-d and there is
-    at least one step. For p = 2 with the entropy energy the reference is
-    ``exact_heat_solve``, exact in time: dt must be None, and the result
-    is (None, 0). Otherwise dt (``aligned_dt`` if None) must be positive,
-    divide tau, and tau/2 if ``refine`` is set, and be within ``stable_dt``
-    at rho_0; the result is (dt, tau / dt). Raises DomainError or
-    ParameterError.
+    Every rule of a scheme-vs-PDE comparison, checked without running the
+    flow: the grid is 1-d and there is at least one step. For p = 2 with the
+    entropy energy the reference is ``exact_heat_solve``, exact in time, and
+    the result is None. Otherwise it is ``aligned_dt``, which is stable at
+    rho_0 and divides tau/2, and the explicit reference may take at most
+    ``_MAX_REFERENCE_STEPS`` of them over the run's horizon. Raises
+    DomainError or ParameterError.
     """
     if rho_0.grid.d != 1:
         raise DomainError("the comparison runs on 1-d grids")
     if config.steps < 1:
         raise ParameterError("need at least one step to compare")
     if config.p == 2.0 and config.energy.kind == "entropy":
-        if dt is not None:
-            raise ParameterError(
-                f"dt must be null: the reference for p = 2 with the entropy energy "
-                f"is exact in time and takes no step, got dt = {dt!r}")
-        return None, 0
-    if dt is None:
-        dt = aligned_dt(rho_0, config)
-    if not dt > 0:
-        raise ParameterError(f"dt must be positive, got {dt}")
-    ratio = config.tau / dt
-    substeps = round(ratio)
-    if substeps < 1 or abs(ratio - substeps) > 1e-9 * ratio:
-        raise ParameterError(f"dt = {dt:.3e} must divide tau = {config.tau:.3e}")
-    if refine and substeps % 2 != 0:
-        raise ParameterError("refinement needs tau/dt even so tau/2 stays aligned")
-    _check_stable_dt(rho_0, config.p, config.energy, dt)
-    return dt, substeps
+        return None
+    dt = aligned_dt(rho_0, config)
+    count = config.steps * config.tau / dt
+    if count > _MAX_REFERENCE_STEPS:
+        raise ParameterError(
+            f"the explicit reference would take {count:.3g} steps of dt = {dt:.3e}, "
+            f"above the cap of {_MAX_REFERENCE_STEPS:.0e}")
+    return dt
 
 
-def jko_vs_pde_report(trajectory: Trajectory, config: JKOConfig, dt: float | None,
+def jko_vs_pde_report(trajectory: Trajectory, config: JKOConfig,
                       refine: bool = True) -> JKOPDEReport:
     """Compare a completed scheme run against the PDE reference at 5 shared checkpoints.
 
     ``trajectory`` is the ``run_jko`` result for ``config``; the reference
     starts from its first state. It is ``exact_heat_solve`` for p = 2 with
     the entropy energy, and otherwise ``reference_pde_solve`` with the step
-    ``comparison_steps`` checks and resolves. The refined pass reruns the
-    scheme at tau/2 over the same horizon and must not increase the
-    final-checkpoint distance.
+    of ``comparison_steps``. The refined pass reruns the scheme at tau/2
+    over the same horizon and must not increase the final-checkpoint
+    distance.
     """
     rho_0 = trajectory.densities[0]
-    dt, substeps = comparison_steps(rho_0, config, dt, refine)
+    dt = comparison_steps(rho_0, config)
     if trajectory.error:
         raise StepError(f"scheme run failed: {trajectory.error}", residual=float("nan"))
     if len(trajectory) != config.steps + 1:
@@ -799,12 +791,8 @@ def jko_vs_pde_report(trajectory: Trajectory, config: JKOConfig, dt: float | Non
 
     k_checks = sorted({round(j * config.steps / 4.0) for j in range(5)})
     times = tuple(k * config.tau for k in k_checks)
-    if dt is None:
-        reference = exact_heat_solve(rho_0, times)
-    else:
-        explicit = reference_pde_solve(rho_0, config.p, config.energy, dt,
-                                       steps=config.steps * substeps, record_every=substeps)
-        reference = [explicit.densities[k] for k in k_checks]
+    reference = (exact_heat_solve(rho_0, times) if dt is None
+                 else reference_pde_solve(rho_0, config.p, config.energy, dt, times))
     distances = tuple(
         _l1_distance(trajectory.densities[k], state) for k, state in zip(k_checks, reference)
     )

@@ -91,7 +91,7 @@ def heat_benchmark(tmp_path_factory):
     config = heat_scheme()
     start = time.monotonic()
     trajectory = run_jko(rho0, config)
-    report = jko_vs_pde_report(trajectory, config, None, refine=True)
+    report = jko_vs_pde_report(trajectory, config, refine=True)
     elapsed = time.monotonic() - start
     out = tmp_path_factory.mktemp("heat") / "run"
     write_trajectory_dir(out, trajectory)

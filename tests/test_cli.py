@@ -412,10 +412,12 @@ class TestConfigErrors:
         assert run_cli("solve-ot", "--config", cfg, "--out", tmp_path / "out") == 2
 
 
+    # pytest names a mapping or list value by its index in this list, so a
+    # case is replaced in place and the cases after it keep their names
     @pytest.mark.parametrize("command, path, value, key", [
         ("jko", "compare_pde", 5, "compare_pde"),
         ("jko", "compare_pde.refine", "no", "refine"),
-        ("jko", "compare_pde.dt", "x", "dt"),
+        ("jko", "rho0.sharpness", "x", "sharpness"),
         ("jko", "scheme.energy", {"kind": "power", "m": "x"}, "m"),
         ("jko", "scheme.energy", {"kind": "power", "m": True}, "m"),
         ("jko", "scheme.energy", {"kind": "power", "m": "2"}, "m"),
@@ -460,7 +462,6 @@ class TestConfigErrors:
     @pytest.mark.parametrize("command, path, value, where", [
         ("solve-ot", "cost", {"family": "tabulated", "radii": [0.0, NAN, 1.0, 2.0],
                               "values": [0.0, 0.5, 2.0, 4.5]}, "cost.radii"),
-        ("jko", "compare_pde.dt", NAN, "compare_pde.dt"),
         ("solve-ot", "grid.upper", INF, "grid.upper"),
         ("solve-ot", "cost.p", INF, "cost.p"),
         ("solve-ot", "cost.p", 10**400, "cost.p"),  # an integer beyond the float range
@@ -469,7 +470,7 @@ class TestConfigErrors:
         ("solve-ot", "rho", {"kind": "bump", "center": NAN}, "rho.center"),
         ("verify-5g", "batch.entropic_eps", INF, "batch.entropic_eps"),
         ("jko", "scheme.tau", INF, "scheme.tau"),
-    ], ids=["radius-nan", "dt-nan", "upper-inf", "p-inf", "p-int-overflow", "floor-nan",
+    ], ids=["radius-nan", "upper-inf", "p-inf", "p-int-overflow", "floor-nan",
             "sharpness-nan", "center-nan", "entropic-eps-inf", "tau-inf"])
     def test_non_finite_number_exits_2(self, tmp_path, capsys, command, path, value, where):
         # Python's JSON reader takes NaN and Infinity; the schema refuses them as numbers
@@ -487,8 +488,9 @@ class TestConfigErrors:
         ("verify-5g", "batch.mode_count", 3),
         ("jko", "write_densities", True),
         ("mollify-study", "solver", "exact1d"),
+        ("jko", "compare_pde.dt", None),
     ], ids=["mass_threshold", "write_map", "bounds", "floor", "mode_count",
-            "write_densities", "solver"])
+            "write_densities", "solver", "compare_pde.dt"])
     def test_removed_key_is_unknown(self, tmp_path, capsys, command, path, value):
         # each of these keys once took only the value every run uses; now,
         # even at that value, it is refused like any other unknown key
@@ -725,7 +727,7 @@ class TestJKO:
 
     def test_pde_comparison_csv(self, tmp_path):
         payload = self.jko_config(steps=4)
-        payload["compare_pde"] = {"dt": None, "refine": False}
+        payload["compare_pde"] = {"refine": False}
         cfg = write_config(tmp_path, payload)
         out = tmp_path / "out"
         assert run_cli("jko", "--config", cfg, "--out", out) == 0
@@ -736,7 +738,7 @@ class TestJKO:
 
     def test_pde_comparison_refined_csv(self, tmp_path):
         payload = self.jko_config(steps=4)
-        payload["compare_pde"] = {"dt": None, "refine": True}
+        payload["compare_pde"] = {"refine": True}
         cfg = write_config(tmp_path, payload)
         out = tmp_path / "out"
         assert run_cli("jko", "--config", cfg, "--out", out) == 0
@@ -758,48 +760,41 @@ class TestJKO:
         assert len(trace) == 3  # the header, the initial state and the error
         assert trace[-1] == "# error: step 1: inner solver did not converge"
 
-    @pytest.mark.parametrize("scheme, d, compare, word", [
-        ({"tau": 0.004}, 1, {"dt": 0.003}, "divide"),
-        ({"tau": 1e-3}, 1, {"dt": 7e-4}, "divide"),
-        ({"tau": 1e-3}, 1, {"dt": 1e-3 / 3, "refine": True}, "even"),
-        ({"tau": 1e-3}, 1, {"dt": 0}, "positive"),
-        ({"steps": 0}, 1, {"dt": None}, "at least one step"),
-        ({}, 2, {"dt": None}, "1-d"),
-        ({}, 2, {"dt": 1e-3}, "1-d"),
-        ({"tau": 0.004}, 1, {"dt": 1e-3}, "stability bound"),
-    ], ids=["tau4e-3-dt3e-3", "tau1e-3-dt7e-4", "odd-refined", "dt0", "steps0",
-            "2d-dt-null", "2d-dt-given", "dt-unstable"])
-    def test_misaligned_pde_dt_exits_2(self, tmp_path, capsys, monkeypatch, scheme, d,
-                                       compare, word):
+    @pytest.mark.parametrize("scheme, d, word", [
+        ({"steps": 0}, 1, "at least one step"),
+        ({}, 2, "1-d"),
+    ], ids=["steps0", "2d"])
+    def test_misaligned_pde_dt_exits_2(self, tmp_path, capsys, monkeypatch, scheme, d, word):
         def no_flow(*args, **kwargs):
             raise AssertionError("the flow ran before compare_pde was checked")
 
         monkeypatch.setattr(cli, "run_jko", no_flow)
-        # a nonlinear limit PDE, so the explicit reference and its dt rules apply
+        # a nonlinear limit PDE, so the explicit reference applies
         payload = self.jko_config(**{"steps": 4, "energy": {"kind": "power", "m": 2.0},
                                      **scheme})
         payload["grid"] = {"d": d, "lower": 0.0, "upper": 1.0, "n": 8 if d == 2 else 48}
-        payload["compare_pde"] = compare
+        payload["compare_pde"] = {"refine": False}
         cfg = write_config(tmp_path, payload)
         assert run_cli("jko", "--config", cfg, "--out", tmp_path / "out") == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "compare_pde" in err and word in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("refine", [False, True])
-    def test_heat_pde_dt_exits_2(self, tmp_path, capsys, monkeypatch, refine):
-        # p = 2 with entropy compares against the exact-in-time reference,
-        # which has no time step: a numeric dt is refused, not ignored
+    def test_reference_over_the_step_cap_exits_2(self, tmp_path, capsys, monkeypatch):
+        # on a bump over a floor of 1e-3 the p = 3 reference would take some
+        # 8e9 explicit steps: refused before the flow, not after it
         def no_flow(*args, **kwargs):
             raise AssertionError("the flow ran before compare_pde was checked")
 
         monkeypatch.setattr(cli, "run_jko", no_flow)
-        payload = self.jko_config(steps=4)
-        payload["compare_pde"] = {"dt": 0.0001, "refine": refine}
+        payload = self.jko_config(p=3.0, tau=2e-3, steps=20)
+        payload["grid"]["n"] = 96
+        payload["rho0"]["floor"] = 1e-3
+        payload["compare_pde"] = {"refine": False}
         cfg = write_config(tmp_path, payload)
         assert run_cli("jko", "--config", cfg, "--out", tmp_path / "out") == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: invalid compare_pde spec: dt must be null")
+        assert err.startswith("config error: invalid compare_pde spec:") and "above the cap" in err
         assert not (tmp_path / "out").exists()
 
     def test_2d_grid_without_compare_pde_exits_2(self, tmp_path, capsys, monkeypatch):

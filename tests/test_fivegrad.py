@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from otlab.cost import (
+    HFunction,
     grad_H,
     grad_h_star,
     mollify,
     power_cost,
     power_h_function,
-    scale_h_function,
     semiconcavity_constant,
 )
 from otlab import fivegrad, geometry
@@ -82,8 +82,8 @@ class TestLHS:
     def test_doubling_h_doubles_lhs(self):
         grid, rho, g, cost, res = solved_pair()
         hf = power_h_function(1.5, delta0=1e-9)
-        (_, lhs, _), (_, doubled, _) = five_gradients(rho, g, res.phi, res.psi,
-                                                      [hf, scale_h_function(hf, 2.0)])
+        double = HFunction(lambda r: 2.0 * hf.dprofile(r), hf.delta0)
+        (_, lhs, _), (_, doubled, _) = five_gradients(rho, g, res.phi, res.psi, [hf, double])
         assert doubled == pytest.approx(2.0 * lhs, rel=1e-12)
 
     def test_swap_symmetry(self):

@@ -696,18 +696,19 @@ class TestReferencePDE:
     def test_constant_initial_data_stays_constant(self):
         grid = Grid(1, 0.0, 1.0, 32)
         uniform = DensityField(grid, np.ones(grid.shape))
-        traj = jko.reference_pde_solve(uniform, 2.0, jko.entropy_energy(),
-                                       dt=1e-5, steps=100)
-        np.testing.assert_allclose(traj.densities[-1].values, 1.0, atol=1e-14)
+        (state,) = jko.reference_pde_solve(uniform, 2.0, jko.entropy_energy(),
+                                           dt=1e-5, times=(100 * 1e-5,))
+        np.testing.assert_allclose(state.values, 1.0, atol=1e-14)
 
     def test_heat_flattens_bump_and_conserves_mass(self):
         rho0 = bump_density()
         dt = 1e-5
-        traj = jko.reference_pde_solve(rho0, 2.0, jko.entropy_energy(),
-                                       dt=dt, steps=500)
-        assert abs(traj.densities[-1].mass - 1.0) <= 1e-10
-        assert traj.densities[-1].values.max() < rho0.values.max()
-        assert traj.tv[-1] < traj.tv[0]
+        states = jko.reference_pde_solve(rho0, 2.0, jko.entropy_energy(),
+                                         dt=dt, times=(0.0, 500 * dt))
+        assert states[0] is rho0
+        assert abs(states[-1].mass - 1.0) <= 1e-10
+        assert states[-1].values.max() < rho0.values.max()
+        assert states[-1].tv() < states[0].tv()
 
     def test_matches_cosine_series_heat_solution(self):
         # oracle: the zero-flux heat equation on [0, 1] diagonalizes in
@@ -720,12 +721,12 @@ class TestReferencePDE:
         dt = 1e-5
         steps = 1000
         t_final = dt * steps
-        traj = jko.reference_pde_solve(rho0, 2.0, jko.entropy_energy(), dt, steps)
+        (state,) = jko.reference_pde_solve(rho0, 2.0, jko.entropy_energy(), dt, (t_final,))
         modes = np.arange(1, n)
         basis = np.cos(np.outer(modes * math.pi, x))
         coeff = 2.0 * (basis * rho0.values.reshape(1, -1)).mean(axis=1)
         series = 1.0 + (coeff * np.exp(-((modes * math.pi) ** 2) * t_final)) @ basis
-        err = np.abs(traj.densities[-1].values - series).sum() / n
+        err = np.abs(state.values - series).sum() / n
         assert err <= 1e-4
 
     def test_self_convergence_under_refinement(self):
@@ -740,13 +741,12 @@ class TestReferencePDE:
         coarse0 = profile(128)
         fine0 = profile(256)
         dt = 1e-5
-        # only the final states are compared, so only they are recorded
-        coarse = jko.reference_pde_solve(coarse0, 2.0, jko.entropy_energy(),
-                                         dt, steps=5000, record_every=5000)
-        fine = jko.reference_pde_solve(fine0, 2.0, jko.entropy_energy(),
-                                       dt / 4.0, steps=20000, record_every=20000)
-        fine_avg = fine.densities[-1].values.reshape(-1, 2).mean(axis=1)
-        l1 = float(np.abs(coarse.densities[-1].values - fine_avg).sum() / 128.0)
+        (coarse,) = jko.reference_pde_solve(coarse0, 2.0, jko.entropy_energy(),
+                                            dt, (5000 * dt,))
+        (fine,) = jko.reference_pde_solve(fine0, 2.0, jko.entropy_energy(),
+                                          dt / 4.0, (5000 * dt,))
+        fine_avg = fine.values.reshape(-1, 2).mean(axis=1)
+        l1 = float(np.abs(coarse.values - fine_avg).sum() / 128.0)
         assert l1 <= 1e-3
 
     def test_flat_faces_below_q_2_do_not_divide_by_zero(self):
@@ -757,9 +757,10 @@ class TestReferencePDE:
         energy = jko.entropy_energy()
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            traj = jko.reference_pde_solve(rho0, 3.0, energy, jko.stable_dt(rho0, 3.0, energy), 1)
+            dt = jko.stable_dt(rho0, 3.0, energy)
+            (state,) = jko.reference_pde_solve(rho0, 3.0, energy, dt, (dt,))
         # one step moves mass across the middle face only
-        after = traj.densities[-1].values
+        after = state.values
         np.testing.assert_array_equal(np.delete(after, [15, 16]), np.delete(rho0.values, [15, 16]))
         assert after[15] < 1.5 and after[16] > 0.5
         assert after[15] + after[16] == pytest.approx(2.0, rel=1e-15)
@@ -769,20 +770,24 @@ class TestReferencePDE:
         bound = jko.stable_dt(rho0, 2.0, jko.entropy_energy())
         with pytest.raises(ParameterError):
             jko.reference_pde_solve(rho0, 2.0, jko.entropy_energy(),
-                                    dt=2.0 * bound, steps=10)
+                                    dt=2.0 * bound, times=(20.0 * bound,))
 
     def test_two_dimensional_grid_rejected(self):
         grid = Grid(2, 0.0, 1.0, 8)
         uniform = DensityField(grid, np.ones(grid.shape))
         with pytest.raises(DomainError):
             jko.reference_pde_solve(uniform, 2.0, jko.entropy_energy(),
-                                    dt=1e-6, steps=1)
+                                    dt=1e-6, times=(1e-6,))
 
-    @pytest.mark.parametrize("record_every", [0, 3])
-    def test_record_every_must_divide_steps(self, record_every):
-        with pytest.raises(ParameterError, match="record_every"):
+    @pytest.mark.parametrize("times, word", [
+        ((2.5e-6,), "whole multiple"),
+        ((1e-6, -1e-6), "nonnegative"),
+        ((2e-6, 1e-6), "not decrease"),
+    ], ids=["not-a-multiple", "negative", "decreasing"])
+    def test_times_must_be_nondecreasing_multiples_of_dt(self, times, word):
+        with pytest.raises(ParameterError, match=word):
             jko.reference_pde_solve(bump_density(n=16), 2.0, jko.entropy_energy(),
-                                    dt=1e-6, steps=10, record_every=record_every)
+                                    dt=1e-6, times=times)
 
 
 def neumann_laplacian(n, spacing):
@@ -819,15 +824,14 @@ class TestExactHeatSolve:
         # the explicit scheme's gap to its dt -> 0 limit shrinks 4x when dt does
         rho0 = bump_density(n=96)
         config = heat_config(10, tau=0.002)
-        exact = jko.exact_heat_solve(rho0, (0.002, 0.01, 0.02))
+        times = (0.002, 0.01, 0.02)
+        exact = jko.exact_heat_solve(rho0, times)
         dt = jko.aligned_dt(rho0, config)
 
         def gaps(refinement):
-            substeps = refinement * round(config.tau / dt)
-            explicit = jko.reference_pde_solve(rho0, 2.0, config.energy, dt / refinement,
-                                               config.steps * substeps, record_every=substeps)
-            return np.array([jko._l1_distance(explicit.densities[k], state)
-                             for k, state in zip((1, 5, 10), exact)])
+            explicit = jko.reference_pde_solve(rho0, 2.0, config.energy, dt / refinement, times)
+            return np.array([jko._l1_distance(state, oracle)
+                             for state, oracle in zip(explicit, exact)])
 
         ratio = gaps(4) / gaps(1)
         assert np.all((0.2 <= ratio) & (ratio <= 0.3)), ratio
@@ -872,7 +876,7 @@ def porous_run():
 class TestJKOvsPDEReport:
     def test_initial_checkpoint_distance_is_zero(self, short_run):
         _, config, traj = short_run
-        report = jko.jko_vs_pde_report(traj, config, None, refine=False)
+        report = jko.jko_vs_pde_report(traj, config, refine=False)
         assert report.times[0] == 0.0
         assert report.distances[0] == 0.0
         assert len(report.times) == 5
@@ -880,87 +884,65 @@ class TestJKOvsPDEReport:
 
     def test_heat_comparison_takes_the_exact_reference(self, short_run):
         rho0, config, traj = short_run
-        assert jko.comparison_steps(rho0, config, None, refine=True) == (None, 0)
+        assert jko.comparison_steps(rho0, config) is None
         times = tuple(k * config.tau for k in (0, 2, 4, 6, 8))
-        report = jko.jko_vs_pde_report(traj, config, None, refine=False)
+        report = jko.jko_vs_pde_report(traj, config, refine=False)
         assert report.times == times
         assert report.distances == tuple(
             jko._l1_distance(traj.densities[k], state)
             for k, state in zip((0, 2, 4, 6, 8), jko.exact_heat_solve(rho0, times)))
 
-    @pytest.mark.parametrize("dt", [1e-4, 1e-3 / 8, 0.0])
-    def test_heat_comparison_refuses_a_dt(self, short_run, dt):
-        # the exact reference has no time step, so a given dt is never silently ignored
-        rho0, config, traj = short_run
-        with pytest.raises(ParameterError, match="dt must be null"):
-            jko.comparison_steps(rho0, config, dt, refine=False)
-        with pytest.raises(ParameterError, match="dt must be null"):
-            jko.jko_vs_pde_report(traj, config, dt, refine=False)
-
     def test_compared_states_are_the_full_reference_states(self, porous_run):
         rho0, config, traj = porous_run
         dt = jko.aligned_dt(rho0, config)
         substeps = round(config.tau / dt)
-        args = (rho0, config.p, config.energy, dt, config.steps * substeps)
-        full = jko.reference_pde_solve(*args)
-        strided = jko.reference_pde_solve(*args, record_every=substeps)
+        args = (rho0, config.p, config.energy, dt)
+        full = jko.reference_pde_solve(
+            *args, tuple(j * dt for j in range(config.steps * substeps + 1)))
+        strided = jko.reference_pde_solve(
+            *args, tuple(k * config.tau for k in range(config.steps + 1)))
         assert len(strided) == config.steps + 1
         for k in range(config.steps + 1):
-            assert np.array_equal(strided.densities[k].values,
-                                  full.densities[k * substeps].values)
-            for name in ("times", "tv", "energy"):
-                assert getattr(strided, name)[k] == getattr(full, name)[k * substeps]
-        report = jko.jko_vs_pde_report(traj, config, dt, refine=False)
+            assert np.array_equal(strided[k].values, full[k * substeps].values)
+            assert strided[k].tv() == full[k * substeps].tv()
+        report = jko.jko_vs_pde_report(traj, config, refine=False)
         assert report.distances == tuple(
-            jko._l1_distance(traj.densities[k], full.densities[k * substeps])
-            for k in (0, 2, 4, 6, 8))
+            jko._l1_distance(traj.densities[k], strided[k]) for k in (0, 2, 4, 6, 8))
 
     def test_comparison_steps_resolve_a_null_dt(self, porous_run):
-        rho0, config, traj = porous_run
-        dt = jko.aligned_dt(rho0, config)
-        substeps = round(config.tau / dt)
-        assert jko.comparison_steps(rho0, config, None, refine=True) == (dt, substeps)
-        assert jko.comparison_steps(rho0, config, dt, refine=False) == (dt, substeps)
-        assert (jko.jko_vs_pde_report(traj, config, None, refine=False)
-                == jko.jko_vs_pde_report(traj, config, dt, refine=False))
+        rho0, config, _ = porous_run
+        assert jko.comparison_steps(rho0, config) == jko.aligned_dt(rho0, config)
 
-    def test_unstable_dt_raises(self, porous_run):
-        _, config, traj = porous_run
-        with pytest.raises(ParameterError, match="stability bound"):
-            jko.jko_vs_pde_report(traj, config, dt=config.tau / 10, refine=False)
+    def test_reference_over_the_step_cap_refused(self):
+        # the flat tails of a bump on a floor of 1e-3 make the q = 3/2 face
+        # diffusivity huge: aligned_dt is about 5e-12, some 8e9 explicit steps
+        rho0 = bump_density(n=96, floor=1e-3)
+        for energy in (jko.entropy_energy(), jko.power_energy(2.0)):
+            config = jko.JKOConfig(p=3.0, tau=2e-3, steps=20, energy=energy)
+            with pytest.raises(ParameterError, match="above the cap"):
+                jko.comparison_steps(rho0, config)
 
     def test_negative_density_between_recorded_states_raises(self, porous_run, monkeypatch):
         # past the stability bound the explicit scheme oscillates; the state
-        # that turns negative is not one the report records
-        _, config, traj = porous_run
+        # that turns negative is not one the reference returns
+        rho0, config, _ = porous_run
         monkeypatch.setattr(jko, "stable_dt", lambda *args: np.inf)
+        times = tuple(k * config.tau for k in range(config.steps + 1))
         with pytest.raises(ParameterError, match="negative density") as failure:
-            jko.jko_vs_pde_report(traj, config, dt=config.tau / 10, refine=False)
+            jko.reference_pde_solve(rho0, config.p, config.energy, config.tau / 10, times)
         assert int(re.search(r"at step (\d+)", str(failure.value)).group(1)) % 10 != 0
-
-    def test_misaligned_dt_rejected(self, porous_run):
-        _, config, traj = porous_run
-        with pytest.raises(ParameterError):
-            jko.jko_vs_pde_report(traj, config, dt=config.tau / 2.5, refine=False)
-
-    def test_refinement_needs_even_substepping(self):
-        rho0 = bump_density(n=16)
-        config = heat_config(4, energy=jko.power_energy(2.0))
-        traj = jko.run_jko(rho0, config)
-        with pytest.raises(ParameterError):
-            jko.jko_vs_pde_report(traj, config, dt=config.tau / 81.0, refine=True)
 
     def test_zero_steps_rejected(self):
         rho0 = bump_density(n=16)
         config = heat_config(0)
         with pytest.raises(ParameterError):
-            jko.jko_vs_pde_report(jko.run_jko(rho0, config), config, dt=1e-5)
+            jko.jko_vs_pde_report(jko.run_jko(rho0, config), config)
 
     def test_trajectory_of_another_config_rejected(self, short_run):
         _, _, traj = short_run
         config = heat_config(4)
         with pytest.raises(ParameterError):
-            jko.jko_vs_pde_report(traj, config, None, refine=False)
+            jko.jko_vs_pde_report(traj, config, refine=False)
 
     def test_aborted_trajectory_rejected(self, monkeypatch):
         monkeypatch.setattr(jko, "_MAX_INNER", 2)
@@ -969,7 +951,7 @@ class TestJKOvsPDEReport:
         traj = jko.run_jko(rho0, config)
         assert traj.error
         with pytest.raises(StepError):
-            jko.jko_vs_pde_report(traj, config, None, refine=False)
+            jko.jko_vs_pde_report(traj, config, refine=False)
 
 
 class TestTrajectoryWriter:
