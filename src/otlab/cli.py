@@ -15,11 +15,12 @@ an unknown key, a missing key or a value of the wrong JSON type anywhere
 exits 2 with its key path named, so a typo is never read as a default or
 cast into another value. Relative paths inside a config resolve against
 the config file's directory.
-A top-level ``"seed"`` (overridable with ``--seed``) feeds any density spec
-of kind "random" that does not carry its own seed. Outputs are pure
-functions of (config, seed): reruns produce byte-identical files, and every
-output directory gets a ``manifest`` recording the config hash, the seed,
-and the tool version.
+In the configs of solve-ot, jko and mollify-study, which draw densities, a
+top-level ``"seed"`` (overridable with their ``--seed``) feeds any density
+spec of kind "random" that does not carry its own seed; verify-5g and
+ctransform take neither. Outputs are pure functions of (config, seed):
+reruns produce byte-identical files, and every output directory gets a
+``manifest`` recording the config hash, the seed, and the tool version.
 
 Exit codes: 0 success/pass, 2 configuration error, 3 numerical/solver
 error, 4 acceptance failure (a verification subcommand ran but its check
@@ -106,11 +107,6 @@ class _Type:
 
 
 @dataclass(frozen=True)
-class _Nullable:
-    item: object  # JSON null or a value of this spec
-
-
-@dataclass(frozen=True)
 class _Section:
     """A JSON object with some of ``keys`` and all of ``required``; a tagged section maps
     each value of its string key ``tag`` (absent: ``default``) to a variant section."""
@@ -124,10 +120,7 @@ class _Section:
 
 def _check(spec, value, path: tuple, where: str) -> None:
     """Raise ConfigError if ``value``, found at key ``path``, does not fit ``spec``."""
-    if isinstance(spec, _Nullable):
-        if value is not None:
-            _check(spec.item, value, path, where)
-    elif isinstance(spec, _Type):
+    if isinstance(spec, _Type):
         if not spec.accepts(value):
             raise ConfigError(f"{where} must be {spec.want}, got {value!r}")
     elif type(value) is not dict:
@@ -213,7 +206,7 @@ _BATCH = _Section("batch spec", {
     "seeds": _list_of(_INT), "p_values": _list_of(_REAL), "q_values": _list_of(_REAL),
     "n_values": _list_of(_INT), "d": _INT, "solver": _STR, "entropic_eps": _REAL},
     ("seeds",))
-_VERIFY_5G_CONFIG = _Section("verify-5g config", {"seed": _INT, "batch": _BATCH}, ("batch",))
+_VERIFY_5G_CONFIG = _Section("verify-5g config", {"batch": _BATCH}, ("batch",))
 _JKO_CONFIG = _Section("jko config", {
     "seed": _INT, "grid": _GRID, "rho0": _density("rho0"),
     "scheme": _Section("scheme spec", {
@@ -221,14 +214,14 @@ _JKO_CONFIG = _Section("jko config", {
         "energy": _tagged("energy spec", "kind", {
             "entropy": ({}, ()), "power": ({"m": _REAL}, ("m",))}),
     }, ("p", "tau", "steps", "energy")),
-    "compare_pde": _Nullable(_Section("compare_pde spec", {"refine": _BOOL})),
+    "compare_pde": _Section("compare_pde spec", {"refine": _BOOL}),
 }, ("grid", "rho0", "scheme"))
 _MOLLIFY_STUDY_CONFIG = _Section("mollify-study config", {
     "seed": _INT, "grid": _GRID, "cost": _COST, "rho": _density("rho"),
     "g": _density("g"), "eps_sequence": _list_of(_REAL),
 }, ("grid", "cost", "rho", "g", "eps_sequence"))
 _CTRANSFORM_CONFIG = _Section("ctransform config", {
-    "seed": _INT, "cost": _COST, "potential_csv": _STR, "eval_grid": _GRID,
+    "cost": _COST, "potential_csv": _STR, "eval_grid": _GRID,
 }, ("cost", "potential_csv"))
 
 
@@ -503,12 +496,13 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Deterministic transport/flow experiments from JSON configs.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in _COMMANDS:
+    for name, (_, schema) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=f"run the {name} pipeline")
         cmd.add_argument("--config", required=True, help="JSON config file")
         cmd.add_argument("--out", required=True, help="output directory")
-        cmd.add_argument("--seed", type=int, default=None,
-                         help="override the config's top-level seed")
+        if "seed" in schema.keys:  # a subcommand whose config reads no seed takes no flag
+            cmd.add_argument("--seed", type=int, default=None,
+                             help="override the config's top-level seed")
     return parser
 
 
@@ -519,7 +513,7 @@ def main(argv=None) -> int:
     try:
         config = _load_config(args.config)
         _check(schema, config, (), "config root")
-        seed = args.seed if args.seed is not None else config.get("seed")
+        seed = config.get("seed") if getattr(args, "seed", None) is None else args.seed
         if seed is not None and seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
         out = _prepare_out(args.out)

@@ -26,7 +26,7 @@ class ParameterError(OTLabError):
 
 
 class CapacityError(OTLabError):
-    """Problem size exceeds the configured desk-scale limit."""
+    """A dense cost matrix would exceed the fixed desk-scale size limit, ``ot_core._DENSE_CAPACITY``."""
 
 
 class DegenerateInputError(OTLabError):

@@ -51,7 +51,6 @@ from .geometry import (
     write_rows,
 )
 from .ot_core import (
-    _LP_CAPACITY,
     TransportResult,
     _clamped_gradient,
     _cost_matrix,
@@ -167,8 +166,9 @@ class BatchSpec:
     One solve per (seed, p, n), shared by one report per H exponent q; the
     two densities are drawn from ``seed`` and ``seed + 100003`` on the unit
     box [0, 1]^d, with floor 0.1 and 3 modes (``DENSITY_FLOOR``,
-    ``MODE_COUNT``). Solver ``auto`` picks the LP solver in 1-d (exact at
-    these sizes) and the entropic solver in 2-d.
+    ``MODE_COUNT``). The solver is ``lp``, ``entropic`` or ``auto``, which
+    picks the LP in 1-d (exact at these sizes) and the entropic solver in
+    2-d.
     """
 
     seeds: tuple[int, ...]
@@ -189,10 +189,8 @@ class BatchSpec:
                 raise ParameterError(f"batch {name} must not be empty")
         if self.d not in (1, 2):
             raise DomainError("batch dimension must be 1 or 2")
-        if self.solver not in ("auto", "lp", "entropic", "exact1d"):
+        if self.solver not in ("auto", "lp", "entropic"):
             raise ParameterError(f"unknown solver {self.solver!r}")
-        if self.solver == "exact1d" and self.d != 1:
-            raise DomainError("the exact1d solver only runs in 1-d")
         if not all(1 < p < np.inf for p in self.p_values):
             raise ParameterError("cost exponents must be finite and satisfy p > 1")
         if not all(1 < q < np.inf for q in self.q_values):
@@ -464,8 +462,6 @@ def _solve_for_batch(rho: DensityField, g: DensityField, cost: RadialCost, solve
                      staircase: _Staircase | None) -> TransportResult:
     if solver == "lp":
         return solve_lp(rho, g, cost, cmat=cmat, staircase=staircase)
-    if solver == "exact1d":
-        return solve_exact_1d(rho, g, cost, cmat=cmat, staircase=staircase)[0]
     return solve_entropic(rho, g, cost, eps_final=entropic_eps, cmat=cmat)
 
 
@@ -484,17 +480,14 @@ def _batch_solver(spec: BatchSpec) -> str:
     return "lp" if spec.d == 1 else "entropic"
 
 
-def _shared_cost_matrix(cost: RadialCost, grid: Grid, solver: str) -> np.ndarray | None:
+def _shared_cost_matrix(cost: RadialCost, grid: Grid) -> np.ndarray | None:
     """The read-only cost matrix every seed of one (p, n) solves against, or None.
 
-    None leaves the build to each solve, which then raises what it raises
-    alone: when the LP refuses the size (``solve_lp`` checks that before it
-    would build, so the matrix is not allocated here) or when the build
-    fails. Read-only, a solver that wrote into it would raise instead of
+    None, when the build fails or ``_cost_matrix`` refuses the size, leaves
+    the build to each solve, which then raises what it raises alone.
+    Read-only, a solver that wrote into it would raise instead of
     corrupting the next seed's solve.
     """
-    if solver == "lp" and grid.num_cells**2 > _LP_CAPACITY:
-        return None
     try:
         cmat = _cost_matrix(cost, grid.cell_centers(), grid.cell_centers())
     except OTLabError:
@@ -506,12 +499,11 @@ def _shared_cost_matrix(cost: RadialCost, grid: Grid, solver: str) -> np.ndarray
 def _shared_staircase(rho: DensityField, g: DensityField, solver: str) -> _Staircase | None:
     """The ``_Staircase`` every p of one (seed, n) pair solves from, or None.
 
-    None for the entropic solver, which starts from no staircase, when the
-    LP refuses the size and when the marginals are refused; as with
-    ``_shared_cost_matrix``, each solve then raises what it raises alone.
+    Only the LP starts from a staircase: None for the entropic solver and
+    when the marginals are refused; as with ``_shared_cost_matrix``, each
+    solve then raises what it raises alone.
     """
-    if solver not in ("lp", "exact1d") or (
-            solver == "lp" and rho.grid.num_cells * g.grid.num_cells > _LP_CAPACITY):
+    if solver != "lp":
         return None
     try:
         return _Staircase(*_marginals(rho, g))
@@ -524,11 +516,12 @@ def verify_batch(spec: BatchSpec) -> list[InequalityReport]:
 
     The loops run n first: the H functions, one per q, are built once per n
     (their zero threshold depends only on the grid); each seed's density
-    pair, its TVs and, for the ``lp`` and ``exact1d`` solvers, its
-    ``_Staircase`` (the monotone plan and LP start basis, which no cost
-    changes) once per (seed, n) and shared by every p. Then the cost and its
-    read-only matrix are built once per (p, n), shared by every seed's solve
-    and dropped before the next one is built.
+    pair, its TVs and, for the ``lp`` solver, its ``_Staircase`` (the LP
+    start basis, which no cost changes) once per (seed, n) and shared by
+    every p. Then the cost and its read-only matrix are built once per
+    (p, n), shared by every seed's solve and dropped before the next one is
+    built; a matrix past the size limit of ``_cost_matrix`` is not built,
+    and each seed's solve raises its CapacityError.
     Each (seed, p, n) problem is solved once for all q, since the potentials
     do not depend on H. Solver failures are captured per instance, as one
     report per q whose ``error`` names the failure and whose ``solver`` names
@@ -547,7 +540,7 @@ def verify_batch(spec: BatchSpec) -> list[InequalityReport]:
         hfuns = [power_h_function(q, delta0=delta0) for q in spec.q_values]
         for j, p in enumerate(spec.p_values):
             cost = power_cost(p, grid.cost_radius)
-            cmat = _shared_cost_matrix(cost, grid, solver)
+            cmat = _shared_cost_matrix(cost, grid)
             for i, (seed, (rho, g), (tv_rho, tv_g), staircase) in enumerate(
                     zip(spec.seeds, pairs, tvs, staircases)):
                 tol = tolerance_for(n, tv_rho, tv_g)

@@ -3,8 +3,9 @@
 Three solvers share one result type: an exact 1-d solver built on monotone
 rearrangement (the reference oracle), an exact transportation-simplex LP for
 desk-scale instances in any dimension, and a log-domain entropic solver with
-epsilon scaling for everything larger. All potentials can be canonicalized
-by c-transforms, after which the transport map is assembled pointwise as
+epsilon scaling. All three solve on one dense cost matrix, so the size limit
+of ``_cost_matrix`` holds for each. All potentials can be canonicalized by
+c-transforms, after which the transport map is assembled pointwise as
 T(x) = x - grad_h_star(grad phi(x)).
 """
 
@@ -51,7 +52,8 @@ __all__ = [
 _FEASIBILITY_SLACK = 1e-9
 _MARGINAL_TOL = 1e-8
 _GAP_FLOOR = -1e-10
-_LP_CAPACITY = 4096 * 4096
+# most entries of a dense cost matrix: 4096 x 4096 cell pairs, 134 MB of float64
+_DENSE_CAPACITY = 4096 * 4096
 # entropic solver: L1 marginal residual that ends a level and sweep cap of
 # its last width; sweep cap of every warm-up width of ``_over_widths``
 _RAW_MARGINAL_TOL = 1e-7
@@ -170,9 +172,16 @@ class MapField:
 
 
 def _cost_matrix(cost: RadialCost, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Dense matrix h(x_i - y_j); raises if the points' dimensions differ or a pair leaves the cost ball."""
+    """Dense matrix h(x_i - y_j); raises if the points' dimensions differ or a pair leaves the cost ball.
+
+    Every solver, ``validate`` and the JKO flow build their matrix here, so
+    this owns the size limit: more than ``_DENSE_CAPACITY`` entries raise
+    CapacityError before the difference temporary is allocated.
+    """
     if xs.shape[1] != ys.shape[1]:
         raise ShapeError(f"points x are {xs.shape[1]}-d but points y are {ys.shape[1]}-d")
+    if len(xs) * len(ys) > _DENSE_CAPACITY:
+        raise CapacityError(f"instance size {len(xs)} x {len(ys)} exceeds the limit")
     diff = xs[:, None, :] - ys[None, :, :]
     r = np.square(diff, out=diff).sum(axis=-1)  # in place: one (N, M, d) temporary
     del diff  # freed before the profile allocates its output
@@ -462,7 +471,9 @@ def c_transform(cost: RadialCost, values, value_grid: Grid, eval_grid: Grid | No
     ``values`` lives on ``value_grid``; the minimum is taken over its cells
     and evaluated at every cell of ``eval_grid`` (default: the same grid).
     Because h is radial the same function serves both transform directions.
-    The cost is built block by block, so large grids need no full matrix.
+    The cost is built in row blocks of at most max(``_BLOCK_ENTRIES``, n)
+    entries for the n value cells, so grids too large for one dense matrix
+    still transform.
     """
     eval_grid = eval_grid or value_grid
     vals = np.asarray(values, dtype=float).reshape(-1)
@@ -871,16 +882,12 @@ def solve_lp(rho: DensityField, g: DensityField, cost: RadialCost, *,
     is its ``support`` and primal again its ``_support_cost``.
     Either way psi is the first c-transform of the final u and phi the
     second, so the returned pair is canonical and gradients of phi are safe
-    to take. Instances beyond ``_LP_CAPACITY`` cells squared are refused.
-    ``cmat`` is the source-by-target cost matrix and ``staircase`` the
-    ``_Staircase`` of the marginals, the start basis; each is built here
-    when not given. The staircase does not depend on the cost, so solves of
-    one density pair under several costs can share it.
+    to take. ``cmat`` is the source-by-target cost matrix and ``staircase``
+    the ``_Staircase`` of the marginals, the start basis; each is built
+    here when not given, and ``_cost_matrix`` refuses a pair past its size
+    limit. The staircase does not depend on the cost, so solves of one
+    density pair under several costs can share it.
     """
-    if rho.grid.num_cells * g.grid.num_cells > _LP_CAPACITY:
-        raise CapacityError(
-            f"instance size {rho.grid.num_cells} x {g.grid.num_cells} exceeds the limit"
-        )
     a, b = _marginals(rho, g)
     xs, ys = rho.grid.cell_centers(), g.grid.cell_centers()
     if cmat is None:

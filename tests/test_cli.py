@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -61,10 +62,15 @@ def solve_config(**overrides) -> dict:
     return payload
 
 
+def ctransform_config() -> dict:
+    return {"cost": {"family": "power", "p": 2.0},
+            "potential_csv": str(CONFIGS / "ctransform_potential.csv")}
+
+
 def base_config(command: str) -> dict:
     return {"solve-ot": solve_config, "jko": TestJKO().jko_config,
             "mollify-study": TestMollifyStudy().moll_config,
-            "verify-5g": TestVerify5G().batch_config}[command]()
+            "verify-5g": TestVerify5G().batch_config, "ctransform": ctransform_config}[command]()
 
 
 def with_value(payload: dict, path: str, value) -> dict:
@@ -189,6 +195,23 @@ class TestSolveOT:
             grid={"d": 1, "lower": 0.0, "upper": 1.0, "n": 4097}, solver={"method": "lp"}))
         assert run_cli("solve-ot", "--config", cfg, "--out", tmp_path / "out") == 3
         assert capsys.readouterr().err.startswith("solver error: CapacityError:")
+
+    @pytest.mark.parametrize("command", ["solve-ot", "jko"])
+    def test_grid_past_the_dense_limit_exits_3(self, tmp_path, capsys, command):
+        # 4097 cells: solve-ot's default exact 1-d solve and the flow are refused
+        # before their 4097 x 4097 cost matrix, 134 MB, is allocated
+        payload = base_config(command)
+        payload.pop("solver", None)
+        payload["grid"]["n"] = 4097
+        cfg = write_config(tmp_path, payload)
+        tracemalloc.start()
+        try:
+            assert run_cli(command, "--config", cfg, "--out", tmp_path / "out") == 3
+            assert tracemalloc.get_traced_memory()[1] < 5e6
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().err == (
+            "solver error: CapacityError: instance size 4097 x 4097 exceeds the limit\n")
 
     def test_tabulated_cost_matches_power(self, tmp_path):
         # r^2/2 sampled at 257 radii on [0, 2] solves the p = 2 power LP to its last digits
@@ -452,12 +475,26 @@ class TestConfigErrors:
         ("jko", "scheme.energy", {"kind": "porous"}, "porous"),
         ("jko", "scheme.energy", {"kind": "power"}, "'m'"),
         ("jko", "scheme.energy", {"kind": "power", "m": 1.0}, "m > 1"),
+        ("solve-ot", "cost", {"p": 2.0}, "'family'"),
     ])
     def test_bad_cost_or_energy_spec_exits_2(self, tmp_path, capsys, command, path,
                                              spec, word):
         cfg = write_config(tmp_path, with_value(base_config(command), path, spec))
         assert run_cli(command, "--config", cfg, "--out", tmp_path / "out") == 2
         assert word in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("rho, key", [
+        ({"kind": "bump", "floor": -0.1}, "floor"),
+        ({"kind": "bump", "sharpness": 0.0}, "sharpness"),
+        ({"kind": "bump", "center": [0.25, 0.75]}, "center"),
+    ], ids=["floor", "sharpness", "center"])
+    def test_bad_bump_spec_exits_2(self, tmp_path, capsys, rho, key):
+        cfg = write_config(tmp_path, solve_config(rho=rho))
+        assert run_cli("solve-ot", "--config", cfg, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: bump rho") and key in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command, path, value, where", [
         ("solve-ot", "cost", {"family": "tabulated", "radii": [0.0, NAN, 1.0, 2.0],
@@ -489,8 +526,10 @@ class TestConfigErrors:
         ("jko", "write_densities", True),
         ("mollify-study", "solver", "exact1d"),
         ("jko", "compare_pde.dt", None),
+        ("verify-5g", "seed", 7),
+        ("ctransform", "seed", 7),
     ], ids=["mass_threshold", "write_map", "bounds", "floor", "mode_count",
-            "write_densities", "solver", "compare_pde.dt"])
+            "write_densities", "solver", "compare_pde.dt", "verify-5g-seed", "ctransform-seed"])
     def test_removed_key_is_unknown(self, tmp_path, capsys, command, path, value):
         # each of these keys once took only the value every run uses; now,
         # even at that value, it is refused like any other unknown key
@@ -499,6 +538,24 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("config error: unknown keys in")
         assert f"['{path.split('.')[-1]}']" in err
+        assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("command", ["verify-5g", "ctransform"])
+    def test_seed_flag_of_a_subcommand_without_densities_exits_2(self, tmp_path, capsys,
+                                                                  command):
+        # neither subcommand draws a random density, so a seed would change nothing
+        cfg = write_config(tmp_path, base_config(command))
+        with pytest.raises(SystemExit) as exited:
+            run_cli(command, "--config", cfg, "--out", tmp_path / "new" / "out", "--seed", 1)
+        assert exited.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+
+    def test_null_compare_pde_exits_2(self, tmp_path, capsys):
+        # an absent compare_pde is the one way to ask for no comparison
+        cfg = write_config(tmp_path, with_value(base_config("jko"), "compare_pde", None))
+        assert run_cli("jko", "--config", cfg, "--out", tmp_path / "new" / "out") == 2
+        assert "'compare_pde' must be a mapping, got None" in capsys.readouterr().err
         assert not (tmp_path / "new").exists()
 
     def test_error_names_nested_key_path(self, tmp_path, capsys):
@@ -578,20 +635,13 @@ class TestDeterminism:
 class TestVerify5G:
     def batch_config(self) -> dict:
         return {"batch": {"seeds": [0, 1], "p_values": [2.0], "q_values": [2.0],
-                          "n_values": [48], "solver": "exact1d"}}
+                          "n_values": [48], "solver": "lp"}}
 
     def test_shipped_lp_batch_matches_golden_reports(self, tmp_path):
         out = tmp_path / "out"
         assert run_cli("verify-5g", "--config", CONFIGS / "verify_5g_lp_example.json",
                        "--out", out) == 0
         want = (GOLDEN / "verify_5g_lp_example_reports.csv").read_bytes()
-        assert (out / "reports.csv").read_bytes() == want
-
-    def test_shipped_exact1d_batch_matches_golden_reports(self, tmp_path):
-        out = tmp_path / "out"
-        assert run_cli("verify-5g", "--config", CONFIGS / "verify_5g_example.json",
-                       "--out", out) == 0
-        want = (GOLDEN / "verify_5g_example_reports.csv").read_bytes()
         assert (out / "reports.csv").read_bytes() == want
 
     def test_shipped_2d_batch_matches_golden_reports(self, tmp_path):
@@ -657,11 +707,13 @@ class TestVerify5G:
 
     @pytest.mark.parametrize("key, value", [
         ("entropic_eps", 0),
+        ("solver", "exact1d"),  # solve-ot's exact 1-d method is no batch solver
     ])
     def test_bad_batch_value_exits_2(self, tmp_path, capsys, key, value):
         cfg = write_config(tmp_path, {"batch": {"seeds": [0], "n_values": [16], key: value}})
         assert run_cli("verify-5g", "--config", cfg, "--out", tmp_path / "out") == 2
         assert "invalid batch spec" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("batch", [
         {"seeds": 5},

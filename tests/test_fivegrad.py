@@ -36,7 +36,7 @@ from otlab.fivegrad import (
     write_reports_csv,
 )
 from otlab.geometry import DensityField, Grid, gradient, random_smooth_density
-from otlab.ot_core import solve_exact_1d, solve_lp, transport_map_from_potential
+from otlab.ot_core import solve_lp, transport_map_from_potential
 
 
 def unit_grid(n=128):
@@ -477,8 +477,10 @@ class TestBatch:
             BatchSpec(seeds=(1,), solver="magic")
         with pytest.raises(DomainError):
             BatchSpec(seeds=(1,), d=3)
-        with pytest.raises(DomainError):
-            BatchSpec(seeds=(1,), solver="exact1d", d=2)
+        # the batch has no exact 1-d solver, in any dimension
+        for d in (1, 2):
+            with pytest.raises(ParameterError, match="unknown solver 'exact1d'"):
+                BatchSpec(seeds=(1,), solver="exact1d", d=d)
         with pytest.raises(ParameterError):
             BatchSpec(seeds=(1,), entropic_eps=0.0)
         with pytest.raises(ParameterError, match="nonnegative"):
@@ -496,16 +498,6 @@ class TestBatch:
         assert spec.seeds == (0, 1) and spec.p_values == (2.0,)
         assert spec.q_values == (1.5,) and spec.n_values == (16,)
         assert type(spec.p_values[0]) is float
-
-    def test_exact1d_solver_agrees_with_lp(self):
-        spec_lp = BatchSpec(seeds=(2,), p_values=(2.0,), q_values=(2.0,), solver="lp")
-        spec_ex = BatchSpec(seeds=(2,), p_values=(2.0,), q_values=(2.0,), solver="exact1d")
-        r_lp, = verify_batch(spec_lp)
-        r_ex, = verify_batch(spec_ex)
-        # optimal potentials from the two solvers differ off the plan support
-        # at stencil scale, so the integrals agree only to that order
-        assert r_ex.lhs == pytest.approx(r_lp.lhs, rel=2e-2, abs=1e-6)
-        assert r_ex.passed and r_lp.passed
 
     def test_refinement_study_keys_and_tolerance(self):
         spec = BatchSpec(seeds=(0,), p_values=(1.5,), q_values=(4.0,))
@@ -569,6 +561,17 @@ class TestOneSolvePerProblem:
         assert reports[0].error.startswith("CapacityError")
         # auto resolves before the solve, so the error row names the LP
         assert all(r.solver == "lp" for r in reports)
+
+    def test_oversized_entropic_batch_gives_one_error_row_per_q(self, solves):
+        # the entropic solver inherits the matrix's size limit: no 5000 x 5000 matrix is built
+        spec = BatchSpec(seeds=(0,), q_values=(1.5, 2.0, 4.0), n_values=(5000,),
+                         solver="entropic")
+        reports = verify_batch(spec)
+        assert len(solves) == 1 and solves[0][3] is None
+        assert [r.q for r in reports] == [1.5, 2.0, 4.0]
+        assert {r.error for r in reports} == {
+            "CapacityError: instance size 5000 x 5000 exceeds the limit"}
+        assert all(r.solver == "entropic" and not r.passed for r in reports)
 
     @pytest.mark.parametrize("d, n", [(1, 64), (2, 8)])
     def test_one_call_on_three_h_equals_three_single_calls(self, d, n):
@@ -642,7 +645,6 @@ class TestSharedBatchInputs:
 
     @pytest.mark.parametrize("solver, standalone", [
         ("lp", solve_lp),
-        ("exact1d", lambda rho, g, cost: solve_exact_1d(rho, g, cost)[0]),
     ])
     def test_builds_once_and_matches_standalone_solves(self, builds, solver, standalone):
         reports = verify_batch(BatchSpec(solver=solver, **self.SPEC))
@@ -656,7 +658,7 @@ class TestSharedBatchInputs:
             for name in ("phi", "psi", "coupling"):
                 assert np.array_equal(getattr(result, name), getattr(alone, name))
 
-    @pytest.mark.parametrize("solver", ["lp", "exact1d"])
+    @pytest.mark.parametrize("solver", ["lp"])
     def test_failed_matrix_build_errors_only_its_p(self, monkeypatch, solver):
         spec = BatchSpec(solver=solver, **self.SPEC)
         clean = verify_batch(spec)
@@ -723,11 +725,10 @@ class TestSharedBatchInputs:
 
 
 class TestSharedStaircase:
-    """One ``_Staircase`` per (seed, n) pair, shared by every p of an lp or exact1d batch."""
+    """One ``_Staircase`` per (seed, n) pair, shared by every p of an lp batch."""
 
     @pytest.mark.parametrize("solver, standalone", [
         ("lp", solve_lp),
-        ("exact1d", lambda rho, g, cost: solve_exact_1d(rho, g, cost)[0]),
     ])
     def test_one_per_pair_and_solves_match_standalone(self, monkeypatch, staircase_fills,
                                                       solver, standalone):
@@ -762,11 +763,6 @@ class TestSharedStaircase:
                          q_values=(1.5, 2.0, 4.0), n_values=(128, 512), solver="lp")
         assert len(verify_batch(spec)) == 360
         assert len(staircase_fills) == 40
-
-    def test_refused_lp_builds_no_staircase(self, staircase_fills):
-        reports = verify_batch(BatchSpec(seeds=(0,), n_values=(5000,), solver="auto"))
-        assert reports[0].error.startswith("CapacityError")
-        assert staircase_fills == []
 
 
 class TestReportsCSV:

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from otlab import fivegrad
+from otlab import fivegrad, jko
 from otlab import ot_core as oc
 from otlab.cost import RadialCost, grad_h_star, power_cost, tabulated_cost
 from otlab.errors import (
@@ -178,6 +179,18 @@ class TestExact1D:
         result, _ = oc.solve_exact_1d(rho, g, cost)
         assert result.coupling.sum() == pytest.approx(1.0, abs=1e-10)
 
+    def test_oversized_pair_is_refused_before_its_matrix(self):
+        # 4097 cells a side: the matrix alone would take 134 MB
+        grid = Grid(1, 0.0, 1.0, 4097)
+        uniform = DensityField(grid, np.ones(grid.shape))
+        cost = power_cost(2.0, grid.cost_radius)
+
+        def refused():
+            with pytest.raises(CapacityError, match="4097 x 4097"):
+                oc.solve_exact_1d(uniform, uniform, cost)
+
+        assert _traced_peak(refused) < 5e6
+
     def test_rejects_2d(self):
         grid = Grid(2, 0.0, 1.0, 8)
         rho = random_smooth_density(grid, 1)
@@ -249,12 +262,22 @@ class TestSolveLP:
         assert slack.min() >= -1e-9
         assert np.abs(slack[pairs]).max() <= 1e-6
 
-    def test_capacity_limit(self, monkeypatch):
-        monkeypatch.setattr(oc, "_LP_CAPACITY", 100)
-        grid, rho, g = random_pair()
-        cost = power_cost(2.0, grid.cost_radius)
-        with pytest.raises(CapacityError):
-            oc.solve_lp(rho, g, cost)
+    # each case sets up at the real limit and returns the call that the lowered limit refuses
+    @pytest.mark.parametrize("refused", [
+        lambda rho, g, cost: partial(oc.solve_lp, rho, g, cost),
+        lambda rho, g, cost: partial(oc.solve_exact_1d, rho, g, cost),
+        lambda rho, g, cost: partial(oc.solve_entropic, rho, g, cost, eps_final=1e-2),
+        lambda rho, g, cost: oc.solve_lp(rho, g, cost).validate,
+        lambda rho, g, cost: partial(jko.run_jko, rho, jko.JKOConfig(
+            p=2.0, tau=1e-3, steps=1, energy=jko.entropy_energy())),
+    ], ids=["solve_lp", "solve_exact_1d", "solve_entropic", "validate", "run_jko"])
+    def test_capacity_limit(self, monkeypatch, refused):
+        # the one limit lives in _cost_matrix, which every dense entry point builds through
+        grid, rho, g = random_pair(n=16)
+        call = refused(rho, g, power_cost(2.0, grid.cost_radius))
+        monkeypatch.setattr(oc, "_DENSE_CAPACITY", 100)
+        with pytest.raises(CapacityError, match="^instance size 16 x 16 exceeds the limit$"):
+            call()
 
     def test_mass_mismatch_rejected(self):
         grid, rho, g = random_pair()
