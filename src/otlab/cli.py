@@ -16,9 +16,11 @@ exits 2 with its key path named, so a typo is never read as a default or
 cast into another value. Relative paths inside a config resolve against
 the config file's directory.
 In the configs of solve-ot, jko and mollify-study, which draw densities, a
-top-level ``"seed"`` (overridable with their ``--seed``) feeds any density
-spec of kind "random" that does not carry its own seed; verify-5g and
-ctransform take neither. Outputs are pure functions of (config, seed):
+top-level ``"seed"`` (overridable with their ``--seed``) is the one seed of
+the density specs of kind "random": rho and rho0 draw from the seed and g
+from seed + 1. A seed given to a config with no random spec exits 2, as it
+would change nothing; verify-5g and ctransform take no seed at all.
+Outputs are pure functions of (config, seed):
 reruns produce byte-identical files, and every output directory gets a
 ``manifest`` recording the config hash, the seed, and the tool version.
 
@@ -56,7 +58,7 @@ from .fivegrad import (
 from .geometry import (
     DensityField,
     Grid,
-    normalize,
+    bump_density,
     random_smooth_density,
     read_field_csv,
     write_field_csv,
@@ -179,7 +181,7 @@ def _tagged(name: str, tag: str, variants: dict, default: str | None = None) -> 
 def _density(label: str) -> _Section:
     return _tagged(f"{label} spec", "kind", {
         "uniform": ({}, ()),
-        "random": ({"seed": _INT, "mode_count": _INT, "floor": _REAL}, ()),
+        "random": ({}, ()),
         "bump": ({"floor": _REAL, "sharpness": _REAL, "center": _one_or_list(_REAL)}, ()),
         "file": ({"path": _STR}, ("path",)),
     })
@@ -265,35 +267,18 @@ def _energy_from_spec(spec: dict) -> Energy:
 
 
 def _density_from_spec(spec: dict, grid: Grid, base_dir: Path,
-                       default_seed, label: str) -> DensityField:
+                       seed, label: str) -> DensityField:
     kind = spec["kind"]
     if kind == "uniform":
         volume = float(np.prod([hi - lo for lo, hi in zip(grid.lower, grid.upper)]))
         return DensityField(grid, np.full(grid.shape, 1.0 / volume))
-    if kind == "random":
-        seed = spec.get("seed", default_seed)
-        if seed is None:
-            raise ConfigError(f"random {label} spec needs a 'seed' (or a top-level config seed)")
-        try:
-            return random_smooth_density(grid, seed, mode_count=spec.get("mode_count", 3),
-                                         floor=spec.get("floor", 0.1))
-        except OTLabError as exc:
-            raise ConfigError(f"invalid random {label} spec: {exc}") from exc
+    if kind == "random":  # main has checked that the run has a seed
+        return random_smooth_density(grid, seed)
     if kind == "bump":
-        floor = spec.get("floor", 0.05)
-        sharpness = spec.get("sharpness", 80.0)
-        if floor < 0 or sharpness <= 0:
-            raise ConfigError(f"bump {label} spec needs floor >= 0 and sharpness > 0")
-        center = np.atleast_1d(np.asarray(
-            spec.get("center", np.add(grid.lower, grid.upper) / 2), dtype=float))
-        if center.shape != (grid.d,):
-            raise ConfigError(f"bump {label} center must have {grid.d} coordinates")
-        sq = ((grid.cell_centers() - center[None, :]) ** 2).sum(axis=1)
-        vals = floor + np.exp(-sharpness * sq)
         try:
-            return normalize(DensityField(grid, vals.reshape(grid.shape)))
+            return bump_density(grid, **{k: v for k, v in spec.items() if k != "kind"})
         except OTLabError as exc:
-            raise ConfigError(f"invalid bump {label} spec: {exc}") from exc
+            raise ConfigError(f"bump {label} spec: {exc}") from exc
     path = base_dir / spec["path"]
     try:
         density = DensityField(*read_field_csv(path))
@@ -514,6 +499,12 @@ def main(argv=None) -> int:
         config = _load_config(args.config)
         _check(schema, config, (), "config root")
         seed = config.get("seed") if getattr(args, "seed", None) is None else args.seed
+        random_specs = [label for label in ("rho", "g", "rho0")
+                        if config.get(label, {}).get("kind") == "random"]
+        if random_specs and seed is None:
+            raise ConfigError(f"random {random_specs[0]} spec needs a top-level 'seed' or --seed")
+        if seed is not None and not random_specs:
+            raise ConfigError(f"seed {seed} is read by no density spec: none is of kind 'random'")
         if seed is not None and seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
         out = _prepare_out(args.out)

@@ -42,6 +42,7 @@ from .cost import (
 )
 from .errors import DomainError, OTLabError, ParameterError, ShapeError
 from .geometry import (
+    DENSITY_FLOOR,
     DensityField,
     Grid,
     boundary_cells_and_normals,
@@ -70,11 +71,6 @@ KAPPA = 0.05
 # Offset separating the two density seeds of one instance; any fixed value
 # works, it only has to be deterministic.
 _PAIR_SEED_OFFSET = 100003
-
-# Every batch instance draws its densities on the unit box [0, 1]^d with
-# this floor and this many Fourier modes per axis.
-DENSITY_FLOOR = 0.1
-MODE_COUNT = 3
 
 # Cells this close (in cells) to the boundary are dropped from second-order
 # statistics; one-sided stencils pollute second differences.
@@ -164,9 +160,10 @@ class BatchSpec:
     """Instance lattice for the batch verifier.
 
     One solve per (seed, p, n), shared by one report per H exponent q; the
-    two densities are drawn from ``seed`` and ``seed + 100003`` on the unit
-    box [0, 1]^d, with floor 0.1 and 3 modes (``DENSITY_FLOOR``,
-    ``MODE_COUNT``). The solver is ``lp``, ``entropic`` or ``auto``, which
+    two densities are ``random_smooth_density`` draws from ``seed`` and
+    ``seed + 100003`` on the unit box [0, 1]^d. The grid of every n is
+    built here, so a grid past ``geometry``'s cell limit is refused before
+    any density is drawn. The solver is ``lp``, ``entropic`` or ``auto``, which
     picks the LP in 1-d (exact at these sizes) and the entropic solver in
     2-d.
     """
@@ -195,8 +192,8 @@ class BatchSpec:
             raise ParameterError("cost exponents must be finite and satisfy p > 1")
         if not all(1 < q < np.inf for q in self.q_values):
             raise ParameterError("H exponents must be finite and satisfy q > 1")
-        if not all(n >= 4 for n in self.n_values):
-            raise ParameterError("resolutions must be at least 4")
+        for n in self.n_values:  # refuses n < 4 and a grid past the cell limit; allocates nothing
+            Grid(self.d, 0.0, 1.0, n)
         if not 0 < self.entropic_eps < np.inf:
             raise ParameterError("entropic_eps must be finite and positive")
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
@@ -357,8 +354,11 @@ def second_order_check(phi, psi, transport, rho: DensityField,
 
 
 def boundary_conjugate_check(rho: DensityField, phi, cost: RadialCost,
-                             floor: float = 0.1) -> BoundaryConjugateReport:
+                             floor: float = DENSITY_FLOOR) -> BoundaryConjugateReport:
     """Sign check of grad_h_star(grad phi) . n at massy boundary cells.
+
+    A boundary cell is massy when its density exceeds half of ``floor``; the
+    default is the floor of ``random_smooth_density``.
 
     The displacement x - T(x) equals grad_h_star(grad phi(x)); where mass
     sits on the boundary it cannot point outward, so the outward component
@@ -467,9 +467,9 @@ def _solve_for_batch(rho: DensityField, g: DensityField, cost: RadialCost, solve
 
 def instance_densities(spec: BatchSpec, seed: int, n: int) -> tuple[DensityField, DensityField]:
     """The deterministic density pair of one batch instance."""
-    grid = Grid(spec.d, (0.0,) * spec.d, (1.0,) * spec.d, (n,) * spec.d)
-    rho = random_smooth_density(grid, seed, MODE_COUNT, DENSITY_FLOOR)
-    g = random_smooth_density(grid, seed + _PAIR_SEED_OFFSET, MODE_COUNT, DENSITY_FLOOR)
+    grid = Grid(spec.d, 0.0, 1.0, n)
+    rho = random_smooth_density(grid, seed)
+    g = random_smooth_density(grid, seed + _PAIR_SEED_OFFSET)
     return rho, g
 
 

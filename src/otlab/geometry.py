@@ -10,6 +10,7 @@ function of its inputs, so evaluation order never changes results.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +23,9 @@ __all__ = [
     "gradient",
     "tv_norm",
     "normalize",
+    "DENSITY_FLOOR",
     "random_smooth_density",
+    "bump_density",
     "boundary_cells_and_normals",
     "interp_multilinear",
     "format_cell",
@@ -30,6 +33,15 @@ __all__ = [
     "write_field_csv",
     "read_field_csv",
 ]
+
+
+# The largest grid, in cells: a float64 field at this size is 134 MB, as large as
+# the largest dense cost matrix the solvers build (4096 x 4096 cell pairs).
+_MAX_CELLS = 4096**2
+
+# Every random test density lies on this floor and sums this many Fourier modes per axis.
+DENSITY_FLOOR = 0.1
+_MODE_COUNT = 3
 
 
 def _as_tuple(value, d: int) -> tuple:
@@ -49,7 +61,7 @@ class Grid:
     ----------
     d : spatial dimension, 1 or 2.
     lower, upper : per-axis bounds (scalars are broadcast).
-    n : per-axis cell count, at least 4.
+    n : per-axis cell count, at least 4; at most ``_MAX_CELLS`` = 4096^2 cells in all.
     """
 
     d: int
@@ -70,6 +82,9 @@ class Grid:
                 raise ParameterError(f"axis {a}: upper must exceed lower ({lo[a]} .. {hi[a]})")
             if nn[a] < 4:
                 raise ParameterError(f"axis {a}: need at least 4 cells, got {nn[a]}")
+        cells = math.prod(nn)
+        if cells > _MAX_CELLS:
+            raise ParameterError(f"grid of {cells} cells exceeds the limit of {_MAX_CELLS}")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
@@ -203,23 +218,15 @@ def normalize(density: DensityField) -> DensityField:
     return DensityField(density.grid, density.values / total)
 
 
-def random_smooth_density(
-    grid: Grid,
-    seed: int,
-    mode_count: int = 3,
-    floor: float = 0.1,
-) -> DensityField:
+def random_smooth_density(grid: Grid, seed: int) -> DensityField:
     """Strictly positive smooth test density, deterministic in the seed.
 
-    Builds ``floor + |truncated random Fourier series|`` on the unit-scaled
-    box and normalizes. ``floor > 0`` keeps the result bounded away from zero
-    so gradient-of-cost conventions at vanishing arguments stay exercised by
-    dedicated tests rather than dominating every instance.
+    Builds ``DENSITY_FLOOR + |truncated random Fourier series|`` of 3 modes
+    per axis on the unit-scaled box and normalizes. The floor keeps the
+    result bounded away from zero so gradient-of-cost conventions at
+    vanishing arguments stay exercised by dedicated tests rather than
+    dominating every instance.
     """
-    if mode_count < 1:
-        raise ParameterError("mode_count must be >= 1")
-    if not floor > 0:
-        raise ParameterError("floor must be positive")
     if seed < 0:
         raise ParameterError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
@@ -230,21 +237,42 @@ def random_smooth_density(
     vals = np.zeros(grid.shape)
     if grid.d == 1:
         x = hatted[0]
-        for k in range(1, mode_count + 1):
+        for k in range(1, _MODE_COUNT + 1):
             a_k, b_k = rng.standard_normal(2) / k
             vals += a_k * np.cos(np.pi * k * x) + b_k * np.sin(np.pi * k * x)
     else:
         x = hatted[0][:, None]
         y = hatted[1][None, :]
-        for kx in range(mode_count + 1):
-            for ky in range(mode_count + 1):
+        for kx in range(_MODE_COUNT + 1):
+            for ky in range(_MODE_COUNT + 1):
                 if kx == 0 and ky == 0:
                     continue
                 amp = rng.standard_normal() / (kx + ky)
                 px, py = rng.uniform(0.0, 2.0 * np.pi, size=2)
                 vals += amp * np.cos(np.pi * kx * x + px) * np.cos(np.pi * ky * y + py)
-    raw = DensityField(grid, floor + np.abs(vals))
-    return normalize(raw)
+    return normalize(DensityField(grid, DENSITY_FLOOR + np.abs(vals)))
+
+
+def bump_density(grid: Grid, floor: float = 0.05, sharpness: float = 80.0,
+                 center=None) -> DensityField:
+    """``floor + exp(-sharpness |x - center|^2)``, normalized; the center defaults to the box's.
+
+    Raises ParameterError naming ``floor``, ``sharpness`` or ``center`` on
+    floor < 0, sharpness <= 0 or a center with other than d coordinates, and
+    DegenerateInputError (from :func:`normalize`) on a bump with no mass.
+    """
+    if not floor >= 0:
+        raise ParameterError(f"floor must be >= 0, got {floor}")
+    if not sharpness > 0:
+        raise ParameterError(f"sharpness must be > 0, got {sharpness}")
+    if center is None:
+        center = np.add(grid.lower, grid.upper) / 2
+    center = np.atleast_1d(np.asarray(center, dtype=float))
+    if center.shape != (grid.d,):
+        raise ParameterError(f"center must have {grid.d} coordinates, got {center.tolist()}")
+    sq = ((grid.cell_centers() - center[None, :]) ** 2).sum(axis=1)
+    vals = floor + np.exp(-sharpness * sq)
+    return normalize(DensityField(grid, vals.reshape(grid.shape)))
 
 
 def boundary_cells_and_normals(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

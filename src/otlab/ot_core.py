@@ -624,7 +624,6 @@ def _checked_result(rho: DensityField, g: DensityField, cost: RadialCost, a: np.
 
 
 def solve_exact_1d(rho: DensityField, g: DensityField, cost: RadialCost, *,
-                   cmat: np.ndarray | None = None,
                    staircase: _Staircase | None = None) -> tuple[TransportResult, MapField]:
     """Exact 1-d transport by monotone rearrangement (quantile matching).
 
@@ -633,10 +632,10 @@ def solve_exact_1d(rho: DensityField, g: DensityField, cost: RadialCost, *,
     other solvers are tested against. The potential phi is recovered by
     integrating phi'(x) = h'(x - T(x)) from the left end (phi(left) = 0) and
     psi as the c-transform of phi, which keeps the pair feasible. The
-    coupling is the staircase's support and primal its ``_support_cost``.
-    ``cmat`` is the source-by-target cost matrix and ``staircase`` the
-    ``_Staircase`` of the marginals, the monotone plan; each is built here
-    when not given.
+    coupling is the staircase's support and primal its ``_support_cost``
+    over the source-by-target cost matrix, which is built here.
+    ``staircase`` is the ``_Staircase`` of the marginals, the monotone plan;
+    it is built here when not given.
     """
     if rho.grid.d != 1 or g.grid.d != 1:
         raise DomainError("solve_exact_1d requires 1-d grids")
@@ -653,8 +652,7 @@ def solve_exact_1d(rho: DensityField, g: DensityField, cost: RadialCost, *,
 
     if staircase is None:
         staircase = _Staircase(a, b)
-    if cmat is None:
-        cmat = _cost_matrix(cost, rho.grid.cell_centers(), g.grid.cell_centers())
+    cmat = _cost_matrix(cost, rho.grid.cell_centers(), g.grid.cell_centers())
     cells, masses = staircase.support()
     primal = _support_cost(cells, masses, cmat)
 

@@ -24,7 +24,6 @@ from otlab.cost import (
 )
 from otlab.fivegrad import (
     _H_DELTA0_FRACTION,
-    DENSITY_FLOOR,
     BatchSpec,
     boundary_conjugate_check,
     five_gradients,
@@ -37,7 +36,7 @@ from otlab.fivegrad import (
     verify_batch,
     write_reports_csv,
 )
-from otlab.geometry import DensityField, Grid, normalize, random_smooth_density
+from otlab.geometry import DENSITY_FLOOR, Grid, bump_density, random_smooth_density
 from otlab.jko import (
     JKOConfig,
     entropy_energy,
@@ -64,12 +63,6 @@ def verdict(number: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {number:02d} failed: {detail}"
 
 
-def bump_density(n: int = 128) -> DensityField:
-    grid = Grid(1, 0.0, 1.0, n)
-    x = grid.axis_centers(0)
-    return normalize(DensityField(grid, 0.05 + np.exp(-80.0 * (x - 0.5) ** 2)))
-
-
 def heat_scheme(steps: int = 50) -> JKOConfig:
     return JKOConfig(p=2.0, tau=1e-3, steps=steps, energy=entropy_energy(),
                      eps=1e-4)
@@ -87,7 +80,7 @@ def lp_batch():
 
 @pytest.fixture(scope="module")
 def heat_benchmark(tmp_path_factory):
-    rho0 = bump_density(128)
+    rho0 = bump_density(Grid(1, 0.0, 1.0, 128))
     config = heat_scheme()
     start = time.monotonic()
     trajectory = run_jko(rho0, config)
@@ -289,7 +282,7 @@ def test_criterion_08_heat_benchmark(heat_benchmark):
 
 
 def test_criterion_09_general_p_smoke():
-    rho0 = bump_density(128)
+    rho0 = bump_density(Grid(1, 0.0, 1.0, 128))
     config = JKOConfig(p=3.0, tau=1e-3, steps=20, energy=power_energy(2.0),
                        eps=1e-4)
     trajectory = run_jko(rho0, config)

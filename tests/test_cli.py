@@ -94,8 +94,9 @@ MALFORMED_CSV = {
 
 class TestSolveOT:
     def test_identical_marginals_cost_zero(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, solve_config(rho={"kind": "uniform"},
-                                                  g={"kind": "uniform"}))
+        payload = solve_config(rho={"kind": "uniform"}, g={"kind": "uniform"})
+        del payload["seed"]  # no density reads it
+        cfg = write_config(tmp_path, payload)
         out = tmp_path / "out"
         assert run_cli("solve-ot", "--config", cfg, "--out", out) == 0
         meta = read_meta(out / "meta")
@@ -302,7 +303,7 @@ class TestSolveOT:
         cfg = write_config(tmp_path, solve_config(rho=ZERO_MASS_BUMP))
         assert run_cli("solve-ot", "--config", cfg, "--out", tmp_path / "out") == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: invalid bump rho spec:") and "zero total mass" in err
+        assert err.startswith("config error: bump rho spec:") and "zero total mass" in err
         assert not (tmp_path / "out").exists()
 
     def test_shipped_2d_entropic_example_matches_golden_meta(self, tmp_path):
@@ -347,7 +348,7 @@ class TestConfigErrors:
         {"solver": {"method": "entropic", "eps_final": float("nan")}},
         {"grid": {"d": 1, "lower": 1.0, "upper": 0.0, "n": 48}},
         {"cost": {"family": "power", "p": 0.5}},
-        {"rho": {"kind": "random", "mode_count": 0}},
+        {"rho": {"kind": "bump", "floor": -0.1}},
     ], ids=["eps_final", "grid", "cost", "density"])
     def test_config_error_removes_the_out_dir_it_created(self, tmp_path, capsys, overrides):
         cfg = write_config(tmp_path, solve_config(**overrides))
@@ -419,8 +420,10 @@ class TestConfigErrors:
         payload = solve_config()
         del payload["seed"]
         cfg = write_config(tmp_path, payload)
-        assert run_cli("solve-ot", "--config", cfg, "--out", tmp_path / "out") == 2
-        assert "seed" in capsys.readouterr().err
+        assert run_cli("solve-ot", "--config", cfg, "--out", tmp_path / "new" / "out") == 2
+        assert capsys.readouterr().err == \
+            "config error: random rho spec needs a top-level 'seed' or --seed\n"
+        assert not (tmp_path / "new").exists()
 
     def test_negative_seed_exits_2(self, tmp_path):
         cfg = write_config(tmp_path, solve_config(seed=-1))
@@ -451,9 +454,9 @@ class TestConfigErrors:
         ("solve-ot", "g", {"kind": "bump", "center": "x"}, "center"),
         ("solve-ot", "g", {"kind": "bump", "sharpness": True}, "sharpness"),
         ("solve-ot", "rho", {"kind": "file", "path": 5}, "path"),
-        ("solve-ot", "rho.mode_count", 2.5, "mode_count"),
-        ("solve-ot", "rho.seed", 1.7, "seed"),
-        ("solve-ot", "rho.floor", "x", "floor"),
+        ("jko", "rho0.floor", "0.05", "floor"),
+        ("jko", "rho0.center", [0.5, "x"], "center"),
+        ("solve-ot", "g", {"kind": "bump", "floor": True}, "floor"),
         ("solve-ot", "seed", True, "seed"),
         ("mollify-study", "eps_sequence", ["a"], "eps_sequence"),
         ("mollify-study", "eps_sequence", [0.2, "0.1"], "eps_sequence"),
@@ -528,8 +531,12 @@ class TestConfigErrors:
         ("jko", "compare_pde.dt", None),
         ("verify-5g", "seed", 7),
         ("ctransform", "seed", 7),
+        ("solve-ot", "rho.seed", 7),
+        ("solve-ot", "g.mode_count", 3),
+        ("mollify-study", "rho.floor", 0.1),
     ], ids=["mass_threshold", "write_map", "bounds", "floor", "mode_count",
-            "write_densities", "solver", "compare_pde.dt", "verify-5g-seed", "ctransform-seed"])
+            "write_densities", "solver", "compare_pde.dt", "verify-5g-seed", "ctransform-seed",
+            "random-seed", "random-mode_count", "random-floor"])
     def test_removed_key_is_unknown(self, tmp_path, capsys, command, path, value):
         # each of these keys once took only the value every run uses; now,
         # even at that value, it is refused like any other unknown key
@@ -559,9 +566,9 @@ class TestConfigErrors:
         assert not (tmp_path / "new").exists()
 
     def test_error_names_nested_key_path(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, solve_config(rho={"kind": "random", "floor": "x"}))
+        cfg = write_config(tmp_path, solve_config(rho={"kind": "bump", "floor": "x"}))
         assert run_cli("solve-ot", "--config", cfg, "--out", tmp_path / "out") == 2
-        assert "random rho spec key 'floor' at 'rho.floor' must be a real number" \
+        assert "bump rho spec key 'floor' at 'rho.floor' must be a real number" \
             in capsys.readouterr().err
 
     def test_negative_batch_seed_exits_2(self, tmp_path, capsys):
@@ -573,9 +580,55 @@ class TestConfigErrors:
         assert not (tmp_path / "out").exists()
 
     def test_negative_density_seed_exits_2(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, solve_config(rho={"kind": "random", "seed": -1}))
-        assert run_cli("solve-ot", "--config", cfg, "--out", tmp_path / "out") == 2
-        assert "seed must be nonnegative" in capsys.readouterr().err
+        # the run's seed is the one density seed; a negative flag overrides a valid key
+        cfg = write_config(tmp_path, solve_config())
+        assert run_cli("solve-ot", "--config", cfg, "--out", tmp_path / "new" / "out",
+                       "--seed", -1) == 2
+        assert "seed must be a nonnegative integer" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("command, overrides", [
+        ("solve-ot", {"rho": {"kind": "uniform"}, "g": {"kind": "bump"}}),
+        ("jko", {}),
+        ("mollify-study", {"rho": {"kind": "uniform"}, "g": {"kind": "uniform"}}),
+    ], ids=["solve-ot", "jko", "mollify-study"])
+    @pytest.mark.parametrize("given", ["key", "flag"])
+    def test_seed_no_density_reads_exits_2(self, tmp_path, capsys, command, overrides, given):
+        payload = {**base_config(command), **overrides, "seed": 5}
+        flag = []
+        if given == "flag":
+            del payload["seed"]
+            flag = ["--seed", 5]
+        cfg = write_config(tmp_path, payload)
+        assert run_cli(command, "--config", cfg, "--out", tmp_path / "new" / "out", *flag) == 2
+        assert "seed 5 is read by no density spec" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+
+    def test_seed_to_the_shipped_heat_flow_exits_2(self, tmp_path, capsys):
+        # its one density is a bump, so a seed would only have been written to the manifest
+        assert run_cli("jko", "--config", CONFIGS / "jko_heat_example.json",
+                       "--out", tmp_path / "new" / "out", "--seed", 5) == 2
+        assert "read by no density spec" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("command, overrides", [
+        ("verify-5g", {"batch": {"seeds": [0], "n_values": [300_000_000], "solver": "lp"}}),
+        ("solve-ot", {"grid": {"d": 2, "lower": [0.0, 0.0], "upper": [1.0, 1.0],
+                               "n": [20000, 20000]}}),
+    ], ids=["verify-5g", "solve-ot-2d"])
+    def test_oversized_grid_exits_2_before_any_array(self, tmp_path, capsys, command,
+                                                      overrides):
+        # each grid is refused from its cell count; drawing its densities would take GBs
+        cfg = write_config(tmp_path, {**base_config(command), **overrides})
+        tracemalloc.start()
+        try:
+            assert run_cli(command, "--config", cfg, "--out", tmp_path / "new" / "out") == 2
+            assert tracemalloc.get_traced_memory()[1] < 5e6
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert err.startswith("config error: invalid ") and "cells exceeds the limit" in err
+        assert not (tmp_path / "new").exists()
 
 
 class TestManifest:
@@ -870,7 +923,7 @@ class TestJKO:
         cfg = write_config(tmp_path, payload)
         assert run_cli("jko", "--config", cfg, "--out", tmp_path / "out") == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: invalid bump rho0 spec:") and "zero total mass" in err
+        assert err.startswith("config error: bump rho0 spec:") and "zero total mass" in err
         assert not (tmp_path / "out").exists()
 
     def test_invalid_scheme_value_exits_2(self, tmp_path):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from otlab.geometry import (
     DensityField,
     Grid,
     boundary_cells_and_normals,
+    bump_density,
     gradient,
     interp_multilinear,
     normalize,
@@ -49,6 +52,17 @@ class TestGrid:
             Grid(1, 1.0, 0.0, 8)
         with pytest.raises(ParameterError):
             Grid(1, 0.0, 1.0, 3)
+
+    @pytest.mark.parametrize("d, n", [(1, 4096**2 + 1), (2, 4097), (2, 20000), (1, 10**30)],
+                             ids=["1d", "2d-4097", "2d-20000", "1d-1e30"])
+    def test_more_cells_than_the_limit_rejected(self, d, n):
+        # refused from the counts alone, before any array of that size exists
+        with pytest.raises(ParameterError, match=f"grid of {n**d} cells exceeds the limit"):
+            Grid(d, 0.0, 1.0, n)
+
+    def test_grid_at_the_limit_accepted(self):
+        assert Grid(2, 0.0, 1.0, 4096).num_cells == 4096**2
+        assert Grid(2, 0.0, 1.0, (4, 4096**2 // 4)).num_cells == 4096**2
 
     @pytest.mark.parametrize("lower, upper", [
         (0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0), ((0.0, 0.0), (1.0, np.inf)),
@@ -193,7 +207,7 @@ class TestRandomSmoothDensity:
 
     def test_floor_keeps_positive(self):
         g = unit_grid(64)
-        f = random_smooth_density(g, seed=3, floor=0.1)
+        f = random_smooth_density(g, seed=3)
         assert f.values.min() > 0.0
 
     def test_mass_one(self):
@@ -210,6 +224,55 @@ class TestRandomSmoothDensity:
     def test_negative_seed_rejected(self):
         with pytest.raises(ParameterError, match="seed"):
             random_smooth_density(unit_grid(8), seed=-1)
+
+
+def former_cli_bump(grid, floor=0.05, sharpness=80.0, center=None):
+    """The bump expression as the command line wrote it before geometry held it."""
+    center = np.atleast_1d(np.asarray(
+        np.add(grid.lower, grid.upper) / 2 if center is None else center, dtype=float))
+    sq = ((grid.cell_centers() - center[None, :]) ** 2).sum(axis=1)
+    vals = floor + np.exp(-sharpness * sq)
+    return normalize(DensityField(grid, vals.reshape(grid.shape)))
+
+
+class TestBumpDensity:
+    @pytest.mark.parametrize("grid, params", [
+        (Grid(1, -1.0, 3.0, 33), {}),
+        (Grid(1, 0.0, 1.0, 96), {"center": 0.3}),
+        (Grid(1, 0.0, 1.0, 96), {"floor": 0.0, "center": [0.7]}),
+        (Grid(2, (0.0, 0.0), (1.0, 2.0), (12, 9)), {}),
+        (Grid(2, (0.0, 0.0), (1.0, 2.0), (12, 9)), {"floor": 1e-3, "center": [0.3, 0.6]}),
+    ], ids=["1d", "1d-center", "1d-center-list", "2d", "2d-center"])
+    def test_same_bits_as_the_former_cli_expression(self, grid, params):
+        got = bump_density(grid, **params)
+        assert np.array_equal(got.values, former_cli_bump(grid, **params).values)
+        assert abs(got.mass - 1.0) <= 1e-12
+
+    def test_same_bits_on_the_unit_interval(self):
+        # the flows' bumps: every resolution, floor and sharpness they run at
+        for n, floor, sharpness in itertools.product((8, 24, 48, 96, 128, 512),
+                                                     (0.0, 1e-3, 0.05, 0.1), (20.0, 80.0)):
+            grid = unit_grid(n)
+            got = bump_density(grid, floor, sharpness).values
+            assert np.array_equal(got, former_cli_bump(grid, floor, sharpness).values)
+
+    @pytest.mark.parametrize("params, key", [
+        ({"floor": -0.1}, "floor"),
+        ({"floor": np.nan}, "floor"),
+        ({"sharpness": 0.0}, "sharpness"),
+        ({"sharpness": -1.0}, "sharpness"),
+        ({"center": [0.25, 0.75]}, "center"),
+        ({"center": [[0.5]]}, "center"),
+    ], ids=["floor-negative", "floor-nan", "sharpness-zero", "sharpness-negative",
+            "center-length", "center-shape"])
+    def test_bad_parameter_rejected_by_name(self, params, key):
+        with pytest.raises(ParameterError, match=f"^{key} must"):
+            bump_density(unit_grid(16), **params)
+
+    def test_zero_mass_bump_rejected(self):
+        # centered far off the box with no floor: exp underflows to 0 on every cell
+        with pytest.raises(DegenerateInputError, match="zero total mass"):
+            bump_density(unit_grid(16), floor=0.0, sharpness=1e6, center=5.0)
 
 
 class TestBoundary:

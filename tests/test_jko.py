@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from otlab import cli, jko
+from otlab import cli, geometry, jko
 from otlab.cost import power_cost
 from otlab.errors import (
     DomainError,
@@ -30,10 +30,7 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def bump_density(n=128, floor=0.05, sharpness=80.0):
-    grid = Grid(1, 0.0, 1.0, n)
-    x = grid.cell_centers()[:, 0]
-    vals = floor + np.exp(-sharpness * (x - 0.5) ** 2)
-    return normalize(DensityField(grid, vals.reshape(grid.shape)))
+    return geometry.bump_density(Grid(1, 0.0, 1.0, n), floor, sharpness)
 
 
 def heat_config(steps, **overrides):

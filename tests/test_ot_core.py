@@ -130,6 +130,19 @@ class TestCostMatrixCount:
         solve(rho, g, power_cost(1.5, grid.cost_radius))
         assert len(count) == 1
 
+    @pytest.mark.parametrize("solve", [
+        lambda rho, g, cost, cmat: oc.solve_lp(rho, g, cost, cmat=cmat),
+        lambda rho, g, cost, cmat: oc.solve_entropic(rho, g, cost, eps_final=1e-2, cmat=cmat),
+    ], ids=["solve_lp", "solve_entropic"])
+    def test_given_matrix_is_not_rebuilt(self, count, solve):
+        # the batch shares one matrix among a (p, n)'s seeds; a solve that rebuilt it
+        # would give the same bits at twice the cost
+        grid, rho, g = random_pair(n=32)
+        cost = power_cost(1.5, grid.cost_radius)
+        cmat = oc._cost_matrix(cost, grid.cell_centers(), grid.cell_centers())
+        solve(rho, g, cost, cmat)
+        assert count == [32 * 32]
+
     def test_canonical_pair_builds_blocks_only(self, count):
         # two blocked c-transforms of a 256 x 256 pair: two row blocks each,
         # and the same bits as the double transform on the full matrix
